@@ -8,11 +8,14 @@
 // A run starts with a reference pass through run::run_experiment: the
 // oracle whose fingerprints every later pass must reproduce, and the warm-up
 // that fills caches before anything is timed. Timed passes then repeat
-// until --seconds elapse. They drive each point through the layers' public
-// calls one at a time (Substrate::build_cluster, make_barrier or
-// make_collective, the run driver, then reading the engine's counters), so
-// set-up and drive time are measured at those boundaries. Host metrics are
-// medians over timed passes; simulated metrics come from the reference pass.
+// until --seconds elapse, after one untimed warm-up pass. They drive each
+// point through the layers' public calls one at a time
+// (Substrate::build_cluster, make_barrier or make_collective, the run
+// driver, then reading the engine's counters), so set-up and drive time are
+// measured at those boundaries. Host times are scaled by the host speed a
+// fixed probe loop measures around each point (see SpeedProbe) and are
+// reported as sums over points of per-point medians over the passes;
+// simulated metrics come from the reference pass.
 //
 // --trace 1 alternates untraced and traced passes. Traced passes record a
 // span around each of those calls, run the two calibration loops and the
@@ -339,19 +342,104 @@ double calibrate_fabric(SpanLog& log) {
   return (now_s() - t0) * 1e9 / static_cast<double>(fabric.packets_delivered());
 }
 
+// ----------------------------------------------------------- host speed --
+
+/// Measures how fast the host runs right now, relative to a reference host.
+///
+/// On a shared host the same pass takes up to ~40 % longer from one minute
+/// to the next, in CPU time as much as in wall time: neighbours contend for
+/// the core, its caches and memory, not for the scheduler. So each timed
+/// point is followed by a fixed probe loop, and the point's host times are
+/// scaled by the mean speed of the probes just before and just after it.
+/// The probe is the benchmark's own code (an event-queue-like binary heap
+/// beside random updates of a 1 MiB table), so a change to the simulator
+/// cannot move it. On a shared 4-core x86 host the quartile spread of the
+/// unscaled pass time over five seeds was 0.10-0.40 of its median; that of
+/// the scaled wall_s over ten seeds was 0.03-0.05.
+class SpeedProbe {
+ public:
+  /// Probe slices per second on the reference host: one slice takes 1 ms
+  /// there. The reported host times are seconds on that host.
+  static constexpr double kReferenceSlicesPerSecond = 1000.0;
+
+  SpeedProbe() : table_(kTableWords, 0) {
+    for (int i = 0; i < kHeapSize; ++i) heap_.push_back(next() >> 24);
+    std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
+  }
+
+  /// Runs whole slices for at least `budget_s` (one at least) and returns
+  /// the host's speed relative to the reference host over the work just
+  /// timed: the mean of this probe and the one before, which bracket it.
+  double speed(double budget_s) {
+    int slices = 0;
+    const double t0 = now_s();
+    double elapsed = 0.0;
+    do {
+      slice();
+      ++slices;
+      elapsed = now_s() - t0;
+    } while (elapsed < budget_s);
+    const double now = static_cast<double>(slices) / elapsed / kReferenceSlicesPerSecond;
+    const double before = last_ > 0.0 ? last_ : now;
+    last_ = now;
+    return (before + now) / 2.0;
+  }
+
+ private:
+  static constexpr int kHeapSize = 4096;
+  static constexpr std::size_t kTableWords = std::size_t{1} << 17;  // 1 MiB
+  static constexpr int kOpsPerSlice = 12000;
+
+  std::uint64_t next() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return state_;
+  }
+
+  void slice() {
+    for (int i = 0; i < kOpsPerSlice; ++i) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      const std::uint64_t r = next();
+      heap_.back() += 1 + (r >> 48);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+      table_[static_cast<std::size_t>(r) & (kTableWords - 1)] += heap_.front();
+    }
+  }
+
+  std::uint64_t state_ = 0x9E3779B97F4A7C15ULL;
+  double last_ = 0.0;  // speed the previous probe measured
+  std::vector<std::uint64_t> heap_;
+  std::vector<std::uint64_t> table_;
+};
+
 // --------------------------------------------------------------- passes --
 
-/// Host-time totals of one timed pass.
-struct Pass {
-  double wall_s = 0.0;
+/// After each point the probe runs for this share of the point's time. A
+/// share of 0.2 spread wider: the probe then evicts enough of the
+/// simulator's cache to slow the next point.
+constexpr double kProbeShare = 0.1;
+
+/// Host times of one point in one pass, in reference-host seconds: the
+/// measured times scaled by the host speed measured right after the point.
+struct PointTime {
+  double wall_s = 0.0;  // the whole point: set-up, drive, checks, teardown
   double build_s = 0.0;
   double make_s = 0.0;
-  double core_drive_s = 0.0;
-  double load_drive_s = 0.0;
-  std::uint64_t core_events = 0;
-  std::uint64_t events = 0;
+  double drive_s = 0.0;
+};
+
+struct Pass {
+  std::vector<PointTime> points;
+  double raw_wall_s = 0.0;           // host seconds as measured, unscaled
   double engine_ns_per_event = 0.0;  // traced passes only
   double fabric_ns_per_packet = 0.0;
+
+  double total(double PointTime::*field) const {
+    double sum = 0.0;
+    for (const PointTime& t : points) sum += t.*field;
+    return sum;
+  }
 };
 
 struct Tally {
@@ -360,10 +448,10 @@ struct Tally {
 };
 
 Pass run_pass(const std::vector<Point>& points, const std::vector<run::RunResult>& ref,
-              SpanLog& log, Tally& tally) {
+              SpanLog& log, Tally& tally, SpeedProbe& probe) {
   Pass pass;
-  const double t0 = now_s();
   for (std::size_t i = 0; i < points.size(); ++i) {
+    const double t0 = now_s();
     PointRun pr = drive_point(points[i], static_cast<int>(i), log);
     ++tally.attempted;
     std::string err = pr.error.empty() ? check(pr.result) : pr.error;
@@ -374,17 +462,12 @@ Pass run_pass(const std::vector<Point>& points, const std::vector<run::RunResult
       ++tally.failed;
       std::printf("FAIL %s (pass %d): %s\n", points[i].key.c_str(), log.pass, err.c_str());
     }
-    pass.build_s += pr.build_s;
-    pass.make_s += pr.make_s;
-    pass.events += pr.result.events_fired;
-    if (points[i].spec.workload.enabled()) {
-      pass.load_drive_s += pr.drive_s;
-    } else {
-      pass.core_drive_s += pr.drive_s;
-      pass.core_events += pr.result.events_fired;
-    }
+    const double point_s = now_s() - t0;
+    const double speed = probe.speed(kProbeShare * point_s);
+    pass.raw_wall_s += point_s;
+    pass.points.push_back(
+        {point_s * speed, pr.build_s * speed, pr.make_s * speed, pr.drive_s * speed});
   }
-  pass.wall_s = now_s() - t0;
   return pass;
 }
 
@@ -403,6 +486,24 @@ double median_of(const std::vector<Pass>& passes, F f) {
   v.reserve(passes.size());
   for (const Pass& p : passes) v.push_back(f(p));
   return median(v);
+}
+
+/// Sum over the points that `keep` selects of each point's median time over
+/// the passes. A burst of contention that hits one point in one pass moves
+/// that point's median at most by one rank, not the whole pass.
+template <typename Keep>
+double sum_of_medians(const std::vector<Pass>& passes, double PointTime::*field, Keep keep) {
+  double sum = 0.0;
+  const std::size_t n = passes.empty() ? 0 : passes.front().points.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!keep(i)) continue;
+    sum += median_of(passes, [&](const Pass& p) { return p.points[i].*field; });
+  }
+  return sum;
+}
+
+double sum_of_medians(const std::vector<Pass>& passes, double PointTime::*field) {
+  return sum_of_medians(passes, field, [](std::size_t) { return true; });
 }
 
 double geomean(const std::vector<double>& v) {
@@ -449,6 +550,25 @@ double nic_speedup(const std::vector<Point>& points, const std::vector<run::RunR
   return geomean(ratios);
 }
 
+/// Peak resident memory of this process image. getrusage's ru_maxrss is
+/// not used: it keeps the high-water mark across execve, so it would count
+/// the launcher's memory when that is larger than the workload's.
+double peak_rss_mib() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f != nullptr) {
+    char line[256];
+    long kib = -1;
+    while (kib < 0 && std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %ld kB", &kib) != 1) kib = -1;
+    }
+    std::fclose(f);
+    if (kib >= 0) return static_cast<double>(kib) / 1024.0;
+  }
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
 std::vector<Metric> end_to_end(const std::vector<Point>& points,
                                const std::vector<run::RunResult>& ref,
                                const std::vector<Anchor>& anchor_list,
@@ -460,17 +580,17 @@ std::vector<Metric> end_to_end(const std::vector<Point>& points,
   }
   double anchor_err = 0.0;
   for (const Anchor& a : anchor_list) anchor_err = std::max(anchor_err, a.err_pct());
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
+  std::uint64_t events = 0;
+  for (const run::RunResult& r : ref) events += r.events_fired;
   return {
-      {"wall_s", median_of(passes, [](const Pass& p) { return p.wall_s; }), "s"},
-      {"setup_s", median_of(passes, [](const Pass& p) { return p.build_s + p.make_s; }), "s"},
-      {"events_per_sec",
-       median_of(passes,
-                 [](const Pass& p) { return ratio(static_cast<double>(p.events),
-                                                  p.core_drive_s + p.load_drive_s); }),
+      {"wall_s", sum_of_medians(passes, &PointTime::wall_s), "s"},
+      {"setup_s",
+       sum_of_medians(passes, &PointTime::build_s) + sum_of_medians(passes, &PointTime::make_s),
+       "s"},
+      {"events_per_sec", ratio(static_cast<double>(events),
+                               sum_of_medians(passes, &PointTime::drive_s)),
        "1/s"},
-      {"peak_rss_mb", static_cast<double>(ru.ru_maxrss) / 1024.0, "MiB"},
+      {"peak_rss_mb", peak_rss_mib(), "MiB"},
       {"sim_op_us", geomean(op_us), "us"},
       {"sim_p99_us", geomean(p99_us), "us"},
       {"nic_speedup", nic_speedup(points, ref), "ratio"},
@@ -558,11 +678,15 @@ std::vector<Metric> per_layer(const std::vector<Point>& points,
   const auto med = [&](double Pass::*field) {
     return median_of(traced, [field](const Pass& p) { return p.*field; });
   };
+  const auto is_load = [&](std::size_t i) { return points[i].spec.workload.enabled(); };
+  const auto is_core = [&](std::size_t i) { return !is_load(i); };
+  double core_events = 0.0;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (is_core(i)) core_events += static_cast<double>(ref[i].events_fired);
+  }
   const double myri_sends = count("mcp.data_packets_sent") + count("coll.msgs_sent");
   const double myri_retx = count("mcp.retransmissions") + count("coll.retransmissions");
-  const double core_drive = med(&Pass::core_drive_s);
-  const double core_events = median_of(
-      traced, [](const Pass& p) { return static_cast<double>(p.core_events); });
+  const double core_drive = sum_of_medians(traced, &PointTime::drive_s, is_core);
   const model::BarrierModel fit_m = fit_model(run::Network::kMyrinetXP, points, ref);
   const model::BarrierModel fit_q = fit_model(run::Network::kQuadrics, points, ref);
 
@@ -598,13 +722,13 @@ std::vector<Metric> per_layer(const std::vector<Point>& points,
       {"core.early_buffered",
        count("coll.early_buffered") + count("elan.early_buffered") + count("ib.early_buffered"),
        "count"},
-      {"load.drive_s", med(&Pass::load_drive_s), "s"},
+      {"load.drive_s", sum_of_medians(traced, &PointTime::drive_s, is_load), "s"},
       {"load.flood_sends", count("load.flood_sends"), "count"},
       {"load.backlog_peak", static_cast<double>(backlog_peak), "count"},
       {"load.fairness", fairness, "ratio"},
       {"load.group_p99_us_max", group_p99_max, "us"},
-      {"run.build_cluster_s", med(&Pass::build_s), "s"},
-      {"run.make_executor_s", med(&Pass::make_s), "s"},
+      {"run.build_cluster_s", sum_of_medians(traced, &PointTime::build_s), "s"},
+      {"run.make_executor_s", sum_of_medians(traced, &PointTime::make_s), "s"},
       {"model.tinit_us", fit_m.t_init_us, "us"},
       {"model.ttrig_us", fit_m.t_trig_us, "us"},
       {"model.quadrics_tinit_us", fit_q.t_init_us, "us"},
@@ -624,9 +748,15 @@ std::vector<Metric> per_layer(const std::vector<Point>& points,
   for (const auto& [family, secs] : substrate_seconds(log, points, n)) {
     m.push_back({"host." + family + "_s", secs, "s"});
   }
+  m.push_back({"host.speed",
+               median_of(untraced,
+                         [](const Pass& p) {
+                           return ratio(p.total(&PointTime::wall_s), p.raw_wall_s);
+                         }),
+               "ratio"});
   m.push_back({"trace.overhead_s",
-               median_of(traced, [](const Pass& p) { return p.wall_s; }) -
-                   median_of(untraced, [](const Pass& p) { return p.wall_s; }),
+               sum_of_medians(traced, &PointTime::wall_s) -
+                   sum_of_medians(untraced, &PointTime::wall_s),
                "s"});
   return m;
 }
@@ -744,14 +874,24 @@ int main(int argc, char** argv) {
     print_point(points[i], ref[i]);
   }
 
-  // Timed passes; with --trace 1 every second pass is traced.
+  // Timed passes; with --trace 1 every second pass is traced. Pass 0 is a
+  // warm-up whose times are not kept: the first pass through the layers'
+  // calls runs ~15 % slower than the rest, against the probe as much as in
+  // raw host time.
   SpanLog log;
+  SpeedProbe probe;
   std::vector<Pass> untraced, traced;
   const double start = now_s();
-  while (untraced.empty() || (o.trace && traced.empty()) || now_s() - start < o.seconds) {
-    log.enabled = o.trace && untraced.size() > traced.size();
-    log.pass = static_cast<int>(untraced.size() + traced.size()) + 1;
-    Pass pass = run_pass(points, ref, log, tally);
+  for (bool warmup = true;
+       warmup || untraced.empty() || (o.trace && traced.empty()) || now_s() - start < o.seconds;
+       warmup = false) {
+    log.enabled = !warmup && o.trace && untraced.size() > traced.size();
+    log.pass = warmup ? 0 : static_cast<int>(untraced.size() + traced.size()) + 1;
+    Pass pass = run_pass(points, ref, log, tally, probe);
+    if (warmup) {
+      std::printf("host pass 0 warm-up raw_wall_s=%.6f\n", pass.raw_wall_s);
+      continue;
+    }
     if (log.enabled) {
       pass.engine_ns_per_event = calibrate_engine(log);
       pass.fabric_ns_per_packet = calibrate_fabric(log);
@@ -759,9 +899,9 @@ int main(int argc, char** argv) {
       (void)fit_model(run::Network::kMyrinetXP, points, ref);
       (void)fit_model(run::Network::kQuadrics, points, ref);
     }
-    std::printf("host pass %d traced=%d wall_s=%.6f setup_s=%.6f events=%llu\n", log.pass,
-                log.enabled ? 1 : 0, pass.wall_s, pass.build_s + pass.make_s,
-                static_cast<unsigned long long>(pass.events));
+    std::printf("host pass %d traced=%d wall_s=%.6f raw_wall_s=%.6f setup_s=%.6f\n", log.pass,
+                log.enabled ? 1 : 0, pass.total(&PointTime::wall_s), pass.raw_wall_s,
+                pass.total(&PointTime::build_s) + pass.total(&PointTime::make_s));
     (log.enabled ? traced : untraced).push_back(pass);
   }
 
