@@ -29,7 +29,7 @@ class Nic {
 
   /// Runs `fn` after the firmware processor spends `cyc` cycles, FIFO after
   /// any work already queued on it.
-  void exec(std::uint32_t cyc, sim::EventCallback fn) {
+  void exec(std::uint32_t cyc, sim::EventCallback&& fn) {
     cpu_.exec(config_->lanai.cycles(cyc), std::move(fn));
   }
 

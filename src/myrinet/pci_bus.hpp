@@ -21,14 +21,14 @@ class PciBus {
 
   /// Posted doorbell/register write host -> NIC. `fn` runs when the write
   /// reaches the NIC.
-  sim::SimTime pio_write(sim::EventCallback fn) {
+  sim::SimTime pio_write(sim::EventCallback&& fn) {
     ++pio_writes_;
     return bus_.exec(config_.pio_write, std::move(fn));
   }
 
   /// DMA of `bytes` (either direction; the bus does not care). `fn` runs at
   /// transfer completion.
-  sim::SimTime dma(std::uint32_t bytes, sim::EventCallback fn) {
+  sim::SimTime dma(std::uint32_t bytes, sim::EventCallback&& fn) {
     ++dmas_;
     dma_bytes_ += bytes;
     return bus_.exec(config_.dma_overhead + transfer_time(bytes), std::move(fn));

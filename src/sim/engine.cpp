@@ -99,7 +99,7 @@ void Engine::enable_domains(int domains, SimDuration lookahead) {
 
 void Engine::set_threads(int threads) { threads_ = std::max(1, threads); }
 
-EventId Engine::schedule_at_on(int domain, SimTime at, EventCallback cb,
+EventId Engine::schedule_at_on(int domain, SimTime at, EventCallback&& cb,
                                const SchedPath* path, std::uint64_t lineage) {
   if (shards_.empty()) {
     assert(domain == 0);

@@ -55,15 +55,17 @@ class Engine {
   }
 
   /// Schedules `cb` to run `delay` from now, on the calling domain's queue
-  /// (the engine queue when sequential). Negative delays are a bug.
-  EventId schedule(SimDuration delay, EventCallback cb) {
+  /// (the engine queue when sequential). Negative delays are a bug. Every
+  /// hop down to EventQueue::push takes the callback by rvalue reference,
+  /// so it is moved exactly once on the way in.
+  EventId schedule(SimDuration delay, EventCallback&& cb) {
     if (delay < SimDuration::zero()) throw std::invalid_argument("negative delay");
     if (shards_.empty()) return queue_.push(now_ + delay, std::move(cb));
     return shard_push(current_shard(), delay, std::move(cb));
   }
 
   /// Schedules `cb` at an absolute instant; must not be in the past.
-  EventId schedule_at(SimTime at, EventCallback cb) {
+  EventId schedule_at(SimTime at, EventCallback&& cb) {
     if (shards_.empty()) {
       if (at < now_) throw std::invalid_argument("schedule_at in the past");
       return queue_.push(at, std::move(cb));
@@ -124,7 +126,7 @@ class Engine {
   /// it was emitted, deeper hops = the emitter's ancestry) and `lineage`
   /// the coordinator's injection stamp; together they slot the event into
   /// the sequential insertion order (see the EventQueue tie-break contract).
-  EventId schedule_at_on(int domain, SimTime at, EventCallback cb,
+  EventId schedule_at_on(int domain, SimTime at, EventCallback&& cb,
                          const SchedPath* path = nullptr,
                          std::uint64_t lineage = 0);
 
@@ -200,11 +202,11 @@ class Engine {
     return *s;
   }
 
-  EventId shard_push(Shard& s, SimDuration delay, EventCallback cb) {
+  EventId shard_push(Shard& s, SimDuration delay, EventCallback&& cb) {
     return shard_push_at(s, s.now + delay, std::move(cb));
   }
 
-  EventId shard_push_at(Shard& s, SimTime at, EventCallback cb) {
+  EventId shard_push_at(Shard& s, SimTime at, EventCallback&& cb) {
     // The child's ancestry: its own sched (now) prepended to the running
     // event's path, oldest hop dropped.
     const SchedPath child{{s.now, s.cur_path.hops[0], s.cur_path.hops[1],

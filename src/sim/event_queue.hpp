@@ -29,9 +29,9 @@
 // the ancestors' scheduling instants (hops[1..]). Chains that are fully
 // time-symmetric past kDepth are ordered by the anchor stamp, which the
 // coordinator assigns in merge order — itself the senders' sequential
-// order, inductively. Sequential queues leave path/lineage zero, so the
-// extended comparator degenerates to the historical (at, seq) bit-for-bit.
-// Window merges sort deferred cross-domain sends by the same
+// order, inductively. Sequential queues store all-zero paths and lineages,
+// so the extended comparator degenerates to the historical (at, seq)
+// bit-for-bit. Window merges sort deferred cross-domain sends by the same
 // (emit, path, lineage) key, falling back to (domain, per-domain order)
 // only for pre-run-rooted ties — where domain blocks are ascending so that
 // fallback is rank order, matching the sequential setup loop.
@@ -39,12 +39,12 @@
 //
 // Cancellation is O(1) and allocation-free: every live event owns a slot in
 // a generation table; cancelling bumps the slot's generation, which orphans
-// the heap entry (detected when it surfaces, or swept by compaction when
-// dead entries outnumber live ones — NACK-timeout storms cancel thousands
-// of armed retransmit timers and must not leave the heap full of corpses).
-// No hashing and no per-event allocation in the common case: callbacks are
-// small-buffer-optimized (sim::Callback) and slots are recycled through a
-// free list.
+// the heap entry (dropped when it reaches the head, or swept by compaction
+// when dead entries outnumber live ones — NACK-timeout storms cancel
+// thousands of armed retransmit timers and must not leave the heap full of
+// corpses). No hashing and no per-event allocation in the common case:
+// callbacks are small-buffer-optimized (sim::Callback) and slots are
+// recycled through a free list.
 #pragma once
 
 #include <array>
@@ -101,19 +101,23 @@ class EventQueue {
   /// sequential engine passes the zero defaults, which makes the key
   /// degenerate to the historical (at, seq). When `path` is null, a path of
   /// {sched, 0, 0, 0} is stored (path.hops[0] is always the sched instant).
-  EventId push(SimTime at, EventCallback cb, SimTime sched = SimTime::zero(),
+  /// The callback is moved once, into its slot.
+  EventId push(SimTime at, EventCallback&& cb, SimTime sched = SimTime::zero(),
                std::uint64_t lineage = 0, const SchedPath* path = nullptr);
 
   /// Cancels a pending event. Returns false if it already fired, was already
   /// cancelled, or the id is invalid.
   bool cancel(EventId id);
 
-  /// Time of the earliest live event, or nullopt when empty.
-  [[nodiscard]] std::optional<SimTime> next_time() const;
+  /// Time of the earliest live event, or nullopt when empty. Drops the
+  /// cancelled entries sitting above it, so a cancelled head costs one
+  /// amortized O(log n) pop instead of a scan of the heap.
+  [[nodiscard]] std::optional<SimTime> next_time();
 
   /// Removes and returns the earliest live event. Precondition: !empty().
-  /// sched/lineage echo what push() recorded, so a sharded engine can
-  /// propagate the running event's causal stamp to whatever it schedules.
+  /// The callback moves from its slot straight into Fired; sched/lineage/
+  /// path echo what push() recorded, so a sharded engine can propagate the
+  /// running event's causal stamp to whatever it schedules.
   struct Fired {
     SimTime at;
     EventCallback cb;
@@ -135,30 +139,40 @@ class EventQueue {
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
  private:
-  // Heap entries are small PODs; the callback itself lives in the slot
-  // table (stable storage, one move per event) so sift swaps are plain
-  // memberwise copies instead of SBO relocations of a 100-byte callback.
-  // The full ancestry path rides in the entry (path.hops[0] is the sched
-  // instant) because the comparator needs the deeper hops: a locally pushed
-  // event and a coordinator-injected delivery can tie on sched, and only
-  // the ancestors' scheduling instants recover the sequential order.
+  // Heap entries are 24-byte PODs; the callback and the sharded ordering key
+  // live in the slot tables (stable storage, written once per push), so
+  // sift swaps are plain copies instead of SBO relocations of a 100-byte
+  // callback or 40 bytes of ancestry that sequential queues leave zero.
   struct Entry {
     SimTime at;
-    SchedPath path;
-    std::uint64_t lineage = 0;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
+  };
+  static_assert(sizeof(Entry) == 24);
 
-    // Min-heap: std::push_heap etc. build a max-heap on operator<, so invert.
-    // Sequential queues hold all-zero path/lineage, so the extra compares
-    // never reorder anything there.
-    friend bool operator<(const Entry& a, const Entry& b) {
+  // The sharded part of the ordering key, per slot. A slot is recycled only
+  // after its heap entry has left the heap (fired, dropped at the head or
+  // swept), so the key an entry compares by never changes under it, even
+  // while the entry waits in the heap as a cancelled corpse.
+  struct SlotKey {
+    SchedPath path;
+    std::uint64_t lineage = 0;
+  };
+
+  // Min-heap order for std::push_heap etc., which build a max-heap on their
+  // comparator, hence the inversion. Fire times decide; the slot keys are
+  // read only when fire times tie.
+  struct Later {
+    const std::vector<SlotKey>* keys;
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
+      const SlotKey& ka = (*keys)[a.slot];
+      const SlotKey& kb = (*keys)[b.slot];
       for (std::size_t h = 0; h < SchedPath::kDepth; ++h) {
-        if (a.path.hops[h] != b.path.hops[h]) return a.path.hops[h] > b.path.hops[h];
+        if (ka.path.hops[h] != kb.path.hops[h]) return ka.path.hops[h] > kb.path.hops[h];
       }
-      if (a.lineage != b.lineage) return a.lineage > b.lineage;
+      if (ka.lineage != kb.lineage) return ka.lineage > kb.lineage;
       return a.seq > b.seq;
     }
   };
@@ -168,13 +182,15 @@ class EventQueue {
   static constexpr std::size_t kCompactFloor = 64;
 
   [[nodiscard]] bool is_live(const Entry& e) const { return slot_gen_[e.slot] == e.gen; }
-  void release_slot(std::uint32_t slot);
+  [[nodiscard]] Later later() const { return Later{&slot_key_}; }
+  void drop_cancelled_head();
   void compact_if_stale();
 
   std::vector<Entry> heap_;
   std::vector<std::uint32_t> slot_gen_;    // slot -> generation of its current owner
   std::vector<EventCallback> slot_cb_;     // slot -> the pending callback
-  std::vector<std::uint32_t> free_slots_;  // recycled slot indices
+  std::vector<SlotKey> slot_key_;          // slot -> the pending event's path/lineage
+  std::vector<std::uint32_t> free_slots_;  // slots whose heap entry has left the heap
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
 };

@@ -20,13 +20,13 @@ class Resource {
 
   /// Runs `fn` after the resource has been acquired (FIFO after current
   /// holders) and held for `cost`. Returns the completion time.
-  SimTime exec(SimDuration cost, EventCallback fn) {
+  SimTime exec(SimDuration cost, EventCallback&& fn) {
     return exec_from(engine_->now(), cost, std::move(fn));
   }
 
   /// Same, but the work cannot start before `earliest` (e.g. a DMA that
   /// waits for its descriptor).
-  SimTime exec_from(SimTime earliest, SimDuration cost, EventCallback fn) {
+  SimTime exec_from(SimTime earliest, SimDuration cost, EventCallback&& fn) {
     const SimTime start = earliest > free_at_ ? earliest : free_at_;
     const SimTime done = start + cost;
     free_at_ = done;

@@ -5,6 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "move_counter.hpp"
+
 namespace qmb::sim {
 namespace {
 
@@ -183,6 +185,43 @@ TEST(Engine, DeterministicTieBreakAcrossRuns) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Engine, ScheduleMovesCallbackOnceInOnceOut) {
+  // Three moves per event: the functor into the Callback, the Callback into
+  // its queue slot, the slot into the fired event. schedule/schedule_at
+  // forward by rvalue reference, so no hop adds a move.
+  using testutil::MoveCounter;
+  EXPECT_EQ(testutil::moves_until_fired(
+                [](Engine& e, MoveCounter&& fn) { e.schedule(1_us, std::move(fn)); }),
+            3);
+  EXPECT_EQ(testutil::moves_until_fired([](Engine& e, MoveCounter&& fn) {
+              e.schedule_at(SimTime(2'000'000), std::move(fn));
+            }),
+            3);
+}
+
+TEST(Engine, ShardedScheduleMovesCallbackOnceInOnceOut) {
+  // The PDES hops (shard_push, shard_push_at, schedule_at_on) keep the
+  // sequential path's count.
+  using testutil::MoveCounter;
+  EXPECT_EQ(testutil::moves_until_fired([](Engine& e, MoveCounter&& fn) {
+              e.enable_domains(2, 1_us);
+              Engine::DomainScope scope(e, 1);
+              e.schedule(1_us, std::move(fn));
+            }),
+            3);
+  EXPECT_EQ(testutil::moves_until_fired([](Engine& e, MoveCounter&& fn) {
+              e.enable_domains(2, 1_us);
+              Engine::DomainScope scope(e, 1);
+              e.schedule_at(SimTime(2'000'000), std::move(fn));
+            }),
+            3);
+  EXPECT_EQ(testutil::moves_until_fired([](Engine& e, MoveCounter&& fn) {
+              e.enable_domains(2, 1_us);
+              e.schedule_at_on(1, SimTime(3'000'000), std::move(fn));
+            }),
+            3);
 }
 
 }  // namespace

@@ -5,12 +5,50 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 namespace qmb::sim {
 namespace {
 
 SimTime at_us(std::int64_t us) { return SimTime(us * 1'000'000); }
+
+// A sharded event's full ordering key as the tie-break contract defines it;
+// seq is the push index.
+struct Key {
+  SimTime at;
+  SchedPath path;
+  std::uint64_t lineage = 0;
+  int seq = 0;
+
+  friend bool operator<(const Key& a, const Key& b) {
+    return std::tie(a.at, a.path.hops, a.lineage, a.seq) <
+           std::tie(b.at, b.path.hops, b.lineage, b.seq);
+  }
+};
+
+// Pushes `k`; the event appends its seq to `order` when it fires.
+EventId push_keyed(EventQueue& q, const Key& k, std::vector<int>& order) {
+  return q.push(k.at, [&order, seq = k.seq] { order.push_back(seq); }, k.path.hops[0],
+                k.lineage, &k.path);
+}
+
+// The seqs of `keys` in contract order.
+std::vector<int> contract_order(std::vector<Key> keys) {
+  std::sort(keys.begin(), keys.end());
+  std::vector<int> seqs;
+  for (const Key& k : keys) seqs.push_back(k.seq);
+  return seqs;
+}
+
+// A key at `at` whose path and lineage take few distinct values, so equal
+// fire times tie on every level of the key.
+Key scrambled_key(SimTime at, int seq) {
+  return Key{at, SchedPath{{at_us(seq * 7 % 5), at_us(seq * 11 % 3)}},
+             static_cast<std::uint64_t>(seq * 13 % 4), seq};
+}
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
@@ -84,6 +122,7 @@ TEST(EventQueue, NextTimeSkipsCancelledTop) {
   q.cancel(first);
   ASSERT_TRUE(q.next_time().has_value());
   EXPECT_EQ(*q.next_time(), at_us(5));
+  EXPECT_EQ(q.heap_entries(), 1u);  // the cancelled head was popped, not scanned past
 }
 
 TEST(EventQueue, NextTimeEmptyIsNullopt) {
@@ -258,6 +297,138 @@ TEST(TieBreakContract, ShardedKeyOrdersBeforeInsertion) {
   q.push(at_us(9), [&] { order.push_back(5); }, at_us(4), 8, &flat);
   while (!q.empty()) q.pop().cb();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2, 5, 4, 0}));
+}
+
+TEST(TieBreakContract, RecycledSlotOrdersByItsNewKey) {
+  // Slots freed by fired and by cancelled events are re-keyed by their next
+  // occupants: no path or lineage of a previous occupant may leak into the
+  // order, or the echo, of the event that inherits its slot.
+  EventQueue q;
+  const SchedPath stale{{at_us(9), at_us(9), at_us(9), at_us(9)}};
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(q.push(at_us(1 + i), [] {}, at_us(9), 99, &stale));
+  for (std::size_t i = 0; i < 4; ++i) q.cancel(ids[i]);
+  for (int i = 0; i < 4; ++i) q.pop();  // drops the four corpses, fires the rest
+  ASSERT_TRUE(q.empty());
+
+  // All eight slots are free, so every push below lands in a recycled one.
+  std::vector<int> order;
+  const SchedPath early{{at_us(1)}};
+  const SchedPath mid{{at_us(4)}};
+  q.push(at_us(20), [&] { order.push_back(0); }, at_us(4), 5, &mid);
+  q.push(at_us(20), [&] { order.push_back(1); }, at_us(1), 5, &early);
+  q.push(at_us(20), [&] { order.push_back(2); }, at_us(4), 4, &mid);
+  q.push(at_us(20), [&] { order.push_back(3); });  // sequential push: all-zero key
+  const std::vector<std::pair<SchedPath, std::uint64_t>> echoes{
+      {SchedPath{}, 0}, {early, 5}, {mid, 4}, {mid, 5}};
+  for (const auto& [path, lineage] : echoes) {
+    const EventQueue::Fired f = q.pop();
+    EXPECT_EQ(f.path, path);
+    EXPECT_EQ(f.sched, path.hops[0]);
+    EXPECT_EQ(f.lineage, lineage);
+    f.cb();
+  }
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 0}));
+}
+
+TEST(TieBreakContract, CompactionKeepsEqualTimeSurvivorsInKeyOrder) {
+  // A mass cancel past the 64-entry floor sweeps the heap and re-heapifies;
+  // the equal-time survivors, and events pushed into the swept slots
+  // afterwards, must still pop in (path, lineage, seq) order.
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<Key> live;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 300; ++i) {
+    const Key k = scrambled_key(at_us(50), i);
+    ids.push_back(push_keyed(q, k, order));
+    if (i % 5 == 0) live.push_back(k);
+  }
+  for (int i = 0; i < 300; ++i) {
+    if (i % 5 != 0) q.cancel(ids[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(q.size(), 60u);
+  EXPECT_LE(q.heap_entries(), 2 * q.size());  // swept, not just tombstoned
+  for (int i = 300; i < 340; ++i) {
+    live.push_back(scrambled_key(at_us(50), i));
+    push_keyed(q, live.back(), order);
+  }
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, contract_order(live));
+}
+
+TEST(TieBreakContract, NextTimePruningKeepsKeyOrder) {
+  // Cancel the events that sort first at one instant; next_time() pops
+  // their entries off the head, and the survivors plus events pushed into
+  // the freed slots must still fire in (path, lineage, seq) order.
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<Key> keys;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 40; ++i) {
+    keys.push_back(scrambled_key(at_us(50), i));
+    ids.push_back(push_keyed(q, keys.back(), order));
+  }
+  const std::vector<int> sorted = contract_order(keys);
+  std::vector<Key> live;
+  for (std::size_t r = 0; r < sorted.size(); ++r) {
+    const auto seq = static_cast<std::size_t>(sorted[r]);
+    if (r < 10) {
+      q.cancel(ids[seq]);
+    } else {
+      live.push_back(keys[seq]);
+    }
+  }
+  ASSERT_TRUE(q.next_time().has_value());
+  EXPECT_EQ(*q.next_time(), at_us(50));
+  EXPECT_EQ(q.heap_entries(), 30u);
+  for (int i = 40; i < 50; ++i) {
+    live.push_back(scrambled_key(at_us(50), i));
+    push_keyed(q, live.back(), order);
+  }
+  while (!q.empty()) q.pop().cb();
+  EXPECT_EQ(order, contract_order(live));
+}
+
+TEST(TieBreakContract, RandomPushCancelPopMatchesSortedReference) {
+  // Model check: interleaved pushes, cancels, peeks and pops over a few
+  // fire times and a few path/lineage values (so most comparisons tie on
+  // time) must pop exactly the minimum of a sorted reference set. Heaps
+  // grow past the compaction floor and shrink again, recycling slots
+  // through sweeps, head drops and fires.
+  EventQueue q;
+  std::mt19937 rng(12345);
+  std::set<Key> ref;
+  std::vector<std::pair<Key, EventId>> pending;
+  std::vector<int> order;
+  int seq = 0;
+  auto draw = [&](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  for (int step = 0; step < 20000; ++step) {
+    const int phase = (step / 2000) % 2;  // alternately grow and drain
+    const int op = draw(100);
+    if (op < (phase == 0 ? 55 : 25)) {
+      const Key k{at_us(draw(4)), SchedPath{{at_us(draw(3)), at_us(draw(2)), at_us(draw(2))}},
+                  static_cast<std::uint64_t>(draw(3)), seq++};
+      pending.emplace_back(k, push_keyed(q, k, order));
+      ref.insert(k);
+    } else if (op < (phase == 0 ? 75 : 60) && !pending.empty()) {
+      const auto victim = static_cast<std::size_t>(draw(static_cast<int>(pending.size())));
+      if (q.cancel(pending[victim].second)) ref.erase(pending[victim].first);
+      pending[victim] = pending.back();
+      pending.pop_back();
+    } else if (op < 80) {
+      const auto t = q.next_time();
+      ASSERT_EQ(t.has_value(), !ref.empty());
+      if (t) {
+        ASSERT_EQ(*t, ref.begin()->at);
+      }
+    } else if (!ref.empty()) {
+      q.pop().cb();
+      ASSERT_EQ(order.back(), ref.begin()->seq) << "step " << step;
+      ref.erase(ref.begin());
+    }
+    ASSERT_EQ(q.size(), ref.size());
+  }
 }
 
 TEST(TieBreakContract, PopEchoesPathAndLineage) {

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "move_counter.hpp"
+
 namespace qmb::myri {
 namespace {
 
@@ -38,6 +40,21 @@ TEST(PciBus, DmaPaysOverheadPlusBandwidth) {
   EXPECT_EQ(done, SimTime(900'000 + 1'000'000));
   EXPECT_EQ(bus.dmas(), 1u);
   EXPECT_EQ(bus.dma_bytes(), 528u);
+}
+
+TEST(PciBus, TransactionsMoveCallbackOnceInOnceOut) {
+  // pio_write and dma forward by rvalue reference into Resource::exec: the
+  // callback costs the event path's three moves (functor into Callback,
+  // Callback into its queue slot, slot into the fired event) and no more.
+  using testutil::MoveCounter;
+  EXPECT_EQ(testutil::moves_until_fired([](Engine& e, MoveCounter&& fn) {
+              PciBus(e, pci66()).pio_write(std::move(fn));
+            }),
+            3);
+  EXPECT_EQ(testutil::moves_until_fired([](Engine& e, MoveCounter&& fn) {
+              PciBus(e, pci66()).dma(528, std::move(fn));
+            }),
+            3);
 }
 
 TEST(PciBus, TransactionsSerialize) {

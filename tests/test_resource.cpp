@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "move_counter.hpp"
+
 namespace qmb::sim {
 namespace {
 
@@ -92,6 +94,22 @@ TEST(Resource, GapResetsQueue) {
   e.run();
   // After going idle, the second job starts at its post time, not at 1us.
   EXPECT_EQ(completions, (std::vector<std::int64_t>{1'000'000, 11'000'000}));
+}
+
+TEST(Resource, ExecMovesCallbackOnceInOnceOut) {
+  // Three moves end to end: the functor into the Callback, the Callback
+  // into its queue slot, and the slot into the fired event. Every hop on
+  // exec -> exec_from -> schedule_at -> EventQueue::push takes the callback
+  // by rvalue reference; a by-value hop anywhere adds a move here.
+  using testutil::MoveCounter;
+  EXPECT_EQ(testutil::moves_until_fired([](Engine& e, MoveCounter&& fn) {
+              Resource(e).exec(1_us, std::move(fn));
+            }),
+            3);
+  EXPECT_EQ(testutil::moves_until_fired([](Engine& e, MoveCounter&& fn) {
+              Resource(e).exec_from(SimTime(5'000'000), 1_us, std::move(fn));
+            }),
+            3);
 }
 
 }  // namespace
