@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -56,11 +58,18 @@ std::vector<std::int64_t> run_once(Engine& engine, Collective& op,
 
 // ---------- allreduce ----------
 
+// gtest has no printer for ArCase, so it dumps the raw bytes into each
+// case's ctest name. The padding is spelled out and zeroed: left implicit,
+// it carried leftover heap bytes, and some names changed on every build.
 struct ArCase {
   bool nic;
+  std::uint8_t pad0[3] = {};
   int n;
   coll::ReduceOp op;
+  std::uint8_t pad1[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<ArCase>,
+              "ArCase must have no implicit padding");
 
 class AllreduceSweep : public ::testing::TestWithParam<ArCase> {};
 
@@ -92,7 +101,7 @@ std::vector<ArCase> allreduce_cases() {
   for (bool nic : {true, false}) {
     for (int n : {2, 3, 4, 5, 7, 8, 12, 16}) {
       for (auto op : {coll::ReduceOp::kSum, coll::ReduceOp::kMin, coll::ReduceOp::kMax}) {
-        cases.push_back({nic, n, op});
+        cases.push_back({.nic = nic, .n = n, .op = op});
       }
     }
   }
