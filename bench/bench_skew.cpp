@@ -28,7 +28,9 @@ double skewed_cost_us(MakeBarrier&& make, int nodes, sim::SimDuration skew, int 
       const auto d = sim::SimDuration(skew.picos() * r / (nodes - 1));
       engine.schedule(d, [&, r] {
         last_entry = std::max(last_entry, engine.now());
-        barrier->enter(r, [&] { last_done = std::max(last_done, engine.now()); });
+        barrier->enter(r, 0, [&](std::int64_t) {
+          last_done = std::max(last_done, engine.now());
+        });
       });
     }
     engine.run();
@@ -37,27 +39,20 @@ double skewed_cost_us(MakeBarrier&& make, int nodes, sim::SimDuration skew, int 
   return total / iters;
 }
 
-struct ElanHolder {
-  std::unique_ptr<core::ElanCluster> cluster;
-  std::unique_ptr<core::Barrier> barrier;
-};
-
 void print_table() {
   const int nodes = 8;
   std::vector<int> skews_us{0, 1, 2, 5, 10, 20, 50};
 
-  auto elan_make = [](core::ElanBarrierKind kind) {
-    return [kind](sim::Engine& e, int n) {
-      auto cluster = std::make_unique<core::ElanCluster>(e, elan::elan3_cluster(), n);
-      auto barrier = cluster->make_barrier(kind, coll::Algorithm::kDissemination);
-      return std::pair{std::move(cluster), std::move(barrier)};
-    };
+  auto elan_nic = [](sim::Engine& e, int n) {
+    auto cluster = std::make_unique<core::ElanCluster>(e, elan::elan3_cluster(), n);
+    auto barrier = core::make_collective(*cluster, {});
+    return std::pair{std::move(cluster), std::move(barrier)};
   };
-  auto myri_make = [](core::MyriBarrierKind kind) {
-    return [kind](sim::Engine& e, int n) {
+  auto myri_make = [](coll::Engine side) {
+    return [side](sim::Engine& e, int n) {
       auto cluster =
           std::make_unique<core::MyriCluster>(e, myri::lanaixp_cluster(), n);
-      auto barrier = cluster->make_barrier(kind, coll::Algorithm::kDissemination);
+      auto barrier = core::make_collective(*cluster, {.engine = side});
       return std::pair{std::move(cluster), std::move(barrier)};
     };
   };
@@ -71,14 +66,15 @@ void print_table() {
     {
       sim::Engine engine;
       core::ElanCluster cluster(engine, elan::elan3_cluster(), nodes);
-      auto barrier = cluster.make_barrier(core::ElanBarrierKind::kHardware,
-                                          coll::Algorithm::kDissemination);
+      auto barrier = core::make_hgsync_barrier(cluster);
       sim::SimTime last_entry, last_done;
       for (int r = 0; r < nodes; ++r) {
         const auto d = sim::SimDuration(skew.picos() * r / (nodes - 1));
         engine.schedule(d, [&, r] {
           last_entry = std::max(last_entry, engine.now());
-          barrier->enter(r, [&] { last_done = std::max(last_done, engine.now()); });
+          barrier->enter(r, 0, [&](std::int64_t) {
+            last_done = std::max(last_done, engine.now());
+          });
         });
       }
       engine.run();
@@ -86,12 +82,9 @@ void print_table() {
       probes.values_us.push_back(static_cast<double>(cluster.hw_barrier().probes_sent()));
       failed.values_us.push_back(static_cast<double>(cluster.hw_barrier().failed_probes()));
     }
-    enic.values_us.push_back(
-        skewed_cost_us(elan_make(core::ElanBarrierKind::kNicChained), nodes, skew, 5));
-    mnic.values_us.push_back(skewed_cost_us(
-        myri_make(core::MyriBarrierKind::kNicCollective), nodes, skew, 5));
-    mhost.values_us.push_back(
-        skewed_cost_us(myri_make(core::MyriBarrierKind::kHost), nodes, skew, 5));
+    enic.values_us.push_back(skewed_cost_us(elan_nic, nodes, skew, 5));
+    mnic.values_us.push_back(skewed_cost_us(myri_make(coll::Engine::kNic), nodes, skew, 5));
+    mhost.values_us.push_back(skewed_cost_us(myri_make(coll::Engine::kHost), nodes, skew, 5));
   }
   bench::print_table(
       "Barrier cost beyond the last entry (us) vs entry skew (rows = total skew in "
@@ -114,9 +107,8 @@ void BM_SkewedHardwareBarrier(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine e;
     core::ElanCluster c(e, elan::elan3_cluster(), 8);
-    auto b = c.make_barrier(core::ElanBarrierKind::kHardware,
-                            coll::Algorithm::kDissemination);
-    us = core::run_consecutive_barriers(e, *b, 5, 20).mean.micros();
+    auto b = core::make_hgsync_barrier(c);
+    us = core::run_consecutive(e, *b, {.warmup = 5, .iters = 20}).mean.micros();
   }
   state.counters["sim_barrier_us"] = us;
 }

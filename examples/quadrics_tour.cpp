@@ -7,8 +7,11 @@
 //
 //   $ ./quadrics_tour
 #include <cstdio>
+#include <functional>
+#include <memory>
 
 #include "core/cluster.hpp"
+#include "core/collectives.hpp"
 
 using namespace qmb;
 
@@ -28,16 +31,26 @@ void tour_put() {
 
 void tour_barriers() {
   std::printf("\n2./3. the three Quadrics barriers at 8 nodes:\n");
-  for (const auto& [kind, label] :
-       {std::pair{core::ElanBarrierKind::kNicChained, "chained-RDMA NIC barrier"},
-        std::pair{core::ElanBarrierKind::kGsyncTree, "elan_gsync host tree"},
-        std::pair{core::ElanBarrierKind::kHardware, "elan_hgsync hardware"}}) {
+  struct Flavour {
+    const char* label;
+    std::function<std::unique_ptr<core::Collective>(core::ElanCluster&)> make;
+    bool nic;
+  };
+  const Flavour flavours[] = {
+      {"chained-RDMA NIC barrier",
+       [](core::ElanCluster& c) { return core::make_collective(c, {}); }, true},
+      {"elan_gsync host tree", [](core::ElanCluster& c) { return core::make_gsync_barrier(c); },
+       false},
+      {"elan_hgsync hardware", [](core::ElanCluster& c) { return core::make_hgsync_barrier(c); },
+       false},
+  };
+  for (const Flavour& f : flavours) {
     sim::Engine engine;
     core::ElanCluster cluster(engine, elan::elan3_cluster(), 8);
-    auto barrier = cluster.make_barrier(kind, coll::Algorithm::kDissemination);
-    const auto r = core::run_consecutive_barriers(engine, *barrier, 100, 1000);
-    std::printf("   %-28s %6.2f us", label, r.mean.micros());
-    if (kind == core::ElanBarrierKind::kNicChained) {
+    auto barrier = f.make(cluster);
+    const auto r = core::run_consecutive(engine, *barrier, {.warmup = 100, .iters = 1000});
+    std::printf("   %-28s %6.2f us", f.label, r.mean.micros());
+    if (f.nic) {
       std::printf("   (%llu RDMAs issued on node 0, 0 host events until completion)",
                   static_cast<unsigned long long>(cluster.node(0).nic().stats().rdma_issued.value()));
     }
@@ -49,12 +62,11 @@ void tour_straggler() {
   std::printf("\n4. hgsync with a straggler (enters 20 us late):\n");
   sim::Engine engine;
   core::ElanCluster cluster(engine, elan::elan3_cluster(), 8);
-  auto barrier = cluster.make_barrier(core::ElanBarrierKind::kHardware,
-                                      coll::Algorithm::kDissemination);
+  auto barrier = core::make_hgsync_barrier(cluster);
   for (int r = 0; r < 8; ++r) {
     engine.schedule(r == 5 ? sim::microseconds(20) : sim::SimDuration::zero(),
                     [&, r] {
-                      barrier->enter(r, [&, r] {
+                      barrier->enter(r, 0, [&, r](std::int64_t) {
                         if (r == 0) {
                           std::printf("   completed at %.2f us\n", engine.now().micros());
                         }

@@ -5,7 +5,11 @@
 //   $ ./quickstart
 #include <cstdio>
 
+#include <functional>
+#include <memory>
+
 #include "core/cluster.hpp"
+#include "core/collectives.hpp"
 #include "core/schedule.hpp"
 
 using namespace qmb;
@@ -29,11 +33,13 @@ void print_schedule(coll::Algorithm alg, int n) {
   }
 }
 
-double barrier_mean_us(core::MyriBarrierKind kind) {
+using BarrierFactory = std::function<std::unique_ptr<core::Collective>(core::MyriCluster&)>;
+
+double barrier_mean_us(const BarrierFactory& make) {
   sim::Engine engine;
   core::MyriCluster cluster(engine, myri::lanaixp_cluster(), 8);
-  auto barrier = cluster.make_barrier(kind, coll::Algorithm::kDissemination);
-  const auto result = core::run_consecutive_barriers(engine, *barrier, 100, 1000);
+  auto barrier = make(cluster);
+  const auto result = core::run_consecutive(engine, *barrier, {.warmup = 100, .iters = 1000});
   return result.mean.micros();
 }
 
@@ -43,9 +49,15 @@ int main() {
   std::printf("qmbarrier quickstart: 8-node simulated Myrinet cluster (LANai-XP)\n");
   std::printf("================================================================\n");
 
-  const double nic = barrier_mean_us(core::MyriBarrierKind::kNicCollective);
-  const double direct = barrier_mean_us(core::MyriBarrierKind::kNicDirect);
-  const double host = barrier_mean_us(core::MyriBarrierKind::kHost);
+  // A barrier is the zero-payload collective: the default CollSpec is the
+  // paper's NIC-based dissemination barrier.
+  const double nic =
+      barrier_mean_us([](core::MyriCluster& c) { return core::make_collective(c, {}); });
+  const double direct =
+      barrier_mean_us([](core::MyriCluster& c) { return core::make_direct_barrier(c, {}); });
+  const double host = barrier_mean_us([](core::MyriCluster& c) {
+    return core::make_collective(c, {.engine = coll::Engine::kHost});
+  });
 
   std::printf("\nmean latency over 1000 consecutive barriers:\n");
   std::printf("  host-based barrier over GM:            %7.2f us\n", host);

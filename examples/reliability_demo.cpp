@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "core/cluster.hpp"
+#include "core/collectives.hpp"
 
 using namespace qmb;
 
@@ -19,15 +20,14 @@ void run_with_drop(bool receiver_driven) {
   sim::Engine engine;
   sim::Tracer tracer;
   tracer.enable();
-  core::MyriCluster cluster(engine, myri::lanaixp_cluster(), 4, &tracer);
+  myri::CollFeatures features;
+  features.receiver_driven = receiver_driven;
+  core::MyriCluster cluster(engine, myri::lanaixp_cluster(), 4, &tracer, features);
   // Lose the very first barrier message from node 0 to node 1.
   cluster.fabric().faults().add_nth_rule(net::NicAddr(0), net::NicAddr(1), 1);
 
-  myri::CollFeatures features;
-  features.receiver_driven = receiver_driven;
-  auto barrier = cluster.make_barrier(core::MyriBarrierKind::kNicCollective,
-                                      coll::Algorithm::kDissemination, {}, features);
-  const auto result = core::run_consecutive_barriers(engine, *barrier, 0, 3);
+  auto barrier = core::make_collective(cluster, {});
+  const auto result = core::run_consecutive(engine, *barrier, {.iters = 3});
 
   std::printf("\n=== %s, first 0->1 barrier message dropped ===\n",
               receiver_driven ? "receiver-driven NACK (the paper's protocol)"

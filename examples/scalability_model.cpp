@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "core/collectives.hpp"
 #include "model/analytic.hpp"
 
 using namespace qmb;
@@ -17,9 +18,8 @@ namespace {
 double measure(int nodes, int iters) {
   sim::Engine engine;
   core::MyriCluster cluster(engine, myri::lanaixp_cluster(), nodes);
-  auto barrier = cluster.make_barrier(core::MyriBarrierKind::kNicCollective,
-                                      coll::Algorithm::kDissemination);
-  return core::run_consecutive_barriers(engine, *barrier, 20, iters).mean.micros();
+  auto barrier = core::make_collective(cluster, {});
+  return core::run_consecutive(engine, *barrier, {.warmup = 20, .iters = iters}).mean.micros();
 }
 
 }  // namespace

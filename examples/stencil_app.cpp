@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "core/cluster.hpp"
+#include "core/collectives.hpp"
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
 
@@ -21,11 +22,11 @@ namespace {
 
 /// Awaitable adapter: co_await enters the barrier and resumes on completion.
 struct BarrierAwaiter {
-  core::Barrier& barrier;
+  core::Collective& barrier;
   int rank;
   bool await_ready() const { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    barrier.enter(rank, [h] { h.resume(); });
+    barrier.enter(rank, 0, [h](std::int64_t) { h.resume(); });
   }
   void await_resume() const {}
 };
@@ -34,7 +35,7 @@ struct AppResult {
   sim::SimTime finished;
 };
 
-sim::Task worker(sim::Engine& engine, core::Barrier& barrier, int rank, int iterations,
+sim::Task worker(sim::Engine& engine, core::Collective& barrier, int rank, int iterations,
                  sim::SimDuration compute, sim::Rng rng, AppResult& out) {
   for (int it = 0; it < iterations; ++it) {
     // Compute phase with +-20% load imbalance.
@@ -45,11 +46,10 @@ sim::Task worker(sim::Engine& engine, core::Barrier& barrier, int rank, int iter
   out.finished = engine.now();
 }
 
-double run_app(core::MyriBarrierKind kind, int nodes, int iterations,
-               sim::SimDuration compute) {
+double run_app(coll::Engine side, int nodes, int iterations, sim::SimDuration compute) {
   sim::Engine engine;
   core::MyriCluster cluster(engine, myri::lanaixp_cluster(), nodes);
-  auto barrier = cluster.make_barrier(kind, coll::Algorithm::kDissemination);
+  auto barrier = core::make_collective(cluster, {.engine = side});
   sim::Rng master(42);
   std::vector<AppResult> results(static_cast<std::size_t>(nodes));
   for (int r = 0; r < nodes; ++r) {
@@ -73,9 +73,8 @@ int main(int argc, char** argv) {
   std::printf("stencil app: %d nodes, %d iterations, ~%.1f us compute per step\n", nodes,
               iterations, compute_us);
 
-  const double host = run_app(core::MyriBarrierKind::kHost, nodes, iterations, compute);
-  const double nic =
-      run_app(core::MyriBarrierKind::kNicCollective, nodes, iterations, compute);
+  const double host = run_app(coll::Engine::kHost, nodes, iterations, compute);
+  const double nic = run_app(coll::Engine::kNic, nodes, iterations, compute);
 
   std::printf("  total runtime, host-based barrier: %10.1f us\n", host);
   std::printf("  total runtime, NIC-based barrier:  %10.1f us\n", nic);

@@ -1,74 +1,45 @@
-// Cluster builders and the barrier benchmark runner — the library's main
-// entry points.
-//
-//   sim::Engine engine;
-//   core::MyriCluster cluster(engine, myri::lanaixp_cluster(), 8);
-//   auto barrier = cluster.make_barrier(core::MyriBarrierKind::kNicCollective,
-//                                       coll::Algorithm::kDissemination);
-//   auto result = core::run_consecutive_barriers(engine, *barrier, 100, 10000);
-//   std::cout << result.mean.micros() << " us\n";
+// Cluster builders — the simulated machines every collective runs on (see
+// core/collectives.hpp for the operations and the run driver).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/barrier.hpp"
-#include "core/schedule.hpp"
 #include "ib/node.hpp"
 #include "myrinet/gm.hpp"
 #include "quadrics/elanlib.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
 namespace qmb::core {
 
-enum class MyriBarrierKind {
-  kHost,           // host-based over GM point-to-point (baseline)
-  kNicDirect,      // prior work: NIC-triggered over the p2p MCP path
-  kNicCollective,  // the paper: NIC-based collective protocol
-};
-
-enum class ElanBarrierKind {
-  kGsyncTree,   // elan_gsync(): host-level gather-broadcast tree
-  kHardware,    // elan_hgsync(): hardware broadcast + test-and-set
-  kNicChained,  // the paper: chained-RDMA NIC barrier
-};
-
-enum class IbBarrierKind {
-  kHost,           // host-level over tagged writes (baseline)
-  kNicCollective,  // the paper's protocol on RC verbs
-};
-
 /// A simulated Myrinet cluster: N nodes on a crossbar (<= 16 nodes, as in
 /// the paper's testbeds) or a 16-ary Clos fat tree (larger, for the Fig. 8
-/// scalability runs).
+/// scalability runs). `features` are the NIC collective protocol's ablation
+/// switches; they apply to barrier groups only.
 class MyriCluster {
  public:
   /// `engine_domains` > 1 asks the fabric for a conservative-PDES cut of
   /// roughly that many domains (see Fabric::enable_domains); each node is
   /// then built inside its domain so all of its events stay there.
   MyriCluster(sim::Engine& engine, const myri::MyrinetConfig& config, int nodes,
-              sim::Tracer* tracer = nullptr, int engine_domains = 1);
+              sim::Tracer* tracer = nullptr, myri::CollFeatures features = {},
+              int engine_domains = 1);
 
   [[nodiscard]] int size() const { return static_cast<int>(nodes_.size()); }
   [[nodiscard]] myri::MyriNode& node(int i) { return *nodes_.at(static_cast<std::size_t>(i)); }
   [[nodiscard]] net::Fabric& fabric() { return *fabric_; }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] const myri::MyrinetConfig& config() const { return config_; }
-
-  /// Builds a barrier over all nodes. `rank_to_node` permutes rank
-  /// placement (the paper benchmarks random permutations); empty = identity.
-  std::unique_ptr<Barrier> make_barrier(MyriBarrierKind kind, coll::Algorithm algorithm,
-                                        std::vector<int> rank_to_node = {},
-                                        myri::CollFeatures features = {}, int radix = 0);
+  [[nodiscard]] const myri::CollFeatures& features() const { return features_; }
 
   [[nodiscard]] std::uint32_t next_group_id() { return next_group_id_++; }
 
  private:
   sim::Engine& engine_;
   myri::MyrinetConfig config_;
+  myri::CollFeatures features_;
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<std::unique_ptr<myri::MyriNode>> nodes_;
   std::uint32_t next_group_id_ = 1;
@@ -86,10 +57,6 @@ class ElanCluster {
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] elan::HwBarrierController& hw_barrier() { return *hw_; }
   [[nodiscard]] const elan::Elan3Config& config() const { return config_; }
-
-  std::unique_ptr<Barrier> make_barrier(ElanBarrierKind kind, coll::Algorithm algorithm,
-                                        std::vector<int> rank_to_node = {},
-                                        int gsync_tree_degree = 4, int radix = 0);
 
   [[nodiscard]] std::uint32_t next_group_id() { return next_group_id_++; }
 
@@ -118,9 +85,6 @@ class IbCluster {
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] const ib::IbConfig& config() const { return config_; }
 
-  std::unique_ptr<Barrier> make_barrier(IbBarrierKind kind, coll::Algorithm algorithm,
-                                        std::vector<int> rank_to_node = {}, int radix = 0);
-
   [[nodiscard]] std::uint32_t next_group_id() { return next_group_id_++; }
 
  private:
@@ -136,44 +100,5 @@ class IbCluster {
 /// Random placement drawn from `rng` (paper Sec. 8.1: "random permutation
 /// of the nodes").
 [[nodiscard]] std::vector<int> random_placement(int n, sim::Rng& rng);
-
-/// Result of a consecutive-barrier latency run (paper methodology: warm-up
-/// iterations discarded, then the average of the timed iterations).
-struct BarrierRunResult {
-  sim::LatencySeries per_iteration;  // steady-state completion-to-completion
-  sim::SimDuration mean = sim::SimDuration::zero();
-  std::uint64_t iterations = 0;
-};
-
-/// Runs `warmup + iters` consecutive barriers: every rank re-enters as soon
-/// as its previous completion is delivered — or, when `max_skew` is
-/// non-zero, after a per-entry uniform delay in [0, max_skew] drawn from an
-/// RNG seeded with `skew_seed` (deterministic chaos, as the fuzzer drives).
-/// Drives the engine until every rank finished or `horizon` of simulated
-/// time elapsed, and throws std::runtime_error in the latter case.
-///
-/// On a sharded (PDES) engine, `rank_domain` (rank -> engine domain, from
-/// Fabric::domain_of over the placement) is required: initial entries are
-/// issued inside each rank's domain, and every completion lands in a
-/// rank-private slot so parallel windows never race. The per-iteration
-/// series is the per-iteration max across ranks either way — exactly the
-/// instant the sequential runner observed the n-th completion.
-BarrierRunResult run_consecutive_barriers(
-    sim::Engine& engine, Barrier& barrier, int warmup, int iters,
-    sim::SimDuration max_skew = sim::SimDuration::zero(), std::uint64_t skew_seed = 0,
-    sim::SimDuration horizon = sim::seconds(120),
-    const std::vector<int>* rank_domain = nullptr);
-
-/// Runs `warmup + iters` consecutive *split-phase* barriers: each rank
-/// issues notify(), simulates `overlap` of local computation, then wait()s
-/// — the GASNet notify/compute/wait idiom. The per-iteration series
-/// measures the interval between consecutive wait completions, so the
-/// visible cost per iteration is max(overlap, barrier latency) plus the
-/// non-overlapped protocol tail; with overlap zero it degenerates to the
-/// blocking runner. Horizon semantics match run_consecutive_barriers.
-BarrierRunResult run_split_phase_barriers(
-    sim::Engine& engine, Barrier& barrier, int warmup, int iters,
-    sim::SimDuration overlap,
-    sim::SimDuration horizon = sim::seconds(120));
 
 }  // namespace qmb::core

@@ -47,7 +47,7 @@ struct CollSpec {
   double overlap_us = -1.0;  // >= 0 documents a split-phase compute window
   /// Rank -> fabric-node placement; empty means identity over the whole
   /// cluster (resolved at construction).
-  std::vector<int> rank_to_node;
+  std::vector<int> rank_to_node{};
 
   friend bool operator==(const CollSpec&, const CollSpec&) = default;
 };

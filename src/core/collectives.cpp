@@ -1,18 +1,19 @@
 #include "core/collectives.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/cluster.hpp"
-#include "core/myri_barriers.hpp"  // BarrierTag codec
+#include "core/coll_tag.hpp"
+#include "core/group_window.hpp"
 
 namespace qmb::core {
 
 namespace {
-
-std::string_view kind_name(coll::OpKind kind) { return coll::to_string(kind); }
 
 [[nodiscard]] std::vector<int> resolve_placement(const coll::CollSpec& spec,
                                                  int cluster_size) {
@@ -185,415 +186,361 @@ void Collective::wait(int rank, DoneFn done) {
   }
 }
 
-MyriNicCollective::MyriNicCollective(MyriCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id()) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  const auto schedule =
-      make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("myri-nic-") + std::string(kind_name(spec.op));
-
-  const coll::Placement placement = coll::make_placement(rank_to_node_);
-  for (int r = 0; r < n; ++r) {
-    myri::GroupDesc desc;
-    desc.group_id = group_id_;
-    desc.my_rank = r;
-    desc.rank_to_node = placement;
-    desc.schedule = schedule.ranks[static_cast<std::size_t>(r)];
-    desc.op_kind = spec.op;
-    desc.reduce_op = spec.reduce;
-    desc.payload_bytes = spec.payload_bytes;
-    cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]).port().create_group(std::move(desc));
-  }
-}
-
-void MyriNicCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
-  cluster_.node(node).port().collective_enter(group_id_, value, std::move(done));
-}
-
-MyriHostCollective::MyriHostCollective(MyriCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id() & core::BarrierTag::kGroupMask),
-      payload_bytes_(spec.payload_bytes) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  schedule_ = make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("myri-host-") + std::string(kind_name(spec.op));
-
-  node_to_rank_.assign(static_cast<std::size_t>(cluster_.size()), -1);
-  for (int r = 0; r < n; ++r) {
-    node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
-  }
-
-  ranks_.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    RankCtx& ctx = ranks_[static_cast<std::size_t>(r)];
-    ctx.port = &cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]).port();
-    ctx.waits_per_op = schedule_.ranks[static_cast<std::size_t>(r)].total_waits();
-    ctx.port->provide_receive_buffers(2 * ctx.waits_per_op + 4);
-    ctx.window = std::make_unique<OpWindow>(
-        schedule_.ranks[static_cast<std::size_t>(r)],
-        [this, r](std::uint32_t seq, const coll::Edge& e, std::int64_t value) {
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int dst_node = rank_to_node_[static_cast<std::size_t>(e.peer)];
-          const auto bytes =
-              payload_bytes_ * static_cast<std::uint32_t>(
-                                   coll::edge_payload_words(kind_, e.tag, value));
-          c.port->send(dst_node, bytes, BarrierTag::encode(group_id_, seq, e.tag), {}, value);
-        },
-        [this, r](std::uint32_t seq, std::int64_t result) {
-          (void)seq;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          auto cb = std::move(c.done);
-          c.done = nullptr;
-          if (cb) cb(result);
-        },
-        spec.op, spec.reduce);
-
-    ctx.port->add_collective_handler(group_id_, [this, r](const myri::RecvEvent& ev) {
-      RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-      const int src_rank = node_to_rank_.at(static_cast<std::size_t>(ev.src_node));
-      assert(src_rank >= 0);
-      const std::uint32_t seq =
-          BarrierTag::widen_seq(BarrierTag::seq_low(ev.tag), c.window->next_seq());
-      c.window->on_arrival(seq, src_rank, BarrierTag::edge_tag(ev.tag), ev.inline_value);
-    });
-  }
-}
-
-void MyriHostCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  RankCtx& ctx = ranks_.at(static_cast<std::size_t>(rank));
-  assert(!ctx.done && "rank re-entered before completion");
-  ctx.done = std::move(done);
-  ctx.port->provide_receive_buffers(ctx.waits_per_op);
-  ctx.port->host_cpu().exec(ctx.port->host_config().barrier_logic, [this, rank, value] {
-    ranks_[static_cast<std::size_t>(rank)].window->start(value);
-  });
-}
-
-ElanNicCollective::ElanNicCollective(ElanCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id()) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  const auto schedule =
-      make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("elan-nic-") + std::string(kind_name(spec.op));
-
-  const coll::Placement placement = coll::make_placement(rank_to_node_);
-  for (int r = 0; r < n; ++r) {
-    elan::ElanGroupDesc desc;
-    desc.group_id = group_id_;
-    desc.my_rank = r;
-    desc.rank_to_node = placement;
-    desc.schedule = schedule.ranks[static_cast<std::size_t>(r)];
-    desc.op_kind = spec.op;
-    desc.reduce_op = spec.reduce;
-    desc.payload_bytes = spec.payload_bytes;
-    cluster_.node(rank_to_node_[static_cast<std::size_t>(r)])
-        .create_barrier_group(std::move(desc));
-  }
-}
-
-void ElanNicCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
-  cluster_.node(node).collective_enter(group_id_, value, std::move(done));
-}
-
-ElanHostCollective::ElanHostCollective(ElanCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id() & core::BarrierTag::kGroupMask),
-      payload_bytes_(spec.payload_bytes) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  schedule_ = make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("elan-host-") + std::string(kind_name(spec.op));
-
-  node_to_rank_.assign(static_cast<std::size_t>(cluster_.size()), -1);
-  for (int r = 0; r < n; ++r) {
-    node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
-  }
-
-  ranks_.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    RankCtx& ctx = ranks_[static_cast<std::size_t>(r)];
-    ctx.node = &cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]);
-    ctx.window = std::make_unique<OpWindow>(
-        schedule_.ranks[static_cast<std::size_t>(r)],
-        [this, r](std::uint32_t seq, const coll::Edge& e, std::int64_t value) {
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int dst_node = rank_to_node_[static_cast<std::size_t>(e.peer)];
-          const auto bytes =
-              payload_bytes_ * static_cast<std::uint32_t>(
-                                   coll::edge_payload_words(kind_, e.tag, value));
-          c.node->put(dst_node, bytes, BarrierTag::encode(group_id_, seq, e.tag), value);
-        },
-        [this, r](std::uint32_t seq, std::int64_t result) {
-          (void)seq;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          auto cb = std::move(c.done);
-          c.done = nullptr;
-          if (cb) cb(result);
-        },
-        spec.op, spec.reduce);
-
-    // The elan host API has no per-group dispatch (unlike GmPort), so each
-    // collective registers an additive handler and filters by group.
-    ctx.handler_id = ctx.node->add_receive_handler(
-        [this, r](int src_node, std::uint32_t tag, std::int64_t value) {
-          if (!BarrierTag::is_barrier(tag)) return;
-          if (BarrierTag::group(tag) != group_id_) return;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int src_rank = node_to_rank_.at(static_cast<std::size_t>(src_node));
-          assert(src_rank >= 0);
-          const std::uint32_t seq =
-              BarrierTag::widen_seq(BarrierTag::seq_low(tag), c.window->next_seq());
-          c.window->on_arrival(seq, src_rank, BarrierTag::edge_tag(tag), value);
-        });
-  }
-}
-
-ElanHostCollective::~ElanHostCollective() {
-  for (RankCtx& ctx : ranks_) {
-    if (ctx.node != nullptr && ctx.handler_id >= 0) {
-      ctx.node->remove_receive_handler(ctx.handler_id);
-    }
-  }
-}
-
-void ElanHostCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  RankCtx& ctx = ranks_.at(static_cast<std::size_t>(rank));
-  assert(!ctx.done && "rank re-entered before completion");
-  ctx.done = std::move(done);
-  ctx.node->host_cpu().exec(ctx.node->config().host_event_setup, [this, rank, value] {
-    ranks_[static_cast<std::size_t>(rank)].window->start(value);
-  });
-}
-
-IbNicCollective::IbNicCollective(IbCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id()) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  const auto schedule =
-      make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("ib-nic-") + std::string(kind_name(spec.op));
-
-  const coll::Placement placement = coll::make_placement(rank_to_node_);
-  for (int r = 0; r < n; ++r) {
-    ib::IbGroupDesc desc;
-    desc.group_id = group_id_;
-    desc.my_rank = r;
-    desc.rank_to_node = placement;
-    desc.schedule = schedule.ranks[static_cast<std::size_t>(r)];
-    desc.op_kind = spec.op;
-    desc.reduce_op = spec.reduce;
-    desc.payload_bytes = spec.payload_bytes;
-    cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]).create_group(std::move(desc));
-  }
-}
-
-void IbNicCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
-  cluster_.node(node).collective_enter(group_id_, value, std::move(done));
-}
-
-IbHostCollective::IbHostCollective(IbCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id() & core::BarrierTag::kGroupMask),
-      payload_bytes_(spec.payload_bytes) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  schedule_ = make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("ib-host-") + std::string(kind_name(spec.op));
-
-  node_to_rank_.assign(static_cast<std::size_t>(cluster_.size()), -1);
-  for (int r = 0; r < n; ++r) {
-    node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
-  }
-
-  ranks_.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    RankCtx& ctx = ranks_[static_cast<std::size_t>(r)];
-    ctx.node = &cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]);
-    ctx.window = std::make_unique<OpWindow>(
-        schedule_.ranks[static_cast<std::size_t>(r)],
-        [this, r](std::uint32_t seq, const coll::Edge& e, std::int64_t value) {
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int dst_node = rank_to_node_[static_cast<std::size_t>(e.peer)];
-          const auto bytes =
-              payload_bytes_ * static_cast<std::uint32_t>(
-                                   coll::edge_payload_words(kind_, e.tag, value));
-          c.node->post(dst_node, bytes, BarrierTag::encode(group_id_, seq, e.tag), value);
-        },
-        [this, r](std::uint32_t seq, std::int64_t result) {
-          (void)seq;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          auto cb = std::move(c.done);
-          c.done = nullptr;
-          if (cb) cb(result);
-        },
-        spec.op, spec.reduce);
-
-    // Like the Elan host layer, IbNode dispatches one host-message stream
-    // per node, so each collective adds a handler and filters by group id.
-    ctx.handler_id = ctx.node->add_receive_handler(
-        [this, r](int src_node, std::uint32_t tag, std::int64_t value) {
-          if (!BarrierTag::is_barrier(tag)) return;
-          if (BarrierTag::group(tag) != group_id_) return;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int src_rank = node_to_rank_.at(static_cast<std::size_t>(src_node));
-          assert(src_rank >= 0);
-          const std::uint32_t seq =
-              BarrierTag::widen_seq(BarrierTag::seq_low(tag), c.window->next_seq());
-          c.window->on_arrival(seq, src_rank, BarrierTag::edge_tag(tag), value);
-        });
-  }
-}
-
-IbHostCollective::~IbHostCollective() {
-  for (RankCtx& ctx : ranks_) {
-    if (ctx.node != nullptr && ctx.handler_id >= 0) {
-      ctx.node->remove_receive_handler(ctx.handler_id);
-    }
-  }
-}
-
-void IbHostCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  RankCtx& ctx = ranks_.at(static_cast<std::size_t>(rank));
-  assert(!ctx.done && "rank re-entered before completion");
-  ctx.done = std::move(done);
-  ctx.node->host_cpu().exec(ctx.node->config().host_setup, [this, rank, value] {
-    ranks_[static_cast<std::size_t>(rank)].window->start(value);
-  });
-}
-
-std::unique_ptr<Collective> make_collective(MyriCluster& cluster,
-                                            const coll::CollSpec& spec) {
-  if (spec.engine == coll::Engine::kHost) {
-    return std::make_unique<MyriHostCollective>(cluster, spec);
-  }
-  return std::make_unique<MyriNicCollective>(cluster, spec);
-}
-
-std::unique_ptr<Collective> make_collective(ElanCluster& cluster,
-                                            const coll::CollSpec& spec) {
-  if (spec.engine == coll::Engine::kHost) {
-    return std::make_unique<ElanHostCollective>(cluster, spec);
-  }
-  return std::make_unique<ElanNicCollective>(cluster, spec);
-}
-
-std::unique_ptr<Collective> make_collective(IbCluster& cluster,
-                                            const coll::CollSpec& spec) {
-  if (spec.engine == coll::Engine::kHost) {
-    return std::make_unique<IbHostCollective>(cluster, spec);
-  }
-  return std::make_unique<IbNicCollective>(cluster, spec);
-}
-
 namespace {
 
-[[nodiscard]] coll::CollSpec legacy_spec(coll::OpKind kind, coll::Engine engine,
-                                         int root, coll::ReduceOp reduce,
-                                         std::vector<int> rank_to_node,
-                                         std::uint32_t payload_bytes,
-                                         coll::Algorithm algorithm, int radix) {
-  coll::CollSpec spec;
-  spec.op = kind;
-  spec.engine = engine;
-  spec.root = root;
-  spec.reduce = reduce;
-  spec.payload_bytes = payload_bytes;
-  spec.algorithm = algorithm;
-  spec.radix = radix;
-  spec.rank_to_node = std::move(rank_to_node);
-  return spec;
+// What the shared executors need from one substrate: the node-side API a
+// rank talks to (GmPort, ElanNode, IbNode — each has collective_enter and
+// add_collective_handler), how a host-level message is sent and what
+// arming one operation costs the host, how a NIC group is armed, and the
+// executors' names.
+template <typename Cluster>
+struct SubstrateHooks;
+
+template <>
+struct SubstrateHooks<MyriCluster> {
+  using Host = myri::GmPort;
+  static constexpr std::string_view kHostName = "myri-host-";
+  static constexpr std::string_view kNicName = "myri-nic-";
+  static constexpr std::string_view kNicBarrierName = "myri-nic-coll-";
+
+  static Host& host(MyriCluster& c, int node) { return c.node(node).port(); }
+  // A full GM send: descriptor post, doorbell, MCP path with host DMA.
+  static void send(Host& h, int dst_node, std::uint32_t bytes, std::uint32_t tag,
+                   std::int64_t value) {
+    h.send(dst_node, bytes, tag, {}, value);
+  }
+  static sim::SimDuration setup_cost(Host& h) { return h.host_config().barrier_logic; }
+  // GM receives consume preposted buffer tokens.
+  static void provide_receives(Host& h, int messages) { h.provide_receive_buffers(messages); }
+  static void arm(MyriCluster& c, int node, coll::GroupDesc desc) {
+    myri::GroupDesc d{std::move(desc), {}};
+    if (d.op_kind == coll::OpKind::kBarrier) d.features = c.features();
+    host(c, node).create_group(std::move(d));
+  }
+};
+
+template <>
+struct SubstrateHooks<ElanCluster> {
+  using Host = elan::ElanNode;
+  static constexpr std::string_view kHostName = "elan-host-";
+  static constexpr std::string_view kNicName = "elan-nic-";
+  static constexpr std::string_view kNicBarrierName = "elan-nic-";
+
+  static Host& host(ElanCluster& c, int node) { return c.node(node); }
+  // A tagged put whose remote event the receiving host polls.
+  static void send(Host& h, int dst_node, std::uint32_t bytes, std::uint32_t tag,
+                   std::int64_t value) {
+    h.put(dst_node, bytes, tag, value);
+  }
+  static sim::SimDuration setup_cost(Host& h) { return h.config().host_event_setup; }
+  static void provide_receives(Host&, int) {}
+  static void arm(ElanCluster& c, int node, coll::GroupDesc desc) {
+    host(c, node).create_group(std::move(desc));
+  }
+};
+
+template <>
+struct SubstrateHooks<IbCluster> {
+  using Host = ib::IbNode;
+  static constexpr std::string_view kHostName = "ib-host-";
+  static constexpr std::string_view kNicName = "ib-nic-";
+  static constexpr std::string_view kNicBarrierName = "ib-nic-";
+
+  static Host& host(IbCluster& c, int node) { return c.node(node); }
+  // A tagged write-with-immediate: WQE build + doorbell, CQ polling.
+  static void send(Host& h, int dst_node, std::uint32_t bytes, std::uint32_t tag,
+                   std::int64_t value) {
+    h.post(dst_node, bytes, tag, value);
+  }
+  static sim::SimDuration setup_cost(Host& h) { return h.config().host_setup; }
+  static void provide_receives(Host&, int) {}
+  static void arm(IbCluster& c, int node, coll::GroupDesc desc) {
+    host(c, node).create_group(std::move(desc));
+  }
+};
+
+/// "<substrate>-<engine>-<kind>", or the schedule in place of the kind for
+/// a barrier.
+template <typename Cluster>
+std::string engine_name(const coll::CollSpec& spec) {
+  using Hooks = SubstrateHooks<Cluster>;
+  const bool barrier = spec.op == coll::OpKind::kBarrier;
+  std::string name(spec.engine == coll::Engine::kHost ? Hooks::kHostName
+                   : barrier                          ? Hooks::kNicBarrierName
+                                                      : Hooks::kNicName);
+  name += barrier ? coll::to_string(spec.algorithm) : coll::to_string(spec.op);
+  return name;
+}
+
+/// The NIC-resident engine: one doorbell in, one completion word out, all
+/// combining done by the NICs inside the collective protocol.
+template <typename Cluster>
+class NicCollective final : public Collective {
+ public:
+  NicCollective(Cluster& cluster, const coll::CollSpec& spec, std::string name)
+      : cluster_(cluster),
+        kind_(spec.op),
+        rank_to_node_(resolve_placement(spec, cluster.size())),
+        group_id_(cluster.next_group_id()),
+        name_(std::move(name)) {
+    const int n = size();
+    const auto schedule =
+        make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
+    const coll::Placement placement = coll::make_placement(rank_to_node_);
+    for (int r = 0; r < n; ++r) {
+      Hooks::arm(cluster_, rank_to_node_[static_cast<std::size_t>(r)],
+                 {.group_id = group_id_,
+                  .my_rank = r,
+                  .rank_to_node = placement,
+                  .schedule = schedule.ranks[static_cast<std::size_t>(r)],
+                  .op_kind = spec.op,
+                  .reduce_op = spec.reduce,
+                  .payload_bytes = spec.payload_bytes});
+    }
+  }
+
+  void enter(int rank, std::int64_t value, DoneFn done) override {
+    const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
+    Hooks::host(cluster_, node).collective_enter(group_id_, value, std::move(done));
+  }
+  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
+  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
+
+ private:
+  using Hooks = SubstrateHooks<Cluster>;
+
+  Cluster& cluster_;
+  coll::OpKind kind_;
+  std::vector<int> rank_to_node_;
+  std::uint32_t group_id_;
+  std::string name_;
+};
+
+/// The host-level executor: every schedule edge pays the substrate's full
+/// point-to-point path and host processing — the baseline the NIC engines
+/// are measured against.
+template <typename Cluster>
+class HostCollective final : public Collective {
+ public:
+  HostCollective(Cluster& cluster, const coll::CollSpec& spec, std::string name)
+      : kind_(spec.op),
+        payload_bytes_(spec.payload_bytes),
+        rank_to_node_(resolve_placement(spec, cluster.size())),
+        group_id_(cluster.next_group_id() & BarrierTag::kGroupMask),
+        schedule_(make_collective_schedule(spec.op, size(), spec.root, spec.algorithm,
+                                           spec.radix)),
+        name_(std::move(name)) {
+    const int n = size();
+    node_to_rank_.assign(static_cast<std::size_t>(cluster.size()), -1);
+    for (int r = 0; r < n; ++r) {
+      node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
+    }
+    ranks_.resize(static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r) {
+      RankCtx& ctx = ranks_[static_cast<std::size_t>(r)];
+      ctx.host = &Hooks::host(cluster, rank_to_node_[static_cast<std::size_t>(r)]);
+      ctx.waits_per_op = schedule_.ranks[static_cast<std::size_t>(r)].total_waits();
+      // Head start of one full operation window: peers may run one
+      // operation ahead, and their early messages consume receives meant
+      // for the current one. Without this slack a lost message can starve:
+      // its retransmissions find no buffer, the operation never completes,
+      // and no new buffers are ever provided.
+      Hooks::provide_receives(*ctx.host, 2 * ctx.waits_per_op + 4);
+      ctx.window = std::make_unique<Window>(
+          schedule_.ranks[static_cast<std::size_t>(r)], spec.op, spec.reduce,
+          Window::Hooks{
+              .send =
+                  [this, r](Window::Slot& op, const coll::Edge& e) {
+                    const auto bytes =
+                        payload_bytes_ * static_cast<std::uint32_t>(
+                                             coll::edge_payload_words(kind_, e.tag, op.acc));
+                    Hooks::send(*ranks_[static_cast<std::size_t>(r)].host,
+                                rank_to_node_[static_cast<std::size_t>(e.peer)], bytes,
+                                BarrierTag::encode(group_id_, op.seq, e.tag), op.acc);
+                  },
+              .complete =
+                  [](Window::Slot& op) {
+                    if (auto done = std::exchange(op.done, nullptr)) done(op.acc);
+                  },
+          });
+      ctx.host->add_collective_handler(
+          group_id_, [this, r](int src_node, std::uint32_t tag, std::int64_t value) {
+            Window& w = *ranks_[static_cast<std::size_t>(r)].window;
+            const int src_rank = node_to_rank_.at(static_cast<std::size_t>(src_node));
+            assert(src_rank >= 0);
+            const std::uint32_t seq =
+                BarrierTag::widen_seq(BarrierTag::seq_low(tag), w.next_seq());
+            w.on_arrival(seq, src_rank, BarrierTag::edge_tag(tag), value);
+          });
+    }
+  }
+
+  HostCollective(const HostCollective&) = delete;
+  HostCollective& operator=(const HostCollective&) = delete;
+  ~HostCollective() override {
+    for (RankCtx& ctx : ranks_) ctx.host->remove_collective_handler(group_id_);
+  }
+
+  void enter(int rank, std::int64_t value, DoneFn done) override {
+    RankCtx& ctx = ranks_.at(static_cast<std::size_t>(rank));
+    // Replenish receives for this operation's expected messages, then pay
+    // the host-side per-operation bookkeeping before the first send.
+    Hooks::provide_receives(*ctx.host, ctx.waits_per_op);
+    ctx.host->host_cpu().exec(Hooks::setup_cost(*ctx.host),
+                              [&ctx, value, done = std::move(done)]() mutable {
+                                ctx.window->start(value, std::move(done));
+                              });
+  }
+  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
+  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
+
+ private:
+  using Hooks = SubstrateHooks<Cluster>;
+  using Window = coll::GroupWindow<>;
+
+  struct RankCtx {
+    typename Hooks::Host* host = nullptr;
+    std::unique_ptr<Window> window;
+    int waits_per_op = 0;
+  };
+
+  coll::OpKind kind_;
+  std::uint32_t payload_bytes_;
+  std::vector<int> rank_to_node_;
+  std::uint32_t group_id_;
+  coll::GroupSchedule schedule_;
+  std::vector<int> node_to_rank_;
+  std::vector<RankCtx> ranks_;
+  std::string name_;
+};
+
+template <typename Cluster>
+std::unique_ptr<Collective> make_engine(Cluster& cluster, const coll::CollSpec& spec) {
+  if (spec.engine == coll::Engine::kHost) {
+    return std::make_unique<HostCollective<Cluster>>(cluster, spec, engine_name<Cluster>(spec));
+  }
+  return std::make_unique<NicCollective<Cluster>>(cluster, spec, engine_name<Cluster>(spec));
 }
 
 }  // namespace
 
-// Deprecated shim definitions (declarations carry the attribute; silence
-// the self-referential warning here only).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-std::unique_ptr<Collective> make_nic_collective(MyriCluster& cluster, coll::OpKind kind,
-                                                int root, coll::ReduceOp reduce,
-                                                std::vector<int> rank_to_node,
-                                                std::uint32_t payload_bytes,
-                                                coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kNic, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
+std::unique_ptr<Collective> make_collective(MyriCluster& cluster,
+                                            const coll::CollSpec& spec) {
+  return make_engine(cluster, spec);
 }
 
-std::unique_ptr<Collective> make_host_collective(MyriCluster& cluster, coll::OpKind kind,
-                                                 int root, coll::ReduceOp reduce,
-                                                 std::vector<int> rank_to_node,
-                                                 std::uint32_t payload_bytes,
-                                                 coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kHost, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
+std::unique_ptr<Collective> make_collective(ElanCluster& cluster,
+                                            const coll::CollSpec& spec) {
+  return make_engine(cluster, spec);
 }
 
-std::unique_ptr<Collective> make_elan_nic_collective(ElanCluster& cluster,
-                                                     coll::OpKind kind, int root,
-                                                     coll::ReduceOp reduce,
-                                                     std::vector<int> rank_to_node,
-                                                     std::uint32_t payload_bytes,
-                                                     coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kNic, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
+std::unique_ptr<Collective> make_collective(IbCluster& cluster,
+                                            const coll::CollSpec& spec) {
+  return make_engine(cluster, spec);
 }
 
-std::unique_ptr<Collective> make_elan_host_collective(ElanCluster& cluster,
-                                                      coll::OpKind kind, int root,
-                                                      coll::ReduceOp reduce,
-                                                      std::vector<int> rank_to_node,
-                                                      std::uint32_t payload_bytes,
-                                                      coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kHost, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
+std::unique_ptr<Collective> make_gsync_barrier(ElanCluster& cluster,
+                                               std::vector<int> rank_to_node) {
+  return std::make_unique<HostCollective<ElanCluster>>(
+      cluster,
+      coll::CollSpec{.engine = coll::Engine::kHost,
+                     .algorithm = coll::Algorithm::kGatherBroadcast,
+                     .radix = 4,
+                     .rank_to_node = std::move(rank_to_node)},
+      "elan-gsync-tree");
 }
 
-std::unique_ptr<Collective> make_ib_nic_collective(IbCluster& cluster, coll::OpKind kind,
-                                                   int root, coll::ReduceOp reduce,
-                                                   std::vector<int> rank_to_node,
-                                                   std::uint32_t payload_bytes,
-                                                   coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kNic, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
-}
+RunSeries run_consecutive(sim::Engine& engine, Collective& op, const RunPlan& plan) {
+  const int n = op.size();
+  const int total = plan.warmup + plan.iters;
+  assert(total > 0);
+  assert((engine.domains() == 1 || plan.rank_domain != nullptr) &&
+         "sharded engines need the rank -> domain map");
+  const coll::OpKind kind = op.kind();
+  const std::int64_t expected = expected_collective_result(kind, n);
 
-std::unique_ptr<Collective> make_ib_host_collective(IbCluster& cluster, coll::OpKind kind,
-                                                    int root, coll::ReduceOp reduce,
-                                                    std::vector<int> rank_to_node,
-                                                    std::uint32_t payload_bytes,
-                                                    coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kHost, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
-}
+  std::vector<int> rank_iter(static_cast<std::size_t>(n), 0);
+  // Completion matrix and error counts, one row per rank: each slot is
+  // written only by the owning rank's completion callback — i.e. from its
+  // own engine domain — so parallel windows never race on it. The
+  // per-iteration completion instant (the time the sequential runner saw
+  // the n-th rank finish) is recovered below as the row-wise max.
+  std::vector<sim::SimTime> completion(static_cast<std::size_t>(n) *
+                                       static_cast<std::size_t>(total));
+  std::vector<std::uint64_t> rank_errors(static_cast<std::size_t>(n), 0);
+  sim::Rng skew_rng(plan.skew_seed);
 
-#pragma GCC diagnostic pop
+  std::function<void(int)> enter_next = [&](int rank) {
+    const int it = rank_iter[static_cast<std::size_t>(rank)];
+    if (it >= total) return;
+    const auto finish = [&, rank, it](std::int64_t result) {
+      if (result != expected) ++rank_errors[static_cast<std::size_t>(rank)];
+      rank_iter[static_cast<std::size_t>(rank)] = it + 1;
+      completion[static_cast<std::size_t>(rank) * static_cast<std::size_t>(total) +
+                 static_cast<std::size_t>(it)] = engine.now();
+      // Decouple re-entry from the completion callback so trivially-
+      // completing operations cannot recurse the host stack.
+      engine.schedule(sim::SimDuration::zero(), [&enter_next, rank] { enter_next(rank); });
+    };
+    const auto enter = [&, rank, finish] {
+      const std::int64_t value = checked_contribution(kind, rank);
+      if (!plan.overlap) {
+        op.enter(rank, value, finish);
+        return;
+      }
+      // Split phase: start the protocol, compute for `overlap`, then wait.
+      // The protocol makes progress underneath the simulated computation;
+      // the wait only pays whatever latency the compute did not cover.
+      op.start(rank, value);
+      engine.schedule(*plan.overlap, [&op, rank, finish] { op.wait(rank, finish); });
+    };
+    if (plan.max_skew > sim::SimDuration::zero()) {
+      const auto jitter = sim::SimDuration(static_cast<std::int64_t>(
+          skew_rng.next_below(static_cast<std::uint64_t>(plan.max_skew.picos()) + 1)));
+      engine.schedule(jitter, enter);
+    } else {
+      // No extra event: the skew-free path stays bit-identical to specs
+      // that predate entry skew.
+      enter();
+    }
+  };
+  for (int r = 0; r < n; ++r) {
+    if (plan.rank_domain != nullptr) {
+      // Direct-call entry inside the rank's domain: everything the protocol
+      // schedules from here lands on the right shard, with no extra event
+      // (event counts must match the sequential run exactly).
+      sim::Engine::DomainScope scope(engine, (*plan.rank_domain)[static_cast<std::size_t>(r)]);
+      enter_next(r);
+    } else {
+      enter_next(r);
+    }
+  }
+  engine.run_until(engine.now() + plan.horizon);
+
+  RunSeries res;
+  for (int r = 0; r < n; ++r) {
+    if (rank_iter[static_cast<std::size_t>(r)] != total) {
+      throw std::runtime_error(std::string(op.name()) +
+                               " run did not complete (deadlock in protocol?)");
+    }
+    res.value_errors += rank_errors[static_cast<std::size_t>(r)];
+  }
+  res.iterations = static_cast<std::uint64_t>(plan.iters);
+  sim::SimTime prev = sim::SimTime::zero();
+  for (int i = 0; i < total; ++i) {
+    sim::SimTime complete = sim::SimTime::zero();
+    for (int r = 0; r < n; ++r) {
+      complete = std::max(complete,
+                          completion[static_cast<std::size_t>(r) * static_cast<std::size_t>(total) +
+                                     static_cast<std::size_t>(i)]);
+    }
+    if (i >= plan.warmup) res.per_iteration.add(complete - prev);
+    prev = complete;
+  }
+  res.mean = res.per_iteration.mean();
+  return res;
+}
 
 }  // namespace qmb::core

@@ -1,30 +1,41 @@
-// Value-carrying collectives over the NIC collective protocol — the
-// paper's Sec. 9 future work ("whether other collective communication
-// operations, such as Allgather ... could benefit from similar NIC-level
+// Collective operations over the NIC collective protocol — the paper's
+// contribution (Secs. 3 and 6) with barrier as its case study, and its
+// Sec. 9 future work ("whether other collective communication operations,
+// such as Allgather ... could benefit from similar NIC-level
 // implementations"), plus host-based counterparts for comparison.
 //
-// Each rank contributes one logical value: a broadcast payload, a reduction
+// A barrier is the zero-payload kind (OpKind::kBarrier). The value kinds
+// give each rank one logical contribution: a broadcast payload, a reduction
 // operand, or an allgather/alltoall contribution mask (bit r = rank r's
 // item; the simulator checks set union, a real implementation would ship
 // the items). `payload_bytes` sets the simulated size of one contribution:
 // at the default 8 bytes everything rides the padded static send packet
 // (Sec. 6.2); larger contributions fall back to pool buffers and host DMA
 // on Myrinet, while Elan RDMA carries any size to host memory directly.
+//
+// Every kind runs on one engine per side: the host-level executor, or a
+// NIC engine; both walk the schedule through coll::GroupWindow. The two
+// paper baselines with no collective twin — the Myrinet direct scheme and
+// Elan hgsync — are thin Collective adapters at kBarrier.
+//
+//   sim::Engine engine;
+//   core::MyriCluster cluster(engine, myri::lanaixp_cluster(), 8);
+//   auto barrier = core::make_collective(cluster, {});  // NIC dissemination barrier
+//   const auto r = core::run_consecutive(engine, *barrier, {.warmup = 100, .iters = 10000});
+//   std::cout << r.mean.micros() << " us\n";
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
+#include <optional>
 #include <string_view>
 #include <vector>
 
 #include "core/coll_spec.hpp"
-#include "core/op_window.hpp"
 #include "core/schedule.hpp"
-#include "ib/node.hpp"
-#include "myrinet/gm.hpp"
-#include "quadrics/elanlib.hpp"
+#include "sim/engine.hpp"
+#include "sim/stats.hpp"
 
 namespace qmb::core {
 
@@ -32,10 +43,11 @@ class MyriCluster;
 class ElanCluster;
 class IbCluster;
 
-/// A cluster-wide value collective. Ranks enter with a contribution and
-/// receive the operation's result in their completion callback.
+/// A cluster-wide collective operation. Ranks enter with a contribution
+/// and receive the operation's result in their completion callback (0 for
+/// a barrier).
 ///
-/// Two entry styles share one protocol engine (mirroring Barrier):
+/// Two entry styles share one protocol engine:
 ///
 ///  * enter(rank, value, done)  — blocking style: `done(result)` fires when
 ///                                the operation completes for the rank.
@@ -88,157 +100,9 @@ class Collective {
   std::vector<SplitState> split_;  // lazily sized to size()
 };
 
-/// NIC-resident implementation: one doorbell in, one completion word out,
-/// all combining done by the NICs inside the collective protocol.
-class MyriNicCollective final : public Collective {
- public:
-  MyriNicCollective(MyriCluster& cluster, const coll::CollSpec& spec);
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  MyriCluster& cluster_;
-  coll::OpKind kind_;
-  std::vector<int> rank_to_node_;
-  std::uint32_t group_id_;
-  std::string name_;
-};
-
-/// Host-based implementation over GM send/receive: every schedule edge pays
-/// the full point-to-point path and host processing — the baseline the NIC
-/// version is measured against (bench_collectives).
-class MyriHostCollective final : public Collective {
- public:
-  MyriHostCollective(MyriCluster& cluster, const coll::CollSpec& spec);
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  struct RankCtx {
-    myri::GmPort* port = nullptr;
-    std::unique_ptr<OpWindow> window;
-    DoneFn done;
-    int waits_per_op = 0;
-  };
-
-  MyriCluster& cluster_;
-  coll::OpKind kind_;
-  coll::GroupSchedule schedule_;
-  std::vector<int> rank_to_node_;
-  std::vector<int> node_to_rank_;
-  std::vector<RankCtx> ranks_;
-  std::uint32_t group_id_ = 0;
-  std::uint32_t payload_bytes_ = 8;
-  std::string name_;
-};
-
-/// Quadrics chained-RDMA implementation: the payload rides the RDMA puts of
-/// the same descriptor chains the barrier uses (paper Sec. 7 generalized to
-/// its Sec. 9 future work).
-class ElanNicCollective final : public Collective {
- public:
-  ElanNicCollective(ElanCluster& cluster, const coll::CollSpec& spec);
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  ElanCluster& cluster_;
-  coll::OpKind kind_;
-  std::vector<int> rank_to_node_;
-  std::uint32_t group_id_;
-  std::string name_;
-};
-
-/// Host-level Quadrics implementation over tagged puts (the gsync pattern
-/// generalized to value operations).
-class ElanHostCollective final : public Collective {
- public:
-  ElanHostCollective(ElanCluster& cluster, const coll::CollSpec& spec);
-  ~ElanHostCollective() override;
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  struct RankCtx {
-    elan::ElanNode* node = nullptr;
-    std::unique_ptr<OpWindow> window;
-    DoneFn done;
-    int handler_id = -1;
-  };
-
-  ElanCluster& cluster_;
-  coll::OpKind kind_;
-  coll::GroupSchedule schedule_;
-  std::vector<int> rank_to_node_;
-  std::vector<int> node_to_rank_;
-  std::vector<RankCtx> ranks_;
-  std::uint32_t group_id_ = 0;
-  std::uint32_t payload_bytes_ = 8;
-  std::string name_;
-};
-
-/// IB NIC-resident implementation: the collective group engine runs on the
-/// HCA over sequenced RDMA writes-with-immediate — one doorbell in, one
-/// CQE out, like the Myrinet and Elan NIC engines.
-class IbNicCollective final : public Collective {
- public:
-  IbNicCollective(IbCluster& cluster, const coll::CollSpec& spec);
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  IbCluster& cluster_;
-  coll::OpKind kind_;
-  std::vector<int> rank_to_node_;
-  std::uint32_t group_id_;
-  std::string name_;
-};
-
-/// Host-level IB implementation over tagged writes: every schedule edge
-/// pays WQE build + doorbell + CQ polling on the hosts.
-class IbHostCollective final : public Collective {
- public:
-  IbHostCollective(IbCluster& cluster, const coll::CollSpec& spec);
-  ~IbHostCollective() override;
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  struct RankCtx {
-    ib::IbNode* node = nullptr;
-    std::unique_ptr<OpWindow> window;
-    DoneFn done;
-    int handler_id = -1;
-  };
-
-  IbCluster& cluster_;
-  coll::OpKind kind_;
-  coll::GroupSchedule schedule_;
-  std::vector<int> rank_to_node_;
-  std::vector<int> node_to_rank_;
-  std::vector<RankCtx> ranks_;
-  std::uint32_t group_id_ = 0;
-  std::uint32_t payload_bytes_ = 8;
-  std::string name_;
-};
+/// Kept for perfbench: the pre-merge barrier type, now a Collective at
+/// OpKind::kBarrier.
+using Barrier = Collective;
 
 /// Builds the schedule for an operation kind. `root` applies to bcast;
 /// `algorithm` selects the pattern per kind (kDissemination = the kind's
@@ -259,15 +123,22 @@ class IbHostCollective final : public Collective {
 [[nodiscard]] const std::vector<coll::Algorithm>& collective_algorithms_for(
     coll::OpKind kind);
 
-/// The exact result every rank must observe when rank r enters with value
-/// r+1 (root 0 for bcast; sum-reduce; allgather/alltoall union contribution
-/// masks). Shared by the run layer's value checking and the load
-/// subsystem's per-group verification.
+/// The exact result every rank must observe when rank r enters with
+/// checked_contribution(kind, r) (root 0 for bcast; sum-reduce;
+/// allgather/alltoall union contribution masks; 0 for a barrier). Shared by
+/// the run driver's value checking and the load subsystem's per-group
+/// verification.
 [[nodiscard]] std::int64_t expected_collective_result(coll::OpKind kind, int n);
+
+/// Rank r's contribution under that check: r + 1, or nothing for a barrier.
+[[nodiscard]] inline std::int64_t checked_contribution(coll::OpKind kind, int rank) {
+  return kind == coll::OpKind::kBarrier ? 0 : rank + 1;
+}
 
 /// Single construction entry points: one CollSpec in, one Collective out,
 /// dispatching on spec.engine. The substrate registry's
-/// SubstrateCluster::make_collective lands here.
+/// SubstrateCluster::make_collective lands here. A Myrinet barrier group's
+/// NIC engine runs with the cluster's ablation features.
 std::unique_ptr<Collective> make_collective(MyriCluster& cluster,
                                             const coll::CollSpec& spec);
 std::unique_ptr<Collective> make_collective(ElanCluster& cluster,
@@ -275,43 +146,74 @@ std::unique_ptr<Collective> make_collective(ElanCluster& cluster,
 std::unique_ptr<Collective> make_collective(IbCluster& cluster,
                                             const coll::CollSpec& spec);
 
-// Deprecated positional factories, kept one release as shims over CollSpec
-// (byte-identical construction — a test asserts the fingerprints match).
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_nic_collective(
-    MyriCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_host_collective(
-    MyriCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_elan_nic_collective(
-    ElanCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_elan_host_collective(
-    ElanCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_ib_nic_collective(
-    IbCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_ib_host_collective(
-    IbCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
+/// Prior work's direct NIC-based barrier (Buntinas et al.) over
+/// spec.algorithm/radix/rank_to_node: the NIC detects barrier messages and
+/// triggers the next ones, but every message still traverses the MCP
+/// point-to-point machinery — per-destination queues, packet-pool claims,
+/// per-packet send records, ACK-based reliability. Installs itself as each
+/// NIC's MCP nic-consumer: one direct barrier per cluster at a time.
+std::unique_ptr<Collective> make_direct_barrier(MyriCluster& cluster,
+                                                const coll::CollSpec& spec);
+
+/// elan_gsync() with hardware broadcast disabled: the Elan host executor on
+/// a radix-4 gather-broadcast tree, where every stage pays host event
+/// detection and a fresh doorbell.
+std::unique_ptr<Collective> make_gsync_barrier(ElanCluster& cluster,
+                                               std::vector<int> rank_to_node = {});
+
+/// elan_hgsync(): the hardware broadcast + network test-and-set barrier
+/// over every node. Fast and N-independent, but only when processes arrive
+/// together; a straggler forces probe retries (paper Secs. 4.1 and 8.2).
+std::unique_ptr<Collective> make_hgsync_barrier(ElanCluster& cluster);
+
+/// How run_consecutive drives an operation (paper methodology: warm-up
+/// iterations discarded, then the average of the timed ones).
+struct RunPlan {
+  int warmup = 0;
+  int iters = 1;
+  /// Split phase: each rank start()s, computes this long, then wait()s —
+  /// the GASNet notify/compute/wait idiom, so the visible cost per
+  /// iteration is max(overlap, latency) plus the non-overlapped tail.
+  /// Empty: every rank enter()s and blocks.
+  std::optional<sim::SimDuration> overlap = std::nullopt;
+  /// Every (re-)entry waits a uniform draw in [0, max_skew] from an RNG
+  /// seeded with skew_seed (deterministic chaos, as the fuzzer drives);
+  /// zero adds no event at all.
+  sim::SimDuration max_skew = sim::SimDuration::zero();
+  std::uint64_t skew_seed = 0;
+  /// Watchdog: a protocol bug that retransmits forever (or deadlocks)
+  /// surfaces as std::runtime_error at this much simulated time.
+  sim::SimDuration horizon = sim::seconds(120);
+  /// Rank -> engine domain (Fabric::domain_of over the placement);
+  /// required on a sharded (PDES) engine. Initial entries are issued inside
+  /// each rank's domain, and every completion lands in a rank-private slot
+  /// so parallel windows never race.
+  const std::vector<int>* rank_domain = nullptr;
+};
+
+struct RunSeries {
+  sim::LatencySeries per_iteration;  // steady-state completion-to-completion
+  sim::SimDuration mean = sim::SimDuration::zero();
+  std::uint64_t iterations = 0;
+  /// Results that differed from expected_collective_result: a protocol
+  /// correctness bug, never noise.
+  std::uint64_t value_errors = 0;
+};
+
+/// The one run driver: `warmup + iters` consecutive operations, every rank
+/// entering with checked_contribution(op.kind(), rank) and re-entering as
+/// soon as its previous result is delivered. The per-iteration series is
+/// the per-iteration max across ranks — the instant the n-th completion
+/// landed. Throws std::runtime_error at plan.horizon.
+RunSeries run_consecutive(sim::Engine& engine, Collective& op, const RunPlan& plan);
+
+/// Kept for perfbench: the pre-merge blocking barrier driver.
+using BarrierRunResult = RunSeries;
+inline BarrierRunResult run_consecutive_barriers(
+    sim::Engine& engine, Barrier& barrier, int warmup, int iters, sim::SimDuration max_skew,
+    std::uint64_t skew_seed, sim::SimDuration horizon, const std::vector<int>* rank_domain) {
+  return run_consecutive(engine, barrier,
+                         {warmup, iters, std::nullopt, max_skew, skew_seed, horizon, rank_domain});
+}
 
 }  // namespace qmb::core

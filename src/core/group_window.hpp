@@ -1,0 +1,208 @@
+// One rank's two-deep operation window over its collective schedule — the
+// bookkeeping every collective engine shares.
+//
+// Consecutive operations overlap: a peer that completed operation k may
+// send its first message of k+1 before this rank finished k, but never k+2
+// (its completion of k+1 transitively required everyone to finish k).
+// GroupWindow keeps two operation slots, buffers early arrivals, folds each
+// edge's payload into the accumulator as its step is consumed, and recycles
+// a slot only once its operation completed. A barrier is the zero-payload
+// case: its fold leaves the accumulator alone.
+//
+// The host-level executor and the three NIC engines instantiate it and add
+// only their cost hooks: how an edge is sent and what completion costs,
+// plus — on Myrinet — the NACK timer armed before step 0 and the resend
+// record dropped when a slot is recycled. on_arrival classifies every
+// message, so each engine keeps its own counters.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <stdexcept>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "core/schedule.hpp"
+
+namespace qmb::coll {
+
+/// One rank's membership in a NIC-resident collective group: what a NIC
+/// engine arms at group creation.
+struct GroupDesc {
+  std::uint32_t group_id = 0;
+  int my_rank = -1;
+  Placement rank_to_node{};  // rank -> fabric node, shared across the group's NICs
+  RankSchedule schedule{};   // this rank's schedule for the op kind
+  OpKind op_kind = OpKind::kBarrier;
+  ReduceOp reduce_op = ReduceOp::kSum;  // allreduce only
+  std::uint32_t payload_bytes = 8;      // bytes per contribution word
+};
+
+/// How GroupWindow::on_arrival classified one message.
+enum class Arrival : std::uint8_t {
+  kAccepted,   // recorded against the running operation
+  kDuplicate,  // that edge had already arrived (a retransmission)
+  kEarly,      // buffered until this rank starts the operation
+  kStale,      // for an operation this rank already completed
+};
+
+/// Per-operation state for engines that keep none of their own.
+struct NoSlotState {};
+
+template <typename SlotState = NoSlotState>
+class GroupWindow {
+ public:
+  using DoneFn = std::function<void(std::int64_t result)>;
+
+  /// One operation in flight. Hooks read it; the window writes every field
+  /// except `state`, which belongs to the engine.
+  struct Slot {
+    std::uint32_t seq = 0;
+    bool in_use = false;   // bound to `seq`
+    bool active = false;   // this rank started the operation
+    bool complete = false;
+    std::int64_t acc = 0;  // running value; the result once complete
+    DoneFn done;           // start()'s completion callback
+    std::unique_ptr<ScheduleExecutor> exec;  // built at the slot's first start
+    SlotState state;
+
+    struct Early {
+      int peer;
+      std::uint32_t tag;
+      std::int64_t value;
+    };
+    std::vector<Early> early;  // arrivals before start(), replayed by it
+    std::unordered_map<std::uint64_t, std::int64_t> wait_values;  // folded at step consumption
+  };
+
+  struct Hooks {
+    /// Issues one schedule edge carrying slot.acc.
+    std::function<void(Slot&, const Edge&)> send;
+    /// The operation just completed at this rank (slot.complete is set).
+    std::function<void(Slot&)> complete;
+    /// Optional: runs after the slot activates, before step 0's sends.
+    std::function<void(Slot&)> pre_start = {};
+    /// Optional: runs before a completed slot is rebound to seq + 2.
+    std::function<void(Slot&)> recycle = {};
+  };
+
+  struct Started {
+    std::uint32_t seq;  // the operation's sequence number
+    int duplicates;     // buffered arrivals the replay found repeated
+  };
+
+  GroupWindow(const RankSchedule& schedule, OpKind kind, ReduceOp reduce, Hooks hooks)
+      : schedule_(&schedule), kind_(kind), reduce_(reduce), hooks_(std::move(hooks)) {}
+  GroupWindow(const GroupWindow&) = delete;
+  GroupWindow& operator=(const GroupWindow&) = delete;
+
+  /// Starts this rank's next operation with its contribution; `done` is
+  /// kept in the slot for the complete hook.
+  Started start(std::int64_t value = 0, DoneFn done = {}) {
+    const std::uint32_t seq = next_seq_++;
+    Slot& s = bind(seq);
+    s.done = std::move(done);
+    s.acc = value;
+    s.active = true;
+    if (!s.exec) make_executor(s);
+    if (hooks_.pre_start) hooks_.pre_start(s);
+    // Stash early payloads before starting: the executor may consume their
+    // steps during start() already.
+    for (const auto& ea : s.early) s.wait_values.emplace(edge_key(ea.peer, ea.tag), ea.value);
+    s.exec->start();
+    int duplicates = 0;
+    for (const auto& ea : s.early) {
+      if (s.complete) break;
+      if (!s.exec->on_arrival(ea.peer, ea.tag)) ++duplicates;
+    }
+    s.early.clear();
+    return {seq, duplicates};
+  }
+
+  /// Records a message for operation `seq` and says what became of it.
+  /// Throws std::logic_error when `seq` would overtake a running operation
+  /// two slots back (a peer can race one operation ahead, never two).
+  Arrival on_arrival(std::uint32_t seq, int peer, std::uint32_t tag, std::int64_t value = 0) {
+    Slot& s = slots_[seq & 1];
+    if (s.in_use && s.seq == seq) {
+      if (s.complete) return Arrival::kStale;
+      if (!s.active) {
+        s.early.push_back({peer, tag, value});
+        return Arrival::kEarly;
+      }
+      s.wait_values.emplace(edge_key(peer, tag), value);
+      return s.exec->on_arrival(peer, tag) ? Arrival::kAccepted : Arrival::kDuplicate;
+    }
+    if (s.in_use && seq < s.seq) return Arrival::kStale;
+    bind(seq).early.push_back({peer, tag, value});
+    return Arrival::kEarly;
+  }
+
+  /// The slot bound to `seq`, or nullptr when none is (never bound, or
+  /// already recycled).
+  [[nodiscard]] Slot* find(std::uint32_t seq) {
+    Slot& s = slots_[seq & 1];
+    return s.in_use && s.seq == seq ? &s : nullptr;
+  }
+
+  /// Sequence number the next start() will use.
+  [[nodiscard]] std::uint32_t next_seq() const { return next_seq_; }
+
+ private:
+  [[nodiscard]] static std::uint64_t edge_key(int peer, std::uint32_t tag) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
+  }
+
+  Slot& bind(std::uint32_t seq) {
+    Slot& s = slots_[seq & 1];
+    if (s.in_use && s.seq == seq) return s;
+    if (s.in_use) {
+      if (!s.complete) {
+        throw std::logic_error("operation window violated: overtaken by seq+2");
+      }
+      if (hooks_.recycle) hooks_.recycle(s);
+    }
+    if (s.exec) s.exec->reset();
+    s.early.clear();
+    s.wait_values.clear();
+    s.seq = seq;
+    s.in_use = true;
+    s.active = false;
+    s.complete = false;
+    s.acc = 0;
+    s.done = nullptr;
+    return s;
+  }
+
+  void make_executor(Slot& s) {
+    Slot* sp = &s;
+    s.exec = std::make_unique<ScheduleExecutor>(
+        *schedule_, [this, sp](const Edge& e) { hooks_.send(*sp, e); },
+        [this, sp] {
+          sp->complete = true;
+          hooks_.complete(*sp);
+        });
+    // Fold payloads only as their step is consumed (see ScheduleExecutor::
+    // set_step_consumer): an early arrival must not leak into the value
+    // this rank sends during the same step.
+    s.exec->set_step_consumer([this, sp](const Step& st) {
+      for (const Edge& w : st.waits) {
+        const auto it = sp->wait_values.find(edge_key(w.peer, w.tag));
+        if (it != sp->wait_values.end()) {
+          sp->acc = combine_value(kind_, reduce_, w.tag, sp->acc, it->second);
+        }
+      }
+    });
+  }
+
+  const RankSchedule* schedule_;
+  OpKind kind_;
+  ReduceOp reduce_;
+  Hooks hooks_;
+  std::uint32_t next_seq_ = 0;
+  Slot slots_[2];
+};
+
+}  // namespace qmb::coll

@@ -193,6 +193,10 @@ run::ExperimentSpec derive_case(std::uint64_t seed, const FuzzOptions& opts) {
   if (!s.workload.enabled() && rng.next_below(4) == 0) {
     s.overlap_us = static_cast<double>(rng.next_below(20'001)) / 1000.0;
   }
+  // Entry skew only drives the blocking loop (validate() rejects it with
+  // either mode above). Cleared after the last draw, so the RNG stream —
+  // and every other field of every case — stays as it was.
+  if (s.workload.enabled() || s.overlap_us >= 0.0) s.skew_max_us = 0.0;
   return s;
 }
 

@@ -1,7 +1,6 @@
 #include "ib/hca.hpp"
 
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -302,40 +301,21 @@ std::int64_t Hca::atomic_word(std::uint32_t slot) const {
 
 // --- collective group engine (the paper's protocol on verbs) ---
 
-void Hca::create_group(IbGroupDesc desc) {
+void Hca::create_group(coll::GroupDesc desc) {
   if (groups_.contains(desc.group_id)) {
     throw std::invalid_argument("ib collective group id already registered");
   }
-  Group g;
+  Group& g = groups_[desc.group_id];
   g.desc = std::move(desc);
-  groups_.emplace(g.desc.group_id, std::move(g));
-}
-
-Hca::Op& Hca::touch_slot(Group& g, std::uint32_t seq) {
-  Op& op = g.slots[seq & 1];
-  if (op.in_use && op.seq == seq) return op;
-  if (op.in_use && !op.complete) {
-    throw std::logic_error("ib collective window violated: operation overtaken by seq+2");
-  }
-  if (op.exec) op.exec->reset();
-  op.early.clear();
-  op.wait_values.clear();
-  op.seq = seq;
-  op.in_use = true;
-  op.active = false;
-  op.complete = false;
-  op.acc = 0;
-  op.done = nullptr;
-  return op;
-}
-
-void Hca::barrier_enter(std::uint32_t group, sim::EventCallback done) {
-  // done is move-only; shared_ptr bridges it into the copyable DoneFn.
-  collective_enter(group, 0,
-                   [done = std::make_shared<sim::EventCallback>(std::move(done))](
-                       std::int64_t) {
-                     if (*done) (*done)();
-                   });
+  Group* gp = &g;
+  g.window.emplace(
+      g.desc.schedule, g.desc.op_kind, g.desc.reduce_op,
+      Window::Hooks{
+          .send = [this, gp](Slot& op,
+                             const coll::Edge& e) { group_send(*gp, op.seq, e, op.acc); },
+          .complete = [this, gp](Slot& op) { finish_op(*gp, op); },
+          .pre_start = [this, gp](Slot& op) { trace("op_enter", gp->desc.group_id, op.seq); },
+      });
 }
 
 void Hca::collective_enter(std::uint32_t group, std::int64_t value,
@@ -344,48 +324,8 @@ void Hca::collective_enter(std::uint32_t group, std::int64_t value,
   unit_.exec(config_->qp_process, [this, group, value, done = std::move(done)]() mutable {
     auto it = groups_.find(group);
     assert(it != groups_.end() && "collective_enter on unknown group");
-    Group& g = it->second;
-    const std::uint32_t seq = g.next_host_seq++;
-    Op& op = touch_slot(g, seq);
-    op.done = std::move(done);
-    op.acc = value;
-    activate(g, op);
+    it->second.window->start(value, std::move(done));
   });
-}
-
-void Hca::activate(Group& g, Op& op) {
-  op.active = true;
-  if (!op.exec) {
-    Group* gp = &g;
-    Op* opp = &op;
-    op.exec = std::make_unique<coll::ScheduleExecutor>(
-        g.desc.schedule,
-        [this, gp, opp](const coll::Edge& e) { group_send(*gp, opp->seq, e, opp->acc); },
-        [this, gp, opp] { finish_op(*gp, *opp); });
-    // Payloads fold into the accumulator as their step is consumed (never
-    // at arrival time), matching the Myrinet and Elan engines' semantics.
-    op.exec->set_step_consumer([gp, opp](const coll::Step& st) {
-      for (const coll::Edge& w : st.waits) {
-        const auto it = opp->wait_values.find(edge_key(w.peer, w.tag));
-        if (it != opp->wait_values.end()) {
-          opp->acc = coll::combine_value(gp->desc.op_kind, gp->desc.reduce_op, w.tag,
-                                         opp->acc, it->second);
-        }
-      }
-    });
-  }
-  trace("op_enter", g.desc.group_id, op.seq);
-  for (const EarlyArrival& ea : op.early) {
-    op.wait_values.emplace(edge_key(ea.peer_rank, ea.tag), ea.value);
-  }
-  op.exec->start();
-  if (!op.complete) {
-    for (const EarlyArrival& ea : op.early) {
-      op.exec->on_arrival(ea.peer_rank, ea.tag);
-      if (op.complete) break;
-    }
-  }
-  op.early.clear();
 }
 
 void Hca::group_send(Group& g, std::uint32_t seq, const coll::Edge& e,
@@ -415,28 +355,15 @@ void Hca::group_send(Group& g, std::uint32_t seq, const coll::Edge& e,
 void Hca::handle_group_event(const IbWrite& w) {
   auto it = groups_.find(w.group);
   if (it == groups_.end()) return;
-  Group& g = it->second;
-  Op& slot = g.slots[w.seq & 1];
-  if (slot.in_use && slot.seq == w.seq) {
-    if (slot.complete) return;  // transport delivers exactly-once: cannot happen
-    if (slot.active) {
-      slot.wait_values.emplace(edge_key(static_cast<int>(w.src_rank), w.tag), w.value);
-      slot.exec->on_arrival(static_cast<int>(w.src_rank), w.tag);
-    } else {
-      ++stats_.early_buffered;
-      slot.early.push_back({static_cast<int>(w.src_rank), w.tag, w.value});
-    }
-    return;
+  // The RC transport delivers exactly once: nothing arrives stale or
+  // twice, so only early arrivals are worth counting.
+  if (it->second.window->on_arrival(w.seq, static_cast<int>(w.src_rank), w.tag, w.value) ==
+      coll::Arrival::kEarly) {
+    ++stats_.early_buffered;
   }
-  if (slot.in_use && w.seq < slot.seq) return;  // stale
-  Op& op = touch_slot(g, w.seq);
-  ++stats_.early_buffered;
-  op.early.push_back({static_cast<int>(w.src_rank), w.tag, w.value});
 }
 
-void Hca::finish_op(Group& g, Op& op) {
-  assert(!op.complete);
-  op.complete = true;
+void Hca::finish_op(Group& g, Slot& op) {
   ++stats_.ops_completed;
   trace("op_complete", g.desc.group_id, op.seq);
   auto done = std::move(op.done);

@@ -15,11 +15,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <unordered_map>
-#include <vector>
 
-#include "core/schedule.hpp"
+#include "core/group_window.hpp"
 #include "ib/config.hpp"
 #include "ib/verbs.hpp"
 #include "net/fabric.hpp"
@@ -28,16 +27,6 @@
 #include "sim/trace.hpp"
 
 namespace qmb::ib {
-
-struct IbGroupDesc {
-  std::uint32_t group_id = 0;
-  int my_rank = -1;
-  coll::Placement rank_to_node;  // shared across the group's HCAs
-  coll::RankSchedule schedule;
-  coll::OpKind op_kind = coll::OpKind::kBarrier;
-  coll::ReduceOp reduce_op = coll::ReduceOp::kSum;
-  std::uint32_t payload_bytes = 8;  // bytes per contribution word
-};
 
 /// Handles into the engine's MetricRegistry, registered per HCA under
 /// "ib.*" names; RunResult folds ib.naks_sent / ib.retransmissions into
@@ -97,14 +86,11 @@ class Hca {
 
   /// Arms a collective group: this rank's schedule walks entirely on the
   /// HCA, advanced by arriving write-with-immediate events.
-  void create_group(IbGroupDesc desc);
+  void create_group(coll::GroupDesc desc);
 
-  /// Host rang the doorbell for one barrier operation (at HCA time).
-  /// `done` runs at HCA time when the completion CQE lands in host memory.
-  void barrier_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// Value-carrying entry for bcast/allreduce/allgather/alltoall groups:
-  /// the operand rides the immediate data of the same RDMA writes.
+  /// Host rang the doorbell for one operation (at HCA time); its operand
+  /// rides the immediate data of the group's RDMA writes. `done` receives
+  /// the result at HCA time when the completion CQE lands in host memory.
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 
@@ -136,32 +122,13 @@ class Hca {
     bool nak_outstanding = false;  // one NAK per gap until progress resumes
   };
 
-  // --- collective engine state (mirrors elan::Nic's two-deep window) ---
-  struct EarlyArrival {
-    int peer_rank;
-    std::uint32_t tag;
-    std::int64_t value;
-  };
-  struct Op {
-    std::uint32_t seq = 0;
-    bool in_use = false;
-    bool active = false;
-    bool complete = false;
-    std::int64_t acc = 0;
-    std::unique_ptr<coll::ScheduleExecutor> exec;
-    std::vector<EarlyArrival> early;
-    std::unordered_map<std::uint64_t, std::int64_t> wait_values;
-    std::function<void(std::int64_t)> done;
-  };
+  // --- collective engine state ---
+  using Window = coll::GroupWindow<>;
+  using Slot = Window::Slot;
   struct Group {
-    IbGroupDesc desc;
-    std::uint32_t next_host_seq = 0;
-    Op slots[2];
+    coll::GroupDesc desc;
+    std::optional<Window> window;  // bound to desc and this Group's address
   };
-
-  [[nodiscard]] static std::uint64_t edge_key(int peer, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
-  }
 
   void on_packet(net::Packet&& p);
   void accept_request(int src_node, const IbWrite& w);
@@ -174,10 +141,8 @@ class Hca {
                    std::int64_t swap_or_add, AtomicDone done);
 
   void handle_group_event(const IbWrite& w);
-  Op& touch_slot(Group& g, std::uint32_t seq);
-  void activate(Group& g, Op& op);
   void group_send(Group& g, std::uint32_t seq, const coll::Edge& e, std::int64_t value);
-  void finish_op(Group& g, Op& op);
+  void finish_op(Group& g, Slot& op);
 
   sim::Engine* engine_;
   net::Fabric* fabric_;

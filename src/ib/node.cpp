@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/coll_tag.hpp"
+
 namespace qmb::ib {
 
 IbNode::IbNode(sim::Engine& engine, net::Fabric& fabric, const IbConfig& config,
@@ -32,42 +34,29 @@ void IbNode::set_receive_handler(ReceiveHandler fn) {
   install_dispatcher();
 }
 
-int IbNode::add_receive_handler(ReceiveHandler fn) {
-  const int id = next_handler_id_++;
-  extra_handlers_.emplace_back(id, std::move(fn));
+void IbNode::add_collective_handler(std::uint32_t group, ReceiveHandler fn) {
+  group_handlers_[group & core::BarrierTag::kGroupMask] = std::move(fn);
   install_dispatcher();
-  return id;
 }
 
-void IbNode::remove_receive_handler(int id) {
-  for (auto it = extra_handlers_.begin(); it != extra_handlers_.end(); ++it) {
-    if (it->first == id) {
-      extra_handlers_.erase(it);
-      return;
-    }
-  }
+void IbNode::remove_collective_handler(std::uint32_t group) {
+  group_handlers_.erase(group & core::BarrierTag::kGroupMask);
 }
 
 void IbNode::install_dispatcher() {
   if (dispatcher_installed_) return;
   dispatcher_installed_ = true;
   // One host_cq_poll per consumed CQE, however many handlers are
-  // registered — the host wakes once and fans the message out.
+  // registered — the host wakes once and routes the message by its tag.
   hca_.set_host_msg_handler([this](const IbWrite& w) {
     host_cpu_.exec(cfg_.host_cq_poll, [this, src = static_cast<int>(w.src_rank),
                                        tag = w.tag, value = w.value] {
-      for (std::size_t i = 0; i < extra_handlers_.size(); ++i) {
-        extra_handlers_[i].second(src, tag, value);
+      if (core::BarrierTag::is_barrier(tag)) {
+        const auto it = group_handlers_.find(core::BarrierTag::group(tag));
+        if (it != group_handlers_.end()) it->second(src, tag, value);
+        return;
       }
       if (app_handler_) app_handler_(src, tag, value);
-    });
-  });
-}
-
-void IbNode::barrier_enter(std::uint32_t group, sim::EventCallback done) {
-  host_cpu_.exec(cfg_.host_doorbell, [this, group, done = std::move(done)]() mutable {
-    hca_.barrier_enter(group, [this, done = std::move(done)]() mutable {
-      host_cpu_.exec(cfg_.host_cq_poll, std::move(done));
     });
   });
 }

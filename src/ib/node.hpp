@@ -6,8 +6,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "ib/hca.hpp"
 #include "sim/resource.hpp"
@@ -31,27 +31,23 @@ class IbNode {
       std::function<void(int src_node, std::uint32_t tag, std::int64_t value)>;
 
   /// Installs (or replaces) the application's receive handler. Every
-  /// consumed CQE pays one host_cq_poll, then runs the added handlers
-  /// followed by this one.
+  /// consumed CQE pays one host_cq_poll, then runs this handler — or, for
+  /// a BarrierTag-encoded tag, its group's handler.
   void set_receive_handler(ReceiveHandler fn);
 
-  /// Adds a handler that sees every host message alongside the app handler
-  /// (host collectives over overlapping groups each add one and filter by
-  /// tag). Returns an id for remove_receive_handler. The per-message host
-  /// cost is paid once per node, not per handler.
-  int add_receive_handler(ReceiveHandler fn);
-  void remove_receive_handler(int id);
+  /// Registers the handler for host-level collective messages of `group`
+  /// (BarrierTag-encoded tags); several groups coexist, demultiplexed on
+  /// the tag's group field like GmPort's.
+  void add_collective_handler(std::uint32_t group, ReceiveHandler fn);
+  void remove_collective_handler(std::uint32_t group);
 
   /// Arms a collective group on this node's HCA (setup time, off the
   /// measured path — groups are created once before the run).
-  void create_group(IbGroupDesc desc) { hca_.create_group(std::move(desc)); }
+  void create_group(coll::GroupDesc desc) { hca_.create_group(std::move(desc)); }
 
-  /// NIC-resident barrier: doorbell in, completion CQE out. `done` runs on
-  /// the host after it polls the completion.
-  void barrier_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// Value-carrying NIC collective: operand in with the doorbell, result
-  /// out with the CQE.
+  /// NIC-resident collective: operand in with the doorbell, result out
+  /// with the CQE (0 for a barrier). `done` runs on the host after it
+  /// polls the completion.
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 
@@ -76,8 +72,7 @@ class IbNode {
   sim::Resource host_cpu_;
   Hca hca_;
   ReceiveHandler app_handler_;
-  std::vector<std::pair<int, ReceiveHandler>> extra_handlers_;
-  int next_handler_id_ = 0;
+  std::unordered_map<std::uint32_t, ReceiveHandler> group_handlers_;
   bool dispatcher_installed_ = false;
 };
 

@@ -21,8 +21,6 @@ GroupManager::GroupManager(run::SubstrateCluster& cluster,
       // Each executor claims its own group id (and thus NIC slot/send
       // queue) from the cluster as it is built — same mechanism as a
       // single-group run, just many of them.
-      Exec e;
-      e.kind = kind;
       run::ExperimentSpec sub = spec;
       sub.op = kind;
       if (kind != spec.op) {
@@ -31,14 +29,8 @@ GroupManager::GroupManager(run::SubstrateCluster& cluster,
         sub.algorithm = coll::Algorithm::kDissemination;
         sub.radix = 0;
       }
-      if (kind == coll::OpKind::kBarrier) {
-        e.barrier = cluster.make_barrier(sub, grp.placement);
-        if (impl_name_.empty()) impl_name_ = e.barrier->name();
-      } else {
-        e.coll = cluster.make_collective(sub, grp.placement);
-        if (impl_name_.empty()) impl_name_ = e.coll->name();
-      }
-      grp.execs.push_back(std::move(e));
+      grp.execs.push_back(cluster.make_collective(sub, grp.placement));
+      if (impl_name_.empty()) impl_name_ = grp.execs.back()->name();
     }
     groups_.push_back(std::move(grp));
   }
@@ -57,15 +49,9 @@ void GroupManager::enter(int g, int op_index, int rank, std::int64_t value,
                          std::function<void(std::int64_t)> done) {
   Group& grp = groups_.at(static_cast<std::size_t>(g));
   const coll::OpKind kind = kind_of(g, op_index);
-  for (Exec& e : grp.execs) {
-    if (e.kind != kind) continue;
-    if (e.barrier) {
-      e.barrier->enter(rank, [done = std::move(done)] {
-        if (done) done(0);
-      });
-    } else {
-      e.coll->enter(rank, value, std::move(done));
-    }
+  for (const std::unique_ptr<core::Collective>& e : grp.execs) {
+    if (e->kind() != kind) continue;
+    e->enter(rank, value, std::move(done));
     return;
   }
   assert(false && "kind_of returned a kind with no executor");

@@ -29,7 +29,8 @@ class GroupManager {
   /// The op kind of group g's k-th issued operation (phase-shifted mix).
   [[nodiscard]] coll::OpKind kind_of(int g, int op_index) const;
   [[nodiscard]] const std::vector<int>& placement(int g) const;
-  /// Group 0's first executor's self-reported name ("myri-nic-coll", ...).
+  /// Group 0's first executor's self-reported name
+  /// ("myri-nic-coll-dissemination", ...).
   [[nodiscard]] std::string_view impl_name() const { return impl_name_; }
 
   /// Rank `rank` of group `g` enters its op `op_index` with `value`;
@@ -38,14 +39,9 @@ class GroupManager {
              std::function<void(std::int64_t)> done);
 
  private:
-  struct Exec {
-    coll::OpKind kind = coll::OpKind::kBarrier;
-    std::unique_ptr<core::Barrier> barrier;  // kind == kBarrier
-    std::unique_ptr<core::Collective> coll;  // value-carrying kinds
-  };
   struct Group {
     std::vector<int> placement;
-    std::vector<Exec> execs;  // one per distinct mix kind, mix order
+    std::vector<std::unique_ptr<core::Collective>> execs;  // one per distinct mix kind
   };
 
   const run::ExperimentSpec& spec_;

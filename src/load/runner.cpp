@@ -72,10 +72,11 @@ WorkloadOutcome run_workload(sim::Engine& engine, run::SubstrateCluster& cluster
     const std::int64_t expected = core::expected_collective_result(kind, size);
     gr.pending_ranks = size;
     for (int r = 0; r < size; ++r) {
-      mgr.enter(g, k, r, r + 1, [&, g, k, kind, expected](std::int64_t result) {
+      mgr.enter(g, k, r, core::checked_contribution(kind, r),
+                [&, g, k, expected](std::int64_t result) {
         GroupRun& c = runs[static_cast<std::size_t>(g)];
         ++out.ops_done;
-        if (kind != coll::OpKind::kBarrier && result != expected) ++out.value_errors;
+        if (result != expected) ++out.value_errors;
         if (--c.pending_ranks > 0) return;
         c.busy = false;
         ++c.completed;

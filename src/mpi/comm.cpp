@@ -23,10 +23,7 @@ Communicator::Communicator(core::MyriCluster& cluster, Backend backend,
   for (int r = 0; r < size(); ++r) {
     node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
   }
-  const auto kind = backend_ == Backend::kNicCollective
-                        ? core::MyriBarrierKind::kNicCollective
-                        : core::MyriBarrierKind::kHost;
-  barrier_ = cluster_.make_barrier(kind, coll::Algorithm::kDissemination, rank_to_node_);
+  barrier_ = make_collective(coll::OpKind::kBarrier, 0, coll::ReduceOp::kSum);
 }
 
 std::unique_ptr<core::Collective> Communicator::make_collective(coll::OpKind kind,
@@ -59,8 +56,8 @@ core::Collective& Communicator::allreduce_for_op(coll::ReduceOp op) {
   return *it->second;
 }
 
-void Communicator::barrier(int rank, sim::EventCallback done) {
-  barrier_->enter(rank, std::move(done));
+void Communicator::barrier(int rank, std::function<void()> done) {
+  barrier_->enter(rank, 0, [done = std::move(done)](std::int64_t) { done(); });
 }
 
 void Communicator::bcast(int rank, int root, std::int64_t value,

@@ -17,7 +17,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/barrier.hpp"
 #include "core/cluster.hpp"
 #include "core/collectives.hpp"
 
@@ -40,7 +39,7 @@ class Communicator {
   [[nodiscard]] Backend backend() const { return backend_; }
 
   /// MPI_Barrier. `done` runs on `rank`'s host at completion.
-  void barrier(int rank, sim::EventCallback done);
+  void barrier(int rank, std::function<void()> done);
 
   /// MPI_Bcast of one word from `root`. Every rank's `done` receives the
   /// root's value (the root passes it as `value`; other ranks' `value` is
@@ -77,7 +76,7 @@ class Communicator {
   Backend backend_;
   std::vector<int> rank_to_node_;
   std::vector<int> node_to_rank_;
-  std::unique_ptr<core::Barrier> barrier_;
+  std::unique_ptr<core::Collective> barrier_;
   std::map<int, std::unique_ptr<core::Collective>> bcasts_;           // by root
   std::map<coll::ReduceOp, std::unique_ptr<core::Collective>> reduces_;
   std::unique_ptr<core::Collective> allgather_;

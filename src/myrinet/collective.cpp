@@ -1,7 +1,6 @@
 #include "myrinet/collective.hpp"
 
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 
 #include "core/coll_tag.hpp"
@@ -31,9 +30,32 @@ void CollectiveEngine::create_group(GroupDesc desc) {
       desc.my_rank >= static_cast<int>(desc.rank_to_node->size())) {
     throw std::invalid_argument("my_rank outside rank_to_node");
   }
-  Group g;
+  // Built in place: the window's hooks hold this Group's (node-stable)
+  // address.
+  Group& g = groups_[desc.group_id];
   g.desc = std::move(desc);
-  groups_.emplace(g.desc.group_id, std::move(g));
+  Group* gp = &g;
+  g.window.emplace(
+      g.desc.schedule, g.desc.op_kind, g.desc.reduce_op,
+      Window::Hooks{
+          .send =
+              [this, gp](Slot& op, const coll::Edge& e) {
+                const std::int64_t v = op.acc;
+                op.state.sent_values[msg_key(gp->desc.group_id, op.seq, e.tag, e.peer)] = v;
+                send_msg(*gp, op.seq, e, false, v);
+              },
+          .complete = [this, gp](Slot& op) { finish_op(*gp, op); },
+          .pre_start =
+              [this, gp](Slot& op) {
+                if (gp->desc.features.receiver_driven) arm_nack_timer(*gp, op);
+                nic_.trace("coll_enter", gp->desc.group_id, op.seq);
+              },
+          .recycle =
+              [this](Slot& op) {
+                nic_.engine().cancel(op.state.nack_timer);
+                op.state.sent_values.clear();
+              },
+      });
 }
 
 CollectiveEngine::Group& CollectiveEngine::group_of(std::uint32_t id) {
@@ -50,12 +72,6 @@ std::uint32_t CollectiveEngine::send_cycles(const CollFeatures& f) const {
   return c;
 }
 
-std::uint32_t CollectiveEngine::recv_cycles(const CollFeatures& f) const {
-  std::uint32_t c = cfg_.cyc_coll_recv;
-  if (!f.bitvector_record) c += cfg_.cyc_record_per_msg;
-  return c;
-}
-
 std::uint64_t CollectiveEngine::msg_key(std::uint32_t group, std::uint32_t seq,
                                         std::uint32_t tag, int peer) {
   // group(16) | seq(24) | tag(12) | peer(12) — ample for any simulated run.
@@ -63,11 +79,6 @@ std::uint64_t CollectiveEngine::msg_key(std::uint32_t group, std::uint32_t seq,
          (static_cast<std::uint64_t>(seq & 0xFFFFFF) << 24) |
          (static_cast<std::uint64_t>(tag & 0xFFF) << 12) |
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer) & 0xFFF);
-}
-
-std::int64_t CollectiveEngine::combine(const GroupDesc& desc, std::uint32_t tag,
-                                       std::int64_t acc, std::int64_t incoming) {
-  return coll::combine_value(desc.op_kind, desc.reduce_op, tag, acc, incoming);
 }
 
 std::uint32_t CollectiveEngine::wire_bytes_for(const GroupDesc& desc, std::uint32_t tag,
@@ -80,106 +91,21 @@ std::uint32_t CollectiveEngine::wire_bytes_for(const GroupDesc& desc, std::uint3
              static_cast<std::uint32_t>(coll::edge_payload_words(desc.op_kind, tag, value));
 }
 
-CollectiveEngine::Op& CollectiveEngine::touch_slot(Group& g, std::uint32_t seq, bool& fresh) {
-  Op& op = g.slots[seq & 1];
-  fresh = false;
-  if (op.in_use && op.seq == seq) return op;
-  // Slot reuse: the operation two barriers back must have completed — a
-  // peer cannot legally be two operations ahead (the previous barrier's
-  // completion transitively required everyone to finish the one before).
-  if (op.in_use && !op.complete) {
-    throw std::logic_error("collective window violated: operation overtaken by seq+2");
-  }
-  nic_.engine().cancel(op.nack_timer);
-  if (op.exec) op.exec->reset();
-  op.early.clear();
-  op.sent_values.clear();
-  op.wait_values.clear();
-  op.seq = seq;
-  op.in_use = true;
-  op.active = false;
-  op.complete = false;
-  op.acc = 0;
-  op.done = nullptr;
-  fresh = true;
-  return op;
-}
-
-void CollectiveEngine::host_enter(std::uint32_t group, sim::EventCallback done) {
-  // done is move-only; shared_ptr bridges it into the copyable DoneFn.
-  host_enter_value(group, 0,
-                   [done = std::make_shared<sim::EventCallback>(std::move(done))](
-                       std::int64_t) {
-                     if (*done) (*done)();
-                   });
-}
-
-void CollectiveEngine::host_enter_value(std::uint32_t group, std::int64_t value,
+void CollectiveEngine::collective_enter(std::uint32_t group, std::int64_t value,
                                         std::function<void(std::int64_t)> done) {
   // A contribution larger than the static packet is pulled from host memory
   // by DMA before the operation arms; integer-sized contributions ride the
   // doorbell.
-  {
-    const Group& g0 = group_of(group);
-    if (g0.desc.payload_bytes > cfg_.coll_static_payload) {
-      nic_.pci().dma(g0.desc.payload_bytes, nullptr);
-    }
+  if (const std::uint32_t bytes = group_of(group).desc.payload_bytes;
+      bytes > cfg_.coll_static_payload) {
+    nic_.pci().dma(bytes, nullptr);
   }
   nic_.exec(cfg_.cyc_coll_init, [this, group, value, done = std::move(done)]() mutable {
-    Group& g = group_of(group);
-    const std::uint32_t seq = g.next_host_seq++;
-    bool fresh = false;
-    Op& op = touch_slot(g, seq, fresh);
-    op.done = std::move(done);
     // The accumulator starts from this rank's contribution; early arrivals
-    // replayed by activate() fold on top (bcast edges replace it anyway).
-    op.acc = value;
-    activate(g, op);
+    // replayed by the window fold on top (bcast edges replace it anyway).
+    const auto started = group_of(group).window->start(value, std::move(done));
+    stats_.duplicates.add(static_cast<std::uint64_t>(started.duplicates));
   });
-}
-
-void CollectiveEngine::activate(Group& g, Op& op) {
-  op.active = true;
-  if (!op.exec) {
-    // Bound once per slot; Group and Op have stable addresses (node-based
-    // map, member array).
-    Group* gp = &g;
-    Op* opp = &op;
-    op.exec = std::make_unique<coll::ScheduleExecutor>(
-        g.desc.schedule,
-        [this, gp, opp](const coll::Edge& e) {
-          const std::int64_t v = opp->acc;
-          opp->sent_values[msg_key(gp->desc.group_id, opp->seq, e.tag, e.peer)] = v;
-          send_msg(*gp, opp->seq, e, false, v);
-        },
-        [this, gp, opp] { finish_op(*gp, *opp); });
-    // Payloads fold into the accumulator only when their step is consumed,
-    // never at arrival time (an early arrival must not leak into the value
-    // this rank sends during that same step).
-    op.exec->set_step_consumer([this, gp, opp](const coll::Step& st) {
-      for (const coll::Edge& w : st.waits) {
-        const auto it = opp->wait_values.find(edge_key(w.peer, w.tag));
-        if (it != opp->wait_values.end()) {
-          opp->acc = combine(gp->desc, w.tag, opp->acc, it->second);
-        }
-      }
-    });
-  }
-  if (g.desc.features.receiver_driven) arm_nack_timer(g, op);
-  nic_.trace("coll_enter", g.desc.group_id, op.seq);
-  // Stash early payloads before starting: the executor may consume their
-  // steps during start() already.
-  for (const EarlyArrival& ea : op.early) {
-    op.wait_values.emplace(edge_key(ea.peer_rank, ea.tag), ea.value);
-  }
-  op.exec->start();
-  if (!op.complete) {
-    for (const EarlyArrival& ea : op.early) {
-      if (!op.exec->on_arrival(ea.peer_rank, ea.tag)) ++stats_.duplicates;
-      if (op.complete) break;
-    }
-  }
-  op.early.clear();
 }
 
 void CollectiveEngine::send_msg(Group& g, std::uint32_t seq, const coll::Edge& e,
@@ -199,16 +125,16 @@ void CollectiveEngine::send_msg(Group& g, std::uint32_t seq, const coll::Edge& e
   const std::uint32_t tag = e.tag;
   const int peer_rank = e.peer;
   const std::uint32_t wire = wire_bytes_for(g.desc, e.tag, value);
-  const CollOpKind kind = g.desc.op_kind;
+  const coll::OpKind kind = g.desc.op_kind;
 
   nic_.exec(cyc, [this, group_id, seq, tag, my_rank, dst_node, value, wire, kind] {
     CollPacket body;
     switch (kind) {
-      case CollOpKind::kBarrier: body.kind = CollPacket::Kind::kBarrier; break;
-      case CollOpKind::kBcast: body.kind = CollPacket::Kind::kBcast; break;
-      case CollOpKind::kAllreduce: body.kind = CollPacket::Kind::kReduce; break;
-      case CollOpKind::kAllgather: body.kind = CollPacket::Kind::kGather; break;
-      case CollOpKind::kAlltoall: body.kind = CollPacket::Kind::kAlltoall; break;
+      case coll::OpKind::kBarrier: body.kind = CollPacket::Kind::kBarrier; break;
+      case coll::OpKind::kBcast: body.kind = CollPacket::Kind::kBcast; break;
+      case coll::OpKind::kAllreduce: body.kind = CollPacket::Kind::kReduce; break;
+      case coll::OpKind::kAllgather: body.kind = CollPacket::Kind::kGather; break;
+      case coll::OpKind::kAlltoall: body.kind = CollPacket::Kind::kAlltoall; break;
     }
     body.group = group_id;
     body.barrier_seq = seq;
@@ -246,21 +172,18 @@ void CollectiveEngine::arm_msg_timer(Group* gp, std::uint64_t key, std::uint32_t
   it->second.timer = nic_.engine().schedule(cfg_.ack_timeout, [this, gp, key, seq] {
     auto rit = msg_records_.find(key);
     if (rit == msg_records_.end()) return;  // ACKed meanwhile
-    const Op& slot = gp->slots[seq & 1];
+    const Slot* slot = gp->window->find(seq);
     const std::int64_t value =
-        slot.in_use && slot.seq == seq && slot.sent_values.contains(key)
-            ? slot.sent_values.at(key)
-            : 0;
+        slot != nullptr && slot->state.sent_values.contains(key) ? slot->state.sent_values.at(key)
+                                                                 : 0;
     send_msg(*gp, seq, coll::Edge{rit->second.peer_rank, rit->second.tag}, true, value);
     arm_msg_timer(gp, key, seq);
   });
 }
 
-void CollectiveEngine::finish_op(Group& g, Op& op) {
-  assert(!op.complete);
-  op.complete = true;
+void CollectiveEngine::finish_op(Group& g, Slot& op) {
   ++stats_.ops_completed;
-  nic_.engine().cancel(op.nack_timer);
+  nic_.engine().cancel(op.state.nack_timer);
   nic_.trace("coll_complete", g.desc.group_id, op.seq);
   // One completion word DMAed to host memory — the only PCI traffic on the
   // completion path of a NIC-based collective.
@@ -270,7 +193,7 @@ void CollectiveEngine::finish_op(Group& g, Op& op) {
   // The completion DMA delivers the result payload to host memory (one
   // word for the classic collectives, the gathered data for larger ones).
   const std::uint32_t result_bytes =
-      g.desc.op_kind == CollOpKind::kBarrier
+      g.desc.op_kind == coll::OpKind::kBarrier
           ? 8u
           : g.desc.payload_bytes *
                 static_cast<std::uint32_t>(coll::value_words(g.desc.op_kind, result));
@@ -282,11 +205,11 @@ void CollectiveEngine::finish_op(Group& g, Op& op) {
   });
 }
 
-void CollectiveEngine::arm_nack_timer(Group& g, Op& op) {
+void CollectiveEngine::arm_nack_timer(Group& g, Slot& op) {
   Group* gp = &g;
-  Op* opp = &op;
+  Slot* opp = &op;
   const std::uint32_t armed_seq = op.seq;
-  op.nack_timer = nic_.engine().schedule(cfg_.nack_timeout, [this, gp, opp, armed_seq] {
+  op.state.nack_timer = nic_.engine().schedule(cfg_.nack_timeout, [this, gp, opp, armed_seq] {
     if (!opp->in_use || opp->seq != armed_seq || opp->complete || !opp->active) return;
     for (const coll::Edge& miss : opp->exec->missing_current_waits()) {
       const int peer_node = gp->desc.rank_to_node->at(static_cast<std::size_t>(miss.peer));
@@ -345,8 +268,13 @@ bool CollectiveEngine::on_packet(net::Packet&& p) {
           ++stats_.acks_sent;
         });
       }
-      deliver_arrival(g, body.barrier_seq, static_cast<int>(body.src_rank), body.tag,
-                      body.value);
+      switch (g.window->on_arrival(body.barrier_seq, static_cast<int>(body.src_rank),
+                                   body.tag, body.value)) {
+        case coll::Arrival::kAccepted: break;
+        case coll::Arrival::kDuplicate: ++stats_.duplicates; break;
+        case coll::Arrival::kEarly: ++stats_.early_buffered; break;
+        case coll::Arrival::kStale: ++stats_.stale_dropped; break;
+      }
     });
     return true;
   }
@@ -364,35 +292,6 @@ bool CollectiveEngine::on_packet(net::Packet&& p) {
   return false;
 }
 
-void CollectiveEngine::deliver_arrival(Group& g, std::uint32_t seq, int peer_rank,
-                                       std::uint32_t tag, std::int64_t value) {
-  Op& slot = g.slots[seq & 1];
-  if (slot.in_use && slot.seq == seq) {
-    if (slot.complete) {
-      ++stats_.stale_dropped;  // late retransmission of a finished operation
-      return;
-    }
-    if (slot.active) {
-      slot.wait_values.emplace(edge_key(peer_rank, tag), value);
-      if (!slot.exec->on_arrival(peer_rank, tag)) ++stats_.duplicates;
-    } else {
-      ++stats_.early_buffered;
-      slot.early.push_back({peer_rank, tag, value});
-    }
-    return;
-  }
-  if (slot.in_use && seq < slot.seq) {
-    ++stats_.stale_dropped;
-    return;
-  }
-  // Arrival for an operation this host has not started: claim the slot and
-  // buffer (the peer raced ahead by one operation).
-  bool fresh = false;
-  Op& op = touch_slot(g, seq, fresh);
-  ++stats_.early_buffered;
-  op.early.push_back({peer_rank, tag, value});
-}
-
 void CollectiveEngine::handle_nack(const CollNack& n, std::uint64_t flow) {
   auto git = groups_.find(n.group);
   if (git == groups_.end()) return;
@@ -402,17 +301,16 @@ void CollectiveEngine::handle_nack(const CollNack& n, std::uint64_t flow) {
              core::BarrierTag::encode(n.group, n.barrier_seq, n.tag),
              static_cast<std::int64_t>(flow));
   const coll::Edge edge{static_cast<int>(n.dst_rank), n.tag};
-  Op& slot = g.slots[n.barrier_seq & 1];
-  if (slot.in_use && slot.seq == n.barrier_seq && slot.exec) {
+  if (const Slot* slot = g.window->find(n.barrier_seq); slot != nullptr && slot->exec) {
     const std::uint64_t key = msg_key(n.group, n.barrier_seq, n.tag, edge.peer);
-    if (slot.exec->has_sent(edge.peer, edge.tag)) {
+    if (slot->exec->has_sent(edge.peer, edge.tag)) {
       if (g.desc.features.debug_skip_retransmit) return;  // fuzzer's planted bug
-      send_msg(g, n.barrier_seq, edge, true, slot.sent_values.at(key));
+      send_msg(g, n.barrier_seq, edge, true, slot->state.sent_values.at(key));
     }
     // Not sent yet: we are behind; the normal send will cover it.
     return;
   }
-  if (g.desc.op_kind == CollOpKind::kBarrier && n.barrier_seq < g.next_host_seq) {
+  if (g.desc.op_kind == coll::OpKind::kBarrier && n.barrier_seq < g.window->next_seq()) {
     // The slot was recycled but barrier messages carry no data: the packet
     // is fully reconstructible from the NACK itself. (Value-carrying kinds
     // never need this path — a sender two operations ahead proves the

@@ -26,11 +26,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <unordered_map>
-#include <vector>
 
-#include "core/schedule.hpp"
+#include "core/group_window.hpp"
 #include "myrinet/nic.hpp"
 #include "myrinet/packets.hpp"
 #include "obs/metrics.hpp"
@@ -49,24 +48,10 @@ struct CollFeatures {
   bool debug_skip_retransmit = false;
 };
 
-/// What a group's operations compute. Barrier is the paper's case study;
-/// the value-carrying kinds implement its Sec. 9 future work on the same
-/// protocol (messages still fit the padded static packet: one integer).
-using CollOpKind = coll::OpKind;
-using ReduceOp = coll::ReduceOp;
-
-struct GroupDesc {
-  std::uint32_t group_id = 0;
-  int my_rank = -1;
-  coll::Placement rank_to_node;   // rank -> fabric node index, shared
-                                  // across the group's NICs
-  coll::RankSchedule schedule;    // this rank's schedule for the op kind
+/// One rank's membership in a NIC collective group. The ablation switches
+/// are Myrinet's own; everything else is the shared descriptor.
+struct GroupDesc : coll::GroupDesc {
   CollFeatures features;
-  CollOpKind op_kind = CollOpKind::kBarrier;
-  ReduceOp reduce_op = ReduceOp::kSum;  // allreduce only
-  std::uint32_t payload_bytes = 8;      // bytes per contribution word; payloads
-                                        // beyond the static packet's capacity
-                                        // fall back to pool buffers + host DMA
 };
 
 /// Handles into the engine's MetricRegistry, registered per NIC under
@@ -92,14 +77,11 @@ class CollectiveEngine {
   /// NIC with the same group_id and consistent rank_to_node.
   void create_group(GroupDesc desc);
 
-  /// Host entered the group's next barrier (call at NIC time, post-PIO).
-  /// `done` runs at NIC time when the completion word lands in host memory.
-  void host_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// Value-carrying entry: `value` is this rank's contribution (broadcast
-  /// payload at the root, reduction operand, or allgather bit mask); `done`
-  /// receives the operation's result.
-  void host_enter_value(std::uint32_t group, std::int64_t value,
+  /// Host entered the group's next operation (call at NIC time, post-PIO)
+  /// with `value`: the broadcast payload at the root, a reduction operand,
+  /// an allgather bit mask, or nothing for a barrier. `done` receives the
+  /// result at NIC time when the completion word lands in host memory.
+  void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 
   /// Packet dispatcher entry for CollPacket / CollNack / CollAck bodies.
@@ -110,32 +92,17 @@ class CollectiveEngine {
   [[nodiscard]] bool has_group(std::uint32_t group) const { return groups_.contains(group); }
 
  private:
-  struct EarlyArrival {
-    int peer_rank;
-    std::uint32_t tag;
-    std::int64_t value;
-  };
-
-  struct Op {
-    std::uint32_t seq = 0;
-    bool in_use = false;     // slot bound to `seq`
-    bool active = false;     // host has entered
-    bool complete = false;
-    std::int64_t acc = 0;    // value accumulator (non-barrier kinds)
-    std::unique_ptr<coll::ScheduleExecutor> exec;
-    std::vector<EarlyArrival> early;
-    std::unordered_map<std::uint64_t, std::int64_t> sent_values;  // for NACK resends
-    std::unordered_map<std::uint64_t, std::int64_t> wait_values;  // folded at step consumption
-    std::function<void(std::int64_t)> done;
+  /// What the engine keeps per operation beyond the shared window.
+  struct SlotState {
     sim::EventId nack_timer;
+    std::unordered_map<std::uint64_t, std::int64_t> sent_values;  // for NACK resends
   };
+  using Window = coll::GroupWindow<SlotState>;
+  using Slot = Window::Slot;
 
   struct Group {
     GroupDesc desc;
-    std::uint32_t next_host_seq = 0;  // next operation the host will enter
-    // Two-deep operation window: consecutive barriers overlap by at most
-    // one (a peer can race one operation ahead, never two — see tests).
-    Op slots[2];
+    std::optional<Window> window;  // bound to desc and this Group's address
   };
 
   // Ablation-only per-message reliability record (receiver_driven = false).
@@ -148,28 +115,18 @@ class CollectiveEngine {
   };
 
   Group& group_of(std::uint32_t id);
-  Op& touch_slot(Group& g, std::uint32_t seq, bool& fresh);
-  void activate(Group& g, Op& op);
-  void deliver_arrival(Group& g, std::uint32_t seq, int peer_rank, std::uint32_t tag,
-                       std::int64_t value);
   void send_msg(Group& g, std::uint32_t seq, const coll::Edge& e, bool is_retransmit,
                 std::int64_t value);
-  [[nodiscard]] static std::int64_t combine(const GroupDesc& desc, std::uint32_t tag,
-                                            std::int64_t acc, std::int64_t incoming);
   [[nodiscard]] std::uint32_t wire_bytes_for(const GroupDesc& desc, std::uint32_t tag,
                                              std::int64_t value) const;
-  void finish_op(Group& g, Op& op);
-  void arm_nack_timer(Group& g, Op& op);
+  void finish_op(Group& g, Slot& op);
+  void arm_nack_timer(Group& g, Slot& op);
   void handle_nack(const CollNack& n, std::uint64_t flow);
   void handle_ack(const CollAck& a);
   void arm_msg_timer(Group* gp, std::uint64_t key, std::uint32_t seq);
   [[nodiscard]] std::uint32_t send_cycles(const CollFeatures& f) const;
-  [[nodiscard]] std::uint32_t recv_cycles(const CollFeatures& f) const;
   [[nodiscard]] static std::uint64_t msg_key(std::uint32_t group, std::uint32_t seq,
                                              std::uint32_t tag, int peer);
-  [[nodiscard]] static std::uint64_t edge_key(int peer, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
-  }
 
   Nic& nic_;
   const LanaiConfig& cfg_;

@@ -34,7 +34,7 @@ void GmPort::install_dispatcher() {
     host_cpu_.exec(host_.recv_detect, [this, ev] {
       if (core::BarrierTag::is_barrier(ev.tag)) {
         const auto it = group_handlers_.find(core::BarrierTag::group(ev.tag));
-        if (it != group_handlers_.end()) it->second(ev);
+        if (it != group_handlers_.end()) it->second(ev.src_node, ev.tag, ev.inline_value);
         return;
       }
       if (app_handler_) app_handler_(ev);
@@ -47,30 +47,23 @@ void GmPort::set_receive_handler(std::function<void(const RecvEvent&)> fn) {
   app_handler_ = std::move(fn);
 }
 
-void GmPort::add_collective_handler(std::uint32_t group,
-                                    std::function<void(const RecvEvent&)> fn) {
+void GmPort::add_collective_handler(std::uint32_t group, CollectiveHandler fn) {
   install_dispatcher();
   group_handlers_[group & core::BarrierTag::kGroupMask] = std::move(fn);
 }
 
-void GmPort::barrier_enter(std::uint32_t group, sim::EventCallback done) {
-  host_cpu_.exec(host_.send_post, [this, group, done = std::move(done)]() mutable {
-    nic_.pci().pio_write([this, group, done = std::move(done)]() mutable {
-      coll_.host_enter(group, [this, done = std::move(done)]() mutable {
-        // Completion is a word in host memory: cheaper to notice than a full
-        // receive event.
-        host_cpu_.exec(host_.barrier_detect, std::move(done));
-      });
-    });
-  });
+void GmPort::remove_collective_handler(std::uint32_t group) {
+  group_handlers_.erase(group & core::BarrierTag::kGroupMask);
 }
 
 void GmPort::collective_enter(std::uint32_t group, std::int64_t value,
                               std::function<void(std::int64_t)> done) {
   host_cpu_.exec(host_.send_post, [this, group, value, done = std::move(done)]() mutable {
     nic_.pci().pio_write([this, group, value, done = std::move(done)]() mutable {
-      coll_.host_enter_value(group, value,
+      coll_.collective_enter(group, value,
                              [this, done = std::move(done)](std::int64_t result) mutable {
+                               // Completion is a word in host memory: cheaper
+                               // to notice than a full receive event.
                                host_cpu_.exec(host_.barrier_detect,
                                               [done = std::move(done), result]() mutable {
                                                 done(result);

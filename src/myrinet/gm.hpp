@@ -38,20 +38,22 @@ class GmPort {
   /// traffic (runs on the host CPU after the poll loop detects the event).
   void set_receive_handler(std::function<void(const RecvEvent&)> fn);
 
-  /// Registers a handler for host-level collective messages of `group`
+  /// Host-level collective message upcall: source node, BarrierTag-encoded
+  /// tag, first payload word.
+  using CollectiveHandler =
+      std::function<void(int src_node, std::uint32_t tag, std::int64_t value)>;
+
+  /// Registers the handler for host-level collective messages of `group`
   /// (BarrierTag-encoded GM tags). Several groups can coexist on one port;
   /// the port demultiplexes on the tag's group field.
-  void add_collective_handler(std::uint32_t group, std::function<void(const RecvEvent&)> fn);
+  void add_collective_handler(std::uint32_t group, CollectiveHandler fn);
+  void remove_collective_handler(std::uint32_t group);
 
   /// Registers a collective group on this node's NIC.
   void create_group(GroupDesc desc) { coll_.create_group(std::move(desc)); }
 
-  /// NIC-based barrier entry: one doorbell in, one completion word out.
-  void barrier_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// NIC-based value-carrying collective entry (bcast/allreduce/allgather
-  /// groups): same doorbell-in / completion-word-out pattern, with the
-  /// operand in and the result out.
+  /// NIC-based collective entry: one doorbell in with the operand, one
+  /// completion word out with the result (0 for a barrier).
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 
@@ -71,7 +73,7 @@ class GmPort {
   const HostConfig& host_;
   bool dispatcher_installed_ = false;
   std::function<void(const RecvEvent&)> app_handler_;
-  std::unordered_map<std::uint32_t, std::function<void(const RecvEvent&)>> group_handlers_;
+  std::unordered_map<std::uint32_t, CollectiveHandler> group_handlers_;
 };
 
 /// One simulated cluster node: host CPU, PCI bus, LANai NIC running the MCP

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/coll_tag.hpp"
+
 namespace qmb::elan {
 
 ElanNode::ElanNode(sim::Engine& engine, net::Fabric& fabric, const Elan3Config& config,
@@ -34,42 +36,29 @@ void ElanNode::set_receive_handler(ReceiveHandler fn) {
   install_dispatcher();
 }
 
-int ElanNode::add_receive_handler(ReceiveHandler fn) {
-  const int id = next_handler_id_++;
-  extra_handlers_.emplace_back(id, std::move(fn));
+void ElanNode::add_collective_handler(std::uint32_t group, ReceiveHandler fn) {
+  group_handlers_[group & core::BarrierTag::kGroupMask] = std::move(fn);
   install_dispatcher();
-  return id;
 }
 
-void ElanNode::remove_receive_handler(int id) {
-  for (auto it = extra_handlers_.begin(); it != extra_handlers_.end(); ++it) {
-    if (it->first == id) {
-      extra_handlers_.erase(it);
-      return;
-    }
-  }
+void ElanNode::remove_collective_handler(std::uint32_t group) {
+  group_handlers_.erase(group & core::BarrierTag::kGroupMask);
 }
 
 void ElanNode::install_dispatcher() {
   if (dispatcher_installed_) return;
   dispatcher_installed_ = true;
   // One host_detect poll per delivered message, however many handlers are
-  // registered — the host wakes once and fans the message out.
+  // registered — the host wakes once and routes the message by its tag.
   nic_.set_host_msg_handler([this](const ElanRdma& r) {
     host_cpu_.exec(cfg_.host_detect, [this, src = static_cast<int>(r.src_rank),
                                       tag = r.tag, value = r.value] {
-      for (std::size_t i = 0; i < extra_handlers_.size(); ++i) {
-        extra_handlers_[i].second(src, tag, value);
+      if (core::BarrierTag::is_barrier(tag)) {
+        const auto it = group_handlers_.find(core::BarrierTag::group(tag));
+        if (it != group_handlers_.end()) it->second(src, tag, value);
+        return;
       }
       if (app_handler_) app_handler_(src, tag, value);
-    });
-  });
-}
-
-void ElanNode::barrier_enter(std::uint32_t group, sim::EventCallback done) {
-  host_cpu_.exec(cfg_.host_doorbell, [this, group, done = std::move(done)]() mutable {
-    nic_.barrier_enter(group, [this, done = std::move(done)]() mutable {
-      host_cpu_.exec(cfg_.host_detect, std::move(done));
     });
   });
 }

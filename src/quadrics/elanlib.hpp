@@ -1,19 +1,19 @@
 // Elanlib-style host API (paper Sec. 4.1): tagged puts, the chained-RDMA
-// NIC barrier doorbell, and elan_hgsync()'s hardware-barrier entry. Host
+// NIC collective doorbell, and elan_hgsync()'s hardware-barrier entry. Host
 // costs (descriptor setup, doorbell, event-word polling) run on the node's
 // host CPU resource.
 //
 // The three Quadrics barrier flavours of Fig. 7 are built on these
-// primitives in core/quadrics_barrier.cpp:
-//   * elan_gsync  — host-level gather-broadcast tree over put()
+// primitives in core/collectives.cpp:
+//   * elan_gsync  — the host executor's gather-broadcast tree over put()
 //   * elan_hgsync — hardware broadcast + network test-and-set
-//   * NIC barrier — chained RDMA descriptors (barrier_enter)
+//   * NIC barrier — chained RDMA descriptors (collective_enter)
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "quadrics/fabric.hpp"
 #include "quadrics/nic.hpp"
@@ -38,29 +38,24 @@ class ElanNode {
       std::function<void(int src_node, std::uint32_t tag, std::int64_t value)>;
 
   /// Installs (or replaces) the application's receive handler. Every
-  /// delivered host message pays one host_detect poll, then runs the added
-  /// handlers followed by this one.
+  /// delivered host message pays one host_detect poll, then runs this
+  /// handler — or, for a BarrierTag-encoded tag, its group's handler.
   void set_receive_handler(ReceiveHandler fn);
 
-  /// Adds a handler that sees every host message alongside the app handler
-  /// (host collectives over overlapping groups each add one and filter by
-  /// tag). Returns an id for remove_receive_handler. The per-message host
-  /// cost is paid once per node, not per handler.
-  int add_receive_handler(ReceiveHandler fn);
-  void remove_receive_handler(int id);
+  /// Registers the handler for host-level collective messages of `group`
+  /// (BarrierTag-encoded tags); several groups coexist, demultiplexed on
+  /// the tag's group field like GmPort's.
+  void add_collective_handler(std::uint32_t group, ReceiveHandler fn);
+  void remove_collective_handler(std::uint32_t group);
 
-  /// Arms a chained-RDMA barrier group on this node's NIC (setup time, off
-  /// the measured path — the paper arms descriptors from user level once).
-  void create_barrier_group(ElanGroupDesc desc) {
-    nic_.create_barrier_group(std::move(desc));
-  }
+  /// Arms a chained-RDMA collective group on this node's NIC (setup time,
+  /// off the measured path — the paper arms descriptors from user level
+  /// once).
+  void create_group(coll::GroupDesc desc) { nic_.create_group(std::move(desc)); }
 
-  /// Chained-RDMA NIC barrier: doorbell in, final local event out. `done`
-  /// runs on the host after it polls the completion word.
-  void barrier_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// Value-carrying NIC collective (bcast/allreduce/allgather/alltoall
-  /// groups): operand in with the doorbell, result out with the event word.
+  /// Chained-RDMA NIC collective: operand in with the doorbell, result out
+  /// with the final local event (0 for a barrier). `done` runs on the host
+  /// after it polls the completion word.
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 
@@ -84,8 +79,7 @@ class ElanNode {
   Nic nic_;
   HwBarrierController* hw_ = nullptr;
   ReceiveHandler app_handler_;
-  std::vector<std::pair<int, ReceiveHandler>> extra_handlers_;
-  int next_handler_id_ = 0;
+  std::unordered_map<std::uint32_t, ReceiveHandler> group_handlers_;
   bool dispatcher_installed_ = false;
 };
 

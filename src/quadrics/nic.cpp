@@ -1,7 +1,6 @@
 #include "quadrics/nic.hpp"
 
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -109,40 +108,22 @@ void Nic::on_packet(net::Packet&& p) {
   throw std::logic_error("unhandled packet body type at Elan NIC");
 }
 
-void Nic::create_barrier_group(ElanGroupDesc desc) {
+void Nic::create_group(coll::GroupDesc desc) {
   if (groups_.contains(desc.group_id)) {
-    throw std::invalid_argument("elan barrier group id already registered");
+    throw std::invalid_argument("elan collective group id already registered");
   }
-  Group g;
+  Group& g = groups_[desc.group_id];
   g.desc = std::move(desc);
-  groups_.emplace(g.desc.group_id, std::move(g));
-}
-
-Nic::Op& Nic::touch_slot(Group& g, std::uint32_t seq) {
-  Op& op = g.slots[seq & 1];
-  if (op.in_use && op.seq == seq) return op;
-  if (op.in_use && !op.complete) {
-    throw std::logic_error("elan barrier window violated: operation overtaken by seq+2");
-  }
-  if (op.exec) op.exec->reset();
-  op.early.clear();
-  op.wait_values.clear();
-  op.seq = seq;
-  op.in_use = true;
-  op.active = false;
-  op.complete = false;
-  op.acc = 0;
-  op.done = nullptr;
-  return op;
-}
-
-void Nic::barrier_enter(std::uint32_t group, sim::EventCallback done) {
-  // done is move-only; shared_ptr bridges it into the copyable DoneFn.
-  collective_enter(group, 0,
-                   [done = std::make_shared<sim::EventCallback>(std::move(done))](
-                       std::int64_t) {
-                     if (*done) (*done)();
-                   });
+  Group* gp = &g;
+  g.window.emplace(
+      g.desc.schedule, g.desc.op_kind, g.desc.reduce_op,
+      Window::Hooks{
+          .send = [this, gp](Slot& op,
+                             const coll::Edge& e) { barrier_send(*gp, op.seq, e, op.acc); },
+          .complete = [this, gp](Slot& op) { finish_barrier(*gp, op); },
+          .pre_start =
+              [this, gp](Slot& op) { trace("barrier_enter", gp->desc.group_id, op.seq); },
+      });
 }
 
 void Nic::collective_enter(std::uint32_t group, std::int64_t value,
@@ -150,48 +131,8 @@ void Nic::collective_enter(std::uint32_t group, std::int64_t value,
   unit_.exec(config_->command_process, [this, group, value, done = std::move(done)]() mutable {
     auto it = groups_.find(group);
     assert(it != groups_.end() && "collective_enter on unknown group");
-    Group& g = it->second;
-    const std::uint32_t seq = g.next_host_seq++;
-    Op& op = touch_slot(g, seq);
-    op.done = std::move(done);
-    op.acc = value;
-    activate(g, op);
+    it->second.window->start(value, std::move(done));
   });
-}
-
-void Nic::activate(Group& g, Op& op) {
-  op.active = true;
-  if (!op.exec) {
-    Group* gp = &g;
-    Op* opp = &op;
-    op.exec = std::make_unique<coll::ScheduleExecutor>(
-        g.desc.schedule,
-        [this, gp, opp](const coll::Edge& e) { barrier_send(*gp, opp->seq, e, opp->acc); },
-        [this, gp, opp] { finish_barrier(*gp, *opp); });
-    // Payloads fold into the accumulator as their step is consumed (never
-    // at arrival time), matching the Myrinet engine's semantics.
-    op.exec->set_step_consumer([gp, opp](const coll::Step& st) {
-      for (const coll::Edge& w : st.waits) {
-        const auto it = opp->wait_values.find(edge_key(w.peer, w.tag));
-        if (it != opp->wait_values.end()) {
-          opp->acc = coll::combine_value(gp->desc.op_kind, gp->desc.reduce_op, w.tag,
-                                         opp->acc, it->second);
-        }
-      }
-    });
-  }
-  trace("barrier_enter", g.desc.group_id, op.seq);
-  for (const EarlyArrival& ea : op.early) {
-    op.wait_values.emplace(edge_key(ea.peer_rank, ea.tag), ea.value);
-  }
-  op.exec->start();
-  if (!op.complete) {
-    for (const EarlyArrival& ea : op.early) {
-      op.exec->on_arrival(ea.peer_rank, ea.tag);
-      if (op.complete) break;
-    }
-  }
-  op.early.clear();
 }
 
 void Nic::barrier_send(Group& g, std::uint32_t seq, const coll::Edge& e,
@@ -220,28 +161,15 @@ void Nic::barrier_send(Group& g, std::uint32_t seq, const coll::Edge& e,
 void Nic::handle_barrier_event(const ElanRdma& r) {
   auto it = groups_.find(r.group);
   if (it == groups_.end()) return;
-  Group& g = it->second;
-  Op& slot = g.slots[r.seq & 1];
-  if (slot.in_use && slot.seq == r.seq) {
-    if (slot.complete) return;  // hardware-reliable network: cannot happen
-    if (slot.active) {
-      slot.wait_values.emplace(edge_key(static_cast<int>(r.src_rank), r.tag), r.value);
-      slot.exec->on_arrival(static_cast<int>(r.src_rank), r.tag);
-    } else {
-      ++stats_.early_buffered;
-      slot.early.push_back({static_cast<int>(r.src_rank), r.tag, r.value});
-    }
-    return;
+  // A hardware-reliable network delivers exactly once: nothing arrives
+  // stale or twice, so only early arrivals are worth counting.
+  if (it->second.window->on_arrival(r.seq, static_cast<int>(r.src_rank), r.tag, r.value) ==
+      coll::Arrival::kEarly) {
+    ++stats_.early_buffered;
   }
-  if (slot.in_use && r.seq < slot.seq) return;  // stale
-  Op& op = touch_slot(g, r.seq);
-  ++stats_.early_buffered;
-  op.early.push_back({static_cast<int>(r.src_rank), r.tag, r.value});
 }
 
-void Nic::finish_barrier(Group& g, Op& op) {
-  assert(!op.complete);
-  op.complete = true;
+void Nic::finish_barrier(Group& g, Slot& op) {
   ++stats_.barrier_ops_completed;
   trace("barrier_complete", g.desc.group_id, op.seq);
   auto done = std::move(op.done);

@@ -9,11 +9,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <unordered_map>
-#include <vector>
 
-#include "core/schedule.hpp"
+#include "core/group_window.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 #include "quadrics/config.hpp"
@@ -22,17 +21,6 @@
 #include "sim/trace.hpp"
 
 namespace qmb::elan {
-
-struct ElanGroupDesc {
-  std::uint32_t group_id = 0;
-  int my_rank = -1;
-  coll::Placement rank_to_node;  // shared across the group's NICs
-  coll::RankSchedule schedule;
-  coll::OpKind op_kind = coll::OpKind::kBarrier;
-  coll::ReduceOp reduce_op = coll::ReduceOp::kSum;
-  std::uint32_t payload_bytes = 8;  // bytes per contribution word; RDMA puts
-                                    // carry any size directly to host memory
-};
 
 /// Handles into the engine's MetricRegistry, registered per NIC under
 /// "elan.*" names; RunResult reads the cross-node totals off the registry.
@@ -62,20 +50,17 @@ class Nic {
   using HostMsgHandler = std::function<void(const ElanRdma&)>;
   void set_host_msg_handler(HostMsgHandler h) { host_msg__handler_ = std::move(h); }
 
-  // --- chained-RDMA barrier unit ---
+  // --- chained-RDMA collective unit ---
 
-  /// Arms a barrier group: builds the chained descriptor list for this
+  /// Arms a collective group: builds the chained descriptor list for this
   /// rank's schedule.
-  void create_barrier_group(ElanGroupDesc desc);
+  void create_group(coll::GroupDesc desc);
 
-  /// Host triggered the first descriptor of the chain (at NIC time).
-  /// `done` runs at NIC time when the final local event's word lands in
-  /// host memory.
-  void barrier_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// Value-carrying entry for bcast/allreduce/allgather/alltoall groups:
-  /// the payload rides the RDMA put exactly as the barrier's notification
-  /// does (paper Sec. 7 — a put may carry data as well as fire an event).
+  /// Host triggered the first descriptor of the chain (at NIC time) with
+  /// its operand; a value rides the RDMA puts exactly as a barrier's
+  /// notification does (paper Sec. 7 — a put may carry data as well as
+  /// fire an event). `done` receives the result at NIC time when the final
+  /// local event's word lands in host memory.
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 
@@ -106,37 +91,17 @@ class Nic {
              std::int64_t flow = 0);
 
  private:
-  struct EarlyArrival {
-    int peer_rank;
-    std::uint32_t tag;
-    std::int64_t value;
-  };
-  struct Op {
-    std::uint32_t seq = 0;
-    bool in_use = false;
-    bool active = false;
-    bool complete = false;
-    std::int64_t acc = 0;
-    std::unique_ptr<coll::ScheduleExecutor> exec;
-    std::vector<EarlyArrival> early;
-    std::unordered_map<std::uint64_t, std::int64_t> wait_values;
-    std::function<void(std::int64_t)> done;
-  };
+  using Window = coll::GroupWindow<>;
+  using Slot = Window::Slot;
   struct Group {
-    ElanGroupDesc desc;
-    std::uint32_t next_host_seq = 0;
-    Op slots[2];
+    coll::GroupDesc desc;
+    std::optional<Window> window;  // bound to desc and this Group's address
   };
 
-  [[nodiscard]] static std::uint64_t edge_key(int peer, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
-  }
   void on_packet(net::Packet&& p);
   void handle_barrier_event(const ElanRdma& r);
-  Op& touch_slot(Group& g, std::uint32_t seq);
-  void activate(Group& g, Op& op);
   void barrier_send(Group& g, std::uint32_t seq, const coll::Edge& e, std::int64_t value);
-  void finish_barrier(Group& g, Op& op);
+  void finish_barrier(Group& g, Slot& op);
 
   sim::Engine* engine_;
   net::Fabric* fabric_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -208,6 +207,14 @@ std::string validate(const ExperimentSpec& s) {
     return "--overlap measures one split-phase group; it is incompatible "
            "with --workload";
   }
+  if (s.skew_max_us > 0.0 && s.overlap_us >= 0.0) {
+    return "--skew is incompatible with --overlap (the split-phase loop measures how "
+           "much of the operation the compute hides; skewed entries would confound it)";
+  }
+  if (s.skew_max_us > 0.0 && s.workload.enabled()) {
+    return "--skew is incompatible with --workload (the workload's arrival process "
+           "decides when its groups enter)";
+  }
   if (!caps.drop_prob && s.drop_prob > 0.0) {
     return loss_error(s, caps, "--drop-prob is", "remove it");
   }
@@ -283,151 +290,23 @@ constexpr std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Per-entry skew budget: zero reproduces the historical tight re-entry
-/// loop bit-for-bit; non-zero delays every (re-)entry by a seeded uniform
-/// draw in [0, max].
-struct SkewPlan {
-  sim::SimDuration max = sim::SimDuration::zero();
-  std::uint64_t seed = 0;
-};
-
-SkewPlan skew_plan(const ExperimentSpec& s) {
-  SkewPlan p;
+/// Lowers the spec's iteration knobs onto the core driver's plan. Skew
+/// zero reproduces the historical tight re-entry loop bit-for-bit;
+/// non-zero delays every (re-)entry by a seeded uniform draw.
+core::RunPlan run_plan(const ExperimentSpec& s) {
+  core::RunPlan plan{.warmup = s.warmup,
+                     .iters = s.iters,
+                     .horizon = sim::milliseconds(s.horizon_ms)};
+  if (s.overlap_us >= 0.0) plan.overlap = sim::microseconds(s.overlap_us);
   if (s.skew_max_us > 0.0) {
-    p.max = sim::microseconds(s.skew_max_us);
+    plan.max_skew = sim::microseconds(s.skew_max_us);
     // Decorrelate from placement/fault draws that also consume spec.seed.
-    p.seed = mix64(s.seed ^ 0x534B4557ULL);  // "SKEW"
+    plan.skew_seed = mix64(s.seed ^ 0x534B4557ULL);  // "SKEW"
   }
-  return p;
+  return plan;
 }
 
-/// Drives consecutive value collectives with the barrier runner's
-/// methodology: every rank re-enters as soon as its completion delivers;
-/// iteration latency is completion-to-completion of the whole group. Every
-/// delivered result is checked against the op's exact expected value;
-/// mismatches count into `value_errors`.
-core::BarrierRunResult run_collective(sim::Engine& engine, core::Collective& op,
-                                      coll::OpKind kind, int warmup, int iters,
-                                      const SkewPlan& skew, sim::SimDuration horizon,
-                                      std::uint64_t& value_errors,
-                                      const std::vector<int>* rank_domain) {
-  const int n = op.size();
-  const int total = warmup + iters;
-  const std::int64_t expected = core::expected_collective_result(kind, n);
-  std::vector<int> iter_of(static_cast<std::size_t>(n), 0);
-  // Rank-private completion slots and error counts (see the barrier
-  // runner): each is written only from its rank's own engine domain, so
-  // parallel windows never race. The per-iteration completion instant is
-  // recovered below as the row-wise max; errors are summed post-run.
-  std::vector<sim::SimTime> completion(static_cast<std::size_t>(n) *
-                                       static_cast<std::size_t>(total));
-  std::vector<std::uint64_t> rank_errors(static_cast<std::size_t>(n), 0);
-  sim::Rng skew_rng(skew.seed);
-  std::function<void(int)> loop = [&](int rank) {
-    const int it = iter_of[static_cast<std::size_t>(rank)];
-    if (it >= total) return;
-    const auto enter = [&, rank, it] {
-      op.enter(rank, rank + 1, [&, rank, it](std::int64_t result) {
-        if (result != expected) ++rank_errors[static_cast<std::size_t>(rank)];
-        iter_of[static_cast<std::size_t>(rank)] = it + 1;
-        completion[static_cast<std::size_t>(rank) * static_cast<std::size_t>(total) +
-                   static_cast<std::size_t>(it)] = engine.now();
-        engine.schedule(sim::SimDuration::zero(), [&loop, rank] { loop(rank); });
-      });
-    };
-    if (skew.max > sim::SimDuration::zero()) {
-      const auto jitter = sim::SimDuration(static_cast<std::int64_t>(
-          skew_rng.next_below(static_cast<std::uint64_t>(skew.max.picos()) + 1)));
-      engine.schedule(jitter, enter);
-    } else {
-      enter();
-    }
-  };
-  for (int r = 0; r < n; ++r) {
-    if (rank_domain != nullptr) {
-      sim::Engine::DomainScope scope(engine, (*rank_domain)[static_cast<std::size_t>(r)]);
-      loop(r);
-    } else {
-      loop(r);
-    }
-  }
-  engine.run_until(engine.now() + horizon);
-  for (int r = 0; r < n; ++r) {
-    if (iter_of[static_cast<std::size_t>(r)] != total) {
-      throw std::runtime_error("collective run did not complete (deadlock in protocol?)");
-    }
-    value_errors += rank_errors[static_cast<std::size_t>(r)];
-  }
-  core::BarrierRunResult res;
-  res.iterations = static_cast<std::uint64_t>(iters);
-  sim::SimTime prev = sim::SimTime::zero();
-  for (int i = 0; i < total; ++i) {
-    sim::SimTime complete = sim::SimTime::zero();
-    for (int r = 0; r < n; ++r) {
-      complete = std::max(complete,
-                          completion[static_cast<std::size_t>(r) * static_cast<std::size_t>(total) +
-                                     static_cast<std::size_t>(i)]);
-    }
-    if (i >= warmup) res.per_iteration.add(complete - prev);
-    prev = complete;
-  }
-  res.mean = res.per_iteration.mean();
-  return res;
-}
-
-/// Split-phase variant of run_collective: each rank start()s the op,
-/// simulates `overlap` of local computation, then wait()s — the same
-/// GASNet notify/compute/wait idiom run_split_phase_barriers drives, with
-/// the delivered value checked against the op's exact expected result.
-core::BarrierRunResult run_split_phase_collectives(
-    sim::Engine& engine, core::Collective& op, coll::OpKind kind, int warmup,
-    int iters, sim::SimDuration overlap, sim::SimDuration horizon,
-    std::uint64_t& value_errors) {
-  const int n = op.size();
-  const int total = warmup + iters;
-  const std::int64_t expected = core::expected_collective_result(kind, n);
-  std::vector<int> iter_of(static_cast<std::size_t>(n), 0);
-  std::vector<sim::SimTime> completion(static_cast<std::size_t>(n) *
-                                       static_cast<std::size_t>(total));
-  std::function<void(int)> loop = [&](int rank) {
-    const int it = iter_of[static_cast<std::size_t>(rank)];
-    if (it >= total) return;
-    op.start(rank, rank + 1);
-    engine.schedule(overlap, [&, rank, it] {
-      op.wait(rank, [&, rank, it](std::int64_t result) {
-        if (result != expected) ++value_errors;
-        iter_of[static_cast<std::size_t>(rank)] = it + 1;
-        completion[static_cast<std::size_t>(rank) * static_cast<std::size_t>(total) +
-                   static_cast<std::size_t>(it)] = engine.now();
-        engine.schedule(sim::SimDuration::zero(), [&loop, rank] { loop(rank); });
-      });
-    });
-  };
-  for (int r = 0; r < n; ++r) loop(r);
-  engine.run_until(engine.now() + horizon);
-  for (int r = 0; r < n; ++r) {
-    if (iter_of[static_cast<std::size_t>(r)] != total) {
-      throw std::runtime_error("collective run did not complete (deadlock in protocol?)");
-    }
-  }
-  core::BarrierRunResult res;
-  res.iterations = static_cast<std::uint64_t>(iters);
-  sim::SimTime prev = sim::SimTime::zero();
-  for (int i = 0; i < total; ++i) {
-    sim::SimTime complete = sim::SimTime::zero();
-    for (int r = 0; r < n; ++r) {
-      complete = std::max(complete,
-                          completion[static_cast<std::size_t>(r) * static_cast<std::size_t>(total) +
-                                     static_cast<std::size_t>(i)]);
-    }
-    if (i >= warmup) res.per_iteration.add(complete - prev);
-    prev = complete;
-  }
-  res.mean = res.per_iteration.mean();
-  return res;
-}
-
-void fill_latency(RunResult& out, const core::BarrierRunResult& r, sim::Engine& engine) {
+void fill_latency(RunResult& out, const core::RunSeries& r, sim::Engine& engine) {
   out.iterations = r.iterations;
   out.mean_picos = r.mean.picos();
   out.min_picos = r.per_iteration.min().picos();
@@ -486,8 +365,6 @@ RunResult run_on(const Substrate& sub, const ExperimentSpec& s) {
   }
   cluster->fabric().faults().install(s.faults);
   auto placement = placement_of(s);
-  const SkewPlan skew = skew_plan(s);
-  const auto horizon = sim::milliseconds(s.horizon_ms);
 
   RunResult out;
   out.spec = s;
@@ -497,7 +374,7 @@ RunResult run_on(const Substrate& sub, const ExperimentSpec& s) {
                        static_cast<std::uint64_t>(s.warmup + s.iters);
     load::WorkloadOutcome wo = load::run_workload(engine, *cluster, s);
     out.impl_name = wo.impl_name;
-    core::BarrierRunResult agg;
+    core::RunSeries agg;
     agg.per_iteration = std::move(wo.latency);
     agg.iterations = agg.per_iteration.count();
     agg.mean = agg.per_iteration.mean();
@@ -516,49 +393,23 @@ RunResult run_on(const Substrate& sub, const ExperimentSpec& s) {
   out.ops_expected = static_cast<std::uint64_t>(s.nodes) *
                      static_cast<std::uint64_t>(s.warmup + s.iters);
   // Rank -> engine domain, resolved through the placement *before* it is
-  // moved into the executor; the runners issue each rank's initial entry
+  // moved into the executor; the driver issues each rank's initial entry
   // inside its own domain so the whole protocol cascade stays there.
+  core::RunPlan plan = run_plan(s);
   std::vector<int> rank_domain;
-  const std::vector<int>* rd = nullptr;
   if (cluster->fabric().domains() > 1) {
     rank_domain.reserve(placement.size());
     for (const int node : placement) {
       rank_domain.push_back(cluster->fabric().domain_of(net::NicAddr(node)));
     }
-    rd = &rank_domain;
+    plan.rank_domain = &rank_domain;
   }
-  if (s.op == coll::OpKind::kBarrier) {
-    auto barrier = cluster->make_barrier(s, std::move(placement));
-    out.impl_name = std::string(barrier->name());
-    if (s.overlap_us >= 0.0) {
-      fill_latency(out,
-                   core::run_split_phase_barriers(engine, *barrier, s.warmup, s.iters,
-                                                  sim::microseconds(s.overlap_us),
-                                                  horizon),
-                   engine);
-    } else {
-      fill_latency(out,
-                   core::run_consecutive_barriers(engine, *barrier, s.warmup, s.iters,
-                                                  skew.max, skew.seed, horizon, rd),
-                   engine);
-    }
-  } else {
-    auto op = cluster->make_collective(s, std::move(placement));
-    out.impl_name = std::string(op->name());
-    if (s.overlap_us >= 0.0) {
-      fill_latency(out,
-                   run_split_phase_collectives(engine, *op, s.op, s.warmup, s.iters,
-                                               sim::microseconds(s.overlap_us), horizon,
-                                               out.value_errors),
-                   engine);
-    } else {
-      fill_latency(out,
-                   run_collective(engine, *op, s.op, s.warmup, s.iters, skew, horizon,
-                                  out.value_errors, rd),
-                   engine);
-    }
-  }
-  out.ops_done = out.ops_expected;  // the runners throw before reaching here otherwise
+  auto op = cluster->make_collective(s, std::move(placement));
+  out.impl_name = std::string(op->name());
+  const core::RunSeries series = core::run_consecutive(engine, *op, plan);
+  fill_latency(out, series, engine);
+  out.value_errors = series.value_errors;
+  out.ops_done = out.ops_expected;  // the driver throws before reaching here otherwise
   fill_engine(out, engine);
   out.pdes_domains = cluster->fabric().domains();
   out.pdes_windows = engine.windows_run();

@@ -84,7 +84,8 @@ struct ExperimentSpec {
   /// Max per-entry skew in microseconds: each rank's every (re-)entry is
   /// delayed by a uniform draw in [0, skew_max_us], from an RNG derived
   /// from `seed`. 0 = the historical tight re-entry loop (bit-identical to
-  /// specs that predate this field).
+  /// specs that predate this field). Blocking runs only: validate()
+  /// rejects it with overlap_us or a workload.
   double skew_max_us = 0.0;
 
   /// Simulated-time watchdog for the whole run. A protocol bug that
@@ -96,9 +97,10 @@ struct ExperimentSpec {
   /// Multi-tenant workload layer: when enabled (groups > 0) the run becomes
   /// `workload.groups` concurrent process groups issuing the workload's op
   /// mix from its arrival process, with optional background flood traffic,
-  /// instead of one group of all nodes running `op`. `op`, `skew_max_us`,
-  /// and `random_placement` are ignored in workload mode (the mix, arrival
-  /// jitter, and membership policy replace them); `impl`, `algorithm`,
+  /// instead of one group of all nodes running `op`. `op` and
+  /// `random_placement` are ignored in workload mode (the mix and the
+  /// membership policy replace them; `skew_max_us` is rejected, the
+  /// arrival process replaces it); `impl`, `algorithm`,
   /// faults, and drop_prob apply to every group. Disabled (the default) is
   /// bit-identical to specs that predate this field.
   load::WorkloadSpec workload;

@@ -80,25 +80,30 @@ struct SubstrateCaps {
 };
 
 /// A built cluster behind a uniform face: the generic experiment driver
-/// only needs the fabric (for fault installation) and the two executor
+/// only needs the fabric (for fault installation) and the executor
 /// factories.
 class SubstrateCluster {
  public:
   virtual ~SubstrateCluster() = default;
   [[nodiscard]] virtual net::Fabric& fabric() = 0;
-  /// Builds the spec's barrier over `placement` (rank -> node).
-  [[nodiscard]] virtual std::unique_ptr<core::Barrier> make_barrier(
-      const ExperimentSpec& spec, std::vector<int> placement) = 0;
   /// THE collective construction entry point: one CollSpec in, one
   /// executor out. Every knob (kind, engine, root, reduce, payload,
   /// algorithm, radix, placement) rides the spec — growing a knob never
   /// touches this signature again.
   [[nodiscard]] virtual std::unique_ptr<core::Collective> make_collective(
       const coll::CollSpec& spec) = 0;
-  /// Convenience: lowers an ExperimentSpec + placement to a CollSpec
-  /// (op/impl/algorithm/radix/overlap) and calls the entry point above.
-  [[nodiscard]] std::unique_ptr<core::Collective> make_collective(
+  /// Builds the spec's operation over `placement` (rank -> node). The base
+  /// lowers the spec to a CollSpec (op/impl/algorithm/radix/overlap) and
+  /// calls the entry point above; a substrate with a paper baseline that
+  /// has no CollSpec engine (Myrinet direct, Quadrics gsync/hgsync)
+  /// overrides it to build that baseline first.
+  [[nodiscard]] virtual std::unique_ptr<core::Collective> make_collective(
       const ExperimentSpec& spec, std::vector<int> placement);
+  /// Kept for perfbench: make_collective for a barrier spec.
+  [[nodiscard]] std::unique_ptr<core::Collective> make_barrier(const ExperimentSpec& spec,
+                                                               std::vector<int> placement) {
+    return make_collective(spec, std::move(placement));
+  }
 
   /// Prepares every node for background point-to-point flood traffic
   /// (e.g. the Myrinet adapter provisions and replenishes receive buffers

@@ -16,14 +16,6 @@ class IbSubstrateCluster final : public SubstrateCluster {
 
   net::Fabric& fabric() override { return cluster_.fabric(); }
 
-  std::unique_ptr<core::Barrier> make_barrier(const ExperimentSpec& s,
-                                              std::vector<int> placement) override {
-    const core::IbBarrierKind kind = s.impl == Impl::kHost
-                                         ? core::IbBarrierKind::kHost
-                                         : core::IbBarrierKind::kNicCollective;
-    return cluster_.make_barrier(kind, s.algorithm, std::move(placement), s.radix);
-  }
-
   using SubstrateCluster::make_collective;
   std::unique_ptr<core::Collective> make_collective(const coll::CollSpec& spec) override {
     return core::make_collective(cluster_, spec);

@@ -12,22 +12,21 @@ class MyrinetCluster final : public SubstrateCluster {
  public:
   MyrinetCluster(sim::Engine& engine, const myri::MyrinetConfig& cfg,
                  const ExperimentSpec& spec, sim::Tracer* tracer)
-      : cluster_(engine, cfg, spec.nodes, tracer, pdes_domain_target(spec)) {}
+      : cluster_(engine, cfg, spec.nodes, tracer, spec.features, pdes_domain_target(spec)) {}
 
   net::Fabric& fabric() override { return cluster_.fabric(); }
 
-  std::unique_ptr<core::Barrier> make_barrier(const ExperimentSpec& s,
-                                              std::vector<int> placement) override {
-    core::MyriBarrierKind kind = core::MyriBarrierKind::kNicCollective;
-    if (s.impl == Impl::kHost) kind = core::MyriBarrierKind::kHost;
-    else if (s.impl == Impl::kDirect) kind = core::MyriBarrierKind::kNicDirect;
-    return cluster_.make_barrier(kind, s.algorithm, std::move(placement), s.features,
-                                 s.radix);
-  }
-
-  using SubstrateCluster::make_collective;
   std::unique_ptr<core::Collective> make_collective(const coll::CollSpec& spec) override {
     return core::make_collective(cluster_, spec);
+  }
+  std::unique_ptr<core::Collective> make_collective(const ExperimentSpec& s,
+                                                    std::vector<int> placement) override {
+    if (s.op == coll::OpKind::kBarrier && s.impl == Impl::kDirect) {
+      return core::make_direct_barrier(
+          cluster_,
+          {.algorithm = s.algorithm, .radix = s.radix, .rank_to_node = std::move(placement)});
+    }
+    return SubstrateCluster::make_collective(s, std::move(placement));
   }
 
   void flood_prepare() override {

@@ -16,20 +16,19 @@ class QuadricsCluster final : public SubstrateCluster {
 
   net::Fabric& fabric() override { return cluster_.fabric(); }
 
-  std::unique_ptr<core::Barrier> make_barrier(const ExperimentSpec& s,
-                                              std::vector<int> placement) override {
-    core::ElanBarrierKind kind = core::ElanBarrierKind::kNicChained;
-    if (s.impl == Impl::kGsync || s.impl == Impl::kHost) {
-      kind = core::ElanBarrierKind::kGsyncTree;
-    } else if (s.impl == Impl::kHgsync) {
-      kind = core::ElanBarrierKind::kHardware;
-    }
-    return cluster_.make_barrier(kind, s.algorithm, std::move(placement), 4, s.radix);
-  }
-
-  using SubstrateCluster::make_collective;
   std::unique_ptr<core::Collective> make_collective(const coll::CollSpec& spec) override {
     return core::make_collective(cluster_, spec);
+  }
+  /// Barriers on --impl host run the gsync tree, the Elanlib host barrier.
+  std::unique_ptr<core::Collective> make_collective(const ExperimentSpec& s,
+                                                    std::vector<int> placement) override {
+    if (s.op == coll::OpKind::kBarrier && s.impl == Impl::kHgsync) {
+      return core::make_hgsync_barrier(cluster_);
+    }
+    if (s.op == coll::OpKind::kBarrier && (s.impl == Impl::kGsync || s.impl == Impl::kHost)) {
+      return core::make_gsync_barrier(cluster_, std::move(placement));
+    }
+    return SubstrateCluster::make_collective(s, std::move(placement));
   }
 
   // elan_put fires a remote event; no receive-side resources to provision.

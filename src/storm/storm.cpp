@@ -18,9 +18,7 @@ ResourceManager::ResourceManager(core::MyriCluster& cluster, Backend backend,
   launch_bcast_ = make(coll::OpKind::kBcast, coll::ReduceOp::kSum);
   completion_gather_ = make(coll::OpKind::kAllreduce, coll::ReduceOp::kSum);
   heartbeat_reduce_ = make(coll::OpKind::kAllreduce, coll::ReduceOp::kMin);
-  sync_barrier_ = cluster_.make_barrier(nic ? core::MyriBarrierKind::kNicCollective
-                                            : core::MyriBarrierKind::kHost,
-                                        coll::Algorithm::kDissemination);
+  sync_barrier_ = make(coll::OpKind::kBarrier, coll::ReduceOp::kSum);
   node_status_.assign(static_cast<std::size_t>(cluster_.size()), 1);
   auto& reg = cluster_.engine().metrics();
   launches_ = reg.counter("storm.launches");
@@ -88,11 +86,11 @@ void ResourceManager::start_next_job() {
   }
 }
 
-void ResourceManager::global_sync(sim::EventCallback done) {
+void ResourceManager::global_sync(std::function<void()> done) {
   ++syncs_;
-  const int n = cluster_.size();
-  for (int node = 0; node < n; ++node) {
-    sync_barrier_->enter(node, node == 0 ? std::move(done) : sim::EventCallback{});
+  sync_barrier_->enter(0, 0, [done = std::move(done)](std::int64_t) { done(); });
+  for (int node = 1; node < cluster_.size(); ++node) {
+    sync_barrier_->enter(node, 0, [](std::int64_t) {});
   }
 }
 

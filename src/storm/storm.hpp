@@ -63,7 +63,7 @@ class ResourceManager {
   void submit(JobSpec spec, std::function<void(const JobResult&)> done);
 
   /// Barrier across all management daemons.
-  void global_sync(sim::EventCallback done);
+  void global_sync(std::function<void()> done);
 
   /// Heartbeat sweep: allreduce(min) of per-node status (1 = healthy).
   /// `done(all_healthy)` runs on the front end. Nodes report rather than
@@ -86,7 +86,7 @@ class ResourceManager {
   std::unique_ptr<core::Collective> launch_bcast_;
   std::unique_ptr<core::Collective> completion_gather_;
   std::unique_ptr<core::Collective> heartbeat_reduce_;
-  std::unique_ptr<core::Barrier> sync_barrier_;
+  std::unique_ptr<core::Collective> sync_barrier_;
   std::vector<std::int64_t> node_status_;
 
   struct PendingJob {

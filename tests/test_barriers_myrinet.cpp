@@ -1,6 +1,4 @@
 // End-to-end tests of the three Myrinet barrier implementations.
-#include "core/myri_barriers.hpp"
-
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +6,7 @@
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "core/collectives.hpp"
 
 namespace qmb::core {
 namespace {
@@ -16,8 +15,21 @@ using namespace qmb::sim::literals;
 using sim::Engine;
 using sim::SimTime;
 
+/// The three Myrinet barriers. Four bytes wide with fixed values: each
+/// sweep case's ctest name dumps them.
+enum class MyriKind : std::int32_t { kHost = 0, kDirect = 1, kColl = 2 };
+
+std::unique_ptr<Collective> make_myri_barrier(MyriCluster& cluster, MyriKind kind,
+                                              coll::Algorithm algorithm,
+                                              std::vector<int> placement = {}) {
+  coll::CollSpec spec{.algorithm = algorithm, .rank_to_node = std::move(placement)};
+  if (kind == MyriKind::kDirect) return make_direct_barrier(cluster, spec);
+  if (kind == MyriKind::kHost) spec.engine = coll::Engine::kHost;
+  return make_collective(cluster, spec);
+}
+
 struct Case {
-  MyriBarrierKind kind;
+  MyriKind kind;
   coll::Algorithm algorithm;
   int nodes;
 };
@@ -25,9 +37,9 @@ struct Case {
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   std::string kind;
   switch (info.param.kind) {
-    case MyriBarrierKind::kHost: kind = "host"; break;
-    case MyriBarrierKind::kNicDirect: kind = "direct"; break;
-    case MyriBarrierKind::kNicCollective: kind = "coll"; break;
+    case MyriKind::kHost: kind = "host"; break;
+    case MyriKind::kDirect: kind = "direct"; break;
+    case MyriKind::kColl: kind = "coll"; break;
   }
   std::string alg(coll::to_string(info.param.algorithm));
   for (char& c : alg) {
@@ -42,8 +54,8 @@ TEST_P(MyriBarrierSweep, ConsecutiveBarriersComplete) {
   const Case& p = GetParam();
   Engine engine;
   MyriCluster cluster(engine, myri::lanaixp_cluster(), p.nodes);
-  auto barrier = cluster.make_barrier(p.kind, p.algorithm);
-  const auto result = run_consecutive_barriers(engine, *barrier, 2, 8);
+  auto barrier = make_myri_barrier(cluster, p.kind, p.algorithm);
+  const auto result = run_consecutive(engine, *barrier, {.warmup = 2, .iters = 8});
   EXPECT_EQ(result.iterations, 8u);
   EXPECT_GT(result.mean.picos(), 0);
   EXPECT_LT(result.mean.micros(), 500.0);
@@ -53,13 +65,15 @@ TEST_P(MyriBarrierSweep, BarrierSafetyWithStraggler) {
   const Case& p = GetParam();
   Engine engine;
   MyriCluster cluster(engine, myri::lanaixp_cluster(), p.nodes);
-  auto barrier = cluster.make_barrier(p.kind, p.algorithm);
+  auto barrier = make_myri_barrier(cluster, p.kind, p.algorithm);
   const auto straggle = sim::microseconds(300);
   std::vector<SimTime> completed(static_cast<std::size_t>(p.nodes));
   for (int r = 0; r < p.nodes; ++r) {
     const auto d = r == p.nodes / 2 ? straggle : sim::microseconds(r);
     engine.schedule(d, [&, r] {
-      barrier->enter(r, [&, r] { completed[static_cast<std::size_t>(r)] = engine.now(); });
+      barrier->enter(r, 0, [&, r](std::int64_t) {
+        completed[static_cast<std::size_t>(r)] = engine.now();
+      });
     });
   }
   engine.run();
@@ -71,8 +85,7 @@ TEST_P(MyriBarrierSweep, BarrierSafetyWithStraggler) {
 
 std::vector<Case> sweep_cases() {
   std::vector<Case> cases;
-  for (const auto kind : {MyriBarrierKind::kHost, MyriBarrierKind::kNicDirect,
-                          MyriBarrierKind::kNicCollective}) {
+  for (const auto kind : {MyriKind::kHost, MyriKind::kDirect, MyriKind::kColl}) {
     for (const auto alg :
          {coll::Algorithm::kDissemination, coll::Algorithm::kPairwiseExchange}) {
       for (const int n : {2, 3, 4, 6, 8, 11, 16}) {
@@ -91,11 +104,11 @@ TEST(MyriBarriers, NicCollectiveBeatsHostBased) {
     Engine eh, en;
     MyriCluster ch(eh, myri::lanaixp_cluster(), n);
     MyriCluster cn(en, myri::lanaixp_cluster(), n);
-    auto host = ch.make_barrier(MyriBarrierKind::kHost, coll::Algorithm::kDissemination);
-    auto nic = cn.make_barrier(MyriBarrierKind::kNicCollective,
+    auto host = make_myri_barrier(ch, MyriKind::kHost, coll::Algorithm::kDissemination);
+    auto nic = make_myri_barrier(cn, MyriKind::kColl,
                                coll::Algorithm::kDissemination);
-    const auto host_r = run_consecutive_barriers(eh, *host, 10, 50);
-    const auto nic_r = run_consecutive_barriers(en, *nic, 10, 50);
+    const auto host_r = run_consecutive(eh, *host, {.warmup = 10, .iters = 50});
+    const auto nic_r = run_consecutive(en, *nic, {.warmup = 10, .iters = 50});
     const double factor = host_r.mean.micros() / nic_r.mean.micros();
     EXPECT_GT(factor, 1.5) << "n=" << n;
   }
@@ -105,11 +118,11 @@ TEST(MyriBarriers, CollectiveProtocolBeatsDirectScheme) {
   Engine ed, ec;
   MyriCluster cd(ed, myri::lanaixp_cluster(), 8);
   MyriCluster cc(ec, myri::lanaixp_cluster(), 8);
-  auto direct = cd.make_barrier(MyriBarrierKind::kNicDirect, coll::Algorithm::kDissemination);
-  auto coll_b = cc.make_barrier(MyriBarrierKind::kNicCollective,
+  auto direct = make_myri_barrier(cd, MyriKind::kDirect, coll::Algorithm::kDissemination);
+  auto coll_b = make_myri_barrier(cc, MyriKind::kColl,
                                 coll::Algorithm::kDissemination);
-  const auto direct_r = run_consecutive_barriers(ed, *direct, 10, 50);
-  const auto coll_r = run_consecutive_barriers(ec, *coll_b, 10, 50);
+  const auto direct_r = run_consecutive(ed, *direct, {.warmup = 10, .iters = 50});
+  const auto coll_r = run_consecutive(ec, *coll_b, {.warmup = 10, .iters = 50});
   EXPECT_GT(direct_r.mean.picos(), coll_r.mean.picos());
 }
 
@@ -119,11 +132,11 @@ TEST(MyriBarriers, CollectiveProtocolHalvesWirePackets) {
   Engine ed, ec;
   MyriCluster cd(ed, myri::lanaixp_cluster(), 8);
   MyriCluster cc(ec, myri::lanaixp_cluster(), 8);
-  auto direct = cd.make_barrier(MyriBarrierKind::kNicDirect, coll::Algorithm::kDissemination);
-  auto coll_b = cc.make_barrier(MyriBarrierKind::kNicCollective,
+  auto direct = make_myri_barrier(cd, MyriKind::kDirect, coll::Algorithm::kDissemination);
+  auto coll_b = make_myri_barrier(cc, MyriKind::kColl,
                                 coll::Algorithm::kDissemination);
-  run_consecutive_barriers(ed, *direct, 0, 10);
-  run_consecutive_barriers(ec, *coll_b, 0, 10);
+  run_consecutive(ed, *direct, {.warmup = 0, .iters = 10});
+  run_consecutive(ec, *coll_b, {.warmup = 0, .iters = 10});
   EXPECT_EQ(cd.fabric().packets_sent(), 2 * cc.fabric().packets_sent());
 }
 
@@ -134,12 +147,12 @@ TEST(MyriBarriers, RandomPlacementMatchesIdentity) {
   MyriCluster ci(ei, myri::lanaixp_cluster(), 8);
   MyriCluster cp(ep, myri::lanaixp_cluster(), 8);
   sim::Rng rng(123);
-  auto ident = ci.make_barrier(MyriBarrierKind::kNicCollective,
+  auto ident = make_myri_barrier(ci, MyriKind::kColl,
                                coll::Algorithm::kDissemination);
-  auto perm = cp.make_barrier(MyriBarrierKind::kNicCollective,
+  auto perm = make_myri_barrier(cp, MyriKind::kColl,
                               coll::Algorithm::kDissemination, random_placement(8, rng));
-  const auto ri = run_consecutive_barriers(ei, *ident, 10, 50);
-  const auto rp = run_consecutive_barriers(ep, *perm, 10, 50);
+  const auto ri = run_consecutive(ei, *ident, {.warmup = 10, .iters = 50});
+  const auto rp = run_consecutive(ep, *perm, {.warmup = 10, .iters = 50});
   const double rel = std::abs(ri.mean.micros() - rp.mean.micros()) / ri.mean.micros();
   EXPECT_LT(rel, 0.15);
 }
@@ -149,12 +162,12 @@ TEST(MyriBarriers, PairwiseExchangeSlowerOnNonPowerOfTwo) {
   Engine ep, ed;
   MyriCluster cp(ep, myri::lanaixp_cluster(), 6);
   MyriCluster cd(ed, myri::lanaixp_cluster(), 6);
-  auto pe = cp.make_barrier(MyriBarrierKind::kNicCollective,
+  auto pe = make_myri_barrier(cp, MyriKind::kColl,
                             coll::Algorithm::kPairwiseExchange);
-  auto ds = cd.make_barrier(MyriBarrierKind::kNicCollective,
+  auto ds = make_myri_barrier(cd, MyriKind::kColl,
                             coll::Algorithm::kDissemination);
-  const auto rpe = run_consecutive_barriers(ep, *pe, 5, 20);
-  const auto rds = run_consecutive_barriers(ed, *ds, 5, 20);
+  const auto rpe = run_consecutive(ep, *pe, {.warmup = 5, .iters = 20});
+  const auto rds = run_consecutive(ed, *ds, {.warmup = 5, .iters = 20});
   EXPECT_GT(rpe.mean.picos(), rds.mean.picos());
 }
 
@@ -162,12 +175,12 @@ TEST(MyriBarriers, AlgorithmsTieOnPowerOfTwo) {
   Engine ep, ed;
   MyriCluster cp(ep, myri::lanaixp_cluster(), 8);
   MyriCluster cd(ed, myri::lanaixp_cluster(), 8);
-  auto pe = cp.make_barrier(MyriBarrierKind::kNicCollective,
+  auto pe = make_myri_barrier(cp, MyriKind::kColl,
                             coll::Algorithm::kPairwiseExchange);
-  auto ds = cd.make_barrier(MyriBarrierKind::kNicCollective,
+  auto ds = make_myri_barrier(cd, MyriKind::kColl,
                             coll::Algorithm::kDissemination);
-  const auto rpe = run_consecutive_barriers(ep, *pe, 5, 20);
-  const auto rds = run_consecutive_barriers(ed, *ds, 5, 20);
+  const auto rpe = run_consecutive(ep, *pe, {.warmup = 5, .iters = 20});
+  const auto rds = run_consecutive(ed, *ds, {.warmup = 5, .iters = 20});
   const double rel = std::abs(rpe.mean.micros() - rds.mean.micros()) / rds.mean.micros();
   EXPECT_LT(rel, 0.10);
 }
@@ -176,9 +189,9 @@ TEST(MyriBarriers, NicBarrierSurvivesRandomLoss) {
   Engine engine;
   MyriCluster cluster(engine, myri::lanaixp_cluster(), 8);
   cluster.fabric().faults().add_random_rule(std::nullopt, std::nullopt, 0.02, 2024);
-  auto barrier = cluster.make_barrier(MyriBarrierKind::kNicCollective,
+  auto barrier = make_myri_barrier(cluster, MyriKind::kColl,
                                       coll::Algorithm::kDissemination);
-  const auto result = run_consecutive_barriers(engine, *barrier, 0, 30);
+  const auto result = run_consecutive(engine, *barrier, {.warmup = 0, .iters = 30});
   EXPECT_EQ(result.iterations, 30u);
 }
 
@@ -186,9 +199,9 @@ TEST(MyriBarriers, HostBarrierSurvivesRandomLoss) {
   Engine engine;
   MyriCluster cluster(engine, myri::lanaixp_cluster(), 4);
   cluster.fabric().faults().add_random_rule(std::nullopt, std::nullopt, 0.02, 7);
-  auto barrier = cluster.make_barrier(MyriBarrierKind::kHost,
+  auto barrier = make_myri_barrier(cluster, MyriKind::kHost,
                                       coll::Algorithm::kDissemination);
-  const auto result = run_consecutive_barriers(engine, *barrier, 0, 15);
+  const auto result = run_consecutive(engine, *barrier, {.warmup = 0, .iters = 15});
   EXPECT_EQ(result.iterations, 15u);
 }
 
@@ -198,9 +211,9 @@ TEST(MyriBarriers, LatencyGrowsLogarithmically) {
   auto mean_at = [](int n) {
     Engine e;
     MyriCluster c(e, myri::lanaixp_cluster(), n);
-    auto b = c.make_barrier(MyriBarrierKind::kNicCollective,
+    auto b = make_myri_barrier(c, MyriKind::kColl,
                             coll::Algorithm::kDissemination);
-    return run_consecutive_barriers(e, *b, 5, 20).mean.micros();
+    return run_consecutive(e, *b, {.warmup = 5, .iters = 20}).mean.micros();
   };
   const double at4 = mean_at(4);
   const double at8 = mean_at(8);

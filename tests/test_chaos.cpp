@@ -5,21 +5,39 @@
 
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "core/collectives.hpp"
-#include "core/myri_barriers.hpp"
 
 namespace qmb::core {
 namespace {
 
 using sim::Engine;
 
+/// The three Myrinet barriers. Four bytes wide with fixed values: each
+/// case's ctest name dumps them.
+enum class MyriKind : std::int32_t { kHost = 0, kDirect = 1, kColl = 2 };
+
+std::unique_ptr<Collective> make_myri_barrier(MyriCluster& cluster, MyriKind kind,
+                                              std::vector<int> placement) {
+  coll::CollSpec spec{.rank_to_node = std::move(placement)};
+  if (kind == MyriKind::kDirect) return make_direct_barrier(cluster, spec);
+  if (kind == MyriKind::kHost) spec.engine = coll::Engine::kHost;
+  return make_collective(cluster, spec);
+}
+
+// gtest has no printer for ChaosCase, so it dumps the raw bytes into each
+// case's ctest name. The padding is spelled out and zeroed: left implicit,
+// it carried leftover bytes, and some names changed between builds.
 struct ChaosCase {
-  MyriBarrierKind kind;
+  MyriKind kind;
+  std::uint8_t pad[4] = {};
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<ChaosCase>,
+              "ChaosCase must have no implicit padding");
 
 class BarrierChaos : public ::testing::TestWithParam<ChaosCase> {};
 
@@ -38,8 +56,7 @@ TEST_P(BarrierChaos, SurvivesEverythingAtOnce) {
       .drop();
 
   sim::Rng rng(p.seed + 2);
-  auto barrier = cluster.make_barrier(p.kind, coll::Algorithm::kDissemination,
-                                      random_placement(7, rng));
+  auto barrier = make_myri_barrier(cluster, p.kind, random_placement(7, rng));
 
   // Ranks enter 12 consecutive barriers with random per-entry skew.
   const int iters = 12;
@@ -48,7 +65,7 @@ TEST_P(BarrierChaos, SurvivesEverythingAtOnce) {
     if (done[static_cast<std::size_t>(rank)] >= iters) return;
     const auto jitter = sim::microseconds(static_cast<std::int64_t>(rng.next_below(30)));
     engine.schedule(jitter, [&, rank] {
-      barrier->enter(rank, [&, rank] {
+      barrier->enter(rank, 0, [&, rank](std::int64_t) {
         ++done[static_cast<std::size_t>(rank)];
         engine.schedule(sim::SimDuration::zero(), [&loop, rank] { loop(rank); });
       });
@@ -64,10 +81,9 @@ TEST_P(BarrierChaos, SurvivesEverythingAtOnce) {
 
 std::vector<ChaosCase> chaos_cases() {
   std::vector<ChaosCase> cases;
-  for (const auto kind : {MyriBarrierKind::kHost, MyriBarrierKind::kNicDirect,
-                          MyriBarrierKind::kNicCollective}) {
+  for (const auto kind : {MyriKind::kHost, MyriKind::kDirect, MyriKind::kColl}) {
     for (std::uint64_t seed : {11ull, 22ull, 33ull, 44ull}) {
-      cases.push_back({kind, seed});
+      cases.push_back({.kind = kind, .seed = seed});
     }
   }
   return cases;
@@ -77,9 +93,9 @@ INSTANTIATE_TEST_SUITE_P(Kinds, BarrierChaos, ::testing::ValuesIn(chaos_cases())
                          [](const ::testing::TestParamInfo<ChaosCase>& info) {
                            std::string kind;
                            switch (info.param.kind) {
-                             case MyriBarrierKind::kHost: kind = "host"; break;
-                             case MyriBarrierKind::kNicDirect: kind = "direct"; break;
-                             case MyriBarrierKind::kNicCollective: kind = "coll"; break;
+                             case MyriKind::kHost: kind = "host"; break;
+                             case MyriKind::kDirect: kind = "direct"; break;
+                             case MyriKind::kColl: kind = "coll"; break;
                            }
                            return kind + "_seed" + std::to_string(info.param.seed);
                          });
@@ -134,15 +150,14 @@ TEST(Chaos, QuadricsBarrierWithRandomSkewStaysCorrect) {
   for (std::uint64_t seed : {3ull, 9ull, 27ull}) {
     Engine engine;
     ElanCluster cluster(engine, elan::elan3_cluster(), 6);
-    auto barrier = cluster.make_barrier(ElanBarrierKind::kNicChained,
-                                        coll::Algorithm::kDissemination);
+    auto barrier = make_collective(cluster, {});
     sim::Rng rng(seed);
     std::vector<int> done(6, 0);
     std::function<void(int)> loop = [&](int rank) {
       if (done[static_cast<std::size_t>(rank)] >= 10) return;
       const auto jitter = sim::microseconds(static_cast<std::int64_t>(rng.next_below(40)));
       engine.schedule(jitter, [&, rank] {
-        barrier->enter(rank, [&, rank] {
+        barrier->enter(rank, 0, [&, rank](std::int64_t) {
           ++done[static_cast<std::size_t>(rank)];
           engine.schedule(sim::SimDuration::zero(), [&loop, rank] { loop(rank); });
         });

@@ -1,9 +1,11 @@
-// Cluster builders, placement helpers, and the benchmark runner.
+// Cluster builders, placement helpers, and the run driver.
 #include "core/cluster.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
+
+#include "core/collectives.hpp"
 
 namespace qmb::core {
 namespace {
@@ -64,8 +66,8 @@ TEST(Placement, RandomIsAPermutation) {
 TEST(Runner, CollectsExactlyItersSamples) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 2);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  const auto r = run_consecutive_barriers(e, *b, 3, 7);
+  auto b = make_collective(c, {});
+  const auto r = run_consecutive(e, *b, {.warmup = 3, .iters = 7});
   EXPECT_EQ(r.iterations, 7u);
   EXPECT_EQ(r.per_iteration.count(), 7u);
   EXPECT_EQ(r.mean, r.per_iteration.mean());
@@ -74,40 +76,60 @@ TEST(Runner, CollectsExactlyItersSamples) {
 TEST(Runner, ZeroWarmupWorks) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 2);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  const auto r = run_consecutive_barriers(e, *b, 0, 3);
+  auto b = make_collective(c, {});
+  const auto r = run_consecutive(e, *b, {.warmup = 0, .iters = 3});
   EXPECT_EQ(r.per_iteration.count(), 3u);
   // First sample includes cold start from t=0.
   EXPECT_GT(r.per_iteration.max().picos(), 0);
 }
 
+/// Forwards to `inner`, changing what some ranks see.
+struct Tampered final : Collective {
+  Collective& inner;
+  bool drop_odd_ranks = false;   // odd ranks never really enter
+  std::int64_t result_skew = 0;  // added to every delivered result
+  explicit Tampered(Collective& c) : inner(c) {}
+  void enter(int rank, std::int64_t value, DoneFn done) override {
+    if (drop_odd_ranks && rank % 2 != 0) return;
+    inner.enter(rank, value, [this, done = std::move(done)](std::int64_t result) {
+      done(result + result_skew);
+    });
+  }
+  std::string_view name() const override { return "tampered"; }
+  int size() const override { return inner.size(); }
+  coll::OpKind kind() const override { return inner.kind(); }
+};
+
 TEST(Runner, ThrowsOnDeadlockedBarrier) {
   // A barrier that never completes must be detected by the watchdog, not
   // hang. Build one by only entering half the ranks via a wrapper.
-  struct HalfBarrier final : Barrier {
-    Barrier& inner;
-    explicit HalfBarrier(Barrier& b) : inner(b) {}
-    void enter(int rank, sim::EventCallback done) override {
-      if (rank % 2 == 0) inner.enter(rank, std::move(done));
-      // Odd ranks never really enter: their done never fires.
-    }
-    std::string_view name() const override { return "half"; }
-    int size() const override { return inner.size(); }
-  };
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 4);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  HalfBarrier half(*b);
-  EXPECT_THROW(run_consecutive_barriers(e, half, 0, 1), std::runtime_error);
+  auto b = make_collective(c, {});
+  Tampered half(*b);
+  half.drop_odd_ranks = true;
+  EXPECT_THROW(run_consecutive(e, half, {.iters = 1}), std::runtime_error);
+}
+
+TEST(Runner, CountsResultsThatMissTheExpectedValue) {
+  Engine e;
+  MyriCluster c(e, myri::lanaixp_cluster(), 4);
+  auto b = make_collective(c, {});
+  Tampered wrong(*b);
+  wrong.result_skew = 1;  // a barrier's result must be 0
+  const auto r = run_consecutive(e, wrong, {.warmup = 1, .iters = 2});
+  EXPECT_EQ(r.value_errors, 4u * 3u);
 }
 
 TEST(Factories, AllMyriKindsConstruct) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 4);
-  for (const auto kind : {MyriBarrierKind::kHost, MyriBarrierKind::kNicDirect,
-                          MyriBarrierKind::kNicCollective}) {
-    auto b = c.make_barrier(kind, coll::Algorithm::kDissemination);
+  const std::unique_ptr<Collective> all[] = {
+      make_collective(c, {.engine = coll::Engine::kHost}), make_direct_barrier(c, {}),
+      make_collective(c, {})};
+  for (const auto& b : all) {
     EXPECT_EQ(b->size(), 4);
+    EXPECT_EQ(b->kind(), coll::OpKind::kBarrier);
     EXPECT_FALSE(b->name().empty());
   }
 }
@@ -115,73 +137,74 @@ TEST(Factories, AllMyriKindsConstruct) {
 TEST(Factories, AllElanKindsConstruct) {
   Engine e;
   ElanCluster c(e, elan::elan3_cluster(), 4);
-  for (const auto kind : {ElanBarrierKind::kGsyncTree, ElanBarrierKind::kHardware,
-                          ElanBarrierKind::kNicChained}) {
-    auto b = c.make_barrier(kind, coll::Algorithm::kDissemination);
+  const std::unique_ptr<Collective> all[] = {make_gsync_barrier(c), make_hgsync_barrier(c),
+                                             make_collective(c, {})};
+  for (const auto& b : all) {
     EXPECT_EQ(b->size(), 4);
+    EXPECT_EQ(b->kind(), coll::OpKind::kBarrier);
     EXPECT_FALSE(b->name().empty());
   }
 }
 
-// ---------- split-phase notify/wait ----------
+// ---------- split-phase start/wait ----------
 
 TEST(SplitPhase, NotifyComputeWaitCompletesAllRanks) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 4);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
+  auto b = make_collective(c, {});
   int done = 0;
-  for (int r = 0; r < b->size(); ++r) b->notify(r);
-  for (int r = 0; r < b->size(); ++r) b->wait(r, [&done] { ++done; });
+  for (int r = 0; r < b->size(); ++r) b->start(r, 0);
+  for (int r = 0; r < b->size(); ++r) b->wait(r, [&done](std::int64_t) { ++done; });
   e.run();
   EXPECT_EQ(done, 4);
 }
 
 TEST(SplitPhase, WaitAfterProtocolFinishedCompletesImmediately) {
-  // All ranks notify, the engine runs to quiescence (the protocol finishes
+  // All ranks start, the engine runs to quiescence (the protocol finishes
   // with no waiter parked), and only then does the host wait(): the kReady
   // path must complete synchronously, without another engine step.
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 2);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  b->notify(0);
-  b->notify(1);
+  auto b = make_collective(c, {});
+  b->start(0, 0);
+  b->start(1, 0);
   e.run();
   int done = 0;
-  b->wait(0, [&done] { ++done; });
-  b->wait(1, [&done] { ++done; });
+  b->wait(0, [&done](std::int64_t) { ++done; });
+  b->wait(1, [&done](std::int64_t) { ++done; });
   EXPECT_EQ(done, 2);
 }
 
 TEST(SplitPhase, DoubleNotifyThrows) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 2);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  b->notify(0);
-  EXPECT_THROW(b->notify(0), std::logic_error);
+  auto b = make_collective(c, {});
+  b->start(0, 0);
+  EXPECT_THROW(b->start(0, 0), std::logic_error);
 }
 
 TEST(SplitPhase, WaitWithoutNotifyThrows) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 2);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  EXPECT_THROW(b->wait(0, [] {}), std::logic_error);
+  auto b = make_collective(c, {});
+  EXPECT_THROW(b->wait(0, [](std::int64_t) {}), std::logic_error);
 }
 
 TEST(SplitPhase, DoubleWaitThrows) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 2);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  b->notify(0);
-  b->wait(0, [] {});
-  EXPECT_THROW(b->wait(0, [] {}), std::logic_error);
+  auto b = make_collective(c, {});
+  b->start(0, 0);
+  b->wait(0, [](std::int64_t) {});
+  EXPECT_THROW(b->wait(0, [](std::int64_t) {}), std::logic_error);
 }
 
 TEST(SplitPhase, RankOutOfRangeThrows) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 2);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  EXPECT_THROW(b->notify(-1), std::logic_error);
-  EXPECT_THROW(b->notify(2), std::logic_error);
+  auto b = make_collective(c, {});
+  EXPECT_THROW(b->start(-1, 0), std::logic_error);
+  EXPECT_THROW(b->start(2, 0), std::logic_error);
 }
 
 TEST(SplitPhase, RunnerOverlapDominatesIterationCost) {
@@ -189,9 +212,9 @@ TEST(SplitPhase, RunnerOverlapDominatesIterationCost) {
   // iteration's visible cost is essentially the overlap itself.
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 4);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
+  auto b = make_collective(c, {});
   const auto overlap = sim::microseconds(500);
-  const auto r = run_split_phase_barriers(e, *b, 1, 5, overlap);
+  const auto r = run_consecutive(e, *b, {.warmup = 1, .iters = 5, .overlap = overlap});
   EXPECT_EQ(r.iterations, 5u);
   EXPECT_GE(r.mean, overlap);
   EXPECT_LT(r.mean, overlap + sim::microseconds(100));
@@ -202,23 +225,38 @@ TEST(SplitPhase, RunnerZeroOverlapMatchesBlockingRunner) {
   // barrier, comparable mean (split-phase adds no protocol work).
   Engine e1;
   MyriCluster c1(e1, myri::lanaixp_cluster(), 4);
-  auto b1 = c1.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  const auto blocking = run_consecutive_barriers(e1, *b1, 1, 5);
+  auto b1 = make_collective(c1, {});
+  const auto blocking = run_consecutive(e1, *b1, {.warmup = 1, .iters = 5});
   Engine e2;
   MyriCluster c2(e2, myri::lanaixp_cluster(), 4);
-  auto b2 = c2.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  const auto split = run_split_phase_barriers(e2, *b2, 1, 5, sim::SimDuration::zero());
+  auto b2 = make_collective(c2, {});
+  const auto split =
+      run_consecutive(e2, *b2, {.warmup = 1, .iters = 5, .overlap = sim::SimDuration::zero()});
   EXPECT_EQ(split.iterations, blocking.iterations);
   EXPECT_EQ(split.mean, blocking.mean);
+}
+
+TEST(SplitPhase, RunnerSkewsSplitPhaseEntriesToo) {
+  // The one driver applies entry skew in both modes: skewed entries can
+  // only stretch the completion-to-completion series.
+  const auto mean_with_skew = [](sim::SimDuration skew) {
+    Engine e;
+    MyriCluster c(e, myri::lanaixp_cluster(), 4);
+    auto b = make_collective(c, {});
+    return run_consecutive(e, *b,
+                           {.warmup = 1, .iters = 5, .overlap = sim::SimDuration::zero(),
+                            .max_skew = skew, .skew_seed = 7})
+        .mean;
+  };
+  EXPECT_GT(mean_with_skew(sim::microseconds(50)), mean_with_skew(sim::SimDuration::zero()));
 }
 
 TEST(Factories, PlacementMustCoverCluster) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 4);
   // A 4-rank barrier on 4 nodes with a permuted placement works.
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination,
-                          {3, 2, 1, 0});
-  const auto r = run_consecutive_barriers(e, *b, 0, 2);
+  auto b = make_collective(c, {.rank_to_node = {3, 2, 1, 0}});
+  const auto r = run_consecutive(e, *b, {.warmup = 0, .iters = 2});
   EXPECT_EQ(r.iterations, 2u);
 }
 

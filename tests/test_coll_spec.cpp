@@ -432,95 +432,6 @@ TEST(CollSpecJson, EnumCodecsRoundTrip) {
   EXPECT_FALSE(coll::parse_algorithm("butterfly").has_value());
 }
 
-// ---------- deprecated factory shims ----------
-
-/// Drives `total` consecutive allreduces and returns a behaviour digest:
-/// (events fired, packets, bytes, xor of every delivered result).
-struct DriveDigest {
-  std::uint64_t events = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-  std::int64_t result_xor = 0;
-  friend bool operator==(const DriveDigest&, const DriveDigest&) = default;
-};
-
-DriveDigest drive(sim::Engine& engine, MyriCluster& cluster, Collective& op,
-                  int total) {
-  DriveDigest d;
-  const int n = op.size();
-  std::vector<int> iter_of(static_cast<std::size_t>(n), 0);
-  std::function<void(int)> loop = [&](int rank) {
-    const int it = iter_of[static_cast<std::size_t>(rank)];
-    if (it >= total) return;
-    op.enter(rank, rank + it + 1, [&, rank, it](std::int64_t v) {
-      d.result_xor ^= v * (rank + 1);
-      iter_of[static_cast<std::size_t>(rank)] = it + 1;
-      engine.schedule(sim::SimDuration::zero(), [&loop, rank] { loop(rank); });
-    });
-  };
-  for (int r = 0; r < n; ++r) loop(r);
-  engine.run();
-  d.events = engine.events_fired();
-  d.packets = cluster.fabric().packets_sent();
-  d.bytes = cluster.fabric().bytes_sent();
-  return d;
-}
-
-TEST(CollSpecShims, DeprecatedFactoriesMatchTheCollSpecPathExactly) {
-  // The shims must lower to the same CollSpec construction — identical
-  // event counts, wire traffic, and results on the same drive loop.
-  const auto run_new = [](bool nic) {
-    sim::Engine engine;
-    MyriCluster cluster(engine, myri::lanaixp_cluster(), 6);
-    coll::CollSpec spec;
-    spec.op = coll::OpKind::kAllreduce;
-    spec.engine = nic ? coll::Engine::kNic : coll::Engine::kHost;
-    auto op = make_collective(cluster, spec);
-    return drive(engine, cluster, *op, 3);
-  };
-  const auto run_old = [](bool nic) {
-    sim::Engine engine;
-    MyriCluster cluster(engine, myri::lanaixp_cluster(), 6);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    auto op = nic ? make_nic_collective(cluster, coll::OpKind::kAllreduce)
-                  : make_host_collective(cluster, coll::OpKind::kAllreduce);
-#pragma GCC diagnostic pop
-    return drive(engine, cluster, *op, 3);
-  };
-  EXPECT_EQ(run_old(true), run_new(true));
-  EXPECT_EQ(run_old(false), run_new(false));
-}
-
-TEST(CollSpecShims, ElanShimsMatchToo) {
-  const auto digest = [](bool legacy) {
-    sim::Engine engine;
-    ElanCluster cluster(engine, elan::elan3_cluster(), 5);
-    std::unique_ptr<Collective> op;
-    if (legacy) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      op = make_elan_nic_collective(cluster, coll::OpKind::kBcast, 2);
-#pragma GCC diagnostic pop
-    } else {
-      coll::CollSpec spec;
-      spec.op = coll::OpKind::kBcast;
-      spec.root = 2;
-      op = make_collective(cluster, spec);
-    }
-    std::vector<std::int64_t> results(5, -1);
-    for (int r = 0; r < 5; ++r) {
-      op->enter(r, r == 2 ? 77 : 0, [&results, r](std::int64_t v) {
-        results[static_cast<std::size_t>(r)] = v;
-      });
-    }
-    engine.run();
-    for (int r = 0; r < 5; ++r) EXPECT_EQ(results[static_cast<std::size_t>(r)], 77);
-    return std::pair{engine.events_fired(), cluster.fabric().bytes_sent()};
-  };
-  EXPECT_EQ(digest(true), digest(false));
-}
-
 // ---------- value algorithms change wire behaviour ----------
 
 TEST(CollSpecEndToEnd, AllreduceAlgorithmsProduceDistinctFingerprints) {

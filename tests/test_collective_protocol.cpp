@@ -58,7 +58,9 @@ struct Harness {
       const auto d = delays.empty() ? sim::SimDuration::zero()
                                     : delays[static_cast<std::size_t>(r)];
       engine.schedule(d, [this, gid, r, &done] {
-        coll(r).host_enter(gid, [&done, r] { done[static_cast<std::size_t>(r)] = true; });
+        coll(r).collective_enter(gid, 0, [&done, r](std::int64_t) {
+          done[static_cast<std::size_t>(r)] = true;
+        });
       });
     }
     engine.run();
@@ -124,7 +126,7 @@ TEST(CollectiveEngine, BarrierSafetyNobodyExitsBeforeLastEntry) {
   for (int r = 0; r < n; ++r) {
     const auto d = r == n - 1 ? last_entry : sim::microseconds(r);
     h.engine.schedule(d, [&h, r, &completed] {
-      h.coll(r).host_enter(1, [&h, r, &completed] {
+      h.coll(r).collective_enter(1, 0, [&h, r, &completed](std::int64_t) {
         completed[static_cast<std::size_t>(r)] = h.engine.now();
       });
     });
@@ -180,7 +182,7 @@ TEST(CollectiveEngine, ConsecutiveBarriersReuseWindowSlots) {
   h.make_group(1, coll::Algorithm::kDissemination);
   int completions = 0;
   std::function<void(int, int)> loop = [&](int rank, int remaining) {
-    h.coll(rank).host_enter(1, [&, rank, remaining] {
+    h.coll(rank).collective_enter(1, 0, [&, rank, remaining](std::int64_t) {
       ++completions;
       if (remaining > 1) {
         h.engine.schedule(sim::SimDuration::zero(),
@@ -202,8 +204,8 @@ TEST(CollectiveEngine, TwoGroupsCoexist) {
   h.make_group(2, coll::Algorithm::kPairwiseExchange);
   int done = 0;
   for (int r = 0; r < 4; ++r) {
-    h.coll(r).host_enter(1, [&] { ++done; });
-    h.coll(r).host_enter(2, [&] { ++done; });
+    h.coll(r).collective_enter(1, 0, [&](std::int64_t) { ++done; });
+    h.coll(r).collective_enter(2, 0, [&](std::int64_t) { ++done; });
   }
   h.engine.run();
   EXPECT_EQ(done, 8);

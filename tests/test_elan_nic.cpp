@@ -39,14 +39,14 @@ struct Harness {
     std::vector<int> ident(static_cast<std::size_t>(n));
     std::iota(ident.begin(), ident.end(), 0);
     for (int r = 0; r < n; ++r) {
-      ElanGroupDesc d;
+      coll::GroupDesc d;
       d.group_id = gid;
       d.my_rank = r;
       d.rank_to_node = coll::make_placement(ident);
       d.schedule = sched.ranks[static_cast<std::size_t>(r)];
       d.op_kind = kind;
       d.reduce_op = op;
-      nics[static_cast<std::size_t>(r)]->create_barrier_group(std::move(d));
+      nics[static_cast<std::size_t>(r)]->create_group(std::move(d));
     }
   }
 };
@@ -119,11 +119,11 @@ TEST(ElanNic, EarlyArrivalBufferedUntilHostEnters) {
   Harness h(2);
   h.make_group(1, coll::OpKind::kBarrier, coll::Algorithm::kDissemination);
   bool done0 = false, done1 = false;
-  h.nics[0]->barrier_enter(1, [&] { done0 = true; });
+  h.nics[0]->collective_enter(1, 0, [&](std::int64_t) { done0 = true; });
   h.engine.run();
   EXPECT_FALSE(done0);  // peer has not entered
   EXPECT_GE(h.nics[1]->stats().early_buffered.value(), 1u);
-  h.nics[1]->barrier_enter(1, [&] { done1 = true; });
+  h.nics[1]->collective_enter(1, 0, [&](std::int64_t) { done1 = true; });
   h.engine.run();
   EXPECT_TRUE(done0);
   EXPECT_TRUE(done1);
@@ -134,13 +134,14 @@ TEST(ElanNic, ConsecutiveOpsRecycleWindowSlots) {
   h.make_group(1, coll::OpKind::kBarrier, coll::Algorithm::kDissemination);
   int completions = 0;
   std::function<void(int, int)> loop = [&](int rank, int remaining) {
-    h.nics[static_cast<std::size_t>(rank)]->barrier_enter(1, [&, rank, remaining] {
-      ++completions;
-      if (remaining > 1) {
-        h.engine.schedule(sim::SimDuration::zero(),
-                          [&loop, rank, remaining] { loop(rank, remaining - 1); });
-      }
-    });
+    h.nics[static_cast<std::size_t>(rank)]->collective_enter(
+        1, 0, [&, rank, remaining](std::int64_t) {
+          ++completions;
+          if (remaining > 1) {
+            h.engine.schedule(sim::SimDuration::zero(),
+                              [&loop, rank, remaining] { loop(rank, remaining - 1); });
+          }
+        });
   };
   for (int r = 0; r < 4; ++r) loop(r, 8);
   h.engine.run();
@@ -151,11 +152,11 @@ TEST(ElanNic, ConsecutiveOpsRecycleWindowSlots) {
 TEST(ElanNic, DuplicateGroupRejected) {
   Harness h(2);
   h.make_group(1, coll::OpKind::kBarrier, coll::Algorithm::kDissemination);
-  ElanGroupDesc d;
+  coll::GroupDesc d;
   d.group_id = 1;
   d.my_rank = 0;
   d.rank_to_node = coll::make_placement({0, 1});
-  EXPECT_THROW(h.nics[0]->create_barrier_group(std::move(d)), std::invalid_argument);
+  EXPECT_THROW(h.nics[0]->create_group(std::move(d)), std::invalid_argument);
 }
 
 TEST(ElanNic, TsetFlagRoundsAreMonotone) {

@@ -152,6 +152,23 @@ TEST(FuzzCase, DerivationCoversTheSpace) {
   EXPECT_TRUE(any_skew);
 }
 
+TEST(FuzzCase, NoDerivedCaseSkewsASplitPhaseOrWorkloadRun) {
+  // validate() rejects the pairing, so the derivation must never produce
+  // it; the campaign's own seed stream must still reach all three modes.
+  int skewed = 0, split = 0, workload = 0;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const auto s = derive_case(run::seed_for(1, i));
+    const bool skew = s.skew_max_us > 0.0;
+    EXPECT_FALSE(skew && (s.overlap_us >= 0.0 || s.workload.enabled())) << "case " << i;
+    skewed += skew ? 1 : 0;
+    split += s.overlap_us >= 0.0 ? 1 : 0;
+    workload += s.workload.enabled() ? 1 : 0;
+  }
+  EXPECT_GT(skewed, 0);
+  EXPECT_GT(split, 0);
+  EXPECT_GT(workload, 0);
+}
+
 TEST(FuzzCase, DerivationDrawsEveryBarrierAlgorithm) {
   // The CI smoke run asserts nonzero coverage of every algorithm in the
   // zoo; this is the same property over a small in-process seed range.

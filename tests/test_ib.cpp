@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "core/collectives.hpp"
 #include "model/analytic.hpp"
 #include "net/fault.hpp"
 
@@ -142,21 +143,19 @@ TEST(IbCollective, WindowOverrunThrows) {
   // buffering); a third doorbell while both slots are busy is a protocol
   // violation, not a silent queue.
   Harness h(2);
-  auto barrier = h.cluster.make_barrier(core::IbBarrierKind::kNicCollective,
-                                        coll::Algorithm::kDissemination);
+  auto barrier = core::make_collective(h.cluster, {});
   // Rank 1 never enters, so rank 0's operations can never complete.
-  barrier->enter(0, [] {});
-  barrier->enter(0, [] {});
-  barrier->enter(0, [] {});
+  barrier->enter(0, 0, [](std::int64_t) {});
+  barrier->enter(0, 0, [](std::int64_t) {});
+  barrier->enter(0, 0, [](std::int64_t) {});
   EXPECT_THROW(h.engine.run(), std::logic_error);
 }
 
 TEST(IbBarrier, RerunIsBitIdentical) {
   const auto run_once = [] {
     Harness h(8);
-    auto barrier = h.cluster.make_barrier(core::IbBarrierKind::kNicCollective,
-                                          coll::Algorithm::kDissemination);
-    return core::run_consecutive_barriers(h.engine, *barrier, 2, 20).mean.picos();
+    auto barrier = core::make_collective(h.cluster, {});
+    return core::run_consecutive(h.engine, *barrier, {.warmup = 2, .iters = 20}).mean.picos();
   };
   EXPECT_EQ(run_once(), run_once());
 }
@@ -168,9 +167,8 @@ TEST(IbBarrier, NicDisseminationFitsTheLogCurve) {
   std::vector<model::MeasuredPoint> points;
   for (const int n : {4, 8, 16, 32}) {
     Harness h(n);
-    auto barrier = h.cluster.make_barrier(core::IbBarrierKind::kNicCollective,
-                                          coll::Algorithm::kDissemination);
-    const auto res = core::run_consecutive_barriers(h.engine, *barrier, 2, 30);
+    auto barrier = core::make_collective(h.cluster, {});
+    const auto res = core::run_consecutive(h.engine, *barrier, {.warmup = 2, .iters = 30});
     points.push_back({n, res.mean.micros()});
   }
   const auto [intercept, slope] = model::fit_intercept_slope(points);

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "core/cluster.hpp"
-#include "core/myri_barriers.hpp"
+#include "core/collectives.hpp"
 #include "model/analytic.hpp"
 
 namespace qmb::core {
@@ -19,15 +19,15 @@ double nic_ds_mean_us(const myri::MyrinetConfig& cfg, int n, int warmup = 10,
                       int iters = 50) {
   Engine e;
   MyriCluster c(e, cfg, n);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  return run_consecutive_barriers(e, *b, warmup, iters).mean.micros();
+  auto b = make_collective(c, {});
+  return run_consecutive(e, *b, {.warmup = warmup, .iters = iters}).mean.micros();
 }
 
 double host_ds_mean_us(const myri::MyrinetConfig& cfg, int n) {
   Engine e;
   MyriCluster c(e, cfg, n);
-  auto b = c.make_barrier(MyriBarrierKind::kHost, coll::Algorithm::kDissemination);
-  return run_consecutive_barriers(e, *b, 10, 50).mean.micros();
+  auto b = make_collective(c, {.engine = coll::Engine::kHost});
+  return run_consecutive(e, *b, {.warmup = 10, .iters = 50}).mean.micros();
 }
 
 TEST(Determinism, IdenticalRunsProduceIdenticalLatencies) {
@@ -39,8 +39,8 @@ TEST(Determinism, IdenticalRunsProduceIdenticalLatencies) {
 TEST(Determinism, SteadyStateIsNoiseless) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 8);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  const auto r = run_consecutive_barriers(e, *b, 10, 100);
+  auto b = make_collective(c, {});
+  const auto r = run_consecutive(e, *b, {.warmup = 10, .iters = 100});
   // A deterministic pipeline of identical barriers has identical iteration
   // latencies (the paper saw "negligible variations").
   EXPECT_EQ(r.per_iteration.min(), r.per_iteration.max());
@@ -98,7 +98,7 @@ TEST(Concurrency, BarrierCorrectUnderCompetingTraffic) {
   // barrier must stay correct (and the traffic must all arrive).
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 8);
-  auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
+  auto b = make_collective(c, {});
 
   int received = 0;
   c.node(5).port().provide_receive_buffers(64);
@@ -106,7 +106,7 @@ TEST(Concurrency, BarrierCorrectUnderCompetingTraffic) {
   for (int i = 0; i < 20; ++i) {
     c.node(4).port().send(5, 4096, static_cast<std::uint32_t>(i));
   }
-  const auto r = run_consecutive_barriers(e, *b, 2, 10);
+  const auto r = run_consecutive(e, *b, {.warmup = 2, .iters = 10});
   EXPECT_EQ(r.iterations, 10u);
   EXPECT_EQ(received, 20);
 }
@@ -117,7 +117,7 @@ TEST(Concurrency, CompetingTrafficSlowsTheBarrier) {
   auto barrier_mean = [](bool with_traffic) {
     Engine e;
     MyriCluster c(e, myri::lanaixp_cluster(), 8);
-    auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
+    auto b = make_collective(c, {});
     if (with_traffic) {
       c.node(5).port().provide_receive_buffers(512);
       c.node(5).port().set_receive_handler([](const myri::RecvEvent&) {});
@@ -125,7 +125,7 @@ TEST(Concurrency, CompetingTrafficSlowsTheBarrier) {
         c.node(4).port().send(5, 4096, static_cast<std::uint32_t>(i));
       }
     }
-    return run_consecutive_barriers(e, *b, 2, 10).mean.micros();
+    return run_consecutive(e, *b, {.warmup = 2, .iters = 10}).mean.micros();
   };
   EXPECT_GT(barrier_mean(true), barrier_mean(false));
 }
@@ -143,8 +143,8 @@ TEST(Scalability, QuadricsClusterGrows) {
   auto elan_mean = [](int n) {
     Engine e;
     ElanCluster c(e, elan::elan3_cluster(), n);
-    auto b = c.make_barrier(ElanBarrierKind::kNicChained, coll::Algorithm::kDissemination);
-    return run_consecutive_barriers(e, *b, 3, 10).mean.micros();
+    auto b = make_collective(c, {});
+    return run_consecutive(e, *b, {.warmup = 3, .iters = 10}).mean.micros();
   };
   const double at8 = elan_mean(8);
   const double at64 = elan_mean(64);
@@ -157,10 +157,10 @@ TEST(PaperShape, QuadricsHeadlineBallpark) {
   Engine en, eg;
   ElanCluster cn(en, elan::elan3_cluster(), 8);
   ElanCluster cg(eg, elan::elan3_cluster(), 8);
-  auto nic = cn.make_barrier(ElanBarrierKind::kNicChained, coll::Algorithm::kDissemination);
-  auto gsync = cg.make_barrier(ElanBarrierKind::kGsyncTree, coll::Algorithm::kDissemination);
-  const double nic_us = run_consecutive_barriers(en, *nic, 10, 50).mean.micros();
-  const double gsync_us = run_consecutive_barriers(eg, *gsync, 10, 50).mean.micros();
+  auto nic = make_collective(cn, {});
+  auto gsync = make_gsync_barrier(cg);
+  const double nic_us = run_consecutive(en, *nic, {.warmup = 10, .iters = 50}).mean.micros();
+  const double gsync_us = run_consecutive(eg, *gsync, {.warmup = 10, .iters = 50}).mean.micros();
   EXPECT_GT(nic_us, 5.60 * 0.7);
   EXPECT_LT(nic_us, 5.60 * 1.3);
   const double factor = gsync_us / nic_us;

@@ -1,5 +1,5 @@
 // Quadrics substrate and barrier tests (paper Secs. 4.1, 7, 8.2).
-#include "core/quadrics_barriers.hpp"
+#include "core/collectives.hpp"
 
 #include <gtest/gtest.h>
 
@@ -45,9 +45,8 @@ TEST(ElanPut, LatencyIsMicrosecondScale) {
 TEST(ElanNicBarrier, CompletesForAllRanks) {
   Engine engine;
   ElanCluster cluster(engine, elan::elan3_cluster(), 8);
-  auto barrier = cluster.make_barrier(ElanBarrierKind::kNicChained,
-                                      coll::Algorithm::kDissemination);
-  const auto result = run_consecutive_barriers(engine, *barrier, 2, 10);
+  auto barrier = make_collective(cluster, {});
+  const auto result = run_consecutive(engine, *barrier, {.warmup = 2, .iters = 10});
   EXPECT_EQ(result.iterations, 10u);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(cluster.node(i).nic().stats().barrier_ops_completed.value(), 12u);
@@ -57,13 +56,14 @@ TEST(ElanNicBarrier, CompletesForAllRanks) {
 TEST(ElanNicBarrier, BarrierSafetyWithStraggler) {
   Engine engine;
   ElanCluster cluster(engine, elan::elan3_cluster(), 7);
-  auto barrier = cluster.make_barrier(ElanBarrierKind::kNicChained,
-                                      coll::Algorithm::kPairwiseExchange);
+  auto barrier = make_collective(cluster, {.algorithm = coll::Algorithm::kPairwiseExchange});
   const auto straggle = sim::microseconds(100);
   std::vector<SimTime> completed(7);
   for (int r = 0; r < 7; ++r) {
     engine.schedule(r == 3 ? straggle : sim::SimDuration::zero(), [&, r] {
-      barrier->enter(r, [&, r] { completed[static_cast<std::size_t>(r)] = engine.now(); });
+      barrier->enter(r, 0, [&, r](std::int64_t) {
+        completed[static_cast<std::size_t>(r)] = engine.now();
+      });
     });
   }
   engine.run();
@@ -75,9 +75,8 @@ TEST(ElanNicBarrier, BarrierSafetyWithStraggler) {
 TEST(ElanNicBarrier, ZeroByteRdmaOnTheWire) {
   Engine engine;
   ElanCluster cluster(engine, elan::elan3_cluster(), 2);
-  auto barrier = cluster.make_barrier(ElanBarrierKind::kNicChained,
-                                      coll::Algorithm::kDissemination);
-  run_consecutive_barriers(engine, *barrier, 0, 1);
+  auto barrier = make_collective(cluster, {});
+  run_consecutive(engine, *barrier, {.warmup = 0, .iters = 1});
   // Two barrier messages, each a header-only RDMA (no payload).
   EXPECT_EQ(cluster.fabric().packets_sent(), 2u);
   EXPECT_EQ(cluster.fabric().bytes_sent(), 2u * cluster.config().header_bytes);
@@ -87,10 +86,10 @@ TEST(ElanGsyncBarrier, CompletesAndIsSlowerThanNic) {
   Engine eg, en;
   ElanCluster cg(eg, elan::elan3_cluster(), 8);
   ElanCluster cn(en, elan::elan3_cluster(), 8);
-  auto gsync = cg.make_barrier(ElanBarrierKind::kGsyncTree, coll::Algorithm::kDissemination);
-  auto nic = cn.make_barrier(ElanBarrierKind::kNicChained, coll::Algorithm::kDissemination);
-  const auto rg = run_consecutive_barriers(eg, *gsync, 5, 30);
-  const auto rn = run_consecutive_barriers(en, *nic, 5, 30);
+  auto gsync = make_gsync_barrier(cg);
+  auto nic = make_collective(cn, {});
+  const auto rg = run_consecutive(eg, *gsync, {.warmup = 5, .iters = 30});
+  const auto rn = run_consecutive(en, *nic, {.warmup = 5, .iters = 30});
   const double factor = rg.mean.micros() / rn.mean.micros();
   EXPECT_GT(factor, 1.5);  // paper: 2.48x at 8 nodes
   EXPECT_LT(factor, 5.0);
@@ -99,9 +98,8 @@ TEST(ElanGsyncBarrier, CompletesAndIsSlowerThanNic) {
 TEST(ElanHwBarrier, CompletesAllRanks) {
   Engine engine;
   ElanCluster cluster(engine, elan::elan3_cluster(), 8);
-  auto barrier = cluster.make_barrier(ElanBarrierKind::kHardware,
-                                      coll::Algorithm::kDissemination);
-  const auto result = run_consecutive_barriers(engine, *barrier, 2, 10);
+  auto barrier = make_hgsync_barrier(cluster);
+  const auto result = run_consecutive(engine, *barrier, {.warmup = 2, .iters = 10});
   EXPECT_EQ(result.iterations, 10u);
   EXPECT_EQ(cluster.hw_barrier().rounds_completed(), 12u);
 }
@@ -110,8 +108,8 @@ TEST(ElanHwBarrier, LatencyIndependentOfNodeCount) {
   auto mean_at = [](int n) {
     Engine e;
     ElanCluster c(e, elan::elan3_cluster(), n);
-    auto b = c.make_barrier(ElanBarrierKind::kHardware, coll::Algorithm::kDissemination);
-    return run_consecutive_barriers(e, *b, 5, 20).mean.micros();
+    auto b = make_hgsync_barrier(c);
+    return run_consecutive(e, *b, {.warmup = 5, .iters = 20}).mean.micros();
   };
   const double at2 = mean_at(2);
   const double at8 = mean_at(8);
@@ -124,22 +122,22 @@ TEST(ElanHwBarrier, LatencyIndependentOfNodeCount) {
 TEST(ElanHwBarrier, SynchronizedProcessesNeedNoRetries) {
   Engine engine;
   ElanCluster cluster(engine, elan::elan3_cluster(), 8);
-  auto barrier = cluster.make_barrier(ElanBarrierKind::kHardware,
-                                      coll::Algorithm::kDissemination);
-  run_consecutive_barriers(engine, *barrier, 0, 20);
+  auto barrier = make_hgsync_barrier(cluster);
+  run_consecutive(engine, *barrier, {.warmup = 0, .iters = 20});
   EXPECT_EQ(cluster.hw_barrier().failed_probes(), 0u);
 }
 
 TEST(ElanHwBarrier, StragglerForcesProbeRetries) {
   Engine engine;
   ElanCluster cluster(engine, elan::elan3_cluster(), 4);
-  auto barrier = cluster.make_barrier(ElanBarrierKind::kHardware,
-                                      coll::Algorithm::kDissemination);
+  auto barrier = make_hgsync_barrier(cluster);
   std::vector<SimTime> completed(4);
   const auto straggle = sim::microseconds(50);  // >> retry backoff of 2us
   for (int r = 0; r < 4; ++r) {
     engine.schedule(r == 2 ? straggle : sim::SimDuration::zero(), [&, r] {
-      barrier->enter(r, [&, r] { completed[static_cast<std::size_t>(r)] = engine.now(); });
+      barrier->enter(r, 0, [&, r](std::int64_t) {
+        completed[static_cast<std::size_t>(r)] = engine.now();
+      });
     });
   }
   engine.run();
@@ -155,14 +153,14 @@ TEST(ElanHwBarrier, CrossoverWithNicBarrier) {
   auto nic_mean = [](int n) {
     Engine e;
     ElanCluster c(e, elan::elan3_cluster(), n);
-    auto b = c.make_barrier(ElanBarrierKind::kNicChained, coll::Algorithm::kDissemination);
-    return run_consecutive_barriers(e, *b, 5, 20).mean.micros();
+    auto b = make_collective(c, {});
+    return run_consecutive(e, *b, {.warmup = 5, .iters = 20}).mean.micros();
   };
   auto hw_mean = [](int n) {
     Engine e;
     ElanCluster c(e, elan::elan3_cluster(), n);
-    auto b = c.make_barrier(ElanBarrierKind::kHardware, coll::Algorithm::kDissemination);
-    return run_consecutive_barriers(e, *b, 5, 20).mean.micros();
+    auto b = make_hgsync_barrier(c);
+    return run_consecutive(e, *b, {.warmup = 5, .iters = 20}).mean.micros();
   };
   EXPECT_LT(nic_mean(2), hw_mean(2));    // NIC wins small
   EXPECT_GT(nic_mean(16), hw_mean(16));  // hardware wins large
@@ -174,10 +172,10 @@ TEST(ElanNicBarrier, PairwiseExchangeCompetitiveAtNonPowerOfTwo) {
   Engine ep, ed;
   ElanCluster cp(ep, elan::elan3_cluster(), 6);
   ElanCluster cd(ed, elan::elan3_cluster(), 6);
-  auto pe = cp.make_barrier(ElanBarrierKind::kNicChained, coll::Algorithm::kPairwiseExchange);
-  auto ds = cd.make_barrier(ElanBarrierKind::kNicChained, coll::Algorithm::kDissemination);
-  const auto rpe = run_consecutive_barriers(ep, *pe, 5, 20);
-  const auto rds = run_consecutive_barriers(ed, *ds, 5, 20);
+  auto pe = make_collective(cp, {.algorithm = coll::Algorithm::kPairwiseExchange});
+  auto ds = make_collective(cd, {});
+  const auto rpe = run_consecutive(ep, *pe, {.warmup = 5, .iters = 20});
+  const auto rds = run_consecutive(ed, *ds, {.warmup = 5, .iters = 20});
   EXPECT_LT(rpe.mean.micros(), rds.mean.micros() * 1.6);
 }
 

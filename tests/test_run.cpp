@@ -272,6 +272,25 @@ TEST(Validate, OverlapAppliesToValueOpsButExcludesWorkload) {
   EXPECT_NE(validate(s).find("--workload"), std::string::npos) << validate(s);
 }
 
+TEST(Validate, SkewIsRejectedOutsideTheBlockingLoop) {
+  // The split-phase loop and the workload's arrival process set entry
+  // times themselves; a skew there used to be dropped silently.
+  auto s = quick_spec();
+  s.skew_max_us = 5.0;
+  EXPECT_EQ(validate(s), "");
+  s.overlap_us = 4.0;
+  EXPECT_NE(validate(s).find("--skew is incompatible with --overlap"), std::string::npos)
+      << validate(s);
+
+  s = quick_spec();
+  s.skew_max_us = 5.0;
+  s.workload.groups = 1;
+  ASSERT_TRUE(s.workload.enabled());
+  EXPECT_NE(validate(s).find("--skew is incompatible with --workload"), std::string::npos)
+      << validate(s);
+  EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
+}
+
 TEST(ToJson, CarriesSpecAndResultFields) {
   const auto r = run_experiment(quick_spec());
   const std::string j = to_json(r);

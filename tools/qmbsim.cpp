@@ -58,9 +58,8 @@ struct Options {
       "  --radix R                                  gb tree degree / fway f\n"
       "         (default 0 = the algorithm's own default: gb 2, fway 4)\n"
       "  --overlap US                               split-phase collectives: each\n"
-      "         rank start()s (notify()s for barriers), computes US micro-\n"
-      "         seconds, then wait()s; measures how much of the operation\n"
-      "         hides behind compute\n"
+      "         rank start()s, computes US microseconds, then wait()s;\n"
+      "         measures how much of the operation hides behind compute\n"
       "  --iters K --warmup W                       (default 1000 / 100)\n"
       "  --seed S --perm                            random rank placement\n"
       "  --drop-prob P                              packet loss (%s)\n"
@@ -69,7 +68,8 @@ struct Options {
       "           drop:nth=3,src=2,dst=4    dup:p=0.01,seed=7\n"
       "           reorder:nth=2,delay=10us  blackout:from=100us,until=250us\n"
       "  --skew US                                  max per-entry skew in us\n"
-      "         (each rank's every entry delays by a seeded uniform draw)\n"
+      "         (each rank's every entry delays by a seeded uniform draw;\n"
+      "         blocking runs only, not with --overlap or --workload)\n"
       "  --workload SPEC                            multi-tenant mode: N concurrent\n"
       "         groups issuing a collective mix from an open-loop arrival process,\n"
       "         plus optional background flood traffic. SPEC grammar (see cli.hpp):\n"
