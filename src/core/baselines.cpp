@@ -16,15 +16,14 @@ namespace {
 class MyriDirectBarrier final : public Collective {
  public:
   MyriDirectBarrier(MyriCluster& cluster, const coll::CollSpec& spec)
-      : rank_to_node_(spec.rank_to_node.empty() ? identity_placement(cluster.size())
-                                                : spec.rank_to_node),
+      : rank_to_node_(resolve_placement(spec.rank_to_node, cluster.size())),
         group_id_(cluster.next_group_id() & BarrierTag::kGroupMask),
         schedule_(coll::make_barrier_schedule(spec.algorithm, size(), spec.radix)),
         name_("myri-nic-direct-" + std::string(coll::to_string(spec.algorithm))) {
     const int n = size();
     node_to_rank_.assign(static_cast<std::size_t>(cluster.size()), -1);
     for (int r = 0; r < n; ++r) {
-      node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
+      node_to_rank_[static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])] = r;
     }
     ranks_.resize(static_cast<std::size_t>(n));
     for (int r = 0; r < n; ++r) {

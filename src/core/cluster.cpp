@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "net/fat_tree.hpp"
 #include "net/topology.hpp"
@@ -79,6 +80,28 @@ std::vector<int> identity_placement(int n) {
   std::vector<int> v(static_cast<std::size_t>(n));
   std::iota(v.begin(), v.end(), 0);
   return v;
+}
+
+std::vector<int> resolve_placement(const std::vector<int>& rank_to_node,
+                                   int cluster_size) {
+  if (rank_to_node.empty()) return identity_placement(cluster_size);
+  std::vector<int> owner(static_cast<std::size_t>(cluster_size), -1);
+  for (std::size_t r = 0; r < rank_to_node.size(); ++r) {
+    const int node = rank_to_node[r];
+    if (node < 0 || node >= cluster_size) {
+      throw std::invalid_argument("rank_to_node: rank " + std::to_string(r) + " names node " +
+                                  std::to_string(node) + ", outside the " +
+                                  std::to_string(cluster_size) + "-node cluster");
+    }
+    int& taken = owner[static_cast<std::size_t>(node)];
+    if (taken >= 0) {
+      throw std::invalid_argument("rank_to_node: rank " + std::to_string(r) + " names node " +
+                                  std::to_string(node) + ", already placed for rank " +
+                                  std::to_string(taken));
+    }
+    taken = static_cast<int>(r);
+  }
+  return rank_to_node;
 }
 
 std::vector<int> random_placement(int n, sim::Rng& rng) {

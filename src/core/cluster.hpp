@@ -97,6 +97,13 @@ class IbCluster {
 
 /// Identity placement helper.
 [[nodiscard]] std::vector<int> identity_placement(int n);
+
+/// A collective's rank -> node map on a `cluster_size`-node cluster: the
+/// identity when `rank_to_node` is empty, else `rank_to_node` itself after
+/// checking that it names each node at most once and only nodes inside the
+/// cluster. Throws std::invalid_argument naming the offending rank and node.
+[[nodiscard]] std::vector<int> resolve_placement(const std::vector<int>& rank_to_node,
+                                                 int cluster_size);
 /// Random placement drawn from `rng` (paper Sec. 8.1: "random permutation
 /// of the nodes").
 [[nodiscard]] std::vector<int> random_placement(int n, sim::Rng& rng);

@@ -15,12 +15,6 @@ namespace qmb::core {
 
 namespace {
 
-[[nodiscard]] std::vector<int> resolve_placement(const coll::CollSpec& spec,
-                                                 int cluster_size) {
-  if (!spec.rank_to_node.empty()) return spec.rank_to_node;
-  return identity_placement(cluster_size);
-}
-
 [[noreturn]] void throw_unsupported(coll::OpKind kind, coll::Algorithm algorithm) {
   throw std::invalid_argument(std::string(coll::to_string(kind)) +
                               " has no value-correct schedule for algorithm " +
@@ -280,19 +274,20 @@ class NicCollective final : public Collective {
   NicCollective(Cluster& cluster, const coll::CollSpec& spec, std::string name)
       : cluster_(cluster),
         kind_(spec.op),
-        rank_to_node_(resolve_placement(spec, cluster.size())),
+        rank_to_node_(resolve_placement(spec.rank_to_node, cluster.size())),
         group_id_(cluster.next_group_id()),
         name_(std::move(name)) {
     const int n = size();
-    const auto schedule =
-        make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
+    // One schedule for the whole group: every member's descriptor shares it.
+    const coll::SharedSchedule schedule = std::make_shared<const coll::GroupSchedule>(
+        make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix));
     const coll::Placement placement = coll::make_placement(rank_to_node_);
     for (int r = 0; r < n; ++r) {
       Hooks::arm(cluster_, rank_to_node_[static_cast<std::size_t>(r)],
                  {.group_id = group_id_,
                   .my_rank = r,
                   .rank_to_node = placement,
-                  .schedule = schedule.ranks[static_cast<std::size_t>(r)],
+                  .schedule = schedule,
                   .op_kind = spec.op,
                   .reduce_op = spec.reduce,
                   .payload_bytes = spec.payload_bytes});
@@ -326,7 +321,7 @@ class HostCollective final : public Collective {
   HostCollective(Cluster& cluster, const coll::CollSpec& spec, std::string name)
       : kind_(spec.op),
         payload_bytes_(spec.payload_bytes),
-        rank_to_node_(resolve_placement(spec, cluster.size())),
+        rank_to_node_(resolve_placement(spec.rank_to_node, cluster.size())),
         group_id_(cluster.next_group_id() & BarrierTag::kGroupMask),
         schedule_(make_collective_schedule(spec.op, size(), spec.root, spec.algorithm,
                                            spec.radix)),
@@ -334,7 +329,7 @@ class HostCollective final : public Collective {
     const int n = size();
     node_to_rank_.assign(static_cast<std::size_t>(cluster.size()), -1);
     for (int r = 0; r < n; ++r) {
-      node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
+      node_to_rank_[static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])] = r;
     }
     ranks_.resize(static_cast<std::size_t>(n));
     for (int r = 0; r < n; ++r) {

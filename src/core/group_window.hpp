@@ -4,23 +4,24 @@
 // Consecutive operations overlap: a peer that completed operation k may
 // send its first message of k+1 before this rank finished k, but never k+2
 // (its completion of k+1 transitively required everyone to finish k).
-// GroupWindow keeps two operation slots, buffers early arrivals, folds each
-// edge's payload into the accumulator as its step is consumed, and recycles
-// a slot only once its operation completed. A barrier is the zero-payload
-// case: its fold leaves the accumulator alone.
+// GroupWindow keeps two operation slots, buffers early arrivals, keeps each
+// edge's payload in a per-edge value slot (indexed by the schedule's edge
+// ids) that folds into the accumulator as its step is consumed, and
+// recycles a slot only once its operation completed. A barrier is the
+// zero-payload case: its fold leaves the accumulator alone.
 //
 // The host-level executor and the three NIC engines instantiate it and add
 // only their cost hooks: how an edge is sent and what completion costs,
-// plus — on Myrinet — the NACK timer armed before step 0 and the resend
-// record dropped when a slot is recycled. on_arrival classifies every
-// message, so each engine keeps its own counters.
+// plus — on Myrinet — the NACK timer armed before step 0 and cancelled
+// when a slot is recycled. on_arrival classifies every message, so each
+// engine keeps its own counters.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,10 +35,51 @@ struct GroupDesc {
   std::uint32_t group_id = 0;
   int my_rank = -1;
   Placement rank_to_node{};  // rank -> fabric node, shared across the group's NICs
-  RankSchedule schedule{};   // this rank's schedule for the op kind
+  SharedSchedule schedule{};  // the whole group's schedule, shared across its NICs
   OpKind op_kind = OpKind::kBarrier;
   ReduceOp reduce_op = ReduceOp::kSum;  // allreduce only
   std::uint32_t payload_bytes = 8;      // bytes per contribution word
+
+  /// This rank's part of the shared schedule.
+  [[nodiscard]] const RankSchedule& rank_schedule() const {
+    return schedule->ranks[static_cast<std::size_t>(my_rank)];
+  }
+};
+
+/// Throws std::invalid_argument unless `d` names a rank that both its
+/// placement and its schedule cover.
+inline void check_group_desc(const GroupDesc& d) {
+  if (d.rank_to_node == nullptr || d.schedule == nullptr || d.my_rank < 0 ||
+      d.my_rank >= static_cast<int>(d.rank_to_node->size()) ||
+      d.my_rank >= static_cast<int>(d.schedule->ranks.size())) {
+    throw std::invalid_argument("collective group: my_rank outside rank_to_node or schedule");
+  }
+}
+
+/// Dense table of per-group state indexed by group id, grown on demand.
+/// Group ids are handed out consecutively per cluster, so a node's table is
+/// as long as the largest id it joined; entries never move once created.
+template <typename T>
+class GroupTable {
+ public:
+  [[nodiscard]] T* find(std::uint32_t id) const {
+    return id < items_.size() ? items_[id].get() : nullptr;
+  }
+  [[nodiscard]] bool contains(std::uint32_t id) const { return find(id) != nullptr; }
+
+  /// Creates (or replaces) the entry for `id` from `args`.
+  template <typename... Args>
+  T& emplace(std::uint32_t id, Args&&... args) {
+    if (id >= items_.size()) items_.resize(static_cast<std::size_t>(id) + 1);
+    items_[id] = std::make_unique<T>(std::forward<Args>(args)...);
+    return *items_[id];
+  }
+  void erase(std::uint32_t id) {
+    if (id < items_.size()) items_[id].reset();
+  }
+
+ private:
+  std::vector<std::unique_ptr<T>> items_;
 };
 
 /// How GroupWindow::on_arrival classified one message.
@@ -65,16 +107,19 @@ class GroupWindow {
     bool complete = false;
     std::int64_t acc = 0;  // running value; the result once complete
     DoneFn done;           // start()'s completion callback
-    std::unique_ptr<ScheduleExecutor> exec;  // built at the slot's first start
+    std::optional<ScheduleExecutor> exec;  // built at the slot's first start
     SlotState state;
 
     struct Early {
       int peer;
       std::uint32_t tag;
+      EdgeId id;  // kNoEdge when the message is on no schedule edge
       std::int64_t value;
     };
     std::vector<Early> early;  // arrivals before start(), replayed by it
-    std::unordered_map<std::uint64_t, std::int64_t> wait_values;  // folded at step consumption
+    /// Per-edge payloads, written by each edge's first arrival and folded
+    /// when its step is consumed; only arrived edges are ever read.
+    std::vector<std::int64_t> values;
   };
 
   struct Hooks {
@@ -93,6 +138,7 @@ class GroupWindow {
     int duplicates;     // buffered arrivals the replay found repeated
   };
 
+  /// `schedule` must be numbered and outlive the window.
   GroupWindow(const RankSchedule& schedule, OpKind kind, ReduceOp reduce, Hooks hooks)
       : schedule_(&schedule), kind_(kind), reduce_(reduce), hooks_(std::move(hooks)) {}
   GroupWindow(const GroupWindow&) = delete;
@@ -108,14 +154,13 @@ class GroupWindow {
     s.active = true;
     if (!s.exec) make_executor(s);
     if (hooks_.pre_start) hooks_.pre_start(s);
-    // Stash early payloads before starting: the executor may consume their
-    // steps during start() already.
-    for (const auto& ea : s.early) s.wait_values.emplace(edge_key(ea.peer, ea.tag), ea.value);
+    // Nothing has arrived at the executor yet, so start() consumes no step
+    // with waits; each buffered payload lands in its slot as it is replayed.
     s.exec->start();
     int duplicates = 0;
     for (const auto& ea : s.early) {
       if (s.complete) break;
-      if (!s.exec->on_arrival(ea.peer, ea.tag)) ++duplicates;
+      if (!record(s, ea)) ++duplicates;
     }
     s.early.clear();
     return {seq, duplicates};
@@ -128,15 +173,15 @@ class GroupWindow {
     Slot& s = slots_[seq & 1];
     if (s.in_use && s.seq == seq) {
       if (s.complete) return Arrival::kStale;
+      const typename Slot::Early a{peer, tag, schedule_->find_edge(peer, tag), value};
       if (!s.active) {
-        s.early.push_back({peer, tag, value});
+        s.early.push_back(a);
         return Arrival::kEarly;
       }
-      s.wait_values.emplace(edge_key(peer, tag), value);
-      return s.exec->on_arrival(peer, tag) ? Arrival::kAccepted : Arrival::kDuplicate;
+      return record(s, a) ? Arrival::kAccepted : Arrival::kDuplicate;
     }
     if (s.in_use && seq < s.seq) return Arrival::kStale;
-    bind(seq).early.push_back({peer, tag, value});
+    bind(seq).early.push_back({peer, tag, schedule_->find_edge(peer, tag), value});
     return Arrival::kEarly;
   }
 
@@ -150,9 +195,17 @@ class GroupWindow {
   /// Sequence number the next start() will use.
   [[nodiscard]] std::uint32_t next_seq() const { return next_seq_; }
 
+  /// The rank schedule this window walks.
+  [[nodiscard]] const RankSchedule& schedule() const { return *schedule_; }
+
  private:
-  [[nodiscard]] static std::uint64_t edge_key(int peer, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
+  /// Hands one arrival to a started slot's executor; the first arrival of
+  /// an edge keeps its payload (a retransmitted twin never overwrites it).
+  bool record(Slot& s, const typename Slot::Early& a) {
+    if (a.id == kNoEdge) return s.exec->on_arrival(a.peer, a.tag);
+    if (s.exec->has_arrived(a.id)) return false;
+    s.values[a.id] = a.value;
+    return s.exec->on_arrival(a.id);
   }
 
   Slot& bind(std::uint32_t seq) {
@@ -166,7 +219,6 @@ class GroupWindow {
     }
     if (s.exec) s.exec->reset();
     s.early.clear();
-    s.wait_values.clear();
     s.seq = seq;
     s.in_use = true;
     s.active = false;
@@ -178,7 +230,8 @@ class GroupWindow {
 
   void make_executor(Slot& s) {
     Slot* sp = &s;
-    s.exec = std::make_unique<ScheduleExecutor>(
+    s.values.assign(schedule_->edge_count(), 0);
+    s.exec.emplace(
         *schedule_, [this, sp](const Edge& e) { hooks_.send(*sp, e); },
         [this, sp] {
           sp->complete = true;
@@ -189,10 +242,7 @@ class GroupWindow {
     // this rank sends during the same step.
     s.exec->set_step_consumer([this, sp](const Step& st) {
       for (const Edge& w : st.waits) {
-        const auto it = sp->wait_values.find(edge_key(w.peer, w.tag));
-        if (it != sp->wait_values.end()) {
-          sp->acc = combine_value(kind_, reduce_, w.tag, sp->acc, it->second);
-        }
+        sp->acc = combine_value(kind_, reduce_, w.tag, sp->acc, sp->values[w.id]);
       }
     });
   }

@@ -345,6 +345,53 @@ int GroupSchedule::max_steps() const {
   return static_cast<int>(n);
 }
 
+void RankSchedule::number_edges() {
+  edge_keys.clear();
+  edge_keys.reserve(static_cast<std::size_t>(total_sends() + total_waits()));
+  for (const Step& st : steps) {
+    for (const Edge& e : st.sends) edge_keys.push_back(edge_key(e.peer, e.tag));
+    for (const Edge& e : st.waits) edge_keys.push_back(edge_key(e.peer, e.tag));
+  }
+  std::sort(edge_keys.begin(), edge_keys.end());
+  edge_keys.erase(std::unique(edge_keys.begin(), edge_keys.end()), edge_keys.end());
+  for (Step& st : steps) {
+    for (Edge& e : st.sends) e.id = find_edge(e.peer, e.tag);
+    for (Edge& e : st.waits) e.id = find_edge(e.peer, e.tag);
+  }
+}
+
+bool RankSchedule::numbered() const {
+  const auto valid = [this](const Edge& e) { return e.id < edge_keys.size(); };
+  return std::all_of(steps.begin(), steps.end(), [&valid](const Step& st) {
+    return std::all_of(st.sends.begin(), st.sends.end(), valid) &&
+           std::all_of(st.waits.begin(), st.waits.end(), valid);
+  });
+}
+
+EdgeId RankSchedule::find_edge(int peer, std::uint32_t tag) const {
+  // Branch-free lower bound: arrivals come in no order a predictor learns.
+  const std::uint64_t key = edge_key(peer, tag);
+  std::size_t n = edge_keys.size();
+  if (n == 0) return kNoEdge;
+  const std::uint64_t* base = edge_keys.data();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half - 1] < key ? base + half : base;
+    n -= half;
+  }
+  if (*base != key) return kNoEdge;
+  return static_cast<EdgeId>(base - edge_keys.data());
+}
+
+namespace {
+
+[[nodiscard]] GroupSchedule numbered(GroupSchedule g) {
+  for (RankSchedule& r : g.ranks) r.number_edges();
+  return g;
+}
+
+}  // namespace
+
 GroupSchedule make_barrier_schedule(Algorithm algorithm, int n, int radix) {
   if (n < 1) throw std::invalid_argument("barrier group needs >= 1 rank");
   if (algorithm == Algorithm::kRotation) {
@@ -364,15 +411,15 @@ GroupSchedule make_barrier_schedule(Algorithm algorithm, int n, int radix) {
     return g;
   }
   switch (algorithm) {
-    case Algorithm::kDissemination: return make_dissemination(n);
-    case Algorithm::kPairwiseExchange: return make_pairwise_exchange(n);
+    case Algorithm::kDissemination: return numbered(make_dissemination(n));
+    case Algorithm::kPairwiseExchange: return numbered(make_pairwise_exchange(n));
     case Algorithm::kGatherBroadcast:
-      return make_gather_broadcast(n, radix > 0 ? radix : 2);
-    case Algorithm::kTree: return make_binomial_tree(n);
-    case Algorithm::kTournament: return make_tournament(n);
+      return numbered(make_gather_broadcast(n, radix > 0 ? radix : 2));
+    case Algorithm::kTree: return numbered(make_binomial_tree(n));
+    case Algorithm::kTournament: return numbered(make_tournament(n));
     case Algorithm::kFwayDissemination:
-      return make_fway_dissemination(n, radix > 0 ? radix : 4);
-    case Algorithm::kRemoteAtomic: return make_remote_atomic(n);
+      return numbered(make_fway_dissemination(n, radix > 0 ? radix : 4));
+    case Algorithm::kRemoteAtomic: return numbered(make_remote_atomic(n));
     case Algorithm::kRotation: break;  // rejected above
   }
   throw std::invalid_argument("unknown algorithm");
@@ -461,7 +508,7 @@ GroupSchedule make_bcast_schedule(int n, int root, int tree_degree) {
     ack.sends.push_back({real(parent), kTagUp});
     rs.steps.push_back(std::move(ack));
   }
-  return g;
+  return numbered(std::move(g));
 }
 
 GroupSchedule make_binomial_bcast_schedule(int n, int root) {
@@ -507,7 +554,7 @@ GroupSchedule make_binomial_bcast_schedule(int n, int root) {
       rs.steps.push_back(std::move(ack));
     }
   }
-  return g;
+  return numbered(std::move(g));
 }
 
 GroupSchedule make_allreduce_schedule(int n) {
@@ -571,7 +618,7 @@ GroupSchedule make_fway_allreduce_schedule(int n, int f) {
       rs.steps.push_back(std::move(post));
     }
   }
-  return g;
+  return numbered(std::move(g));
 }
 
 GroupSchedule make_allgather_schedule(int n) {
@@ -593,13 +640,15 @@ GroupSchedule make_alltoall_schedule(int n) {
       rs.steps.push_back(std::move(st));
     }
   }
-  return g;
+  return numbered(std::move(g));
 }
 
-bool schedule_is_correct_barrier(const GroupSchedule& g) {
+bool schedule_is_correct_barrier(const GroupSchedule& schedule) {
   // Virtual execution with knowledge propagation: every message carries the
   // sender's current knowledge set; a correct barrier ends with every rank
-  // knowing every other rank and every executor complete.
+  // knowing every other rank and every executor complete. Hand-built
+  // schedules arrive unnumbered; the executors walk a numbered copy.
+  const GroupSchedule g = numbered(schedule);
   const int n = g.size;
   std::vector<std::vector<bool>> knows(static_cast<std::size_t>(n),
                                        std::vector<bool>(static_cast<std::size_t>(n), false));
@@ -645,7 +694,15 @@ bool schedule_is_correct_barrier(const GroupSchedule& g) {
 
 ScheduleExecutor::ScheduleExecutor(const RankSchedule& schedule, SendFn send,
                                    CompleteFn complete)
-    : schedule_(&schedule), send_(std::move(send)), complete_(std::move(complete)) {}
+    : schedule_(&schedule),
+      send_(std::move(send)),
+      complete_(std::move(complete)),
+      sent_(schedule.edge_count()),
+      arrived_(schedule.edge_count()) {
+  if (!schedule.numbered()) {
+    throw std::invalid_argument("schedule executor needs numbered edges (number_edges)");
+  }
+}
 
 void ScheduleExecutor::start() {
   assert(!started_ && "start() on a running executor; reset() first");
@@ -655,7 +712,18 @@ void ScheduleExecutor::start() {
 }
 
 bool ScheduleExecutor::on_arrival(int peer, std::uint32_t tag) {
-  if (!arrived_.insert(key(peer, tag)).second) return false;  // duplicate
+  const EdgeId id = schedule_->find_edge(peer, tag);
+  if (id != kNoEdge) return on_arrival(id);
+  // On no schedule edge: remembered once, so a repeat reads as a duplicate,
+  // but it satisfies no wait and never advances a step.
+  const std::uint64_t key = RankSchedule::edge_key(peer, tag);
+  if (std::find(stray_.begin(), stray_.end(), key) != stray_.end()) return false;
+  stray_.push_back(key);
+  return true;
+}
+
+bool ScheduleExecutor::on_arrival(EdgeId id) {
+  if (!arrived_.set(id)) return false;  // duplicate
   if (started_ && !complete()) advance();
   return true;
 }
@@ -663,6 +731,7 @@ bool ScheduleExecutor::on_arrival(int peer, std::uint32_t tag) {
 void ScheduleExecutor::reset() {
   arrived_.clear();
   sent_.clear();
+  stray_.clear();
   step_ = 0;
   started_ = false;
 }
@@ -671,32 +740,29 @@ std::vector<Edge> ScheduleExecutor::missing_current_waits() const {
   std::vector<Edge> missing;
   if (!started_ || complete()) return missing;
   for (const Edge& w : schedule_->steps[step_].waits) {
-    if (!arrived_.contains(key(w.peer, w.tag))) missing.push_back(w);
+    if (!arrived_.test(w.id)) missing.push_back(w);
   }
   return missing;
 }
 
 bool ScheduleExecutor::has_sent(int peer, std::uint32_t tag) const {
-  return sent_.contains(key(peer, tag));
+  const EdgeId id = schedule_->find_edge(peer, tag);
+  return id != kNoEdge && sent_.test(id);
 }
 
 void ScheduleExecutor::advance() {
   // Issue sends of each newly entered step, then stop at the first step
   // whose waits are not yet satisfied. Step entry is detected by whether its
-  // sends were issued (sent_ acts as the entry marker).
+  // sends were issued (the sent bits act as the entry marker; a key repeated
+  // across steps is sent once).
   while (step_ < schedule_->steps.size()) {
     const Step& st = schedule_->steps[step_];
     for (const Edge& s : st.sends) {
-      if (sent_.insert(key(s.peer, s.tag)).second) send_(s);
+      if (sent_.set(s.id)) send_(s);
     }
-    bool satisfied = true;
     for (const Edge& w : st.waits) {
-      if (!arrived_.contains(key(w.peer, w.tag))) {
-        satisfied = false;
-        break;
-      }
+      if (!arrived_.test(w.id)) return;
     }
-    if (!satisfied) return;
     if (consume_ && !st.waits.empty()) consume_(st);
     ++step_;
   }

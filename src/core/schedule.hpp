@@ -25,16 +25,17 @@
 // The schedule is *data*: the same GroupSchedule drives the host-based GM
 // barrier, the direct NIC scheme, the NIC collective protocol, and the
 // Quadrics chained-RDMA barrier. ScheduleExecutor is the shared step-advance
-// state machine those executors embed.
+// state machine those executors embed. Every generator numbers each rank's
+// distinct (peer, tag) edges as it builds the schedule, so the executor's
+// bookkeeping is bit vectors over edge ids, not hash sets of messages.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace qmb::coll {
@@ -126,10 +127,17 @@ enum class ReduceOp : std::uint8_t { kSum, kMin, kMax };
   return value_words(kind, value);
 }
 
+/// Number of one distinct (peer, tag) pair in a rank's schedule: its bit
+/// in ScheduleExecutor's sent/arrived vectors and its slot in the per-edge
+/// value arrays (paper Sec. 6.3's bit vector of expected messages).
+using EdgeId = std::uint32_t;
+inline constexpr EdgeId kNoEdge = ~EdgeId{0};
+
 /// One directed barrier message: this rank -> `peer`, labeled `tag`.
 struct Edge {
   int peer = -1;
   std::uint32_t tag = 0;
+  EdgeId id = kNoEdge;  // set by RankSchedule::number_edges
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
@@ -142,8 +150,28 @@ struct Step {
 
 struct RankSchedule {
   std::vector<Step> steps;
+  /// Every distinct (peer, tag) key among the sends and waits, ascending;
+  /// an edge's id is its key's index. A send and a wait with the same key
+  /// (a pairwise exchange) share one id.
+  std::vector<std::uint64_t> edge_keys;
+
   [[nodiscard]] int total_sends() const;
   [[nodiscard]] int total_waits() const;
+
+  /// Numbers the distinct edges: fills edge_keys and every Edge::id. The
+  /// schedule generators call it; a hand-built schedule must too before an
+  /// executor walks it.
+  void number_edges();
+  /// True when every send and wait carries a valid id.
+  [[nodiscard]] bool numbered() const;
+  [[nodiscard]] std::size_t edge_count() const { return edge_keys.size(); }
+
+  /// The id of (peer, tag), or kNoEdge when no send or wait carries it.
+  [[nodiscard]] EdgeId find_edge(int peer, std::uint32_t tag) const;
+
+  [[nodiscard]] static std::uint64_t edge_key(int peer, std::uint32_t tag) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
+  }
 };
 
 struct GroupSchedule {
@@ -153,6 +181,40 @@ struct GroupSchedule {
 
   [[nodiscard]] int total_messages() const;
   [[nodiscard]] int max_steps() const;
+};
+
+/// One collective's schedule, built (and numbered) once and shared
+/// read-only by every member's group descriptor. Nothing writes it after
+/// construction, so NICs in different PDES domains read it freely.
+using SharedSchedule = std::shared_ptr<const GroupSchedule>;
+
+/// Fixed-size bit vector over one rank's edge ids. Up to 64 edges (every
+/// schedule but a wide star's root) fit in one inline word.
+class EdgeBits {
+ public:
+  explicit EdgeBits(std::size_t edges) : more_(edges > 64 ? (edges + 63) / 64 : 0, 0) {}
+
+  [[nodiscard]] bool test(EdgeId id) const { return ((word(id) >> (id & 63)) & 1) != 0; }
+  /// Sets the bit; false when it was already set.
+  bool set(EdgeId id) {
+    std::uint64_t& w = more_.empty() ? first_ : more_[id >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    if ((w & bit) != 0) return false;
+    w |= bit;
+    return true;
+  }
+  void clear() {
+    first_ = 0;
+    std::fill(more_.begin(), more_.end(), 0);
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t word(EdgeId id) const {
+    return more_.empty() ? first_ : more_[id >> 6];
+  }
+
+  std::uint64_t first_ = 0;          // the bits, when there are at most 64
+  std::vector<std::uint64_t> more_;  // the bits, otherwise
 };
 
 /// Builds the message pattern for an N-rank barrier. `radix` is the
@@ -205,12 +267,15 @@ struct GroupSchedule {
 /// The embedding protocol engine supplies `send` (issue a message to a peer;
 /// timing is the engine's business) and `complete` (this rank's barrier is
 /// locally complete). Early arrivals for future steps are buffered;
-/// duplicate arrivals (retransmissions) are idempotent.
+/// duplicate arrivals (retransmissions) are idempotent. Sends and arrivals
+/// are kept as bit vectors over the schedule's edge ids, so reset() clears
+/// a few words.
 class ScheduleExecutor {
  public:
   using SendFn = std::function<void(const Edge&)>;
   using CompleteFn = std::function<void()>;
 
+  /// Throws std::invalid_argument when `schedule` is not numbered.
   ScheduleExecutor(const RankSchedule& schedule, SendFn send, CompleteFn complete);
 
   /// Begins the operation: issues step-0 sends, advances through any steps
@@ -218,8 +283,12 @@ class ScheduleExecutor {
   void start();
 
   /// Records a message from `peer` with `tag`; advances steps as satisfied.
-  /// Returns false for a duplicate (already recorded) arrival.
+  /// Returns false for a duplicate (already recorded) arrival. A message on
+  /// no schedule edge is recorded once and never satisfies a wait.
   bool on_arrival(int peer, std::uint32_t tag);
+
+  /// Same, for an arrival already resolved to schedule edge `id`.
+  bool on_arrival(EdgeId id);
 
   /// Installs a callback invoked when a step's waits are all present and
   /// the step is consumed — after that step's sends went out, before the
@@ -244,19 +313,19 @@ class ScheduleExecutor {
   /// True if the executor has issued the send matching (peer, tag) in this
   /// operation — i.e. a NACK for it should be answered with a retransmit.
   [[nodiscard]] bool has_sent(int peer, std::uint32_t tag) const;
+  [[nodiscard]] bool has_sent(EdgeId id) const { return sent_.test(id); }
+  [[nodiscard]] bool has_arrived(EdgeId id) const { return arrived_.test(id); }
 
  private:
-  static std::uint64_t key(int peer, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
-  }
   void advance();
 
   const RankSchedule* schedule_;
   SendFn send_;
   CompleteFn complete_;
   StepConsumeFn consume_;
-  std::unordered_set<std::uint64_t> arrived_;
-  std::unordered_set<std::uint64_t> sent_;
+  EdgeBits sent_;
+  EdgeBits arrived_;
+  std::vector<std::uint64_t> stray_;  // keys of arrivals on no schedule edge
   std::size_t step_ = 0;
   bool started_ = false;
 };

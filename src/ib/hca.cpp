@@ -75,7 +75,8 @@ void Hca::trace(std::string_view event, std::int64_t a, std::int64_t b,
 void Hca::post_write(int dst_node, IbWrite body, std::uint32_t payload_bytes) {
   const std::uint32_t wire = config_->header_bytes + payload_bytes;
   unit_.exec(config_->qp_process, [this, dst_node, body, wire]() mutable {
-    SendQp& q = send_qps_[dst_node];
+    const std::uint32_t slot = peers_.slot(dst_node);
+    SendQp& q = peers_.at(slot).send;
     IbWrite stamped = body;
     stamped.psn = q.next_psn++;
     q.unacked.push_back({stamped, wire});
@@ -93,7 +94,7 @@ void Hca::post_write(int dst_node, IbWrite body, std::uint32_t payload_bytes) {
             core::BarrierTag::encode(stamped.group, stamped.seq, stamped.tag),
             static_cast<std::int64_t>(flow));
     }
-    if (!q.timer_armed) arm_rto(dst_node);
+    if (!q.timer_armed) arm_rto(dst_node, slot);
   });
 }
 
@@ -117,7 +118,7 @@ void Hca::on_packet(net::Packet&& p) {
 }
 
 void Hca::accept_request(int src_node, const IbWrite& w) {
-  RecvQp& q = recv_qps_[src_node];
+  RecvQp& q = peers_[src_node].recv;
   if (w.psn == q.expected_psn) {
     ++q.expected_psn;
     q.nak_outstanding = false;
@@ -206,14 +207,15 @@ void Hca::send_ack(int dst_node, std::uint32_t psn, bool nak) {
 }
 
 void Hca::handle_ack(int peer, const IbAck& a) {
-  SendQp& q = send_qps_[peer];
+  const std::uint32_t slot = peers_.slot(peer);
+  SendQp& q = peers_.at(slot).send;
   while (!q.unacked.empty() && q.unacked.front().body.psn < a.psn) {
     q.unacked.pop_front();
   }
   if (a.nak) {
     trace("nak_rx", peer, a.psn);
     if (skip_retransmit_) return;  // planted bug: recovery disabled
-    retransmit_window(peer);
+    retransmit_window(peer, slot);
     return;
   }
   if (q.unacked.empty()) {
@@ -225,27 +227,27 @@ void Hca::handle_ack(int peer, const IbAck& a) {
     // Progress: restart the timer for the new oldest unacked request.
     if (q.timer_armed) engine_->cancel(q.rto_timer);
     q.timer_armed = false;
-    arm_rto(peer);
+    arm_rto(peer, slot);
   }
 }
 
-void Hca::arm_rto(int peer) {
+void Hca::arm_rto(int peer, std::uint32_t slot) {
   if (skip_retransmit_) return;
-  SendQp& q = send_qps_[peer];
+  SendQp& q = peers_.at(slot).send;
   assert(!q.timer_armed);
   q.timer_armed = true;
-  q.rto_timer = engine_->schedule(config_->rto, [this, peer] {
-    SendQp& sq = send_qps_[peer];
+  q.rto_timer = engine_->schedule(config_->rto, [this, peer, slot] {
+    SendQp& sq = peers_.at(slot).send;
     sq.timer_armed = false;
     if (sq.unacked.empty()) return;
     ++stats_.rto_fires;
     trace("rto_fire", peer, sq.unacked.front().body.psn);
-    retransmit_window(peer);
+    retransmit_window(peer, slot);
   });
 }
 
-void Hca::retransmit_window(int peer) {
-  SendQp& q = send_qps_[peer];
+void Hca::retransmit_window(int peer, std::uint32_t slot) {
+  SendQp& q = peers_.at(slot).send;
   if (q.unacked.empty()) return;
   if (q.timer_armed) {
     engine_->cancel(q.rto_timer);
@@ -253,15 +255,15 @@ void Hca::retransmit_window(int peer) {
   }
   // Go-back-N: replay the whole unacked window in PSN order under one WQE
   // re-fetch charge; the receiver's PSN check discards any overlap.
-  unit_.exec(config_->qp_process, [this, peer] {
-    SendQp& sq = send_qps_[peer];
+  unit_.exec(config_->qp_process, [this, peer, slot] {
+    SendQp& sq = peers_.at(slot).send;
     for (const PendingWrite& pw : sq.unacked) {
       ++stats_.retransmissions;
       const std::uint64_t flow = fabric_->send(
           net::Packet(addr_, net::NicAddr(peer), pw.wire_bytes, pw.body));
       trace("retransmit", peer, pw.body.psn, static_cast<std::int64_t>(flow));
     }
-    if (!sq.unacked.empty() && !sq.timer_armed) arm_rto(peer);
+    if (!sq.unacked.empty() && !sq.timer_armed) arm_rto(peer, slot);
   });
 }
 
@@ -305,11 +307,12 @@ void Hca::create_group(coll::GroupDesc desc) {
   if (groups_.contains(desc.group_id)) {
     throw std::invalid_argument("ib collective group id already registered");
   }
-  Group& g = groups_[desc.group_id];
+  coll::check_group_desc(desc);
+  Group& g = groups_.emplace(desc.group_id);
   g.desc = std::move(desc);
   Group* gp = &g;
   g.window.emplace(
-      g.desc.schedule, g.desc.op_kind, g.desc.reduce_op,
+      g.desc.rank_schedule(), g.desc.op_kind, g.desc.reduce_op,
       Window::Hooks{
           .send = [this, gp](Slot& op,
                              const coll::Edge& e) { group_send(*gp, op.seq, e, op.acc); },
@@ -322,9 +325,9 @@ void Hca::collective_enter(std::uint32_t group, std::int64_t value,
                            std::function<void(std::int64_t)> done) {
   // The doorbell dispatch shares the WQE-processing unit charge.
   unit_.exec(config_->qp_process, [this, group, value, done = std::move(done)]() mutable {
-    auto it = groups_.find(group);
-    assert(it != groups_.end() && "collective_enter on unknown group");
-    it->second.window->start(value, std::move(done));
+    Group* g = groups_.find(group);
+    assert(g != nullptr && "collective_enter on unknown group");
+    g->window->start(value, std::move(done));
   });
 }
 
@@ -353,11 +356,11 @@ void Hca::group_send(Group& g, std::uint32_t seq, const coll::Edge& e,
 }
 
 void Hca::handle_group_event(const IbWrite& w) {
-  auto it = groups_.find(w.group);
-  if (it == groups_.end()) return;
+  Group* g = groups_.find(w.group);
+  if (g == nullptr) return;
   // The RC transport delivers exactly once: nothing arrives stale or
   // twice, so only early arrivals are worth counting.
-  if (it->second.window->on_arrival(w.seq, static_cast<int>(w.src_rank), w.tag, w.value) ==
+  if (g->window->on_arrival(w.seq, static_cast<int>(w.src_rank), w.tag, w.value) ==
       coll::Arrival::kEarly) {
     ++stats_.early_buffered;
   }

@@ -13,15 +13,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "core/group_window.hpp"
 #include "ib/config.hpp"
 #include "ib/verbs.hpp"
 #include "net/fabric.hpp"
+#include "net/peer_table.hpp"
 #include "obs/metrics.hpp"
 #include "sim/resource.hpp"
 #include "sim/trace.hpp"
@@ -111,15 +112,46 @@ class Hca {
     IbWrite body;
     std::uint32_t wire_bytes = 0;
   };
+  /// Unacked requests in PSN order: a vector read from a moving head,
+  /// emptied in place once drained, so a steady QP reuses one buffer.
+  class SendQueue {
+   public:
+    [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+    [[nodiscard]] const PendingWrite& front() const { return items_[head_]; }
+    void push_back(const PendingWrite& w) { items_.push_back(w); }
+    void pop_front() {
+      if (++head_ == items_.size()) {
+        items_.clear();
+        head_ = 0;
+      } else if (head_ >= 64 && 2 * head_ >= items_.size()) {
+        // Never drained: drop the consumed prefix so the buffer stays bounded.
+        items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+    [[nodiscard]] auto begin() const {
+      return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    [[nodiscard]] auto end() const { return items_.end(); }
+
+   private:
+    std::vector<PendingWrite> items_;
+    std::size_t head_ = 0;
+  };
   struct SendQp {
     std::uint32_t next_psn = 0;
-    std::deque<PendingWrite> unacked;  // PSN order; front is the oldest
+    SendQueue unacked;  // PSN order; front is the oldest
     sim::EventId rto_timer;
     bool timer_armed = false;
   };
   struct RecvQp {
     std::uint32_t expected_psn = 0;
     bool nak_outstanding = false;  // one NAK per gap until progress resumes
+  };
+  /// Both directions of the RC connection to one peer.
+  struct Peer {
+    SendQp send;
+    RecvQp recv;
   };
 
   // --- collective engine state ---
@@ -135,8 +167,9 @@ class Hca {
   void deliver_request(int src_node, const IbWrite& w);
   void send_ack(int dst_node, std::uint32_t psn, bool nak);
   void handle_ack(int peer, const IbAck& a);
-  void arm_rto(int peer);
-  void retransmit_window(int peer);
+  // `slot` is the peer's entry in peers_, so timers skip the lookup.
+  void arm_rto(int peer, std::uint32_t slot);
+  void retransmit_window(int peer, std::uint32_t slot);
   void post_atomic(int dst_node, IbWrite::Op op, std::uint32_t slot, std::int64_t compare,
                    std::int64_t swap_or_add, AtomicDone done);
 
@@ -156,12 +189,11 @@ class Hca {
   bool skip_retransmit_ = false;
   HostMsgHandler host_msg_handler_;
 
-  std::unordered_map<int, SendQp> send_qps_;
-  std::unordered_map<int, RecvQp> recv_qps_;
+  net::PeerTable<Peer> peers_;
   std::unordered_map<std::uint32_t, std::int64_t> atomic_words_;
   std::unordered_map<std::uint32_t, AtomicDone> pending_atomics_;
   std::uint32_t next_atomic_token_ = 1;
-  std::unordered_map<std::uint32_t, Group> groups_;
+  coll::GroupTable<Group> groups_;
 };
 
 }  // namespace qmb::ib

@@ -35,7 +35,7 @@ void IbNode::set_receive_handler(ReceiveHandler fn) {
 }
 
 void IbNode::add_collective_handler(std::uint32_t group, ReceiveHandler fn) {
-  group_handlers_[group & core::BarrierTag::kGroupMask] = std::move(fn);
+  group_handlers_.emplace(group & core::BarrierTag::kGroupMask, std::move(fn));
   install_dispatcher();
 }
 
@@ -52,8 +52,9 @@ void IbNode::install_dispatcher() {
     host_cpu_.exec(cfg_.host_cq_poll, [this, src = static_cast<int>(w.src_rank),
                                        tag = w.tag, value = w.value] {
       if (core::BarrierTag::is_barrier(tag)) {
-        const auto it = group_handlers_.find(core::BarrierTag::group(tag));
-        if (it != group_handlers_.end()) it->second(src, tag, value);
+        if (const auto* handler = group_handlers_.find(core::BarrierTag::group(tag))) {
+          (*handler)(src, tag, value);
+        }
         return;
       }
       if (app_handler_) app_handler_(src, tag, value);

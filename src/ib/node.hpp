@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 
 #include "ib/hca.hpp"
@@ -72,7 +71,7 @@ class IbNode {
   sim::Resource host_cpu_;
   Hca hca_;
   ReceiveHandler app_handler_;
-  std::unordered_map<std::uint32_t, ReceiveHandler> group_handlers_;
+  coll::GroupTable<ReceiveHandler> group_handlers_;  // by BarrierTag group field
   bool dispatcher_installed_ = false;
 };
 

@@ -26,42 +26,35 @@ void CollectiveEngine::create_group(GroupDesc desc) {
   if (groups_.contains(desc.group_id)) {
     throw std::invalid_argument("collective group id already registered");
   }
-  if (desc.rank_to_node == nullptr || desc.my_rank < 0 ||
-      desc.my_rank >= static_cast<int>(desc.rank_to_node->size())) {
-    throw std::invalid_argument("my_rank outside rank_to_node");
-  }
-  // Built in place: the window's hooks hold this Group's (node-stable)
+  coll::check_group_desc(desc);
+  // Built in place: the window's hooks hold this Group's (table-stable)
   // address.
-  Group& g = groups_[desc.group_id];
+  Group& g = groups_.emplace(desc.group_id);
   g.desc = std::move(desc);
   Group* gp = &g;
   g.window.emplace(
-      g.desc.schedule, g.desc.op_kind, g.desc.reduce_op,
+      g.desc.rank_schedule(), g.desc.op_kind, g.desc.reduce_op,
       Window::Hooks{
           .send =
               [this, gp](Slot& op, const coll::Edge& e) {
-                const std::int64_t v = op.acc;
-                op.state.sent_values[msg_key(gp->desc.group_id, op.seq, e.tag, e.peer)] = v;
-                send_msg(*gp, op.seq, e, false, v);
+                op.state.sent_values[e.id] = op.acc;
+                send_msg(*gp, op.seq, e, false, op.acc);
               },
           .complete = [this, gp](Slot& op) { finish_op(*gp, op); },
           .pre_start =
               [this, gp](Slot& op) {
+                op.state.sent_values.resize(gp->window->schedule().edge_count());
                 if (gp->desc.features.receiver_driven) arm_nack_timer(*gp, op);
                 nic_.trace("coll_enter", gp->desc.group_id, op.seq);
               },
-          .recycle =
-              [this](Slot& op) {
-                nic_.engine().cancel(op.state.nack_timer);
-                op.state.sent_values.clear();
-              },
+          .recycle = [this](Slot& op) { nic_.engine().cancel(op.state.nack_timer); },
       });
 }
 
 CollectiveEngine::Group& CollectiveEngine::group_of(std::uint32_t id) {
-  auto it = groups_.find(id);
-  assert(it != groups_.end());
-  return it->second;
+  Group* g = groups_.find(id);
+  assert(g != nullptr);
+  return *g;
 }
 
 std::uint32_t CollectiveEngine::send_cycles(const CollFeatures& f) const {
@@ -159,7 +152,7 @@ void CollectiveEngine::send_msg(Group& g, std::uint32_t seq, const coll::Edge& e
   if (!f.receiver_driven) {
     // Ablation: sender-driven reliability — per-message record + timeout.
     const std::uint64_t key = msg_key(group_id, seq, tag, peer_rank);
-    MsgRecord rec{group_id, seq, tag, peer_rank, {}};
+    MsgRecord rec{group_id, seq, e, {}};
     auto [it, inserted] = msg_records_.emplace(key, std::move(rec));
     if (!inserted) return;  // identical send edge already tracked
     arm_msg_timer(&g, key, seq);
@@ -172,11 +165,12 @@ void CollectiveEngine::arm_msg_timer(Group* gp, std::uint64_t key, std::uint32_t
   it->second.timer = nic_.engine().schedule(cfg_.ack_timeout, [this, gp, key, seq] {
     auto rit = msg_records_.find(key);
     if (rit == msg_records_.end()) return;  // ACKed meanwhile
+    const coll::Edge edge = rit->second.edge;
     const Slot* slot = gp->window->find(seq);
-    const std::int64_t value =
-        slot != nullptr && slot->state.sent_values.contains(key) ? slot->state.sent_values.at(key)
-                                                                 : 0;
-    send_msg(*gp, seq, coll::Edge{rit->second.peer_rank, rit->second.tag}, true, value);
+    const std::int64_t value = slot != nullptr && slot->exec && slot->exec->has_sent(edge.id)
+                                   ? slot->state.sent_values[edge.id]
+                                   : 0;
+    send_msg(*gp, seq, edge, true, value);
     arm_msg_timer(gp, key, seq);
   });
 }
@@ -240,12 +234,12 @@ bool CollectiveEngine::on_packet(net::Packet&& p) {
     const CollPacket body = *c;
     const std::uint64_t flow = p.id;
     nic_.exec(cfg_.cyc_coll_recv, [this, body, flow] {
-      auto git = groups_.find(body.group);
-      if (git == groups_.end()) {
+      Group* gp = groups_.find(body.group);
+      if (gp == nullptr) {
         ++stats_.stale_dropped;
         return;
       }
-      Group& g = git->second;
+      Group& g = *gp;
       nic_.trace("coll_recv", static_cast<std::int64_t>(body.src_rank),
                  core::BarrierTag::encode(body.group, body.barrier_seq, body.tag),
                  static_cast<std::int64_t>(flow));
@@ -293,19 +287,19 @@ bool CollectiveEngine::on_packet(net::Packet&& p) {
 }
 
 void CollectiveEngine::handle_nack(const CollNack& n, std::uint64_t flow) {
-  auto git = groups_.find(n.group);
-  if (git == groups_.end()) return;
-  Group& g = git->second;
+  Group* gp = groups_.find(n.group);
+  if (gp == nullptr) return;
+  Group& g = *gp;
   ++stats_.nacks_received;
   nic_.trace("coll_nack_rx", n.dst_rank,
              core::BarrierTag::encode(n.group, n.barrier_seq, n.tag),
              static_cast<std::int64_t>(flow));
-  const coll::Edge edge{static_cast<int>(n.dst_rank), n.tag};
+  const int peer = static_cast<int>(n.dst_rank);
+  const coll::Edge edge{peer, n.tag, g.window->schedule().find_edge(peer, n.tag)};
   if (const Slot* slot = g.window->find(n.barrier_seq); slot != nullptr && slot->exec) {
-    const std::uint64_t key = msg_key(n.group, n.barrier_seq, n.tag, edge.peer);
-    if (slot->exec->has_sent(edge.peer, edge.tag)) {
+    if (edge.id != coll::kNoEdge && slot->exec->has_sent(edge.id)) {
       if (g.desc.features.debug_skip_retransmit) return;  // fuzzer's planted bug
-      send_msg(g, n.barrier_seq, edge, true, slot->state.sent_values.at(key));
+      send_msg(g, n.barrier_seq, edge, true, slot->state.sent_values[edge.id]);
     }
     // Not sent yet: we are behind; the normal send will cover it.
     return;
@@ -321,8 +315,7 @@ void CollectiveEngine::handle_nack(const CollNack& n, std::uint64_t flow) {
 }
 
 void CollectiveEngine::handle_ack(const CollAck& a) {
-  auto git = groups_.find(a.group);
-  if (git == groups_.end()) return;
+  if (!groups_.contains(a.group)) return;
   const std::uint64_t key =
       msg_key(a.group, a.barrier_seq, a.tag, static_cast<int>(a.acker_rank));
   auto it = msg_records_.find(key);

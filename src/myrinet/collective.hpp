@@ -10,8 +10,8 @@
 //     of pool buffers and no host DMA — the entire payload is one integer
 //     already in NIC SRAM (Sec. 6.2);
 //   * keeps ONE send record per barrier operation with a bit vector of
-//     expected messages (here: the ScheduleExecutor arrival set) instead of
-//     per-packet records (Sec. 6.3);
+//     expected messages (here: the ScheduleExecutor's arrived bits, one per
+//     schedule edge id) instead of per-packet records (Sec. 6.3);
 //   * uses receiver-driven retransmission: no ACKs; a receiver missing an
 //     expected message past the timeout NACKs the sender, halving the packet
 //     count (Sec. 6.3).
@@ -28,6 +28,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "core/group_window.hpp"
 #include "myrinet/nic.hpp"
@@ -95,7 +96,9 @@ class CollectiveEngine {
   /// What the engine keeps per operation beyond the shared window.
   struct SlotState {
     sim::EventId nack_timer;
-    std::unordered_map<std::uint64_t, std::int64_t> sent_values;  // for NACK resends
+    /// Value each sent edge carried, by edge id, for NACK resends; valid
+    /// where the executor's sent bit is set.
+    std::vector<std::int64_t> sent_values;
   };
   using Window = coll::GroupWindow<SlotState>;
   using Slot = Window::Slot;
@@ -109,8 +112,7 @@ class CollectiveEngine {
   struct MsgRecord {
     std::uint32_t group = 0;
     std::uint32_t seq = 0;
-    std::uint32_t tag = 0;
-    int peer_rank = -1;
+    coll::Edge edge;
     sim::EventId timer;
   };
 
@@ -131,7 +133,7 @@ class CollectiveEngine {
   Nic& nic_;
   const LanaiConfig& cfg_;
   CollStats stats_;
-  std::unordered_map<std::uint32_t, Group> groups_;
+  coll::GroupTable<Group> groups_;
   std::unordered_map<std::uint64_t, MsgRecord> msg_records_;  // ablation only
 };
 

@@ -33,8 +33,9 @@ void GmPort::install_dispatcher() {
   mcp_.set_host_receiver([this](const RecvEvent& ev) {
     host_cpu_.exec(host_.recv_detect, [this, ev] {
       if (core::BarrierTag::is_barrier(ev.tag)) {
-        const auto it = group_handlers_.find(core::BarrierTag::group(ev.tag));
-        if (it != group_handlers_.end()) it->second(ev.src_node, ev.tag, ev.inline_value);
+        if (const auto* handler = group_handlers_.find(core::BarrierTag::group(ev.tag))) {
+          (*handler)(ev.src_node, ev.tag, ev.inline_value);
+        }
         return;
       }
       if (app_handler_) app_handler_(ev);
@@ -49,7 +50,7 @@ void GmPort::set_receive_handler(std::function<void(const RecvEvent&)> fn) {
 
 void GmPort::add_collective_handler(std::uint32_t group, CollectiveHandler fn) {
   install_dispatcher();
-  group_handlers_[group & core::BarrierTag::kGroupMask] = std::move(fn);
+  group_handlers_.emplace(group & core::BarrierTag::kGroupMask, std::move(fn));
 }
 
 void GmPort::remove_collective_handler(std::uint32_t group) {

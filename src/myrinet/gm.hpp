@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
 #include "core/coll_tag.hpp"
 #include "myrinet/collective.hpp"
@@ -73,7 +72,7 @@ class GmPort {
   const HostConfig& host_;
   bool dispatcher_installed_ = false;
   std::function<void(const RecvEvent&)> app_handler_;
-  std::unordered_map<std::uint32_t, CollectiveHandler> group_handlers_;
+  coll::GroupTable<CollectiveHandler> group_handlers_;  // by BarrierTag group field
 };
 
 /// One simulated cluster node: host CPU, PCI bus, LANai NIC running the MCP

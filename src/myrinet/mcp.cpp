@@ -102,7 +102,7 @@ void Mcp::finish_fragment(std::uint32_t frag_bytes) {
     SendToken& tok = q.front();
 
     DataPacket body;
-    body.seqno = next_tx_seq_[dst]++;
+    body.seqno = channels_[dst].next_tx_seq++;
     body.msg_id = tok.msg_id;
     body.offset = tok.injected_bytes;
     body.payload_bytes = frag_bytes;
@@ -208,7 +208,7 @@ void Mcp::handle_data(const net::Packet& p, const DataPacket& d) {
   const DataPacket body = d;  // copy; the packet dies with the caller
   const std::uint32_t cyc = d.nic_sourced ? cfg_.cyc_process_nic_data : cfg_.cyc_process_data;
   nic_.exec(cyc, [this, src, body] {
-    std::uint32_t& expected = expected_rx_seq_[src];
+    std::uint32_t& expected = channels_[src].expected_rx_seq;
     if (body.seqno < expected) {
       // Duplicate of an already-consumed packet: its ACK was lost, so
       // re-ACK or the sender retransmits forever.

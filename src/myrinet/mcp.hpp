@@ -21,11 +21,11 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "myrinet/nic.hpp"
 #include "myrinet/packets.hpp"
+#include "net/peer_table.hpp"
 #include "obs/metrics.hpp"
 
 namespace qmb::myri {
@@ -127,6 +127,12 @@ class Mcp {
   void send_ack(net::NicAddr to, std::uint32_t seqno);
   void complete_token_if_done(int dst, std::uint64_t msg_id);
 
+  /// Sequence state of the channel pair to one peer.
+  struct Channel {
+    std::uint32_t next_tx_seq = 0;
+    std::uint32_t expected_rx_seq = 0;
+  };
+
   [[nodiscard]] static std::uint64_t record_key(net::NicAddr dst, std::uint32_t seqno) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst.value())) << 32) | seqno;
   }
@@ -142,7 +148,7 @@ class Mcp {
   bool waiting_for_buffer_ = false;
   int pool_available_;
   std::uint64_t next_msg_id_ = 1;
-  std::unordered_map<int, std::uint32_t> next_tx_seq_;
+  net::PeerTable<Channel> channels_;
   // Ordered by record_key = (dst, seqno) so timeout recovery can walk one
   // destination's unACKed records in sequence order (go-back-N).
   std::map<std::uint64_t, SendRecord> send_records_;
@@ -151,7 +157,6 @@ class Mcp {
   std::map<std::pair<int, std::uint64_t>, SendToken> inflight_tokens_;
 
   // receive side
-  std::unordered_map<int, std::uint32_t> expected_rx_seq_;
   int recv_tokens_ = 0;
   struct Assembly {
     std::uint32_t received = 0;

@@ -37,7 +37,7 @@ void ElanNode::set_receive_handler(ReceiveHandler fn) {
 }
 
 void ElanNode::add_collective_handler(std::uint32_t group, ReceiveHandler fn) {
-  group_handlers_[group & core::BarrierTag::kGroupMask] = std::move(fn);
+  group_handlers_.emplace(group & core::BarrierTag::kGroupMask, std::move(fn));
   install_dispatcher();
 }
 
@@ -54,8 +54,9 @@ void ElanNode::install_dispatcher() {
     host_cpu_.exec(cfg_.host_detect, [this, src = static_cast<int>(r.src_rank),
                                       tag = r.tag, value = r.value] {
       if (core::BarrierTag::is_barrier(tag)) {
-        const auto it = group_handlers_.find(core::BarrierTag::group(tag));
-        if (it != group_handlers_.end()) it->second(src, tag, value);
+        if (const auto* handler = group_handlers_.find(core::BarrierTag::group(tag))) {
+          (*handler)(src, tag, value);
+        }
         return;
       }
       if (app_handler_) app_handler_(src, tag, value);

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 
 #include "quadrics/fabric.hpp"
@@ -79,7 +78,7 @@ class ElanNode {
   Nic nic_;
   HwBarrierController* hw_ = nullptr;
   ReceiveHandler app_handler_;
-  std::unordered_map<std::uint32_t, ReceiveHandler> group_handlers_;
+  coll::GroupTable<ReceiveHandler> group_handlers_;  // by BarrierTag group field
   bool dispatcher_installed_ = false;
 };
 

@@ -78,7 +78,7 @@ void Nic::on_packet(net::Packet&& p) {
           // own poll cost on top.
           unit_.exec(config_->host_notify_dma, [this, body] {
             ++stats_.host_notifies;
-            if (host_msg__handler_) host_msg__handler_(body);
+            if (host_msg_handler_) host_msg_handler_(body);
           });
           return;
       }
@@ -112,11 +112,12 @@ void Nic::create_group(coll::GroupDesc desc) {
   if (groups_.contains(desc.group_id)) {
     throw std::invalid_argument("elan collective group id already registered");
   }
-  Group& g = groups_[desc.group_id];
+  coll::check_group_desc(desc);
+  Group& g = groups_.emplace(desc.group_id);
   g.desc = std::move(desc);
   Group* gp = &g;
   g.window.emplace(
-      g.desc.schedule, g.desc.op_kind, g.desc.reduce_op,
+      g.desc.rank_schedule(), g.desc.op_kind, g.desc.reduce_op,
       Window::Hooks{
           .send = [this, gp](Slot& op,
                              const coll::Edge& e) { barrier_send(*gp, op.seq, e, op.acc); },
@@ -129,9 +130,9 @@ void Nic::create_group(coll::GroupDesc desc) {
 void Nic::collective_enter(std::uint32_t group, std::int64_t value,
                            std::function<void(std::int64_t)> done) {
   unit_.exec(config_->command_process, [this, group, value, done = std::move(done)]() mutable {
-    auto it = groups_.find(group);
-    assert(it != groups_.end() && "collective_enter on unknown group");
-    it->second.window->start(value, std::move(done));
+    Group* g = groups_.find(group);
+    assert(g != nullptr && "collective_enter on unknown group");
+    g->window->start(value, std::move(done));
   });
 }
 
@@ -159,11 +160,11 @@ void Nic::barrier_send(Group& g, std::uint32_t seq, const coll::Edge& e,
 }
 
 void Nic::handle_barrier_event(const ElanRdma& r) {
-  auto it = groups_.find(r.group);
-  if (it == groups_.end()) return;
+  Group* g = groups_.find(r.group);
+  if (g == nullptr) return;
   // A hardware-reliable network delivers exactly once: nothing arrives
   // stale or twice, so only early arrivals are worth counting.
-  if (it->second.window->on_arrival(r.seq, static_cast<int>(r.src_rank), r.tag, r.value) ==
+  if (g->window->on_arrival(r.seq, static_cast<int>(r.src_rank), r.tag, r.value) ==
       coll::Arrival::kEarly) {
     ++stats_.early_buffered;
   }

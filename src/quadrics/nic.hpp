@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 
 #include "core/group_window.hpp"
 #include "net/fabric.hpp"
@@ -48,7 +47,7 @@ class Nic {
   /// time after the event word reaches host memory (host poll cost is the
   /// caller's).
   using HostMsgHandler = std::function<void(const ElanRdma&)>;
-  void set_host_msg_handler(HostMsgHandler h) { host_msg__handler_ = std::move(h); }
+  void set_host_msg_handler(HostMsgHandler h) { host_msg_handler_ = std::move(h); }
 
   // --- chained-RDMA collective unit ---
 
@@ -112,11 +111,11 @@ class Nic {
   sim::Resource unit_;
   net::NicAddr addr_;
   ElanStats stats_;
-  HostMsgHandler host_msg__handler_;
+  HostMsgHandler host_msg_handler_;
   ProbeHandler probe_handler_;
   GoHandler go_handler_;
   std::uint64_t tset_round_ = 0;
-  std::unordered_map<std::uint32_t, Group> groups_;
+  coll::GroupTable<Group> groups_;
 };
 
 }  // namespace qmb::elan

@@ -270,6 +270,57 @@ TEST(CollSpecEndToEnd, ValidateNamesTheOpAndTheLegalList) {
   EXPECT_EQ(run::validate(s), "");
 }
 
+// ---------- placement validation ----------
+
+/// make_collective's error for `rank_to_node` on a 4-node cluster, or ""
+/// when it builds the collective.
+template <typename Cluster, typename Config>
+std::string placement_error(const Config& config, coll::Engine engine,
+                            const std::vector<int>& rank_to_node) {
+  sim::Engine sim_engine;
+  Cluster cluster(sim_engine, config, 4);
+  try {
+    (void)make_collective(cluster, {.engine = engine, .rank_to_node = rank_to_node});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The error text on every substrate and both engines, labelled.
+std::vector<std::pair<std::string, std::string>> placement_errors(
+    const std::vector<int>& rank_to_node) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto engine : {coll::Engine::kNic, coll::Engine::kHost}) {
+    const std::string e = engine == coll::Engine::kNic ? "/nic" : "/host";
+    out.emplace_back("myrinet" + e, placement_error<MyriCluster>(myri::lanaixp_cluster(),
+                                                                 engine, rank_to_node));
+    out.emplace_back("quadrics" + e,
+                     placement_error<ElanCluster>(elan::elan3_cluster(), engine, rank_to_node));
+    out.emplace_back("ib" + e, placement_error<IbCluster>(ib::ib_cluster(), engine, rank_to_node));
+  }
+  return out;
+}
+
+TEST(CollSpecPlacement, NodeNamedTwiceIsRejectedWithRankAndNode) {
+  for (const auto& [where, error] : placement_errors({0, 1, 1, 2})) {
+    EXPECT_NE(error.find("rank 2 names node 1"), std::string::npos) << where << ": " << error;
+  }
+}
+
+TEST(CollSpecPlacement, NodeOutsideTheClusterIsRejectedWithRankAndNode) {
+  for (const auto& [where, error] : placement_errors({0, 1, 2, 7})) {
+    EXPECT_NE(error.find("rank 3 names node 7"), std::string::npos) << where << ": " << error;
+  }
+  for (const auto& [where, error] : placement_errors({-1, 1})) {
+    EXPECT_NE(error.find("rank 0 names node -1"), std::string::npos) << where << ": " << error;
+  }
+}
+
+TEST(CollSpecPlacement, PartialInjectivePlacementIsAccepted) {
+  for (const auto& [where, error] : placement_errors({3, 1})) EXPECT_EQ(error, "") << where;
+}
+
 // ---------- split-phase state machine ----------
 
 struct Fixture {

@@ -34,7 +34,8 @@ struct Harness {
 
   void make_group(std::uint32_t gid, coll::Algorithm alg, CollFeatures features = {}) {
     const int n = static_cast<int>(nodes.size());
-    const auto sched = coll::make_barrier_schedule(alg, n);
+    const auto sched =
+        std::make_shared<const coll::GroupSchedule>(coll::make_barrier_schedule(alg, n));
     std::vector<int> ident(static_cast<std::size_t>(n));
     std::iota(ident.begin(), ident.end(), 0);
     for (int r = 0; r < n; ++r) {
@@ -42,7 +43,7 @@ struct Harness {
       d.group_id = gid;
       d.my_rank = r;
       d.rank_to_node = coll::make_placement(ident);
-      d.schedule = sched.ranks[static_cast<std::size_t>(r)];
+      d.schedule = sched;
       d.features = features;
       nodes[static_cast<std::size_t>(r)]->coll().create_group(std::move(d));
     }

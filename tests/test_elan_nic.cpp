@@ -33,9 +33,9 @@ struct Harness {
   void make_group(std::uint32_t gid, coll::OpKind kind, coll::Algorithm alg,
                   coll::ReduceOp op = coll::ReduceOp::kSum) {
     const int n = static_cast<int>(nics.size());
-    const auto sched = kind == coll::OpKind::kBarrier
-                           ? coll::make_barrier_schedule(alg, n)
-                           : coll::make_allreduce_schedule(n);
+    const auto sched = std::make_shared<const coll::GroupSchedule>(
+        kind == coll::OpKind::kBarrier ? coll::make_barrier_schedule(alg, n)
+                                       : coll::make_allreduce_schedule(n));
     std::vector<int> ident(static_cast<std::size_t>(n));
     std::iota(ident.begin(), ident.end(), 0);
     for (int r = 0; r < n; ++r) {
@@ -43,7 +43,7 @@ struct Harness {
       d.group_id = gid;
       d.my_rank = r;
       d.rank_to_node = coll::make_placement(ident);
-      d.schedule = sched.ranks[static_cast<std::size_t>(r)];
+      d.schedule = sched;
       d.op_kind = kind;
       d.reduce_op = op;
       nics[static_cast<std::size_t>(r)]->create_group(std::move(d));

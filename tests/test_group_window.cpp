@@ -120,6 +120,26 @@ TEST(OpWindow, DuplicateArrivalHarmless) {
   EXPECT_EQ(h.completed[0].second, 22);  // 10 + 5 + 7, no double count
 }
 
+TEST(OpWindow, DuplicateArrivalKeepsFirstValue) {
+  // A retransmitted twin carrying a different value must not replace the
+  // first one, whether the pair lands while the operation runs or both are
+  // buffered before it starts.
+  Harness h(4, 0, OpKind::kAllreduce);
+  h.window->start(10);
+  EXPECT_EQ(h.window->on_arrival(0, 3, 0, 5), Arrival::kAccepted);
+  EXPECT_EQ(h.window->on_arrival(0, 3, 0, 500), Arrival::kDuplicate);
+  EXPECT_EQ(h.window->on_arrival(0, 2, 1, 7), Arrival::kAccepted);
+  ASSERT_EQ(h.completed.size(), 1u);
+  EXPECT_EQ(h.completed[0].second, 22);  // 10 + 5 + 7
+
+  EXPECT_EQ(h.window->on_arrival(1, 3, 0, 6), Arrival::kEarly);
+  EXPECT_EQ(h.window->on_arrival(1, 3, 0, 600), Arrival::kEarly);
+  EXPECT_EQ(h.window->start(20).duplicates, 1);
+  h.window->on_arrival(1, 2, 1, 8);
+  ASSERT_EQ(h.completed.size(), 2u);
+  EXPECT_EQ(h.completed[1].second, 34);  // 20 + 6 + 8
+}
+
 TEST(OpWindow, EarlyValueNotFoldedIntoSameStepSend) {
   // Rank 0 of a 4-rank PE allreduce: step-0 partner is rank 1. If rank 1's
   // value arrives before we start, our step-0 send to rank 1 must still

@@ -1,4 +1,5 @@
-// Zero-allocation assertion for the fabric packet hot path.
+// Zero-allocation assertions for the fabric packet hot path and for one
+// rank's collective operation window.
 //
 // The whole test binary's operator new/delete are replaced with counting
 // versions (every variant, including sized/aligned/nothrow, so the count is
@@ -8,7 +9,9 @@
 // injection, traversal, delivery, payload transport — must perform exactly
 // zero heap allocations. This is the load-bearing claim behind the route
 // cache, the inline PacketPayload, and the enlarged sim::Callback inline
-// storage: regressing any of them makes this count non-zero.
+// storage: regressing any of them makes this count non-zero. Likewise a
+// collective window, once each of its two slots has run an operation,
+// keeps its bookkeeping in bits and per-edge slots it already owns.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +21,8 @@
 #include <new>
 #include <vector>
 
+#include "core/collectives.hpp"
+#include "core/group_window.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
@@ -173,6 +178,45 @@ TEST(HotpathAlloc, SteadyStateSweepPerformsZeroAllocations) {
                         << " times over " << delivered << " deliveries";
   EXPECT_EQ(fabric.route_cache().entries(), 0u)
       << "measured sweep should not memoize routes on a structured topology";
+}
+
+/// Allocations one rank's GroupWindow makes over ops 2..9 of ten
+/// consecutive operations on rank 0 of an 8-rank group, with one early
+/// arrival per operation: its first wait lands before it starts.
+std::uint64_t steady_window_allocs(coll::OpKind kind, coll::Algorithm alg, int& completions) {
+  const coll::GroupSchedule g = core::make_collective_schedule(kind, 8, 0, alg);
+  const coll::RankSchedule& rs = g.ranks[0];
+  std::vector<coll::Edge> waits;
+  for (const coll::Step& st : rs.steps) waits.insert(waits.end(), st.waits.begin(), st.waits.end());
+  coll::GroupWindow<> window(
+      rs, kind, coll::ReduceOp::kSum,
+      {.send = [](coll::GroupWindow<>::Slot&, const coll::Edge&) {},
+       .complete = [&completions](coll::GroupWindow<>::Slot&) { ++completions; }});
+  for (std::uint32_t op = 0; op < 10; ++op) {
+    if (op == 2) {
+      g_allocs.store(0);
+      g_counting.store(true);
+    }
+    window.on_arrival(op, waits[0].peer, waits[0].tag, 1);
+    window.start(1);
+    for (std::size_t i = 1; i < waits.size(); ++i) {
+      window.on_arrival(op, waits[i].peer, waits[i].tag, 1);
+    }
+  }
+  g_counting.store(false);
+  return g_allocs.load();
+}
+
+TEST(HotpathAlloc, SteadyStateGroupWindowPerformsZeroAllocations) {
+  for (const auto kind : {coll::OpKind::kBarrier, coll::OpKind::kAllreduce}) {
+    for (const auto alg : {coll::Algorithm::kDissemination, coll::Algorithm::kGatherBroadcast}) {
+      int completions = 0;
+      const std::uint64_t allocs = steady_window_allocs(kind, alg, completions);
+      EXPECT_EQ(completions, 10) << coll::to_string(kind) << "/" << coll::to_string(alg);
+      EXPECT_EQ(allocs, 0u) << coll::to_string(kind) << "/" << coll::to_string(alg)
+                            << ": 8 steady operations allocated " << allocs << " times";
+    }
+  }
 }
 
 }  // namespace

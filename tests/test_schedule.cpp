@@ -437,6 +437,107 @@ TEST(ScheduleExecutor, SingleRankCompletesImmediately) {
   EXPECT_TRUE(complete);
 }
 
+// ---------- edge numbering ----------
+
+TEST(EdgeNumbering, GeneratorsNumberEveryEdge) {
+  const auto g = make_barrier_schedule(Algorithm::kPairwiseExchange, 6);
+  for (const RankSchedule& rs : g.ranks) {
+    ASSERT_TRUE(rs.numbered());
+    for (const Step& st : rs.steps) {
+      for (const auto* edges : {&st.sends, &st.waits}) {
+        for (const Edge& e : *edges) {
+          ASSERT_LT(e.id, rs.edge_count());
+          EXPECT_EQ(rs.edge_keys[e.id], RankSchedule::edge_key(e.peer, e.tag));
+          EXPECT_EQ(rs.find_edge(e.peer, e.tag), e.id);
+        }
+      }
+    }
+  }
+  // A pairwise exchange sends and waits on the same (peer, tag): one id.
+  const Step& exchange = g.ranks[0].steps[1];
+  EXPECT_EQ(exchange.sends[0].id, exchange.waits[0].id);
+  EXPECT_EQ(g.ranks[0].find_edge(5, 0), kNoEdge);
+}
+
+TEST(EdgeNumbering, RepeatedKeyGetsOneIdAndSendsOnce) {
+  RankSchedule rs;
+  Step first;
+  first.sends.push_back({1, 7});
+  first.waits.push_back({2, 7});
+  Step second;
+  second.sends.push_back({1, 7});  // the same message again
+  second.waits.push_back({3, 7});
+  rs.steps = {first, second};
+  rs.number_edges();
+  EXPECT_EQ(rs.edge_count(), 3u);
+  EXPECT_EQ(rs.steps[0].sends[0].id, rs.steps[1].sends[0].id);
+
+  std::vector<Edge> sent;
+  ScheduleExecutor ex(rs, [&](const Edge& e) { sent.push_back(e); }, [] {});
+  ex.start();
+  EXPECT_TRUE(ex.on_arrival(2, 7));
+  ASSERT_EQ(sent.size(), 1u);  // step 1 re-enters (1, 7): already sent
+  EXPECT_TRUE(ex.has_sent(1, 7));
+  EXPECT_TRUE(ex.on_arrival(3, 7));
+  EXPECT_TRUE(ex.complete());
+  EXPECT_EQ(sent.size(), 1u);
+}
+
+TEST(EdgeNumbering, ArrivalOnNoEdgeCountsOnceAndNeverCompletesAStep) {
+  const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
+  int completions = 0;
+  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [&] { ++completions; });
+  ex.start();
+  // Rank 1 never sends to rank 0 at tag 0; only the reverse edge exists.
+  EXPECT_TRUE(ex.on_arrival(1, 0));
+  EXPECT_FALSE(ex.on_arrival(1, 0));
+  // A tag on no step at all.
+  EXPECT_TRUE(ex.on_arrival(3, 9));
+  EXPECT_FALSE(ex.on_arrival(3, 9));
+  EXPECT_EQ(ex.current_step(), 0u);
+  EXPECT_EQ(completions, 0);
+  EXPECT_FALSE(ex.has_sent(1, 9));
+  ASSERT_EQ(ex.missing_current_waits().size(), 1u);
+  // reset() forgets them like every other arrival.
+  ex.reset();
+  EXPECT_TRUE(ex.on_arrival(1, 0));
+  EXPECT_TRUE(ex.on_arrival(3, 9));
+}
+
+TEST(EdgeNumbering, ExecutorRejectsAnUnnumberedSchedule) {
+  RankSchedule rs;
+  Step st;
+  st.sends.push_back({1, 0});
+  rs.steps.push_back(st);
+  EXPECT_FALSE(rs.numbered());
+  EXPECT_THROW(ScheduleExecutor(rs, [](const Edge&) {}, [] {}), std::invalid_argument);
+  rs.number_edges();
+  EXPECT_TRUE(rs.numbered());
+  EXPECT_NO_THROW(ScheduleExecutor(rs, [](const Edge&) {}, [] {}));
+  // An edge added after numbering has no id yet.
+  rs.steps[0].waits.push_back({2, 0});
+  EXPECT_FALSE(rs.numbered());
+}
+
+TEST(EdgeNumbering, WideStarRootSpillsPastOneWord) {
+  // The remote-atomic root waits on n-1 edges and sends n-1 more: 126
+  // edges, beyond the 64 an inline bit word holds.
+  const auto g = make_barrier_schedule(Algorithm::kRemoteAtomic, 64);
+  ASSERT_EQ(g.ranks[0].edge_count(), 126u);
+  int sends = 0;
+  bool complete = false;
+  ScheduleExecutor ex(g.ranks[0], [&](const Edge&) { ++sends; }, [&] { complete = true; });
+  ex.start();
+  for (int r = 63; r >= 1; --r) {
+    EXPECT_FALSE(complete);
+    EXPECT_TRUE(ex.on_arrival(r, kTagUp));
+  }
+  EXPECT_TRUE(complete);
+  EXPECT_EQ(sends, 63);
+  EXPECT_TRUE(ex.has_sent(63, kTagDown));
+  EXPECT_FALSE(ex.on_arrival(40, kTagUp));
+}
+
 // A deliberately broken schedule must be rejected by the checker.
 TEST(CorrectnessChecker, RejectsIncompleteBarrier) {
   GroupSchedule g;

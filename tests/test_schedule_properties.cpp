@@ -9,11 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "core/collectives.hpp"
 #include "core/group_window.hpp"
 #include "core/schedule.hpp"
 #include "sim/rng.hpp"
@@ -214,6 +218,175 @@ TEST(OrderInvariance, TwoOverlappingOperationsStayIsolated) {
     ASSERT_EQ(results[1].size(), 4u) << "seed " << seed;
     for (const auto v : results[0]) EXPECT_EQ(v, 10);           // 1+2+3+4
     for (const auto v : results[1]) EXPECT_EQ(v, 406);          // 100..103 summed
+  }
+}
+
+// ---------- numbered executor vs. a set-based reference ----------
+
+/// The step-advance rules as a plain (peer, tag) set machine, with no edge
+/// numbering: what ScheduleExecutor computed before sends and arrivals
+/// became bits over edge ids.
+class SetReferenceExecutor {
+ public:
+  SetReferenceExecutor(const RankSchedule& schedule, std::function<void(const Edge&)> send,
+                       std::function<void(std::size_t)> consume)
+      : schedule_(&schedule), send_(std::move(send)), consume_(std::move(consume)) {}
+
+  void start() {
+    started_ = true;
+    advance();
+  }
+  bool on_arrival(int peer, std::uint32_t tag) {
+    if (!arrived_.insert({peer, tag}).second) return false;
+    if (started_ && !complete()) advance();
+    return true;
+  }
+  [[nodiscard]] bool complete() const { return started_ && step_ >= schedule_->steps.size(); }
+  [[nodiscard]] bool has_sent(int peer, std::uint32_t tag) const {
+    return sent_.contains({peer, tag});
+  }
+  [[nodiscard]] std::vector<std::pair<int, std::uint32_t>> missing_current_waits() const {
+    std::vector<std::pair<int, std::uint32_t>> missing;
+    if (!started_ || complete()) return missing;
+    for (const Edge& w : schedule_->steps[step_].waits) {
+      if (!arrived_.contains({w.peer, w.tag})) missing.emplace_back(w.peer, w.tag);
+    }
+    return missing;
+  }
+
+ private:
+  void advance() {
+    while (step_ < schedule_->steps.size()) {
+      const Step& st = schedule_->steps[step_];
+      for (const Edge& e : st.sends) {
+        if (sent_.insert({e.peer, e.tag}).second) send_(e);
+      }
+      for (const Edge& w : st.waits) {
+        if (!arrived_.contains({w.peer, w.tag})) return;
+      }
+      if (!st.waits.empty()) consume_(step_);
+      ++step_;
+    }
+  }
+
+  const RankSchedule* schedule_;
+  std::function<void(const Edge&)> send_;
+  std::function<void(std::size_t)> consume_;
+  std::set<std::pair<int, std::uint32_t>> sent_;
+  std::set<std::pair<int, std::uint32_t>> arrived_;
+  std::size_t step_ = 0;
+  bool started_ = false;
+};
+
+/// Both executors of one rank, fed the same arrivals.
+struct RankPair {
+  std::vector<std::pair<int, std::uint32_t>> sent, ref_sent;  // in issue order
+  std::vector<std::size_t> consumed, ref_consumed;            // step indices
+  std::unique_ptr<ScheduleExecutor> exec;
+  std::unique_ptr<SetReferenceExecutor> ref;
+};
+
+/// Runs one operation of `g` with both executors per rank under a random
+/// schedule of rank starts, deliveries (some before the receiver started),
+/// retransmitted twins and arrivals on no schedule edge, comparing every
+/// observable after each event. Returns the first mismatch, or "".
+std::string compare_with_reference(const GroupSchedule& g, sim::Rng& rng) {
+  const int n = g.size;
+  std::vector<RankPair> ranks(static_cast<std::size_t>(n));
+  std::vector<WireMsg> wire;      // pending deliveries
+  std::vector<WireMsg> delivered; // candidates for a retransmitted twin
+  for (int r = 0; r < n; ++r) {
+    RankPair& p = ranks[static_cast<std::size_t>(r)];
+    const RankSchedule& rs = g.ranks[static_cast<std::size_t>(r)];
+    p.exec = std::make_unique<ScheduleExecutor>(
+        rs,
+        [&p, &wire, r](const Edge& e) {
+          p.sent.emplace_back(e.peer, e.tag);
+          wire.push_back({r, e.peer, e.tag, 0});
+        },
+        [] {});
+    p.exec->set_step_consumer(
+        [&p, &rs](const Step& st) { p.consumed.push_back(static_cast<std::size_t>(&st - rs.steps.data())); });
+    p.ref = std::make_unique<SetReferenceExecutor>(
+        rs, [&p](const Edge& e) { p.ref_sent.emplace_back(e.peer, e.tag); },
+        [&p](std::size_t step) { p.ref_consumed.push_back(step); });
+  }
+  const auto check = [&](int r) -> std::string {
+    const RankPair& p = ranks[static_cast<std::size_t>(r)];
+    const std::string at = "rank " + std::to_string(r) + ": ";
+    if (p.sent != p.ref_sent) return at + "sends differ";
+    if (p.consumed != p.ref_consumed) return at + "step consumption differs";
+    if (p.exec->complete() != p.ref->complete()) return at + "completion differs";
+    std::vector<std::pair<int, std::uint32_t>> missing;
+    for (const Edge& e : p.exec->missing_current_waits()) missing.emplace_back(e.peer, e.tag);
+    if (missing != p.ref->missing_current_waits()) return at + "missing waits differ";
+    for (const Step& st : g.ranks[static_cast<std::size_t>(r)].steps) {
+      for (const Edge& e : st.sends) {
+        if (p.exec->has_sent(e.peer, e.tag) != p.ref->has_sent(e.peer, e.tag)) {
+          return at + "has_sent differs";
+        }
+      }
+    }
+    return "";
+  };
+  const auto deliver = [&](const WireMsg& m) -> std::string {
+    RankPair& p = ranks[static_cast<std::size_t>(m.dst)];
+    if (p.exec->on_arrival(m.src, m.tag) != p.ref->on_arrival(m.src, m.tag)) {
+      return "rank " + std::to_string(m.dst) + ": on_arrival return differs";
+    }
+    return check(m.dst);
+  };
+
+  std::vector<int> unstarted(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) unstarted[static_cast<std::size_t>(r)] = r;
+  while (!unstarted.empty() || !wire.empty()) {
+    const std::uint64_t roll = rng.next_below(10);
+    std::string err;
+    if (!unstarted.empty() && (wire.empty() || roll < 3)) {
+      const auto pick = rng.next_below(unstarted.size());
+      const int r = unstarted[pick];
+      unstarted.erase(unstarted.begin() + static_cast<std::ptrdiff_t>(pick));
+      ranks[static_cast<std::size_t>(r)].exec->start();
+      ranks[static_cast<std::size_t>(r)].ref->start();
+      err = check(r);
+    } else if (roll == 3 && !delivered.empty()) {
+      err = deliver(delivered[rng.next_below(delivered.size())]);  // retransmitted twin
+    } else if (roll == 4) {
+      // A message on no edge of the receiver's schedule.
+      const int dst = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+      err = deliver({static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n))), dst,
+                     0x7F0u + static_cast<std::uint32_t>(rng.next_below(4)), 0});
+    } else if (!wire.empty()) {
+      const auto pick = rng.next_below(wire.size());
+      const WireMsg m = wire[pick];
+      wire.erase(wire.begin() + static_cast<std::ptrdiff_t>(pick));
+      delivered.push_back(m);
+      err = deliver(m);
+    }
+    if (!err.empty()) return err;
+  }
+  for (int r = 0; r < n; ++r) {
+    if (!ranks[static_cast<std::size_t>(r)].exec->complete()) {
+      return "rank " + std::to_string(r) + " did not complete";
+    }
+  }
+  return "";
+}
+
+TEST(NumberedExecutor, MatchesSetReferenceOnEveryPairInRandomOrder) {
+  for (const auto kind : {OpKind::kBarrier, OpKind::kBcast, OpKind::kAllreduce,
+                          OpKind::kAllgather, OpKind::kAlltoall}) {
+    for (const Algorithm alg : core::collective_algorithms_for(kind)) {
+      for (int n = 1; n <= 33; ++n) {
+        const GroupSchedule g = core::make_collective_schedule(kind, n, 0, alg);
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          sim::Rng rng(seed * 1000 + static_cast<std::uint64_t>(n));
+          const std::string err = compare_with_reference(g, rng);
+          ASSERT_EQ(err, "") << to_string(kind) << "/" << to_string(alg) << " n=" << n
+                             << " seed=" << seed;
+        }
+      }
+    }
   }
 }
 
