@@ -8,12 +8,10 @@
 // Points at N >= 512 execute on the parallel engine (engine_threads = 8).
 // The engine is bit-deterministic, so those rows are identical to a
 // sequential run — the parallel path only changes wall-clock, never the
-// table. QMB_FIG8_ENGINE_THREADS=1 pins the classic sequential path.
+// table.
 //
 // Paper anchors: 22.13 us (Quadrics) and 38.94 us (Myrinet LANai-XP) at
 // 1024 nodes from the published model constants.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 
 #include "bench_util.hpp"
@@ -34,18 +32,10 @@ int iters_for(int n) {
   return n >= 256 ? 20 : (n >= 64 ? 50 : 100);
 }
 
-int engine_threads_for(int n) {
-  if (const char* s = std::getenv("QMB_FIG8_ENGINE_THREADS")) {
-    const int v = std::atoi(s);
-    if (v > 0) return v;
-  }
-  return n >= 512 ? 8 : 1;
-}
-
 run::ExperimentSpec scaled_spec(Network net, int n) {
   run::ExperimentSpec s = bench::barrier_spec(
       net, n, Impl::kNic, coll::Algorithm::kDissemination, iters_for(n));
-  s.engine_threads = engine_threads_for(n);
+  s.engine_threads = n >= 512 ? 8 : 1;
   return s;
 }
 
@@ -112,7 +102,7 @@ void print_figure() {
   // All three node axes go through one parallel sweep: the 4096-node
   // points dominate, and the runner's dynamic work stealing keeps every
   // core busy behind them. Large-N points additionally shard internally
-  // on the PDES engine (see engine_threads_for).
+  // on the PDES engine (see scaled_spec).
   const auto series = bench::sweep_series(
       nodes, {
                  {"Quadrics(sim)",
@@ -149,40 +139,9 @@ void print_figure() {
   print_residuals("ib", ib_meas, ib_fit);
 }
 
-/// Wall-clock of one full 1024-node Myrinet barrier run on the sequential
-/// engine — the single-core scaling anchor the PDES tier compares against.
-void BM_Simulate1024NodeMyrinetBarrier(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = bench::mean_us(bench::barrier_spec(Network::kMyrinetXP, 1024, Impl::kNic,
-                                            coll::Algorithm::kDissemination, 5));
-  }
-  state.counters["sim_barrier_us"] = us;
-}
-BENCHMARK(BM_Simulate1024NodeMyrinetBarrier)->Unit(benchmark::kMillisecond);
-
-/// The same run sharded over the conservative-PDES engine. The result is
-/// bit-identical (fingerprint equality is gated in bench_suite's pdes tier
-/// and tests/test_pdes); this timer tracks the wall-clock ratio, which is
-/// only meaningful on a multicore host.
-void BM_Pdes1024NodeMyrinetBarrier(benchmark::State& state) {
-  run::ExperimentSpec s = bench::barrier_spec(Network::kMyrinetXP, 1024, Impl::kNic,
-                                              coll::Algorithm::kDissemination, 5);
-  s.engine_threads = static_cast<int>(state.range(0));
-  double eps = 0;
-  for (auto _ : state) {
-    const run::RunResult r = run::run_experiment(s);
-    eps = r.events_per_sec();
-  }
-  state.counters["events_per_sec"] = eps;
-}
-BENCHMARK(BM_Pdes1024NodeMyrinetBarrier)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,20 +1,21 @@
 // bench_suite — the whole figure set as one machine-readable artifact.
 //
-// Runs the fig5–fig8 reproduction points plus the Sec. 3/6 ablation grid
-// through run::SweepRunner and writes BENCH_suite.json
-// ("qmb-bench-suite/1"): one point per experiment with a stable key,
-// latency stats, wire counters, and the determinism fingerprint. CI
-// uploads the file and tools/benchdiff compares it against
-// bench/baseline.json; a latency regression or a fingerprint change shows
-// up as a keyed delta instead of a diff of printed tables.
+// Runs every simulated-time number the reproduction reports (Figs. 5-8,
+// the headline table, the Sec. 3/6 ablation, the Sec. 9 collectives, entry
+// skew, background contention and the zoo tiers) through run::SweepRunner
+// and writes BENCH_suite.json ("qmb-bench-suite/1"): one point per
+// experiment with a stable key, latency stats, wire counters, and the
+// determinism fingerprint. CI uploads the file and tools/benchdiff
+// compares it against bench/baseline.json; a latency regression or a
+// fingerprint change shows up as a keyed delta instead of a diff of
+// printed tables.
 //
 //   bench_suite                  # full grid, writes BENCH_suite.json
 //   bench_suite --quick          # CI-sized axes (seconds, not minutes)
 //   bench_suite --out suite.json --threads 4
 //
-// The simulation is deterministic, so the latency numbers are exact
-// (wall-clock benchmarking of the simulator itself stays in the
-// google-benchmark binaries).
+// The simulation is deterministic, so the latency numbers are exact. The
+// simulator's own host time is perfbench's to measure, not this suite's.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,13 +75,23 @@ std::string key_for(const char* group, const run::ExperimentSpec& s) {
   return k;
 }
 
+/// Appends a point unless the suite already holds its key. The figure
+/// tables below reuse axes (full mode's fig5 axis already has n16, its
+/// collectives tier n8), and benchdiff rejects a suite with a key twice.
+void add_point(std::vector<SuitePoint>& out, std::string key, const run::ExperimentSpec& s) {
+  for (const SuitePoint& p : out) {
+    if (p.key == key) return;
+  }
+  out.push_back({std::move(key), s});
+}
+
 void add_barrier_grid(std::vector<SuitePoint>& out, const char* group, Network net,
-                      const std::vector<Impl>& impls, const std::vector<int>& nodes) {
+                      const std::vector<Impl>& impls, const std::vector<int>& nodes,
+                      coll::Algorithm alg = coll::Algorithm::kDissemination) {
   for (const Impl impl : impls) {
     for (const int n : nodes) {
-      run::ExperimentSpec s =
-          bench::barrier_spec(net, n, impl, coll::Algorithm::kDissemination);
-      out.push_back({key_for(group, s), s});
+      const run::ExperimentSpec s = bench::barrier_spec(net, n, impl, alg);
+      add_point(out, key_for(group, s), s);
     }
   }
 }
@@ -91,6 +102,9 @@ std::vector<SuitePoint> build_points(bool quick) {
                                        : std::vector<int>{2, 4, 8, 16};
   const std::vector<int> large = quick ? std::vector<int>{2, 16, 64}
                                        : std::vector<int>{2, 8, 32, 128, 512};
+
+  const auto ds = coll::Algorithm::kDissemination;
+  const auto pe = coll::Algorithm::kPairwiseExchange;
 
   // Fig. 5: LANai 9.1 cluster — NIC vs host vs prior direct scheme.
   add_barrier_grid(pts, "fig5", Network::kMyrinetL9,
@@ -105,12 +119,32 @@ std::vector<SuitePoint> build_points(bool quick) {
   add_barrier_grid(pts, "fig8", Network::kMyrinetXP, {Impl::kNic}, large);
   add_barrier_grid(pts, "fig8", Network::kQuadrics, {Impl::kNic}, large);
 
+  // The rows EXPERIMENTS.md prints for Figs. 5-7: the paper's DS and PE
+  // curves, at the non-power-of-two sizes where PE pays its extra steps.
+  const std::vector<int> fig5_rows = {2, 4, 8, 11, 16};
+  const std::vector<int> fig67_rows = {2, 4, 6, 8};
+  for (const coll::Algorithm alg : {ds, pe}) {
+    add_barrier_grid(pts, "fig5", Network::kMyrinetL9, {Impl::kNic, Impl::kHost}, fig5_rows,
+                     alg);
+    add_barrier_grid(pts, "fig6", Network::kMyrinetXP, {Impl::kNic, Impl::kHost}, fig67_rows,
+                     alg);
+  }
+  add_barrier_grid(pts, "fig7", Network::kQuadrics,
+                   {Impl::kNic, Impl::kGsync, Impl::kHgsync}, fig67_rows);
+  add_barrier_grid(pts, "fig7", Network::kQuadrics, {Impl::kNic}, fig67_rows, pe);
+  // Headline table: the 16-node LANai 9.1 anchors (NIC, host, direct), and
+  // the n = 4..32 inputs of the Sec. 8.3 model fit (n8 is the fig6/fig7
+  // key, n16 the quick fig8 one).
+  add_barrier_grid(pts, "fig5", Network::kMyrinetL9,
+                   {Impl::kNic, Impl::kHost, Impl::kDirect}, {16});
+  add_barrier_grid(pts, "fig8", Network::kQuadrics, {Impl::kNic}, {4, 32});
+  add_barrier_grid(pts, "fig8", Network::kMyrinetXP, {Impl::kNic}, {4, 32});
+
   // PDES tier: the same NIC barrier sharded over the conservative
   // parallel engine at 8 worker threads. The gate is the fingerprint —
   // the engine's contract is that these points are bit-identical to their
   // sequential twins, so any determinism break in the window/merge logic
-  // shows up here as a fingerprint delta even on a single-core runner
-  // (events_per_sec stays advisory, like every host-time number).
+  // shows up here as a fingerprint delta even on a single-core runner.
   {
     const int pdes_n = quick ? 64 : 256;
     for (const Network net :
@@ -153,6 +187,10 @@ std::vector<SuitePoint> build_points(bool quick) {
   f = myri::CollFeatures{};
   f.receiver_driven = false;
   abl("no-receiver-driven", f);
+  abl("all-disabled", myri::CollFeatures{.dedicated_queue = false,
+                                         .static_packet = false,
+                                         .receiver_driven = false,
+                                         .bitvector_record = false});
 
   // Multi-tenant tier: four concurrent 4-rank barrier groups with
   // fixed-rate arrivals under background flood at 0/25/50/75% of the
@@ -165,6 +203,34 @@ std::vector<SuitePoint> build_points(bool quick) {
       pts.push_back({std::string("tenancy/") + std::string(run::to_string(net)) +
                          "/nic/barrier/g4/load" + std::to_string(pct),
                      s});
+    }
+  }
+  // Its closed-loop twin: each group re-enters as soon as its previous
+  // barrier completes (the paper's Sec. 8 methodology), NIC vs host on
+  // LANai-XP. The p99 column of the contention table is each key's p99_us.
+  for (const Impl impl : {Impl::kNic, Impl::kHost}) {
+    for (const int pct : {0, 25, 50, 75}) {
+      run::ExperimentSpec s = bench::tenancy_spec(Network::kMyrinetXP, 8, impl, 4, pct);
+      s.workload.arrival = load::Arrival::kClosed;
+      add_point(pts, "background/myrinet-xp/" + impl_slug(impl) + "/barrier/g4/load" +
+                         std::to_string(pct),
+                s);
+    }
+  }
+
+  // Entry skew (Secs. 4.1/8.2): every (re-)entry waits a uniform draw in
+  // [0, skew] us. elan_hgsync needs well-synchronized callers: its failed
+  // test-and-set probes show in packets_sent, while the NIC barrier sends
+  // its schedule's messages at any skew.
+  const std::pair<Network, Impl> skewed[] = {{Network::kQuadrics, Impl::kHgsync},
+                                             {Network::kQuadrics, Impl::kNic},
+                                             {Network::kMyrinetXP, Impl::kNic},
+                                             {Network::kMyrinetXP, Impl::kHost}};
+  for (const auto& [net, impl] : skewed) {
+    for (const int skew_us : {5, 50}) {
+      run::ExperimentSpec s = bench::barrier_spec(net, 8, impl, ds);
+      s.skew_max_us = static_cast<double>(skew_us);
+      add_point(pts, key_for("skew", s) + "/skew" + std::to_string(skew_us), s);
     }
   }
 
@@ -204,6 +270,22 @@ std::vector<SuitePoint> build_points(bool quick) {
                                                 coll::Algorithm::kDissemination);
     s.op = op;
     pts.push_back({key_for("collectives", s), s});
+  }
+  // The Sec. 9 table: every value kind on both engines, LANai-XP at 8 and
+  // 16 nodes and Quadrics (chained RDMA vs host puts) at 8.
+  const std::pair<Network, std::vector<int>> coll_axes[] = {
+      {Network::kMyrinetXP, {8, 16}}, {Network::kQuadrics, {8}}};
+  for (const auto& [net, nodes] : coll_axes) {
+    for (const Impl impl : {Impl::kNic, Impl::kHost}) {
+      for (const coll::OpKind op : {coll::OpKind::kBcast, coll::OpKind::kAllreduce,
+                                    coll::OpKind::kAllgather, coll::OpKind::kAlltoall}) {
+        for (const int n : nodes) {
+          run::ExperimentSpec s = bench::barrier_spec(net, n, impl, ds);
+          s.op = op;
+          add_point(pts, key_for("collectives", s), s);
+        }
+      }
+    }
   }
 
   // Value-collective algorithm tier: NIC vs host allreduce under every
@@ -251,7 +333,7 @@ SuiteOptions parse(int argc, char** argv) {
 int main(int argc, char** argv) {
   const SuiteOptions o = parse(argc, argv);
   auto points = build_points(o.quick);
-  const int iters = o.quick ? 50 : bench::timed_iters();
+  const int iters = o.quick ? 50 : bench::kTimedIters;
   std::vector<run::ExperimentSpec> specs;
   specs.reserve(points.size());
   for (auto& p : points) {
@@ -266,7 +348,7 @@ int main(int argc, char** argv) {
   doc.set("schema", obs::JsonValue::of("qmb-bench-suite/1"));
   doc.set("quick", obs::JsonValue::of(o.quick));
   doc.set("iters", obs::JsonValue::of(static_cast<std::int64_t>(iters)));
-  doc.set("warmup", obs::JsonValue::of(static_cast<std::int64_t>(bench::warmup_iters())));
+  doc.set("warmup", obs::JsonValue::of(static_cast<std::int64_t>(bench::kWarmupIters)));
   obs::JsonValue arr = obs::JsonValue::make_array();
   for (std::size_t i = 0; i < results.size(); ++i) {
     const run::RunResult& r = results[i];
@@ -279,11 +361,6 @@ int main(int argc, char** argv) {
     p.set("p99_us", obs::JsonValue::of(r.p99_us()));
     p.set("packets_sent", obs::JsonValue::of(r.packets_sent));
     p.set("bytes_sent", obs::JsonValue::of(r.bytes_sent));
-    // Host-side throughput observability: wall-clock per point and the
-    // simulator's events/sec. Noisy and machine-dependent — benchdiff
-    // treats these advisorily, never as a gate.
-    p.set("host_ms", obs::JsonValue::of(r.host_seconds * 1e3));
-    p.set("events_per_sec", obs::JsonValue::of(r.events_per_sec()));
     char fp[32];
     std::snprintf(fp, sizeof fp, "%016llx",
                   static_cast<unsigned long long>(r.fingerprint()));
@@ -303,14 +380,5 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("%zu points -> %s (%s, %d timed iters, %u threads)\n", results.size(),
               o.out.c_str(), o.quick ? "quick" : "full", iters, runner.threads());
-  double total_events = 0.0;
-  double total_host = 0.0;
-  for (const run::RunResult& r : results) {
-    total_events += static_cast<double>(r.events_fired);
-    total_host += r.host_seconds;
-  }
-  std::printf("throughput: %.0f events in %.2fs host time = %.0f events/sec\n",
-              total_events, total_host,
-              total_host > 0.0 ? total_events / total_host : 0.0);
   return 0;
 }

@@ -1,19 +1,13 @@
-// Shared helpers for the figure-reproduction benchmarks.
-//
-// Each bench binary prints its paper-style table(s) first — the rows a
-// reader compares against the paper's figure — then runs google-benchmark
-// timings of the simulator itself (wall time per simulated barrier), so the
-// binaries double as performance regression checks for the simulation.
+// Shared helpers for bench_suite and bench_fig8_scalability.
 //
 // Methodology follows the paper (Sec. 8): consecutive barriers, warm-up
 // iterations discarded, mean of the timed iterations. The simulation is
 // deterministic, so fewer timed iterations than the paper's 10,000 yield
-// the identical mean; QMB_BENCH_ITERS overrides for exact replication.
+// the identical steady-state mean.
 //
-// All table points route through run::SweepRunner: the whole
-// (series x node-count) grid executes across the machine's cores, and the
-// per-point results are bit-identical to a single-threaded run
-// (QMB_SWEEP_THREADS=1 pins that path).
+// All points route through run::SweepRunner: the whole grid executes
+// across the machine's cores, and the per-point results are bit-identical
+// to a single-threaded run (QMB_SWEEP_THREADS=1 pins that path).
 #pragma once
 
 #include <cctype>
@@ -29,15 +23,8 @@
 
 namespace qmb::bench {
 
-inline int timed_iters() {
-  if (const char* s = std::getenv("QMB_BENCH_ITERS")) {
-    const int v = std::atoi(s);
-    if (v > 0) return v;
-  }
-  return 200;
-}
-
-inline int warmup_iters() { return 20; }
+inline constexpr int kTimedIters = 200;
+inline constexpr int kWarmupIters = 20;
 
 /// Spec for one consecutive-barrier latency point with the bench defaults.
 inline run::ExperimentSpec barrier_spec(run::Network network, int nodes, run::Impl impl,
@@ -47,8 +34,8 @@ inline run::ExperimentSpec barrier_spec(run::Network network, int nodes, run::Im
   s.nodes = nodes;
   s.impl = impl;
   s.algorithm = alg;
-  s.iters = iters > 0 ? iters : timed_iters();
-  s.warmup = warmup_iters();
+  s.iters = iters > 0 ? iters : kTimedIters;
+  s.warmup = kWarmupIters;
   return s;
 }
 
@@ -63,9 +50,8 @@ inline run::ExperimentSpec barrier_spec(run::Network network, int nodes, run::Im
 /// log1p, whose last-bit rounding can differ across toolchains, and these
 /// points' fingerprints gate CI.
 inline run::ExperimentSpec tenancy_spec(run::Network network, int nodes, run::Impl impl,
-                                        int groups, int load_pct, int iters = 0) {
-  run::ExperimentSpec s =
-      barrier_spec(network, nodes, impl, coll::Algorithm::kDissemination, iters);
+                                        int groups, int load_pct) {
+  run::ExperimentSpec s = barrier_spec(network, nodes, impl, coll::Algorithm::kDissemination);
   s.workload.groups = groups;
   s.workload.group_size = 4;
   s.workload.mix = {coll::OpKind::kBarrier};
@@ -80,12 +66,6 @@ inline run::ExperimentSpec tenancy_spec(run::Network network, int nodes, run::Im
     s.workload.flood_period_us = service_us / (static_cast<double>(load_pct) / 100.0);
   }
   return s;
-}
-
-/// Mean consecutive-barrier latency (us) of a single spec (the
-/// google-benchmark loops time this single-point path).
-inline double mean_us(const run::ExperimentSpec& spec) {
-  return run::run_experiment(spec).mean_us();
 }
 
 struct Series {
@@ -164,10 +144,6 @@ inline void print_table(const std::string& title, const std::vector<int>& nodes,
 inline void print_anchor(const char* what, double paper_us, double ours_us) {
   std::printf("  %-52s paper %8.2f us   ours %8.2f us   (%+.0f%%)\n", what, paper_us,
               ours_us, (ours_us - paper_us) / paper_us * 100.0);
-}
-
-inline void print_factor(const char* what, double paper_factor, double ours_factor) {
-  std::printf("  %-52s paper %7.2fx    ours %7.2fx\n", what, paper_factor, ours_factor);
 }
 
 }  // namespace qmb::bench

@@ -3,12 +3,15 @@
 #include <cstdio>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 namespace qmb::obs {
 
 namespace {
 
-const std::vector<JsonValue>& points_of(const JsonValue& doc, const char* which) {
+/// The document's points by key. A key twice would let a doctored copy
+/// hide behind the first entry, so it is an error, not a delta.
+std::map<std::string, const JsonValue*> points_of(const JsonValue& doc, const char* which) {
   if (!doc.is_object()) {
     throw std::runtime_error(std::string(which) + ": not a JSON object");
   }
@@ -21,35 +24,34 @@ const std::vector<JsonValue>& points_of(const JsonValue& doc, const char* which)
   if (!pts || !pts->is_array()) {
     throw std::runtime_error(std::string(which) + ": missing 'points' array");
   }
-  return pts->array;
+  std::map<std::string, const JsonValue*> by_key;
+  for (const JsonValue& p : pts->array) {
+    std::string key(p.string_or("key", ""));
+    if (!by_key.emplace(key, &p).second) {
+      throw std::runtime_error(std::string(which) + ": duplicate key '" + key + "'");
+    }
+  }
+  return by_key;
 }
 
 }  // namespace
 
 BenchDiffReport diff_bench_suites(const JsonValue& baseline, const JsonValue& current,
                                   const BenchDiffOptions& opts) {
-  const auto& old_pts = points_of(baseline, "baseline");
-  const auto& new_pts = points_of(current, "current");
-
-  std::map<std::string, const JsonValue*> new_by_key;
-  for (const JsonValue& p : new_pts) {
-    new_by_key.emplace(std::string(p.string_or("key", "")), &p);
-  }
+  const auto old_by_key = points_of(baseline, "baseline");
+  const auto new_by_key = points_of(current, "current");
 
   BenchDiffReport rep;
-  std::map<std::string, bool> seen;
   char line[256];
   std::string table;
-  std::string host_table;
 
-  for (const JsonValue& op : old_pts) {
+  for (const JsonValue& op : baseline.find("points")->array) {
     const std::string key(op.string_or("key", ""));
     const auto it = new_by_key.find(key);
     if (it == new_by_key.end()) {
       rep.removed.push_back(key);
       continue;
     }
-    seen[key] = true;
     const JsonValue& np = *it->second;
 
     BenchPointDelta d;
@@ -64,20 +66,6 @@ BenchDiffReport diff_bench_suites(const JsonValue& baseline, const JsonValue& cu
     if (d.improvement) ++rep.improvements;
     if (d.fingerprint_changed) ++rep.fingerprint_changes;
 
-    // Advisory host-time drift: only when both suites carry the field.
-    d.old_host_ms = op.number_or("host_ms", 0.0);
-    d.new_host_ms = np.number_or("host_ms", 0.0);
-    if (d.old_host_ms > 0.0 && d.new_host_ms > 0.0) {
-      d.host_delta_pct = (d.new_host_ms - d.old_host_ms) / d.old_host_ms * 100.0;
-      if (d.host_delta_pct > opts.host_threshold_pct ||
-          d.host_delta_pct < -opts.host_threshold_pct) {
-        ++rep.host_drifts;
-        std::snprintf(line, sizeof line, "  %-44s %10.2f -> %10.2f ms  %+7.2f%%\n",
-                      d.key.c_str(), d.old_host_ms, d.new_host_ms, d.host_delta_pct);
-        host_table += line;
-      }
-    }
-
     if (d.regression || d.improvement || d.fingerprint_changed) {
       std::snprintf(line, sizeof line, "  %-44s %10.2f -> %10.2f us  %+7.2f%%%s%s\n",
                     d.key.c_str(), d.old_us, d.new_us, d.delta_pct,
@@ -87,9 +75,9 @@ BenchDiffReport diff_bench_suites(const JsonValue& baseline, const JsonValue& cu
     }
     rep.deltas.push_back(std::move(d));
   }
-  for (const JsonValue& np : new_pts) {
+  for (const JsonValue& np : current.find("points")->array) {
     const std::string key(np.string_or("key", ""));
-    if (!seen.contains(key)) rep.added.push_back(key);
+    if (!old_by_key.contains(key)) rep.added.push_back(key);
   }
 
   std::snprintf(line, sizeof line,
@@ -102,13 +90,6 @@ BenchDiffReport diff_bench_suites(const JsonValue& baseline, const JsonValue& cu
   rep.text = line + table;
   for (const std::string& k : rep.added) rep.text += "  added:   " + k + "\n";
   for (const std::string& k : rep.removed) rep.text += "  removed: " + k + "\n";
-  if (rep.host_drifts > 0) {
-    std::snprintf(line, sizeof line,
-                  "host time (advisory, never gates): %d point(s) drifted beyond "
-                  "%.1f%%\n",
-                  rep.host_drifts, opts.host_threshold_pct);
-    rep.host_text = line + host_table;
-  }
   return rep;
 }
 

@@ -22,10 +22,6 @@ struct BenchDiffOptions {
   double threshold_pct = 5.0;
   /// When true, a fingerprint change alone fails the diff.
   bool fail_on_fingerprint = false;
-  /// Host-time drift beyond this (percent) is flagged in the advisory
-  /// section. Purely informational: host time is wall-clock noise, so it
-  /// never contributes to exit_code() regardless of this setting.
-  double host_threshold_pct = 25.0;
 };
 
 struct BenchPointDelta {
@@ -36,10 +32,6 @@ struct BenchPointDelta {
   bool regression = false;
   bool improvement = false;
   bool fingerprint_changed = false;
-  // Advisory host-time comparison (0 when either suite lacks host fields).
-  double old_host_ms = 0.0;
-  double new_host_ms = 0.0;
-  double host_delta_pct = 0.0;
 };
 
 struct BenchDiffReport {
@@ -49,28 +41,20 @@ struct BenchDiffReport {
   int regressions = 0;
   int improvements = 0;
   int fingerprint_changes = 0;
-  /// Points whose host time drifted beyond host_threshold_pct. Advisory
-  /// only — see exit_code().
-  int host_drifts = 0;
-  std::string text;  // human-readable summary table (blocking section)
-  /// Advisory host-time comparison, printed separately from `text` so the
-  /// blocking simulated-latency verdict is never conflated with wall-clock
-  /// noise. Empty when neither suite carries host_ms fields.
-  std::string host_text;
+  std::string text;  // human-readable summary table
 
-  /// 0 = clean, 1 = regression (or fingerprint change when configured to
-  /// fail on it). Host-time drift deliberately never affects the exit
-  /// code: wall-clock is machine-dependent noise, only simulated latency
-  /// and fingerprints gate.
+  /// 0 = clean, 1 = regression, a removed key, or a fingerprint change
+  /// when configured to fail on it.
   [[nodiscard]] int exit_code(const BenchDiffOptions& opts) const {
-    if (regressions > 0) return 1;
+    if (regressions > 0 || !removed.empty()) return 1;
     if (opts.fail_on_fingerprint && fingerprint_changes > 0) return 1;
     return 0;
   }
 };
 
 /// Diffs two parsed suite documents. Throws std::runtime_error when either
-/// document is not a qmb-bench-suite object.
+/// document is not a qmb-bench-suite object or holds a key twice; the
+/// message names the document and the key.
 [[nodiscard]] BenchDiffReport diff_bench_suites(const JsonValue& baseline,
                                                 const JsonValue& current,
                                                 const BenchDiffOptions& opts = {});

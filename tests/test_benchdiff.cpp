@@ -1,6 +1,7 @@
 // Bench-suite regression diffing: key alignment, threshold classification,
-// fingerprint-change detection, exit codes, and schema validation — the
-// engine behind tools/benchdiff and the CI perf gate.
+// fingerprint-change detection, removed and duplicate keys, exit codes, and
+// schema validation — the engine behind tools/benchdiff and the CI perf
+// gate.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -84,15 +85,45 @@ TEST(BenchDiff, FingerprintChangeFailsOnlyWhenConfigured) {
   EXPECT_EQ(rep.exit_code(strict), 1);
 }
 
-TEST(BenchDiff, AddedAndRemovedKeysAreReportedNotFatal) {
-  const JsonValue base = suite({{"fig5/a", 10.0, "aa"}, {"fig5/gone", 5.0, "cc"}});
+TEST(BenchDiff, AddedKeysAreReportedNotFatal) {
+  const JsonValue base = suite({{"fig5/a", 10.0, "aa"}});
   const JsonValue cur = suite({{"fig5/a", 10.0, "aa"}, {"fig5/new", 7.0, "dd"}});
   const auto rep = diff_bench_suites(base, cur);
   ASSERT_EQ(rep.added.size(), 1u);
   EXPECT_EQ(rep.added[0], "fig5/new");
+  EXPECT_TRUE(rep.removed.empty());
+  EXPECT_EQ(rep.exit_code({}), 0);
+}
+
+TEST(BenchDiff, RemovedKeysFail) {
+  // A suite that silently drops a point would stop gating it; a baseline
+  // refresh keeps every existing key.
+  const JsonValue base = suite({{"fig5/a", 10.0, "aa"}, {"fig5/gone", 5.0, "cc"}});
+  const JsonValue cur = suite({{"fig5/a", 10.0, "aa"}});
+  const auto rep = diff_bench_suites(base, cur);
   ASSERT_EQ(rep.removed.size(), 1u);
   EXPECT_EQ(rep.removed[0], "fig5/gone");
-  EXPECT_EQ(rep.exit_code({}), 0);
+  EXPECT_EQ(rep.regressions, 0);
+  EXPECT_EQ(rep.exit_code({}), 1);
+  EXPECT_NE(rep.text.find("removed: fig5/gone"), std::string::npos);
+}
+
+TEST(BenchDiff, DuplicateKeyIsRejected) {
+  // A doctored copy of a point (3x the latency, another fingerprint) must
+  // not hide behind the first entry with the same key, in either document.
+  const JsonValue clean = suite({{"fig5/a", 10.0, "aa"}, {"fig5/b", 20.0, "bb"}});
+  const JsonValue dup = suite(
+      {{"fig5/a", 10.0, "aa"}, {"fig5/b", 20.0, "bb"}, {"fig5/a", 30.0, "deadbeefdeadbeef"}});
+  for (const bool dup_is_baseline : {false, true}) {
+    try {
+      (void)(dup_is_baseline ? diff_bench_suites(dup, clean) : diff_bench_suites(clean, dup));
+      ADD_FAILURE() << "duplicate key accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(dup_is_baseline ? "baseline" : "current"), std::string::npos) << what;
+      EXPECT_NE(what.find("duplicate key 'fig5/a'"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(BenchDiff, DeltasFollowBaselineOrder) {

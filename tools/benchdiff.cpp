@@ -4,10 +4,11 @@
 //   benchdiff --threshold 2.5 --fail-on-fingerprint bench/baseline.json BENCH_suite.json
 //
 // Exit codes: 0 clean, 1 regression detected (mean latency grew past the
-// threshold on any common key, or a fingerprint changed when
-// --fail-on-fingerprint is set), 2 usage/parse error. CI runs this against
-// the committed bench/baseline.json so a perf or determinism break shows
-// up as a keyed delta in the job log.
+// threshold on any common key, a baseline key is missing from the current
+// suite, or a fingerprint changed when --fail-on-fingerprint is set),
+// 2 usage/parse error or a key that appears twice in one document. CI runs
+// this against the committed bench/baseline.json so a perf or determinism
+// break shows up as a keyed delta in the job log.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,15 +22,12 @@ namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--threshold PCT] [--fail-on-fingerprint] "
-               "[--host-threshold PCT] BASELINE CURRENT\n"
+               "usage: %s [--threshold PCT] [--fail-on-fingerprint] BASELINE CURRENT\n"
                "  --threshold PCT        mean-latency growth counted as a regression\n"
                "                         (default 5.0)\n"
                "  --fail-on-fingerprint  a changed determinism fingerprint alone fails\n"
-               "  --host-threshold PCT   wall-clock drift flagged in the advisory\n"
-               "                         host-time section (default 25.0); host time\n"
-               "                         never affects the exit code\n"
-               "exit: 0 clean, 1 regression, 2 usage or parse error\n",
+               "exit: 0 clean, 1 regression or removed key, 2 usage or parse error\n"
+               "      or a duplicate key\n",
                argv0);
   std::exit(2);
 }
@@ -60,11 +58,6 @@ int main(int argc, char** argv) {
       if (end == nullptr || *end != '\0' || opts.threshold_pct < 0) usage(argv[0]);
     } else if (a == "--fail-on-fingerprint") {
       opts.fail_on_fingerprint = true;
-    } else if (a == "--host-threshold") {
-      if (i + 1 >= argc) usage(argv[0]);
-      char* end = nullptr;
-      opts.host_threshold_pct = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0' || opts.host_threshold_pct < 0) usage(argv[0]);
     } else if (a == "--help" || a == "-h") {
       usage(argv[0]);
     } else if (!a.empty() && a[0] == '-') {
@@ -83,7 +76,6 @@ int main(int argc, char** argv) {
     const auto current = qmb::obs::JsonValue::parse(slurp(paths[1]));
     const auto report = qmb::obs::diff_bench_suites(baseline, current, opts);
     std::fputs(report.text.c_str(), stdout);
-    if (!report.host_text.empty()) std::fputs(report.host_text.c_str(), stdout);
     return report.exit_code(opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "benchdiff: %s\n", e.what());
