@@ -114,9 +114,9 @@ using Barrier = Collective;
     coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
 
 /// The algorithms make_collective_schedule accepts for `kind`, in the
-/// kBarrierAlgorithms order. Single source of truth for the substrate
-/// capability tables (SubstrateCaps::collective_algorithms), validate()'s
-/// error text, and the fuzzer's case space. Value kinds only list
+/// kBarrierAlgorithms order. Single source of truth for every substrate's
+/// value-collective algorithms (run::caps_algorithms), validate()'s error
+/// text, and the fuzzer's case space. Value kinds only list
 /// algorithms whose schedule provably combines that kind's payloads
 /// (e.g. plain dissemination double-counts a sum, so allreduce maps its
 /// kDissemination default to recursive doubling instead).

@@ -232,11 +232,11 @@ GroupSchedule make_fway_dissemination(int n, int f) {
 }
 
 GroupSchedule make_remote_atomic(int n) {
-  // Central-counter barrier over remote atomics (shigeki-akiyama's
-  // remote_cas MPI barrier): every rank fetch-adds the counter that lives
-  // on rank 0's NIC and blocks on the release flag; the arrival that makes
-  // the counter hit N-1 triggers the release fan-out. As a schedule that
-  // is a star: N-1 kTagUp edges into rank 0, N-1 kTagDown edges out.
+  // Central-counter barrier (shigeki-akiyama's remote_cas MPI barrier):
+  // every rank bumps a counter on rank 0 and blocks on the release flag;
+  // the arrival that makes the counter hit N-1 triggers the release
+  // fan-out. As a schedule that is a star: N-1 kTagUp edges into rank 0,
+  // N-1 kTagDown edges out, each one tagged RDMA write on IB.
   GroupSchedule g;
   g.algorithm = Algorithm::kRemoteAtomic;
   g.size = n;
@@ -302,22 +302,6 @@ std::optional<OpKind> parse_op_kind(std::string_view s) {
   if (s == "reduce") return OpKind::kAllreduce;  // MPI-style CLI alias
   if (s == "allgather") return OpKind::kAllgather;
   if (s == "alltoall") return OpKind::kAlltoall;
-  return std::nullopt;
-}
-
-std::string_view to_string(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum: return "sum";
-    case ReduceOp::kMin: return "min";
-    case ReduceOp::kMax: return "max";
-  }
-  return "?";
-}
-
-std::optional<ReduceOp> parse_reduce_op(std::string_view s) {
-  if (s == "sum") return ReduceOp::kSum;
-  if (s == "min") return ReduceOp::kMin;
-  if (s == "max") return ReduceOp::kMax;
   return std::nullopt;
 }
 

@@ -16,8 +16,8 @@
 //                         champion wakes its losers in reverse round order
 //  * fway-dissemination — radix-f dissemination: ceil(log_f N) rounds of
 //                         f-1 sends each (f = the radix parameter)
-//  * remote-atomic      — central counter star (remote fetch-add on rank
-//                         0's NIC; every rank increments, rank 0 releases)
+//  * remote-atomic      — central counter star (every rank signals rank 0,
+//                         rank 0 releases; on IB, tagged RDMA writes)
 //
 // kRotation is a label, not a barrier: it names the alltoall rotation-ring
 // pattern so traces and metrics report that schedule honestly.
@@ -103,11 +103,6 @@ enum class OpKind : std::uint8_t { kBarrier, kBcast, kAllreduce, kAllgather, kAl
 [[nodiscard]] std::optional<OpKind> parse_op_kind(std::string_view s);
 
 enum class ReduceOp : std::uint8_t { kSum, kMin, kMax };
-
-[[nodiscard]] std::string_view to_string(ReduceOp op);
-
-/// Parses the names to_string(ReduceOp) emits ("sum", "min", "max").
-[[nodiscard]] std::optional<ReduceOp> parse_reduce_op(std::string_view s);
 
 /// Payload folding rule shared by the NIC engine and host-level executors:
 /// barrier payloads are ignored, bcast and result-tagged edges replace,

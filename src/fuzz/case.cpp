@@ -1,7 +1,6 @@
 #include "fuzz/case.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -91,7 +90,7 @@ run::ExperimentSpec derive_case(std::uint64_t seed, const FuzzOptions& opts) {
 
   // Drawn from the substrate's capability list *for the drawn op kind* so
   // every legal (kind, algorithm) pair — including remote-atomic barriers,
-  // which only IB's HCA verbs support, and the value-collective schedules
+  // which only IB registers, and the value-collective schedules
   // (tree/fway allreduce etc.) — gets fuzzed, and illegal pairs never
   // derive. The fixed-pattern barrier impls ignore schedules (validate()
   // rejects a non-default algorithm there), so those fall back to the
@@ -132,7 +131,7 @@ run::ExperimentSpec derive_case(std::uint64_t seed, const FuzzOptions& opts) {
                       ? 0.0
                       : static_cast<double>(rng.next_below(20'001)) / 1000.0;
 
-  if (caps.faults) {
+  if (caps.loss_recovery) {
     const std::uint64_t rules = rng.next_below(4);  // 0..3 rules
     for (std::uint64_t i = 0; i < rules; ++i) {
       s.faults.push_back(derive_fault(rng, s.nodes));
@@ -202,49 +201,7 @@ run::ExperimentSpec derive_case(std::uint64_t seed, const FuzzOptions& opts) {
 
 namespace {
 
-obs::JsonValue u64_json(std::uint64_t v) { return obs::JsonValue::of(std::to_string(v)); }
-
-std::uint64_t u64_field(const obs::JsonValue& obj, std::string_view key,
-                        std::uint64_t fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->type == obs::JsonValue::Type::kString) {
-    return std::strtoull(v->string.c_str(), nullptr, 10);
-  }
-  if (v->type == obs::JsonValue::Type::kNumber) {
-    return static_cast<std::uint64_t>(v->number);
-  }
-  throw std::invalid_argument("spec field '" + std::string(key) +
-                              "' must be a string or number");
-}
-
-std::int64_t i64_field(const obs::JsonValue& obj, std::string_view key,
-                       std::int64_t fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->type != obs::JsonValue::Type::kNumber) {
-    throw std::invalid_argument("spec field '" + std::string(key) + "' must be a number");
-  }
-  return static_cast<std::int64_t>(v->number);
-}
-
-double double_field(const obs::JsonValue& obj, std::string_view key, double fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->type != obs::JsonValue::Type::kNumber) {
-    throw std::invalid_argument("spec field '" + std::string(key) + "' must be a number");
-  }
-  return v->number;
-}
-
-bool bool_field(const obs::JsonValue& obj, std::string_view key, bool fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->type != obs::JsonValue::Type::kBool) {
-    throw std::invalid_argument("spec field '" + std::string(key) + "' must be a bool");
-  }
-  return v->boolean;
-}
+constexpr std::string_view kWhat = "spec";  // field-error prefix
 
 }  // namespace
 
@@ -261,7 +218,7 @@ std::string spec_to_json(const run::ExperimentSpec& s) {
   if (s.overlap_us >= 0.0) o.set("overlap_us", obs::JsonValue::of(s.overlap_us));
   o.set("iters", obs::JsonValue::of(static_cast<std::int64_t>(s.iters)));
   o.set("warmup", obs::JsonValue::of(static_cast<std::int64_t>(s.warmup)));
-  o.set("seed", u64_json(s.seed));
+  o.set("seed", obs::u64_json(s.seed));
   o.set("random_placement", obs::JsonValue::of(s.random_placement));
   o.set("drop_prob", obs::JsonValue::of(s.drop_prob));
   o.set("skew_max_us", obs::JsonValue::of(s.skew_max_us));
@@ -291,10 +248,10 @@ std::string spec_to_json(const run::ExperimentSpec& s) {
     r.set("src", obs::JsonValue::of(static_cast<std::int64_t>(f.src)));
     r.set("dst", obs::JsonValue::of(static_cast<std::int64_t>(f.dst)));
     r.set("action", obs::JsonValue::of(net::to_string(f.action)));
-    if (f.nth != 0) r.set("nth", u64_json(f.nth));
+    if (f.nth != 0) r.set("nth", obs::u64_json(f.nth));
     if (f.prob != 0.0) {
       r.set("prob", obs::JsonValue::of(f.prob));
-      r.set("seed", u64_json(f.seed));
+      r.set("seed", obs::u64_json(f.seed));
     }
     if (f.until_ps > f.from_ps) {
       r.set("from_ps", obs::JsonValue::of(f.from_ps));
@@ -345,30 +302,34 @@ run::ExperimentSpec spec_from_json(std::string_view json) {
     if (!a) throw std::invalid_argument("unknown algorithm '" + v->string + "'");
     s.algorithm = *a;
   }
-  s.radix = static_cast<int>(i64_field(doc, "radix", s.radix));
-  s.overlap_us = double_field(doc, "overlap_us", s.overlap_us);
-  s.nodes = static_cast<int>(i64_field(doc, "nodes", s.nodes));
-  s.iters = static_cast<int>(i64_field(doc, "iters", s.iters));
-  s.warmup = static_cast<int>(i64_field(doc, "warmup", s.warmup));
-  s.seed = u64_field(doc, "seed", s.seed);
-  s.random_placement = bool_field(doc, "random_placement", s.random_placement);
-  s.drop_prob = double_field(doc, "drop_prob", s.drop_prob);
-  s.skew_max_us = double_field(doc, "skew_max_us", s.skew_max_us);
-  s.horizon_ms = i64_field(doc, "horizon_ms", s.horizon_ms);
-  s.engine_threads = static_cast<int>(i64_field(doc, "engine_threads", s.engine_threads));
-  s.engine_domains = static_cast<int>(i64_field(doc, "engine_domains", s.engine_domains));
+  s.radix = static_cast<int>(obs::i64_field(doc, "radix", s.radix, kWhat));
+  s.overlap_us = obs::double_field(doc, "overlap_us", s.overlap_us, kWhat);
+  s.nodes = static_cast<int>(obs::i64_field(doc, "nodes", s.nodes, kWhat));
+  s.iters = static_cast<int>(obs::i64_field(doc, "iters", s.iters, kWhat));
+  s.warmup = static_cast<int>(obs::i64_field(doc, "warmup", s.warmup, kWhat));
+  s.seed = obs::u64_field(doc, "seed", s.seed, kWhat);
+  s.random_placement =
+      obs::bool_field(doc, "random_placement", s.random_placement, kWhat);
+  s.drop_prob = obs::double_field(doc, "drop_prob", s.drop_prob, kWhat);
+  s.skew_max_us = obs::double_field(doc, "skew_max_us", s.skew_max_us, kWhat);
+  s.horizon_ms = obs::i64_field(doc, "horizon_ms", s.horizon_ms, kWhat);
+  s.engine_threads =
+      static_cast<int>(obs::i64_field(doc, "engine_threads", s.engine_threads, kWhat));
+  s.engine_domains =
+      static_cast<int>(obs::i64_field(doc, "engine_domains", s.engine_domains, kWhat));
 
   if (const obs::JsonValue* f = doc.find("features")) {
     if (!f->is_object()) throw std::invalid_argument("'features' must be an object");
     s.features.dedicated_queue =
-        bool_field(*f, "dedicated_queue", s.features.dedicated_queue);
-    s.features.static_packet = bool_field(*f, "static_packet", s.features.static_packet);
+        obs::bool_field(*f, "dedicated_queue", s.features.dedicated_queue, kWhat);
+    s.features.static_packet =
+        obs::bool_field(*f, "static_packet", s.features.static_packet, kWhat);
     s.features.receiver_driven =
-        bool_field(*f, "receiver_driven", s.features.receiver_driven);
+        obs::bool_field(*f, "receiver_driven", s.features.receiver_driven, kWhat);
     s.features.bitvector_record =
-        bool_field(*f, "bitvector_record", s.features.bitvector_record);
+        obs::bool_field(*f, "bitvector_record", s.features.bitvector_record, kWhat);
     s.features.debug_skip_retransmit =
-        bool_field(*f, "debug_skip_retransmit", s.features.debug_skip_retransmit);
+        obs::bool_field(*f, "debug_skip_retransmit", s.features.debug_skip_retransmit, kWhat);
   }
 
   if (const obs::JsonValue* arr = doc.find("faults")) {
@@ -376,19 +337,19 @@ run::ExperimentSpec spec_from_json(std::string_view json) {
     for (const obs::JsonValue& r : arr->array) {
       if (!r.is_object()) throw std::invalid_argument("fault rule must be an object");
       net::FaultSpec f;
-      f.src = static_cast<std::int32_t>(i64_field(r, "src", -1));
-      f.dst = static_cast<std::int32_t>(i64_field(r, "dst", -1));
+      f.src = static_cast<std::int32_t>(obs::i64_field(r, "src", -1, kWhat));
+      f.dst = static_cast<std::int32_t>(obs::i64_field(r, "dst", -1, kWhat));
       if (const obs::JsonValue* a = r.find("action")) {
         const auto act = net::parse_fault_action(a->string);
         if (!act) throw std::invalid_argument("unknown fault action '" + a->string + "'");
         f.action = *act;
       }
-      f.nth = u64_field(r, "nth", 0);
-      f.prob = double_field(r, "prob", 0.0);
-      f.seed = u64_field(r, "seed", 0);
-      f.from_ps = i64_field(r, "from_ps", 0);
-      f.until_ps = i64_field(r, "until_ps", 0);
-      f.delay_ps = i64_field(r, "delay_ps", 0);
+      f.nth = obs::u64_field(r, "nth", 0, kWhat);
+      f.prob = obs::double_field(r, "prob", 0.0, kWhat);
+      f.seed = obs::u64_field(r, "seed", 0, kWhat);
+      f.from_ps = obs::i64_field(r, "from_ps", 0, kWhat);
+      f.until_ps = obs::i64_field(r, "until_ps", 0, kWhat);
+      f.delay_ps = obs::i64_field(r, "delay_ps", 0, kWhat);
       s.faults.push_back(f);
     }
   }

@@ -29,7 +29,6 @@ struct IbConfig {
   sim::SimDuration qp_process = sim::nanoseconds(300);   // WQE fetch, packet build, PSN stamp
   sim::SimDuration rx_process = sim::nanoseconds(250);   // inbound PSN check + RDMA write placement
   sim::SimDuration cq_dma = sim::nanoseconds(300);       // CQE (immediate data) DMA to host memory
-  sim::SimDuration atomic_exec = sim::nanoseconds(200);  // responder-side CAS / fetch-add
   sim::SimDuration ack_process = sim::nanoseconds(100);  // ACK/NAK generation or retirement
 
   // --- RC reliability ---

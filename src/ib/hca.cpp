@@ -14,23 +14,6 @@ namespace qmb::ib {
 static_assert(sizeof(IbWrite) <= net::PacketPayload::kInlineCapacity);
 static_assert(sizeof(IbAck) <= net::PacketPayload::kInlineCapacity);
 
-namespace {
-
-/// CAS swap operands ride packed in (tag, src_rank), which atomics do not
-/// otherwise use — the body stays small enough to stay inline.
-std::int64_t unpack_swap(const IbWrite& w) {
-  return static_cast<std::int64_t>((static_cast<std::uint64_t>(w.tag) << 32) |
-                                   static_cast<std::uint64_t>(w.src_rank));
-}
-
-void pack_swap(IbWrite& w, std::int64_t swap) {
-  const auto u = static_cast<std::uint64_t>(swap);
-  w.tag = static_cast<std::uint32_t>(u >> 32);
-  w.src_rank = static_cast<std::uint32_t>(u & 0xFFFFFFFFULL);
-}
-
-}  // namespace
-
 Hca::Hca(sim::Engine& engine, net::Fabric& fabric, const IbConfig& config,
          int node_index, sim::Tracer* tracer, bool skip_retransmit)
     : engine_(&engine),
@@ -50,7 +33,6 @@ Hca::Hca(sim::Engine& engine, net::Fabric& fabric, const IbConfig& config,
   stats_.duplicates_dropped = reg.counter("ib.duplicates_dropped", node_);
   stats_.ops_completed = reg.counter("ib.ops_completed", node_);
   stats_.early_buffered = reg.counter("ib.early_buffered", node_);
-  stats_.atomics_executed = reg.counter("ib.atomics_executed", node_);
   stats_.crc_dropped = reg.counter("nic.crc_dropped", node_);
   addr_ = fabric_->attach([this](net::Packet&& p) {
     if (p.corrupted) {  // ICRC check: discard before the transport sees it
@@ -84,8 +66,7 @@ void Hca::post_write(int dst_node, IbWrite body, std::uint32_t payload_bytes) {
     const std::uint64_t flow = fabric_->send(
         net::Packet(addr_, net::NicAddr(dst_node), wire, stamped));
     trace("rdma_write", dst_node, stamped.psn, static_cast<std::int64_t>(flow));
-    if (stamped.op == IbWrite::Op::kWriteImm &&
-        stamped.imm_class == IbWrite::ImmClass::kGroup) {
+    if (stamped.imm_class == IbWrite::ImmClass::kGroup) {
       // Collective trigger record, mirroring the Myrinet engine's
       // "coll_send": the b operand carries the BarrierTag-encoded
       // group/seq/edge tag so trace_report can attribute rounds and
@@ -123,7 +104,7 @@ void Hca::accept_request(int src_node, const IbWrite& w) {
     ++q.expected_psn;
     q.nak_outstanding = false;
     send_ack(src_node, q.expected_psn, /*nak=*/false);
-    deliver_request(src_node, w);
+    deliver_request(w);
     return;
   }
   if (w.psn > q.expected_psn) {
@@ -143,51 +124,16 @@ void Hca::accept_request(int src_node, const IbWrite& w) {
   send_ack(src_node, q.expected_psn, /*nak=*/false);
 }
 
-void Hca::deliver_request(int src_node, const IbWrite& w) {
-  switch (w.op) {
-    case IbWrite::Op::kWriteImm:
-      if (w.imm_class == IbWrite::ImmClass::kGroup) {
-        handle_group_event(w);
-      } else {
-        // The immediate data CQEs into host memory; the host layer adds
-        // its own poll cost on top.
-        unit_.exec(config_->cq_dma, [this, w] {
-          if (host_msg_handler_) host_msg_handler_(w);
-        });
-      }
-      return;
-    case IbWrite::Op::kCompSwap:
-    case IbWrite::Op::kFetchAdd: {
-      const IbWrite body = w;
-      unit_.exec(config_->atomic_exec, [this, src_node, body] {
-        std::int64_t& word = atomic_words_[body.group];
-        const std::int64_t old = word;
-        if (body.op == IbWrite::Op::kCompSwap) {
-          if (word == body.value) word = unpack_swap(body);
-        } else {
-          word += body.value;
-        }
-        ++stats_.atomics_executed;
-        trace("atomic_exec", src_node, body.group);
-        IbWrite resp;
-        resp.op = IbWrite::Op::kAtomicResp;
-        resp.seq = body.seq;  // requester's completion token
-        resp.value = old;
-        post_write(src_node, resp, 8);
-      });
-      return;
-    }
-    case IbWrite::Op::kAtomicResp:
-      unit_.exec(config_->cq_dma, [this, w] {
-        auto it = pending_atomics_.find(w.seq);
-        if (it == pending_atomics_.end()) return;
-        AtomicDone done = std::move(it->second);
-        pending_atomics_.erase(it);
-        if (done) done(w.value);
-      });
-      return;
+void Hca::deliver_request(const IbWrite& w) {
+  if (w.imm_class == IbWrite::ImmClass::kGroup) {
+    handle_group_event(w);
+    return;
   }
-  throw std::logic_error("unhandled IB request opcode");
+  // The immediate data CQEs into host memory; the host layer adds its own
+  // poll cost on top.
+  unit_.exec(config_->cq_dma, [this, w] {
+    if (host_msg_handler_) host_msg_handler_(w);
+  });
 }
 
 void Hca::send_ack(int dst_node, std::uint32_t psn, bool nak) {
@@ -267,40 +213,6 @@ void Hca::retransmit_window(int peer, std::uint32_t slot) {
   });
 }
 
-// --- remote atomics ---
-
-void Hca::post_atomic(int dst_node, IbWrite::Op op, std::uint32_t slot,
-                      std::int64_t compare, std::int64_t swap_or_add, AtomicDone done) {
-  const std::uint32_t token = next_atomic_token_++;
-  pending_atomics_.emplace(token, std::move(done));
-  IbWrite w;
-  w.op = op;
-  w.group = slot;
-  w.seq = token;
-  if (op == IbWrite::Op::kCompSwap) {
-    w.value = compare;
-    pack_swap(w, swap_or_add);
-  } else {
-    w.value = swap_or_add;
-  }
-  post_write(dst_node, w, 8);
-}
-
-void Hca::fetch_add(int dst_node, std::uint32_t slot, std::int64_t addend,
-                    AtomicDone done) {
-  post_atomic(dst_node, IbWrite::Op::kFetchAdd, slot, 0, addend, std::move(done));
-}
-
-void Hca::compare_swap(int dst_node, std::uint32_t slot, std::int64_t compare,
-                       std::int64_t swap, AtomicDone done) {
-  post_atomic(dst_node, IbWrite::Op::kCompSwap, slot, compare, swap, std::move(done));
-}
-
-std::int64_t Hca::atomic_word(std::uint32_t slot) const {
-  const auto it = atomic_words_.find(slot);
-  return it == atomic_words_.end() ? 0 : it->second;
-}
-
 // --- collective group engine (the paper's protocol on verbs) ---
 
 void Hca::create_group(coll::GroupDesc desc) {
@@ -338,7 +250,6 @@ void Hca::group_send(Group& g, std::uint32_t seq, const coll::Edge& e,
   // operations with no data transfer can fire a remote event". Value
   // collectives put their payload words through the same write.
   IbWrite body;
-  body.op = IbWrite::Op::kWriteImm;
   body.imm_class = IbWrite::ImmClass::kGroup;
   body.group = g.desc.group_id;
   body.seq = seq;

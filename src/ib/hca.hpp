@@ -1,6 +1,6 @@
-// IB HCA model: RC queue pairs, a completion path, remote atomics, and the
-// NIC-resident collective group engine, all sharing the card's processing
-// unit (one serialized Resource) — the verbs twin of the Elan3 NIC in
+// IB HCA model: RC queue pairs, a completion path, and the NIC-resident
+// collective group engine, all sharing the card's processing unit (one
+// serialized Resource) — the verbs twin of the Elan3 NIC in
 // src/quadrics/nic.hpp.
 //
 // The transport is the part neither existing substrate has: one RC queue
@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/group_window.hpp"
@@ -42,7 +41,6 @@ struct HcaStats {
   obs::Counter duplicates_dropped;
   obs::Counter ops_completed;
   obs::Counter early_buffered;
-  obs::Counter atomics_executed;
   obs::Counter crc_dropped;  // inbound CRC discards (fault-injected corruption)
 };
 
@@ -66,22 +64,6 @@ class Hca {
   /// cost is the caller's).
   using HostMsgHandler = std::function<void(const IbWrite&)>;
   void set_host_msg_handler(HostMsgHandler h) { host_msg_handler_ = std::move(h); }
-
-  // --- remote atomics ---
-
-  using AtomicDone = std::function<void(std::int64_t old_value)>;
-  /// Remote fetch-and-add on `slot` of `dst_node`'s atomic region; `done`
-  /// runs at HCA time with the pre-add value when the response retires.
-  void fetch_add(int dst_node, std::uint32_t slot, std::int64_t addend, AtomicDone done);
-  /// Remote compare-and-swap; `done` receives the pre-swap value (the swap
-  /// happened iff it equals `compare`).
-  void compare_swap(int dst_node, std::uint32_t slot, std::int64_t compare,
-                    std::int64_t swap, AtomicDone done);
-  /// This HCA's atomic region (responder side), for tests and seeding.
-  [[nodiscard]] std::int64_t atomic_word(std::uint32_t slot) const;
-  void set_atomic_word(std::uint32_t slot, std::int64_t value) {
-    atomic_words_[slot] = value;
-  }
 
   // --- NIC-resident collective group engine (paper Secs. 5-7 on verbs) ---
 
@@ -164,14 +146,12 @@ class Hca {
 
   void on_packet(net::Packet&& p);
   void accept_request(int src_node, const IbWrite& w);
-  void deliver_request(int src_node, const IbWrite& w);
+  void deliver_request(const IbWrite& w);
   void send_ack(int dst_node, std::uint32_t psn, bool nak);
   void handle_ack(int peer, const IbAck& a);
   // `slot` is the peer's entry in peers_, so timers skip the lookup.
   void arm_rto(int peer, std::uint32_t slot);
   void retransmit_window(int peer, std::uint32_t slot);
-  void post_atomic(int dst_node, IbWrite::Op op, std::uint32_t slot, std::int64_t compare,
-                   std::int64_t swap_or_add, AtomicDone done);
 
   void handle_group_event(const IbWrite& w);
   void group_send(Group& g, std::uint32_t seq, const coll::Edge& e, std::int64_t value);
@@ -190,9 +170,6 @@ class Hca {
   HostMsgHandler host_msg_handler_;
 
   net::PeerTable<Peer> peers_;
-  std::unordered_map<std::uint32_t, std::int64_t> atomic_words_;
-  std::unordered_map<std::uint32_t, AtomicDone> pending_atomics_;
-  std::uint32_t next_atomic_token_ = 1;
   coll::GroupTable<Group> groups_;
 };
 

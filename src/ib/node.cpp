@@ -18,7 +18,6 @@ void IbNode::post(int dst_node, std::uint32_t bytes, std::uint32_t tag,
   host_cpu_.exec(cfg_.host_wqe_build + cfg_.host_doorbell,
                  [this, dst_node, bytes, tag, value] {
     IbWrite body;
-    body.op = IbWrite::Op::kWriteImm;
     body.imm_class = IbWrite::ImmClass::kHostMsg;
     body.tag = tag;
     body.src_rank = static_cast<std::uint32_t>(index_);
@@ -72,33 +71,6 @@ void IbNode::collective_enter(std::uint32_t group, std::int64_t value,
                                              done(result);
                                            });
                           });
-  });
-}
-
-void IbNode::remote_fetch_add(int dst_node, std::uint32_t slot, std::int64_t addend,
-                              std::function<void(std::int64_t)> done) {
-  host_cpu_.exec(cfg_.host_wqe_build + cfg_.host_doorbell,
-                 [this, dst_node, slot, addend, done = std::move(done)]() mutable {
-    hca_.fetch_add(dst_node, slot, addend,
-                   [this, done = std::move(done)](std::int64_t old) mutable {
-                     host_cpu_.exec(cfg_.host_cq_poll,
-                                    [done = std::move(done), old]() mutable { done(old); });
-                   });
-  });
-}
-
-void IbNode::remote_compare_swap(int dst_node, std::uint32_t slot, std::int64_t compare,
-                                 std::int64_t swap,
-                                 std::function<void(std::int64_t)> done) {
-  host_cpu_.exec(cfg_.host_wqe_build + cfg_.host_doorbell,
-                 [this, dst_node, slot, compare, swap, done = std::move(done)]() mutable {
-    hca_.compare_swap(dst_node, slot, compare, swap,
-                      [this, done = std::move(done)](std::int64_t old) mutable {
-                        host_cpu_.exec(cfg_.host_cq_poll,
-                                       [done = std::move(done), old]() mutable {
-                                         done(old);
-                                       });
-                      });
   });
 }
 

@@ -1,7 +1,7 @@
-// Verbs-consumer host API: tagged sends over RDMA write-with-immediate,
-// the NIC collective doorbell, and remote atomics, with host costs (WQE
-// build, doorbell MMIO, CQ polling) on the node's host CPU resource — the
-// IB twin of elan::ElanNode.
+// Verbs-consumer host API: tagged sends over RDMA write-with-immediate and
+// the NIC collective doorbell, with host costs (WQE build, doorbell MMIO,
+// CQ polling) on the node's host CPU resource — the IB twin of
+// elan::ElanNode.
 #pragma once
 
 #include <cstdint>
@@ -49,14 +49,6 @@ class IbNode {
   /// polls the completion.
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
-
-  /// Remote fetch-and-add / compare-and-swap issued from the host; the
-  /// completion (old value) is polled off the CQ like any other work
-  /// request.
-  void remote_fetch_add(int dst_node, std::uint32_t slot, std::int64_t addend,
-                        std::function<void(std::int64_t)> done);
-  void remote_compare_swap(int dst_node, std::uint32_t slot, std::int64_t compare,
-                           std::int64_t swap, std::function<void(std::int64_t)> done);
 
   [[nodiscard]] int index() const { return index_; }
   [[nodiscard]] sim::Resource& host_cpu() { return host_cpu_; }

@@ -4,9 +4,9 @@
 //
 // Everything rides the RC transport: each (src, dst) direction is one
 // queue pair with its own packet sequence number stream. Requests (RDMA
-// writes and atomics) are PSN-stamped and retransmitted on NAK or timeout;
-// ACK/NAK packets are unsequenced, like real AETH frames — a lost ACK is
-// recovered by the sender's timer, never acknowledged itself.
+// writes with immediate data) are PSN-stamped and retransmitted on NAK or
+// timeout; ACK/NAK packets are unsequenced, like real AETH frames — a lost
+// ACK is recovered by the sender's timer, never acknowledged itself.
 #pragma once
 
 #include <cstdint>
@@ -15,39 +15,26 @@
 
 namespace qmb::ib {
 
-/// One RC request packet. An RDMA write-with-immediate whose immediate
-/// data carries the collective protocol header is the building block of
-/// the NIC-based barrier on this substrate (the verbs equivalent of the
-/// paper's zero-byte event-firing put); CAS and fetch-add requests share
-/// the sequenced channel, with the atomic response travelling back as its
-/// own sequenced packet on the reverse-direction QP.
+/// One RC request packet: an RDMA write with immediate data. When the
+/// immediate data carries the collective protocol header it is the building
+/// block of the NIC-based barrier on this substrate (the verbs equivalent of
+/// the paper's zero-byte event-firing put); otherwise it is a host-level
+/// tagged message.
 struct IbWrite {
-  enum class Op : std::uint8_t {
-    kWriteImm,    // RDMA write with immediate data
-    kCompSwap,    // remote compare-and-swap
-    kFetchAdd,    // remote fetch-and-add
-    kAtomicResp,  // original value returned to the requester
-  };
   /// What the immediate data means to the receiving HCA's consumer.
   enum class ImmClass : std::uint8_t {
     kGroup,    // collective-group engine event
     kHostMsg,  // host-level tagged message (CQE to the host)
   };
 
-  // Atomics reuse the collective fields the sequenced channel already
-  // carries (the body must stay within the inline payload capacity):
-  // `group` is the responder's atomic slot, `seq` the requester's
-  // completion token, `value` the CAS compare operand or fetch-add addend,
-  // and the CAS swap operand rides packed into (tag, src_rank).
-  Op op = Op::kWriteImm;
   ImmClass imm_class = ImmClass::kHostMsg;
   std::uint32_t psn = 0;       // sequence number on the (src, dst) QP
-  std::uint32_t group = 0;     // collective group id / atomic slot
-  std::uint32_t seq = 0;       // op sequence in the group / atomic token
+  std::uint32_t group = 0;     // collective group id
+  std::uint32_t seq = 0;       // op sequence in the group
   std::uint32_t tag = 0;       // schedule-edge tag / host message tag
   std::uint32_t src_rank = 0;  // sender's rank (kGroup) or node (kHostMsg)
   std::uint32_t payload_bytes = 0;
-  std::int64_t value = 0;      // payload word / atomic operand or old value
+  std::int64_t value = 0;      // payload word
 };
 
 /// Cumulative acknowledgement: every request with psn < `psn` has been

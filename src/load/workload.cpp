@@ -1,7 +1,6 @@
 #include "load/workload.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "sim/rng.hpp"
@@ -146,52 +145,7 @@ std::string validate_workload(const WorkloadSpec& w, int nodes, int max_groups) 
 
 namespace {
 
-obs::JsonValue u64_json(std::uint64_t v) { return obs::JsonValue::of(std::to_string(v)); }
-
-std::uint64_t u64_field(const obs::JsonValue& obj, std::string_view key,
-                        std::uint64_t fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->type == obs::JsonValue::Type::kString) {
-    return std::strtoull(v->string.c_str(), nullptr, 10);
-  }
-  if (v->type == obs::JsonValue::Type::kNumber) {
-    return static_cast<std::uint64_t>(v->number);
-  }
-  throw std::invalid_argument("workload field '" + std::string(key) +
-                              "' must be a string or number");
-}
-
-std::int64_t i64_field(const obs::JsonValue& obj, std::string_view key,
-                       std::int64_t fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->type != obs::JsonValue::Type::kNumber) {
-    throw std::invalid_argument("workload field '" + std::string(key) +
-                                "' must be a number");
-  }
-  return static_cast<std::int64_t>(v->number);
-}
-
-double double_field(const obs::JsonValue& obj, std::string_view key, double fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->type != obs::JsonValue::Type::kNumber) {
-    throw std::invalid_argument("workload field '" + std::string(key) +
-                                "' must be a number");
-  }
-  return v->number;
-}
-
-bool bool_field(const obs::JsonValue& obj, std::string_view key, bool fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (v->type != obs::JsonValue::Type::kBool) {
-    throw std::invalid_argument("workload field '" + std::string(key) +
-                                "' must be a bool");
-  }
-  return v->boolean;
-}
+constexpr std::string_view kWhat = "workload";  // field-error prefix
 
 }  // namespace
 
@@ -213,15 +167,15 @@ obs::JsonValue workload_to_json(const WorkloadSpec& w) {
   o.set("flood_bytes", obs::JsonValue::of(static_cast<std::int64_t>(w.flood_bytes)));
   o.set("flood_period_us", obs::JsonValue::of(w.flood_period_us));
   o.set("flood_random", obs::JsonValue::of(w.flood_random));
-  o.set("seed", u64_json(w.seed));
+  o.set("seed", obs::u64_json(w.seed));
   return o;
 }
 
 WorkloadSpec workload_from_json(const obs::JsonValue& v) {
   if (!v.is_object()) throw std::invalid_argument("'workload' must be an object");
   WorkloadSpec w;
-  w.groups = static_cast<int>(i64_field(v, "groups", w.groups));
-  w.group_size = static_cast<int>(i64_field(v, "group_size", w.group_size));
+  w.groups = static_cast<int>(obs::i64_field(v, "groups", w.groups, kWhat));
+  w.group_size = static_cast<int>(obs::i64_field(v, "group_size", w.group_size, kWhat));
   if (const obs::JsonValue* m = v.find("membership")) {
     const auto mem = parse_membership(m->string);
     if (!mem) throw std::invalid_argument("unknown membership '" + m->string + "'");
@@ -241,15 +195,16 @@ WorkloadSpec workload_from_json(const obs::JsonValue& v) {
     if (!arr) throw std::invalid_argument("unknown arrival '" + a->string + "'");
     w.arrival = *arr;
   }
-  w.period_us = double_field(v, "period_us", w.period_us);
-  w.burst_on_us = double_field(v, "burst_on_us", w.burst_on_us);
-  w.burst_off_us = double_field(v, "burst_off_us", w.burst_off_us);
-  w.flood_streams = static_cast<int>(i64_field(v, "flood_streams", w.flood_streams));
-  w.flood_bytes = static_cast<std::uint32_t>(i64_field(
-      v, "flood_bytes", static_cast<std::int64_t>(w.flood_bytes)));
-  w.flood_period_us = double_field(v, "flood_period_us", w.flood_period_us);
-  w.flood_random = bool_field(v, "flood_random", w.flood_random);
-  w.seed = u64_field(v, "seed", w.seed);
+  w.period_us = obs::double_field(v, "period_us", w.period_us, kWhat);
+  w.burst_on_us = obs::double_field(v, "burst_on_us", w.burst_on_us, kWhat);
+  w.burst_off_us = obs::double_field(v, "burst_off_us", w.burst_off_us, kWhat);
+  w.flood_streams =
+      static_cast<int>(obs::i64_field(v, "flood_streams", w.flood_streams, kWhat));
+  w.flood_bytes = static_cast<std::uint32_t>(obs::i64_field(
+      v, "flood_bytes", static_cast<std::int64_t>(w.flood_bytes), kWhat));
+  w.flood_period_us = obs::double_field(v, "flood_period_us", w.flood_period_us, kWhat);
+  w.flood_random = obs::bool_field(v, "flood_random", w.flood_random, kWhat);
+  w.seed = obs::u64_field(v, "seed", w.seed, kWhat);
   return w;
 }
 

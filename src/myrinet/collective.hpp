@@ -90,7 +90,6 @@ class CollectiveEngine {
   bool on_packet(net::Packet&& p);
 
   [[nodiscard]] const CollStats& stats() const { return stats_; }
-  [[nodiscard]] bool has_group(std::uint32_t group) const { return groups_.contains(group); }
 
  private:
   /// What the engine keeps per operation beyond the shared window.

@@ -175,8 +175,8 @@ void Fabric::drain_window() {
     assert(i == 0 || merge_scratch_[i - 1].emit <= m.emit);
 #endif
     Deferred& e = domains_[m.domain].outbox[m.idx];
-    const RouteView route = routes_.unicast(e.packet.src, e.packet.dst, route_scratch_);
-    const sim::SimTime arrival = traverse(route, e.packet.wire_bytes, e.emit);
+    topology_->compute_route(e.packet.src, e.packet.dst, route_scratch_);
+    const sim::SimTime arrival = traverse(route_scratch_.view(), e.packet.wire_bytes, e.emit);
     // The conservative guarantee that makes deferral safe: nothing can
     // arrive before the window that just closed ended.
     assert(arrival >= engine_.window_floor());
@@ -227,7 +227,8 @@ std::uint64_t Fabric::send(Packet&& p) {
   packet_bytes_.record(p.wire_bytes);
 
   const FaultAction action = faults_.decide(p);
-  const RouteView route = routes_.unicast(p.src, p.dst, route_scratch_);
+  topology_->compute_route(p.src, p.dst, route_scratch_);
+  const RouteView route = route_scratch_.view();
   sim::SimTime arrival = traverse(route, p.wire_bytes, engine_.now());
   if (action == FaultAction::kReorder) {
     // The packet still occupies the wire normally; it is merely held back
@@ -256,8 +257,8 @@ std::uint64_t Fabric::send(Packet&& p) {
     return flow;
   }
   if (action == FaultAction::kDuplicate) {
-    // The duplicate rides the same cached route; it still traverses the
-    // links again (a second wire occupancy), which is the modeled behavior.
+    // The duplicate rides the same route; it still traverses the links
+    // again (a second wire occupancy), which is the modeled behavior.
     Packet copy = p.duplicate();
     const sim::SimTime arrival2 = traverse(route, copy.wire_bytes, engine_.now());
     schedule_delivery(std::move(copy), arrival2);
@@ -334,30 +335,13 @@ sim::SimTime Fabric::broadcast(NicAddr src, NicAddr first, NicAddr last,
 
 sim::SimDuration Fabric::unloaded_latency(NicAddr src, NicAddr dst,
                                           std::uint32_t bytes) const {
-  // Only the hop counts matter. Prefer the pure computed route — protocol
-  // code calls this from PDES worker threads, where mutating the shared
-  // memo table would race; compute_route touches nothing shared.
-  std::size_t num_links;
-  std::size_t num_switches;
+  // Only the hop counts matter; a local scratch keeps the query const.
   RouteScratch scratch;
-  if (topology_->compute_route(src, dst, scratch)) {
-    num_links = scratch.num_links;
-    num_switches = scratch.num_switches;
-  } else if (domains_.empty()) {
-    const RouteView route = routes_.unicast(src, dst);
-    num_links = route.links.size();
-    num_switches = route.switches.size();
-  } else {
-    // Unstructured topology under PDES: build a throwaway Route instead of
-    // touching the memo (route() is const and allocates fresh vectors).
-    const Route route = topology_->route(src, dst);
-    num_links = route.links.size();
-    num_switches = route.switches.size();
-  }
+  topology_->compute_route(src, dst, scratch);
   const Link probe(params_.link);
   sim::SimDuration total = probe.serialization(bytes);
-  total += params_.link.latency * static_cast<std::int64_t>(num_links);
-  total += params_.sw.routing_delay * static_cast<std::int64_t>(num_switches);
+  total += params_.link.latency * static_cast<std::int64_t>(scratch.num_links);
+  total += params_.sw.routing_delay * static_cast<std::int64_t>(scratch.num_switches);
   return total;
 }
 

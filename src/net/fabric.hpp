@@ -9,13 +9,13 @@
 // reaches it, which is what creates contention between packets sharing a
 // link.
 //
-// Hot-path discipline: routes come from a RouteCache (computed O(1) fills
-// for structured topologies, memoized spans otherwise — no virtual Route
-// allocation after first use either way), packet bodies are inline
-// PacketPayloads, delivery callbacks capture the Packet by value inside the
-// engine's inline callback storage, and broadcast's shared-link bookkeeping
-// uses an epoch-stamped scratch vector. Steady-state transit performs zero
-// heap allocations.
+// Hot-path discipline: unicast routes are computed O(1) into a fixed
+// scratch (Topology::compute_route), broadcast routes are memoized spans
+// (RouteCache) — no Route allocation after first use either way — packet
+// bodies are inline PacketPayloads, delivery callbacks capture the Packet
+// by value inside the engine's inline callback storage, and broadcast's
+// shared-link bookkeeping uses an epoch-stamped scratch vector.
+// Steady-state transit performs zero heap allocations.
 //
 // Conservative PDES mode (enable_domains): the topology is cut into
 // locality-preserving NIC domains and the engine sharded to match, with
@@ -84,7 +84,8 @@ class Fabric {
   sim::SimTime broadcast(NicAddr src, NicAddr first, NicAddr last, std::uint32_t wire_bytes,
                          PacketPayload body, int min_top_level = 0);
 
-  /// Pure timing query: unloaded latency of a `bytes` packet src->dst.
+  /// Pure timing query: unloaded latency of a `bytes` packet src->dst —
+  /// the tests' reference for send()'s cut-through timing.
   [[nodiscard]] sim::SimDuration unloaded_latency(NicAddr src, NicAddr dst,
                                                   std::uint32_t bytes) const;
 
@@ -111,7 +112,8 @@ class Fabric {
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] std::size_t attached_nics() const { return nics_.size(); }
 
-  /// Host-side cache statistics (hits/misses/entries); not simulated state.
+  /// Host-side broadcast-route memo statistics (hits/misses/entries); not
+  /// simulated state.
   [[nodiscard]] const RouteCache& route_cache() const { return routes_; }
 
   // Aggregated across domains in PDES mode (each domain owns private
@@ -200,8 +202,7 @@ class Fabric {
   std::vector<SwitchNode> switches_;
   std::vector<DeliverFn> nics_;
   FaultInjector faults_;
-  // mutable: unloaded_latency is a const timing query but still memoizes.
-  mutable RouteCache routes_;
+  RouteCache routes_;  // broadcast routes only
   // Per-broadcast shared-link scratch: head time after each link, stamped
   // with the broadcast's epoch so clearing between calls is O(0).
   std::vector<std::pair<std::uint64_t, sim::SimTime>> bcast_head_scratch_;

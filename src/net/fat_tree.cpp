@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace qmb::net {
 
@@ -11,6 +12,10 @@ FatTree::FatTree(std::size_t arity, std::size_t levels, std::size_t nics)
     : arity_(arity), levels_(levels), nics_(nics) {
   if (arity < 2) throw std::invalid_argument("fat tree arity must be >= 2");
   if (levels < 1) throw std::invalid_argument("fat tree needs >= 1 level");
+  if (2 * levels > RouteScratch::kMaxHops) {
+    throw std::invalid_argument("fat tree deeper than RouteScratch holds (" +
+                                std::to_string(RouteScratch::kMaxHops / 2) + " levels)");
+  }
   pow_.resize(levels_ + 1);
   pow_[0] = 1;
   for (std::size_t e = 1; e <= levels_; ++e) {
@@ -123,15 +128,13 @@ Route FatTree::route_impl(std::size_t src, std::size_t dst, std::size_t top,
   return r;
 }
 
-bool FatTree::compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const {
+void FatTree::compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const {
   assert(src != dst && "no loopback routes");
   assert(src.index() < nics_ && dst.index() < nics_);
-  if (2 * levels_ > RouteScratch::kMaxHops) return false;
   const std::uint64_t h =
       mix((static_cast<std::uint64_t>(src.index()) << 32) | dst.index());
   route_into(src.index(), dst.index(),
              static_cast<std::size_t>(merge_level(src, dst)), h, out);
-  return true;
 }
 
 int FatTree::domain_cut(int target, std::vector<int>& nic_domain) const {

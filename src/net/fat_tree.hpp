@@ -22,7 +22,9 @@ class FatTree final : public Topology {
  public:
   /// A tree with `levels` switch levels of arity `arity`; supports
   /// arity^levels node slots. `nics` may be less than the slot count (the
-  /// paper's 8-node jobs on an Elite-16 use half the slots).
+  /// paper's 8-node jobs on an Elite-16 use half the slots). Throws
+  /// std::invalid_argument for a tree deeper than RouteScratch holds
+  /// (2 * levels > RouteScratch::kMaxHops).
   FatTree(std::size_t arity, std::size_t levels, std::size_t nics);
 
   /// Smallest tree that fits `nics` nodes at the given arity.
@@ -34,7 +36,7 @@ class FatTree final : public Topology {
   [[nodiscard]] Route route(NicAddr src, NicAddr dst) const override;
   [[nodiscard]] Route route_via(NicAddr src, NicAddr dst, int top_level) const override;
   [[nodiscard]] Route broadcast_route(NicAddr src, NicAddr dst, int top) const override;
-  [[nodiscard]] bool compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const override;
+  void compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const override;
   /// Cuts at the tree level whose subtree count lands closest to `target`:
   /// each size-k^l subtree of nodes becomes one domain, so any route between
   /// two domains climbs through at least one trunk stage.

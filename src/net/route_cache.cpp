@@ -1,94 +1,33 @@
 #include "net/route_cache.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 
 namespace qmb::net {
 
-namespace {
-// Dense table budget: 1M slots (4 MB) covers the 512-node extrapolation
-// sweeps; anything larger falls back to hashing.
-constexpr std::size_t kMaxDenseSlots = std::size_t{1} << 20;
-
-std::uint64_t pair_key(NicAddr src, NicAddr dst) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src.value())) << 32) |
-         static_cast<std::uint32_t>(dst.value());
-}
-
-std::uint64_t bcast_key(NicAddr src, NicAddr dst, int top) {
-  // NIC indices are < 2^24 in any configuration we instantiate; pack
-  // (src, dst, top) into one 64-bit key.
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src.value())) << 40) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst.value())) << 16) |
-         static_cast<std::uint16_t>(top);
-}
-}  // namespace
-
-RouteCache::RouteCache(const Topology& topology)
-    : topology_(topology), num_nics_(topology.max_nics()) {
-  dense_ = num_nics_ * num_nics_ <= kMaxDenseSlots;
-  if (dense_) dense_slots_.assign(num_nics_ * num_nics_, 0);
-}
-
-std::uint32_t RouteCache::intern(const Route& route) {
-  CachedRoute cached;
-  cached.num_links = static_cast<std::uint32_t>(route.links.size());
-  cached.num_switches = static_cast<std::uint32_t>(route.switches.size());
-  LinkId* links = link_arena_.allocate(route.links.size());
-  SwitchId* switches = switch_arena_.allocate(route.switches.size());
-  for (std::size_t i = 0; i < route.links.size(); ++i) links[i] = route.links[i];
-  for (std::size_t i = 0; i < route.switches.size(); ++i) switches[i] = route.switches[i];
-  cached.links = links;
-  cached.switches = switches;
-  entries_.push_back(cached);
-  return static_cast<std::uint32_t>(entries_.size());  // slot stored +1
-}
-
-RouteView RouteCache::unicast(NicAddr src, NicAddr dst) {
-  assert(src.valid() && dst.valid() && src != dst);
-  assert(static_cast<std::size_t>(src.index()) < num_nics_);
-  assert(static_cast<std::size_t>(dst.index()) < num_nics_);
-  if (dense_) {
-    std::uint32_t& slot = dense_slots_[src.index() * num_nics_ + dst.index()];
-    if (slot != 0) {
-      ++hits_;
-      return view_of(entries_[slot - 1]);
-    }
-    ++misses_;
-    slot = intern(topology_.route(src, dst));
-    return view_of(entries_[slot - 1]);
-  }
-  const std::uint64_t key = pair_key(src, dst);
-  if (const auto it = sparse_slots_.find(key); it != sparse_slots_.end()) {
-    ++hits_;
-    return view_of(entries_[it->second - 1]);
-  }
-  ++misses_;
-  const std::uint32_t slot = intern(topology_.route(src, dst));
-  sparse_slots_.emplace(key, slot);
-  return view_of(entries_[slot - 1]);
-}
-
-RouteView RouteCache::unicast(NicAddr src, NicAddr dst, RouteScratch& scratch) {
-  assert(src.valid() && dst.valid() && src != dst);
-  if (topology_.compute_route(src, dst, scratch)) {
-    ++computed_;
-    return {std::span<const LinkId>(scratch.links.data(), scratch.num_links),
-            std::span<const SwitchId>(scratch.switches.data(), scratch.num_switches)};
-  }
-  return unicast(src, dst);
-}
-
 RouteView RouteCache::broadcast(NicAddr src, NicAddr dst, int top) {
   assert(src.valid() && dst.valid());
-  const std::uint64_t key = bcast_key(src, dst, top);
-  if (const auto it = bcast_slots_.find(key); it != bcast_slots_.end()) {
+  // NIC indices are < 2^24 in any configuration we instantiate; pack
+  // (src, dst, top) into one 64-bit key.
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src.value())) << 40) |
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst.value())) << 16) |
+      static_cast<std::uint16_t>(top);
+  if (const auto it = slots_.find(key); it != slots_.end()) {
     ++hits_;
-    return view_of(entries_[it->second - 1]);
+    return entries_[it->second];
   }
   ++misses_;
-  const std::uint32_t slot = intern(topology_.broadcast_route(src, dst, top));
-  bcast_slots_.emplace(key, slot);
-  return view_of(entries_[slot - 1]);
+  const Route route = topology_.broadcast_route(src, dst, top);
+  LinkId* links = link_arena_.allocate(route.links.size());
+  SwitchId* switches = switch_arena_.allocate(route.switches.size());
+  std::copy(route.links.begin(), route.links.end(), links);
+  std::copy(route.switches.begin(), route.switches.end(), switches);
+  slots_.emplace(key, static_cast<std::uint32_t>(entries_.size()));
+  entries_.push_back({std::span<const LinkId>(links, route.links.size()),
+                      std::span<const SwitchId>(switches, route.switches.size())});
+  return entries_.back();
 }
 
 }  // namespace qmb::net

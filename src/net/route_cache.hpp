@@ -1,12 +1,13 @@
-// Lazy route memoization for the fabric hot path.
+// Broadcast route memoization for the fabric's hardware-broadcast path.
 //
-// Topology::route is a virtual call that builds a fresh Route (two heap
-// vectors) on every invocation. Topologies are immutable after
-// construction, so the Fabric can instead memoize each (src, dst) — and
-// each (src, dst, top_level) broadcast variant — the first time it is
-// asked for, and hand out span-based RouteViews into a stable arena from
-// then on. Steady-state sends and broadcasts therefore perform no
-// allocation and no virtual dispatch.
+// Unicast routes need no memo: Topology::compute_route fills them O(1) into
+// a caller-owned scratch. A hardware broadcast instead asks for one
+// (src, dst, top) route per replica, through Topology::broadcast_route,
+// which builds a fresh Route (two heap vectors). Topologies are immutable
+// after construction, so the Fabric memoizes each broadcast variant the
+// first time it is asked for and hands out span-based RouteViews into a
+// stable arena from then on: steady-state broadcasts perform no allocation
+// and no virtual dispatch.
 //
 // Storage discipline: link/switch ids live in chunked arenas
 // (vector<unique_ptr<T[]>>), so previously handed-out views are never
@@ -18,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -27,38 +27,21 @@
 
 namespace qmb::net {
 
-/// Non-owning view of a cached route. Valid for the cache's lifetime.
-struct RouteView {
-  std::span<const LinkId> links;       // size == switches.size() + 1
-  std::span<const SwitchId> switches;
-};
-
 class RouteCache {
  public:
-  explicit RouteCache(const Topology& topology);
+  explicit RouteCache(const Topology& topology) : topology_(topology) {}
 
   RouteCache(const RouteCache&) = delete;
   RouteCache& operator=(const RouteCache&) = delete;
 
-  /// Memoized Topology::route(src, dst). Precondition: src != dst, both
-  /// within max_nics() — same contract as the underlying virtual.
-  [[nodiscard]] RouteView unicast(NicAddr src, NicAddr dst);
-
-  /// Computed O(1) unicast for structured topologies: fills the caller's
-  /// scratch via Topology::compute_route (no memo entry, no allocation —
-  /// the table stops growing O(N^2) on 4096-node fat trees) and returns a
-  /// view into it, valid until the scratch is reused. Topologies without a
-  /// closed form fall back to the memoized path.
-  [[nodiscard]] RouteView unicast(NicAddr src, NicAddr dst, RouteScratch& scratch);
-
-  /// Memoized Topology::broadcast_route(src, dst, top).
+  /// Memoized Topology::broadcast_route(src, dst, top). The view stays
+  /// valid for the cache's lifetime.
   [[nodiscard]] RouteView broadcast(NicAddr src, NicAddr dst, int top);
 
-  /// Host-side instrumentation for tests and benchmarks; never part of
-  /// simulated state or fingerprints.
+  /// Host-side instrumentation for tests; never part of simulated state or
+  /// fingerprints.
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t computed() const { return computed_; }
   [[nodiscard]] std::size_t entries() const { return entries_.size(); }
 
  private:
@@ -87,40 +70,15 @@ class RouteCache {
     std::size_t used_ = kChunk;
   };
 
-  struct CachedRoute {
-    const LinkId* links = nullptr;
-    const SwitchId* switches = nullptr;
-    std::uint32_t num_links = 0;
-    std::uint32_t num_switches = 0;
-  };
-
-  [[nodiscard]] RouteView view_of(const CachedRoute& r) const {
-    return {std::span<const LinkId>(r.links, r.num_links),
-            std::span<const SwitchId>(r.switches, r.num_switches)};
-  }
-
-  /// Copies a freshly computed Route into the arenas; returns its slot.
-  std::uint32_t intern(const Route& route);
-
   const Topology& topology_;
-  std::size_t num_nics_;
-
-  // Unicast: dense n*n slot table when affordable, hash map otherwise.
-  // Slot value 0 means empty (entries_ index is stored +1).
-  bool dense_ = false;
-  std::vector<std::uint32_t> dense_slots_;
-  std::unordered_map<std::uint64_t, std::uint32_t> sparse_slots_;
-  // Broadcast routes are keyed (src, dst, top) and always hashed; there
-  // are few distinct tops in practice.
-  std::unordered_map<std::uint64_t, std::uint32_t> bcast_slots_;
-
-  std::vector<CachedRoute> entries_;
+  // Keyed (src, dst, top); the value indexes entries_.
+  std::unordered_map<std::uint64_t, std::uint32_t> slots_;
+  std::vector<RouteView> entries_;
   Arena<LinkId> link_arena_;
   Arena<SwitchId> switch_arena_;
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t computed_ = 0;
 };
 
 }  // namespace qmb::net

@@ -28,7 +28,7 @@ Route SingleCrossbar::route(NicAddr src, NicAddr dst) const {
   return r;
 }
 
-bool SingleCrossbar::compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const {
+void SingleCrossbar::compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const {
   assert(src.valid() && dst.valid());
   assert(src != dst && "no loopback routes");
   assert(src.index() < ports_ && dst.index() < ports_);
@@ -37,7 +37,6 @@ bool SingleCrossbar::compute_route(NicAddr src, NicAddr dst, RouteScratch& out) 
   out.switches[0] = SwitchId(0);
   out.num_links = 2;
   out.num_switches = 1;
-  return true;
 }
 
 int SingleCrossbar::domain_cut(int target, std::vector<int>& nic_domain) const {

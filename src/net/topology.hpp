@@ -6,6 +6,7 @@
 #include <array>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/types.hpp"
@@ -17,15 +18,28 @@ struct Route {
   std::vector<SwitchId> switches;  // switches crossed between consecutive links
 };
 
-/// Caller-owned scratch a structured topology fills in compute_route: fixed
-/// capacity, no heap, no shared state — safe from any thread. 32 hops covers
-/// a binary fat tree of 2^16 nodes (2 * levels links per route).
+/// Non-owning view of a route held elsewhere (a RouteScratch or the
+/// Fabric's broadcast memo).
+struct RouteView {
+  std::span<const LinkId> links;       // size == switches.size() + 1
+  std::span<const SwitchId> switches;
+};
+
+/// Caller-owned scratch compute_route fills: fixed capacity, no heap, no
+/// shared state — safe from any thread. A route has 2 * levels links, so
+/// FatTree rejects trees deeper than 16 levels at construction.
 struct RouteScratch {
   static constexpr std::size_t kMaxHops = 32;
   std::array<LinkId, kMaxHops> links;
   std::array<SwitchId, kMaxHops> switches;
   std::size_t num_links = 0;
   std::size_t num_switches = 0;
+
+  /// The filled route; valid until the scratch is reused.
+  [[nodiscard]] RouteView view() const {
+    return {std::span<const LinkId>(links.data(), num_links),
+            std::span<const SwitchId>(switches.data(), num_switches)};
+  }
 };
 
 class Topology {
@@ -39,18 +53,14 @@ class Topology {
   /// Total switch elements to instantiate.
   [[nodiscard]] virtual std::size_t num_switches() const = 0;
 
-  /// Unicast route. Precondition: src != dst, both < max_nics().
+  /// Unicast route as fresh vectors: the reference compute_route is tested
+  /// against. Precondition: src != dst, both < max_nics().
   [[nodiscard]] virtual Route route(NicAddr src, NicAddr dst) const = 0;
 
-  /// O(1) allocation-free unicast route for structured topologies: fills
-  /// `out` and returns true, identical hop-for-hop to route(). Returns false
-  /// when the topology has no closed form (callers fall back to the
-  /// memoizing path). Must be pure — no memoization, no mutation — so it is
-  /// callable from any PDES worker thread.
-  [[nodiscard]] virtual bool compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const {
-    (void)src; (void)dst; (void)out;
-    return false;
-  }
+  /// The Fabric's one unicast path: fills `out` in O(1) without allocating,
+  /// identical hop-for-hop to route(). Must be pure — no memoization, no
+  /// mutation — so it is safe from any thread. Same precondition as route().
+  virtual void compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const = 0;
 
   /// Partitions the NIC index space into locality-preserving execution
   /// domains for the conservative PDES engine, aiming for roughly `target`
@@ -99,7 +109,7 @@ class SingleCrossbar final : public Topology {
   [[nodiscard]] std::size_t num_links() const override { return 2 * ports_; }
   [[nodiscard]] std::size_t num_switches() const override { return 1; }
   [[nodiscard]] Route route(NicAddr src, NicAddr dst) const override;
-  [[nodiscard]] bool compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const override;
+  void compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const override;
   /// Contiguous equal blocks of ports; the single switch is shared, which is
   /// fine — in PDES mode all link/switch state is coordinator-owned.
   [[nodiscard]] int domain_cut(int target, std::vector<int>& nic_domain) const override;

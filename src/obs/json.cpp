@@ -230,6 +230,53 @@ std::string_view JsonValue::string_or(std::string_view key,
   return v && v->type == Type::kString ? std::string_view(v->string) : fallback;
 }
 
+namespace {
+
+[[noreturn]] void bad_field(std::string_view what, std::string_view key,
+                            const char* must_be) {
+  throw std::invalid_argument(std::string(what) + " field '" + std::string(key) +
+                              "' must be " + must_be);
+}
+
+}  // namespace
+
+JsonValue u64_json(std::uint64_t v) { return JsonValue::of(std::to_string(v)); }
+
+std::uint64_t u64_field(const JsonValue& obj, std::string_view key, std::uint64_t fallback,
+                        std::string_view what) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return fallback;
+  if (v->type == JsonValue::Type::kString) {
+    return std::strtoull(v->string.c_str(), nullptr, 10);
+  }
+  if (v->type == JsonValue::Type::kNumber) return static_cast<std::uint64_t>(v->number);
+  bad_field(what, key, "a string or number");
+}
+
+std::int64_t i64_field(const JsonValue& obj, std::string_view key, std::int64_t fallback,
+                       std::string_view what) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return fallback;
+  if (v->type != JsonValue::Type::kNumber) bad_field(what, key, "a number");
+  return static_cast<std::int64_t>(v->number);
+}
+
+double double_field(const JsonValue& obj, std::string_view key, double fallback,
+                    std::string_view what) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return fallback;
+  if (v->type != JsonValue::Type::kNumber) bad_field(what, key, "a number");
+  return v->number;
+}
+
+bool bool_field(const JsonValue& obj, std::string_view key, bool fallback,
+                std::string_view what) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return fallback;
+  if (v->type != JsonValue::Type::kBool) bad_field(what, key, "a bool");
+  return v->boolean;
+}
+
 std::string json_quote(std::string_view s) {
   std::string out = "\"";
   for (const char c : s) {

@@ -82,4 +82,22 @@ struct JsonValue {
 /// Escapes `s` into a double-quoted JSON string literal.
 [[nodiscard]] std::string json_quote(std::string_view s);
 
+// Typed readers for optional object fields, shared by the spec and workload
+// codecs: an absent `key` yields `fallback`; a present value of the wrong
+// type throws std::invalid_argument("<what> field '<key>' must be ..."),
+// where `what` names the document ("spec", "workload").
+
+/// A u64 as a decimal string: a JSON number is a double and loses bits
+/// past 2^53 (seeds use all 64).
+[[nodiscard]] JsonValue u64_json(std::uint64_t v);
+/// Reads u64_json's decimal strings, or plain numbers.
+[[nodiscard]] std::uint64_t u64_field(const JsonValue& obj, std::string_view key,
+                                      std::uint64_t fallback, std::string_view what);
+[[nodiscard]] std::int64_t i64_field(const JsonValue& obj, std::string_view key,
+                                     std::int64_t fallback, std::string_view what);
+[[nodiscard]] double double_field(const JsonValue& obj, std::string_view key,
+                                  double fallback, std::string_view what);
+[[nodiscard]] bool bool_field(const JsonValue& obj, std::string_view key, bool fallback,
+                              std::string_view what);
+
 }  // namespace qmb::obs

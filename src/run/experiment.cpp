@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/coll_tag.hpp"
 #include "load/runner.hpp"
 #include "obs/json.hpp"
 #include "run/substrate.hpp"
@@ -215,10 +216,10 @@ std::string validate(const ExperimentSpec& s) {
     return "--skew is incompatible with --workload (the workload's arrival process "
            "decides when its groups enter)";
   }
-  if (!caps.drop_prob && s.drop_prob > 0.0) {
+  if (!caps.loss_recovery && s.drop_prob > 0.0) {
     return loss_error(s, caps, "--drop-prob is", "remove it");
   }
-  if (!caps.faults && !s.faults.empty()) {
+  if (!caps.loss_recovery && !s.faults.empty()) {
     return loss_error(s, caps, "--fault rules are", "remove them");
   }
   for (std::size_t i = 0; i < s.faults.size(); ++i) {
@@ -232,11 +233,12 @@ std::string validate(const ExperimentSpec& s) {
     }
   }
   if (s.workload.enabled()) {
-    // Up-front structural checks (group count vs. the substrate's declared
-    // slot capability, membership injectivity, rates) so misconfiguration
-    // is a usage error here, not a collision deep in cluster construction.
-    if (const std::string err =
-            load::validate_workload(s.workload, s.nodes, caps.max_groups);
+    // Up-front structural checks (group count vs. the 2047 groups the
+    // BarrierTag group field can name, membership injectivity, rates) so
+    // misconfiguration is a usage error here, not a collision deep in
+    // cluster construction.
+    if (const std::string err = load::validate_workload(
+            s.workload, s.nodes, static_cast<int>(core::BarrierTag::kGroupMask));
         !err.empty()) {
       return err;
     }

@@ -3,9 +3,19 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/collectives.hpp"
 #include "run/substrate_internal.hpp"
 
 namespace qmb::run {
+namespace {
+
+const std::vector<Impl>& legal_impls(const SubstrateCaps& caps, coll::OpKind op) {
+  // Value collectives run on the nic and host engines everywhere.
+  static const std::vector<Impl> collective_impls = {Impl::kNic, Impl::kHost};
+  return op == coll::OpKind::kBarrier ? caps.barrier_impls : collective_impls;
+}
+
+}  // namespace
 
 const std::vector<const Substrate*>& substrates() {
   // Explicit registration in a fixed order — no static-initialization or
@@ -45,7 +55,7 @@ std::string substrate_names(std::string_view sep) {
 std::string loss_capable_names(std::string_view sep) {
   std::string out;
   for (const Substrate* s : substrates()) {
-    if (!s->caps().faults && !s->caps().drop_prob) continue;
+    if (!s->caps().loss_recovery) continue;
     if (!out.empty()) out += sep;
     out += s->name();
   }
@@ -53,16 +63,13 @@ std::string loss_capable_names(std::string_view sep) {
 }
 
 bool caps_allow(const SubstrateCaps& caps, coll::OpKind op, Impl impl) {
-  const std::vector<Impl>& legal =
-      op == coll::OpKind::kBarrier ? caps.barrier_impls : caps.collective_impls;
+  const std::vector<Impl>& legal = legal_impls(caps, op);
   return std::find(legal.begin(), legal.end(), impl) != legal.end();
 }
 
 std::string caps_impl_list(const SubstrateCaps& caps, coll::OpKind op) {
-  const std::vector<Impl>& legal =
-      op == coll::OpKind::kBarrier ? caps.barrier_impls : caps.collective_impls;
   std::string out;
-  for (const Impl i : legal) {
+  for (const Impl i : legal_impls(caps, op)) {
     if (!out.empty()) out += ", ";
     out += to_string(i);
   }
@@ -72,12 +79,7 @@ std::string caps_impl_list(const SubstrateCaps& caps, coll::OpKind op) {
 const std::vector<coll::Algorithm>& caps_algorithms(const SubstrateCaps& caps,
                                                     coll::OpKind op) {
   if (op == coll::OpKind::kBarrier) return caps.barrier_algorithms;
-  for (const auto& entry : caps.collective_algorithms) {
-    if (entry.op == op) return entry.algorithms;
-  }
-  static const std::vector<coll::Algorithm> default_only = {
-      coll::Algorithm::kDissemination};
-  return default_only;
+  return core::collective_algorithms_for(op);
 }
 
 bool caps_allow_algorithm(const SubstrateCaps& caps, coll::OpKind op,
@@ -102,7 +104,6 @@ std::unique_ptr<core::Collective> SubstrateCluster::make_collective(
   cs.engine = spec.impl == Impl::kHost ? coll::Engine::kHost : coll::Engine::kNic;
   cs.algorithm = spec.algorithm;
   cs.radix = spec.radix;
-  cs.overlap_us = spec.overlap_us;
   cs.rank_to_node = std::move(placement);
   return make_collective(cs);
 }

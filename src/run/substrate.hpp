@@ -21,43 +21,33 @@ namespace qmb::run {
 /// usage errors, derive_case respects them when drawing fault plans, and
 /// the CLI lists legal values from them — no hand-rolled per-network
 /// strings anywhere else.
+///
+/// Only what differs between substrates is here. Every substrate runs value
+/// collectives (bcast/allreduce/allgather/alltoall) on the nic and host
+/// engines with the schedule layer's core::collective_algorithms_for
+/// table, and exposes the 2047 concurrent groups the BarrierTag group field
+/// can name; caps_allow / caps_algorithms and validate() read those shared
+/// sources directly.
 struct SubstrateCaps {
-  bool faults = false;     // net::FaultSpec plans are recoverable here
-  bool drop_prob = false;  // random wire loss is recoverable here
+  /// Lost, duplicated and corrupted packets are recovered here, so
+  /// --drop-prob and net::FaultSpec plans are legal.
+  bool loss_recovery = false;
   bool ablations = false;  // myri::CollFeatures ablation switches apply
-  /// Why loss injection is unsupported (empty when faults/drop_prob are
-  /// on); spliced verbatim into validate()'s error text.
+  /// Why loss injection is unsupported (empty when loss_recovery is on);
+  /// spliced verbatim into validate()'s error text.
   std::string_view loss_note = "";
-  std::vector<Impl> barrier_impls;     // legal --impl values for barriers
-  std::vector<Impl> collective_impls;  // legal --impl values for value ops
+  std::vector<Impl> barrier_impls;  // legal --impl values for barriers
   /// Barrier Algorithm values the substrate's executors can run. The
   /// schedule-driven impls take any schedule, so this is a property of the
-  /// substrate's hardware model (e.g. remote-atomic needs the IB HCA's
-  /// remote fetch-add); the fixed-pattern impls (gsync/hgsync) additionally
-  /// reject everything but the default regardless of this list.
+  /// substrate (remote-atomic is the verbs central-counter barrier and is
+  /// registered on IB only); the fixed-pattern impls (gsync/hgsync)
+  /// additionally reject everything but the default regardless of this list.
   std::vector<coll::Algorithm> barrier_algorithms;
-  /// Algorithm values the substrate's executors can run for each *value*
-  /// op kind (bcast/allreduce/allgather/alltoall), mirroring
-  /// barrier_algorithms for barriers. Seeded from the schedule layer's
-  /// core::collective_algorithms_for table; a substrate that cannot run a
-  /// pattern (hardware model limits) trims its entry. Kinds without an
-  /// entry accept only the default algorithm.
-  struct KindAlgorithms {
-    coll::OpKind op = coll::OpKind::kBarrier;
-    std::vector<coll::Algorithm> algorithms;
-  };
-  std::vector<KindAlgorithms> collective_algorithms;
   /// Barrier impls that embed a fixed pattern and ignore schedules (the
   /// Quadrics gsync tree and hardware barrier, and quadrics --impl host
   /// which maps to the gsync tree). validate() rejects a non-default
   /// --algorithm with these instead of silently ignoring it.
   std::vector<Impl> fixed_pattern_barrier_impls;
-  /// Concurrent group slots the substrate exposes (paper design point #1:
-  /// one dedicated NIC send queue per group). The 11-bit group field of the
-  /// BarrierTag codec binds every current substrate to 2047; validate()
-  /// rejects workloads that would need more executors than this instead of
-  /// colliding group ids deep in cluster construction.
-  int max_groups = 2047;
   /// Sustainable per-stream background-flood throughput: the byte rate of
   /// the flood path's tightest server. validate()'s admission check
   /// rejects open-loop streams offered at or above this rate: their queues
@@ -93,7 +83,7 @@ class SubstrateCluster {
   [[nodiscard]] virtual std::unique_ptr<core::Collective> make_collective(
       const coll::CollSpec& spec) = 0;
   /// Builds the spec's operation over `placement` (rank -> node). The base
-  /// lowers the spec to a CollSpec (op/impl/algorithm/radix/overlap) and
+  /// lowers the spec to a CollSpec (op/impl/algorithm/radix) and
   /// calls the entry point above; a substrate with a paper baseline that
   /// has no CollSpec engine (Myrinet direct, Quadrics gsync/hgsync)
   /// overrides it to build that baseline first.
@@ -154,8 +144,7 @@ class Substrate {
 [[nodiscard]] std::string caps_impl_list(const SubstrateCaps& caps, coll::OpKind op);
 
 /// The algorithms the substrate's executors can run for `op`: the barrier
-/// list for kBarrier, the matching collective_algorithms entry otherwise
-/// (a single-element default list when a kind has no entry).
+/// list for kBarrier, core::collective_algorithms_for(op) otherwise.
 [[nodiscard]] const std::vector<coll::Algorithm>& caps_algorithms(
     const SubstrateCaps& caps, coll::OpKind op);
 

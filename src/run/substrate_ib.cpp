@@ -34,26 +34,19 @@ class IbSubstrateCluster final : public SubstrateCluster {
 class IbSubstrate final : public Substrate {
  public:
   IbSubstrate() {
-    caps_.faults = true;
-    caps_.drop_prob = true;
+    caps_.loss_recovery = true;
     caps_.barrier_impls = {Impl::kNic, Impl::kHost};
-    caps_.collective_impls = {Impl::kNic, Impl::kHost};
-    // Both IB executors are schedule-driven; remote-atomic is legal here
-    // because the HCA exposes remote CAS/fetch-add verbs, which is what the
-    // central-counter star models.
+    // Both IB executors are schedule-driven. remote-atomic is the
+    // central-counter barrier of verbs MPI libraries, registered here only:
+    // it runs as a star of tagged RDMA writes into rank 0 (N-1 up-edges,
+    // N-1 release edges), the same write-with-immediate building block as
+    // every other schedule; no remote atomic verb is modelled.
     caps_.barrier_algorithms = {
         coll::Algorithm::kDissemination,      coll::Algorithm::kPairwiseExchange,
         coll::Algorithm::kGatherBroadcast,    coll::Algorithm::kTree,
         coll::Algorithm::kTournament,         coll::Algorithm::kFwayDissemination,
         coll::Algorithm::kRemoteAtomic,
     };
-    // Value collectives run the schedule-driven executors; remote-atomic
-    // stays barrier-only (the central counter carries no payload).
-    for (const coll::OpKind k :
-         {coll::OpKind::kBcast, coll::OpKind::kAllreduce, coll::OpKind::kAllgather,
-          coll::OpKind::kAlltoall}) {
-      caps_.collective_algorithms.push_back({k, core::collective_algorithms_for(k)});
-    }
     // RC writes land without a host-side copy; the wire binds the flood
     // per byte, plus the responder HCA's PSN check and CQE DMA per message.
     const ib::IbConfig cfg;

@@ -56,26 +56,17 @@ class MyrinetCluster final : public SubstrateCluster {
 class MyrinetSubstrate final : public Substrate {
  public:
   MyrinetSubstrate(Network network, std::string_view name) : network_(network), name_(name) {
-    caps_.faults = true;
-    caps_.drop_prob = true;
+    caps_.loss_recovery = true;
     caps_.ablations = true;
     caps_.barrier_impls = {Impl::kNic, Impl::kHost, Impl::kDirect};
-    caps_.collective_impls = {Impl::kNic, Impl::kHost};
     // Every Myrinet executor is schedule-driven, so any message-passing
-    // pattern runs; remote-atomic needs NIC-resident fetch-add (an IB HCA
-    // verb) that the LANai firmware does not model.
+    // pattern runs; remote-atomic is the verbs central-counter barrier and
+    // stays on IB.
     caps_.barrier_algorithms = {
         coll::Algorithm::kDissemination,      coll::Algorithm::kPairwiseExchange,
         coll::Algorithm::kGatherBroadcast,    coll::Algorithm::kTree,
         coll::Algorithm::kTournament,         coll::Algorithm::kFwayDissemination,
     };
-    // Value collectives run the same schedule-driven executors, so every
-    // pattern the schedule layer can combine correctly is available.
-    for (const coll::OpKind k :
-         {coll::OpKind::kBcast, coll::OpKind::kAllreduce, coll::OpKind::kAllgather,
-          coll::OpKind::kAlltoall}) {
-      caps_.collective_algorithms.push_back({k, core::collective_algorithms_for(k)});
-    }
     // The flood's tightest server is the *sender's* MCP: each host-sourced
     // message serializes LANai firmware work (send-event translation, token
     // schedule, packet claim, header build, ACK bookkeeping) with the

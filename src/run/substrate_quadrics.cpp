@@ -45,23 +45,14 @@ class QuadricsSubstrate final : public Substrate {
   QuadricsSubstrate() {
     caps_.loss_note = "the Quadrics models have no loss recovery path";
     caps_.barrier_impls = {Impl::kNic, Impl::kHost, Impl::kGsync, Impl::kHgsync};
-    caps_.collective_impls = {Impl::kNic, Impl::kHost};
-    // The chained-RDMA NIC barrier is schedule-driven; remote-atomic needs
-    // a NIC-resident fetch-add verb the Elan3 model does not expose. The
-    // host/gsync/hgsync barriers embed fixed patterns (see below).
+    // The chained-RDMA NIC barrier is schedule-driven; remote-atomic is the
+    // verbs central-counter barrier and stays on IB. The host/gsync/hgsync
+    // barriers embed fixed patterns (see below).
     caps_.barrier_algorithms = {
         coll::Algorithm::kDissemination,      coll::Algorithm::kPairwiseExchange,
         coll::Algorithm::kGatherBroadcast,    coll::Algorithm::kTree,
         coll::Algorithm::kTournament,         coll::Algorithm::kFwayDissemination,
     };
-    // Value collectives ride the schedule-driven chained-RDMA/host
-    // executors (no fixed-pattern restriction — that is a barrier-impl
-    // property), so the full schedule-layer table applies.
-    for (const coll::OpKind k :
-         {coll::OpKind::kBcast, coll::OpKind::kAllreduce, coll::OpKind::kAllgather,
-          coll::OpKind::kAlltoall}) {
-      caps_.collective_algorithms.push_back({k, core::collective_algorithms_for(k)});
-    }
     // --impl host maps to the gsync software tree for barriers, so it is
     // fixed-pattern here (unlike Myrinet/IB host barriers).
     caps_.fixed_pattern_barrier_impls = {Impl::kHost, Impl::kGsync, Impl::kHgsync};

@@ -131,11 +131,6 @@ Engine::DomainScope::~DomainScope() {
   detail::t_domain = prev_domain_;
 }
 
-SimTime Engine::domain_now(int domain) const {
-  if (shards_.empty()) return now_;
-  return shards_[static_cast<std::size_t>(domain)]->now;
-}
-
 std::uint64_t Engine::domain_events_fired(int domain) const {
   if (shards_.empty()) return fired_;
   return shards_[static_cast<std::size_t>(domain)]->fired;

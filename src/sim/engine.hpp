@@ -159,8 +159,6 @@ class Engine {
     int prev_domain_;
   };
 
-  /// A domain's clock (== now() inside its callbacks). Sequential: now().
-  [[nodiscard]] SimTime domain_now(int domain) const;
   /// Events fired by one domain; for RunResult's per-domain load stats.
   [[nodiscard]] std::uint64_t domain_events_fired(int domain) const;
   /// Synchronization windows executed so far (0 when sequential).

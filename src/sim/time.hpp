@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <compare>
 #include <limits>
 #include <string>
@@ -105,8 +106,12 @@ constexpr SimDuration operator""_us(long double v) { return microseconds(static_
 constexpr SimDuration operator""_ns(long double v) { return nanoseconds(static_cast<double>(v)); }
 }  // namespace literals
 
-/// Renders a duration as a human-readable string, e.g. "5.60us".
-[[nodiscard]] std::string to_string(SimDuration d);
-[[nodiscard]] std::string to_string(SimTime t);
+/// Renders a duration as a human-readable string, e.g. "5.600us".
+[[nodiscard]] inline std::string to_string(SimDuration d) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3fus", d.micros());
+  return buf;
+}
+[[nodiscard]] inline std::string to_string(SimTime t) { return to_string(SimDuration(t.picos())); }
 
 }  // namespace qmb::sim

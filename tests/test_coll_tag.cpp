@@ -29,7 +29,7 @@ TEST(BarrierTag, FieldsAreMasked) {
 
 TEST(BarrierTag, GroupFieldHoldsThousands) {
   // The 11-bit group field is what lets thousands of concurrent tenant
-  // groups coexist (SubstrateCaps::max_groups = 2047).
+  // groups coexist (validate() admits up to kGroupMask = 2047 groups).
   const std::uint32_t t = BarrierTag::encode(2047, 3, 7);
   EXPECT_EQ(BarrierTag::group(t), 2047u);
   EXPECT_EQ(BarrierTag::seq_low(t), 3u);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace qmb::net {
@@ -124,6 +126,20 @@ TEST(FatTree, InvalidConstructionThrows) {
   EXPECT_THROW(FatTree(4, 0, 2), std::invalid_argument);
   EXPECT_THROW(FatTree(4, 2, 17), std::invalid_argument);  // more nics than slots
   EXPECT_THROW(FatTree(4, 2, 1), std::invalid_argument);
+}
+
+TEST(FatTree, RejectsTreesDeeperThanRouteScratch) {
+  // A route has 2 * levels links; 16 levels fill RouteScratch exactly.
+  EXPECT_NO_THROW(FatTree(2, 16, 2));
+  EXPECT_THROW(FatTree(2, 17, 2), std::invalid_argument);
+  // The depth check runs before any table is built: 2^64 slots would
+  // otherwise fail the size check first, with a different message.
+  try {
+    FatTree(2, 64, 2);
+    FAIL() << "a 64-level tree must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("RouteScratch"), std::string::npos) << e.what();
+  }
 }
 
 TEST(FatTree, TrunkSelectionStaysInBounds) {

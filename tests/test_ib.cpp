@@ -1,7 +1,7 @@
 // Unit tests of the IB verbs substrate: RC transport recovery (NAK
-// retransmit, RTO on tail loss, ICRC discard of corrupted packets),
-// remote atomics, the NIC-resident collective window, and the barrier's
-// log-scaling latency curve.
+// retransmit, RTO on tail loss, ICRC discard of corrupted packets), the
+// NIC-resident collective window, and the barrier's log-scaling latency
+// curve.
 #include "ib/hca.hpp"
 
 #include <gtest/gtest.h>
@@ -111,31 +111,6 @@ TEST(IbTransport, CorruptedPacketDiscardedAtIcrcThenRetransmitted) {
   EXPECT_EQ(got, 7);
   EXPECT_EQ(h.node(1).hca().stats().crc_dropped.value(), 1u);
   EXPECT_GE(h.node(0).hca().stats().retransmissions.value(), 1u);
-}
-
-TEST(IbAtomics, FetchAddReturnsOldValueAndAccumulates) {
-  Harness h(2);
-  h.node(1).hca().set_atomic_word(5, 10);
-  std::vector<std::int64_t> old;
-  h.node(0).remote_fetch_add(1, 5, 3, [&](std::int64_t v) { old.push_back(v); });
-  h.engine.run();
-  h.node(0).remote_fetch_add(1, 5, 3, [&](std::int64_t v) { old.push_back(v); });
-  h.engine.run();
-  EXPECT_EQ(old, (std::vector<std::int64_t>{10, 13}));
-  EXPECT_EQ(h.node(1).hca().atomic_word(5), 16);
-  EXPECT_EQ(h.node(1).hca().stats().atomics_executed.value(), 2u);
-}
-
-TEST(IbAtomics, CompareSwapOnlySwapsOnMatch) {
-  Harness h(2);
-  std::vector<std::int64_t> old;
-  h.node(0).remote_compare_swap(1, 0, 0, 7, [&](std::int64_t v) { old.push_back(v); });
-  h.engine.run();
-  // Second CAS compares against the stale 0 and must fail silently.
-  h.node(0).remote_compare_swap(1, 0, 0, 9, [&](std::int64_t v) { old.push_back(v); });
-  h.engine.run();
-  EXPECT_EQ(old, (std::vector<std::int64_t>{0, 7}));
-  EXPECT_EQ(h.node(1).hca().atomic_word(0), 7);
 }
 
 TEST(IbCollective, WindowOverrunThrows) {

@@ -1,11 +1,14 @@
-// RouteCache correctness: for every (src, dst) pair — and every broadcast
-// top level — the cached RouteView must be element-for-element identical to
-// a fresh Topology::route / broadcast_route call. This exhaustive
-// equivalence is what licenses the Fabric's memoization (topologies are
-// immutable after construction, so first-call results are forever-valid).
+// Route correctness on the paths the Fabric runs: for every (src, dst)
+// pair, Topology::compute_route must fill its scratch element-for-element
+// identical to the reference Topology::route, and for every broadcast top
+// level the RouteCache's memoized RouteView must equal a fresh
+// broadcast_route call. The broadcast half is what licenses the Fabric's
+// memoization (topologies are immutable after construction, so first-call
+// results are forever-valid).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -33,40 +36,31 @@ void expect_view_equals_route(const RouteView& view, const Route& fresh, NicAddr
 }
 
 void check_exhaustive(const Topology& topo) {
-  RouteCache cache(topo);
   const auto n = static_cast<std::int32_t>(topo.max_nics());
 
-  // Two passes: the first populates (all misses), the second must hit and
-  // return the identical routes — including views captured in pass one,
-  // which must survive all later arena inserts unchanged.
-  struct Captured {
-    NicAddr src, dst;
-    RouteView view;
-  };
-  std::vector<Captured> captured;
+  // Unicast: compute_route, the Fabric's one unicast path, must fill the
+  // scratch hop-for-hop identical to the reference Route. One scratch is
+  // reused across pairs, as the Fabric reuses its own.
+  RouteScratch scratch;
   for (std::int32_t s = 0; s < n; ++s) {
     for (std::int32_t d = 0; d < n; ++d) {
       if (s == d) continue;
       const NicAddr src(s), dst(d);
-      RouteView view = cache.unicast(src, dst);
-      expect_view_equals_route(view, topo.route(src, dst), src, dst);
-      captured.push_back({src, dst, view});
+      topo.compute_route(src, dst, scratch);
+      expect_view_equals_route(scratch.view(), topo.route(src, dst), src, dst);
     }
   }
-  const std::uint64_t misses_after_fill = cache.misses();
-  EXPECT_EQ(misses_after_fill, static_cast<std::uint64_t>(n) * (n - 1));
-  EXPECT_EQ(cache.hits(), 0u);
 
-  for (const Captured& c : captured) {
-    expect_view_equals_route(c.view, topo.route(c.src, c.dst), c.src, c.dst);
-    RouteView again = cache.unicast(c.src, c.dst);
-    EXPECT_EQ(again.links.data(), c.view.links.data());  // same arena storage
-    expect_view_equals_route(again, topo.route(c.src, c.dst), c.src, c.dst);
-  }
-  EXPECT_EQ(cache.misses(), misses_after_fill);  // second pass: all hits
-  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(captured.size()) * 1u);
-
-  // Broadcast variants at every level the topology can be asked for.
+  // Broadcast variants at every level the topology can be asked for: the
+  // memoized view equals a fresh broadcast_route, a repeat hits the same
+  // arena storage, and every view handed out survives all later inserts.
+  RouteCache cache(topo);
+  struct Captured {
+    NicAddr src, dst;
+    int top;
+    RouteView view;
+  };
+  std::vector<Captured> captured;
   for (int top = 0; top <= topo.top_level(); ++top) {
     for (std::int32_t s = 0; s < n; ++s) {
       for (std::int32_t d = 0; d < n; ++d) {
@@ -76,9 +70,16 @@ void check_exhaustive(const Topology& topo) {
         expect_view_equals_route(view, topo.broadcast_route(src, dst, top), src, dst);
         RouteView again = cache.broadcast(src, dst, top);
         EXPECT_EQ(again.links.data(), view.links.data());
+        captured.push_back({src, dst, top, view});
       }
     }
   }
+  for (const Captured& c : captured) {
+    expect_view_equals_route(c.view, topo.broadcast_route(c.src, c.dst, c.top), c.src,
+                             c.dst);
+  }
+  EXPECT_EQ(cache.misses(), static_cast<std::uint64_t>(captured.size()));
+  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(captured.size()));
 }
 
 TEST(RouteCache, ExhaustiveCrossbar16) { check_exhaustive(SingleCrossbar(16)); }
@@ -103,20 +104,17 @@ TEST(RouteCache, CountsAndEntries) {
   SingleCrossbar topo(4);
   RouteCache cache(topo);
   EXPECT_EQ(cache.entries(), 0u);
-  (void)cache.unicast(NicAddr(0), NicAddr(1));
+  (void)cache.broadcast(NicAddr(0), NicAddr(1), 0);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.entries(), 1u);
-  (void)cache.unicast(NicAddr(0), NicAddr(1));
+  (void)cache.broadcast(NicAddr(0), NicAddr(1), 0);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.entries(), 1u);
-  // Reverse direction is a distinct key.
-  (void)cache.unicast(NicAddr(1), NicAddr(0));
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.entries(), 2u);
-  // Broadcast entries are keyed separately from unicast.
-  (void)cache.broadcast(NicAddr(0), NicAddr(1), 0);
+  // Each (src, dst, top) is a distinct key.
+  (void)cache.broadcast(NicAddr(1), NicAddr(0), 0);
+  (void)cache.broadcast(NicAddr(0), NicAddr(1), 1);
   EXPECT_EQ(cache.misses(), 3u);
   EXPECT_EQ(cache.entries(), 3u);
 }

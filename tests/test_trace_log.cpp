@@ -3,16 +3,11 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
-#include "sim/engine.hpp"
-#include "sim/log.hpp"
 #include "sim/trace.hpp"
 
 namespace qmb::sim {
 namespace {
-
-using namespace qmb::sim::literals;
 
 TEST(Tracer, DisabledByDefaultAndRecordsNothing) {
   Tracer t;
@@ -108,67 +103,6 @@ TEST(Tracer, ClearEmpties) {
   t.record({SimTime(1), "a", "b", 0, 0, 0});
   t.clear();
   EXPECT_TRUE(t.records().empty());
-}
-
-TEST(Logger, OffByDefault) {
-  Engine e;
-  Logger log(e);
-  int lines = 0;
-  log.set_sink([&](std::string_view) { ++lines; });
-  QMB_LOG(log, kError, "test") << "should not appear";
-  EXPECT_EQ(lines, 0);
-}
-
-TEST(Logger, LevelFiltering) {
-  Engine e;
-  Logger log(e, LogLevel::kWarn);
-  std::vector<std::string> lines;
-  log.set_sink([&](std::string_view s) { lines.emplace_back(s); });
-  QMB_LOG(log, kDebug, "c") << "hidden";
-  QMB_LOG(log, kWarn, "c") << "shown";
-  QMB_LOG(log, kError, "c") << "also shown";
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("shown"), std::string::npos);
-}
-
-TEST(Logger, LinesCarrySimTimestampAndComponent) {
-  Engine e;
-  Logger log(e, LogLevel::kInfo);
-  std::string line;
-  log.set_sink([&](std::string_view s) { line = std::string(s); });
-  e.schedule(microseconds(42), [&] { QMB_LOG(log, kInfo, "mcp") << "tick"; });
-  e.run();
-  EXPECT_NE(line.find("42.000us"), std::string::npos);
-  EXPECT_NE(line.find("INFO"), std::string::npos);
-  EXPECT_NE(line.find("mcp"), std::string::npos);
-  EXPECT_NE(line.find("tick"), std::string::npos);
-}
-
-TEST(Logger, StreamBodyNotEvaluatedWhenDisabled) {
-  Engine e;
-  Logger log(e, LogLevel::kOff);
-  int evaluations = 0;
-  auto expensive = [&] {
-    ++evaluations;
-    return 42;
-  };
-  QMB_LOG(log, kError, "c") << expensive();
-  EXPECT_EQ(evaluations, 0);
-}
-
-TEST(Logger, CountsEmittedLines) {
-  Engine e;
-  Logger log(e, LogLevel::kTrace);
-  log.set_sink([](std::string_view) {});
-  QMB_LOG(log, kTrace, "c") << "a";
-  QMB_LOG(log, kInfo, "c") << "b";
-  EXPECT_EQ(log.lines_emitted(), 2u);
-}
-
-TEST(LogLevel, Names) {
-  EXPECT_EQ(to_string(LogLevel::kTrace), "TRACE");
-  EXPECT_EQ(to_string(LogLevel::kError), "ERROR");
-  EXPECT_EQ(to_string(LogLevel::kOff), "OFF");
 }
 
 }  // namespace
