@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <thread>
 
 namespace qmb::sim {
@@ -13,20 +14,26 @@ thread_local int t_domain = -1;
 
 // --- sequential path ---
 
+bool Engine::fire_next(SimTime deadline) {
+  // The fired event, callback and captures included, dies on return, before
+  // the next event fires.
+  std::optional<EventQueue::Fired> f = queue_.pop_due(deadline);
+  if (!f) return false;
+  now_ = f->at;
+  ++fired_;
+  f->cb();
+  return true;
+}
+
 bool Engine::step() {
   if (!shards_.empty()) throw std::logic_error("step() on a sharded engine");
-  if (queue_.empty()) return false;
-  EventQueue::Fired f = queue_.pop();
-  now_ = f.at;
-  ++fired_;
-  f.cb();
-  return true;
+  return fire_next(SimTime::max());
 }
 
 std::uint64_t Engine::run() {
   if (!shards_.empty()) return run_windows(SimTime::max(), /*bounded=*/false);
   std::uint64_t n = 0;
-  while (step()) ++n;
+  while (fire_next(SimTime::max())) ++n;
   return n;
 }
 
@@ -38,12 +45,7 @@ std::uint64_t Engine::run_until(SimTime deadline) {
     return n;
   }
   std::uint64_t n = 0;
-  while (true) {
-    const auto next = queue_.next_time();
-    if (!next || *next > deadline) break;
-    step();
-    ++n;
-  }
+  while (fire_next(deadline)) ++n;
   if (now_ < deadline) now_ = deadline;
   return n;
 }
@@ -139,15 +141,16 @@ std::uint64_t Engine::domain_events_fired(int domain) const {
 void Engine::drain_shard(Shard& s, SimTime end) {
   detail::t_shard = &s;
   detail::t_domain = static_cast<int>(s.index);
-  while (true) {
-    const auto next = s.queue.next_time();
-    if (!next || *next >= end) break;
-    EventQueue::Fired f = s.queue.pop();
-    s.now = f.at;
-    s.cur_path = f.path;
-    s.cur_lineage = f.lineage;
+  // The window is [.., end) on an integer-picosecond clock. Each fired
+  // event is scoped to its iteration, so its captures die before the next
+  // one fires.
+  const SimTime last = end - picoseconds(1);
+  while (std::optional<EventQueue::Fired> f = s.queue.pop_due(last)) {
+    s.now = f->at;
+    s.cur_path = f->path;
+    s.cur_lineage = f->lineage;
     ++s.fired;
-    f.cb();
+    f->cb();
   }
   s.cur_path = SchedPath{};
   s.cur_lineage = 0;

@@ -214,6 +214,10 @@ class Engine {
     return id;
   }
 
+  /// Fires the earliest pending event if it is due by `deadline`
+  /// (sequential engines only); false when none is.
+  bool fire_next(SimTime deadline);
+
   /// Drains one shard's events with time < end under its DomainScope.
   static void drain_shard(Shard& s, SimTime end);
 

@@ -2,38 +2,49 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace qmb::sim {
 
 EventId EventQueue::push(SimTime at, EventCallback&& cb, SimTime sched,
                          std::uint64_t lineage, const SchedPath* path) {
-  const std::uint64_t seq = next_seq_++;
+  // An entry's ord packs seq above the slot; past either field's width the
+  // order would silently wrap, so refuse the push instead.
+  if (next_seq_ > kMaxSeq) throw std::length_error("EventQueue: more than 2^40 - 1 pushes");
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slot_gen_.size());
-    slot_gen_.push_back(0);
+    if (slot_ord_.size() == kMaxSlots) {
+      throw std::length_error("EventQueue: more than 2^24 pending slots");
+    }
+    slot = static_cast<std::uint32_t>(slot_ord_.size());
+    slot_ord_.push_back(kNoEvent);
     slot_cb_.emplace_back();
     slot_key_.emplace_back();
   }
+  const std::uint64_t seq = next_seq_++;
+  const std::uint64_t ord = seq << kSlotBits | slot;
+  const SlotKey key{path != nullptr ? *path : SchedPath{{sched}}, lineage};
+  if (key != SlotKey{}) keyed_ = true;
+  if (keyed_) slot_key_[slot] = key;  // unkeyed slots keep their zero key
   slot_cb_[slot] = std::move(cb);
-  slot_key_[slot] = SlotKey{path != nullptr ? *path : SchedPath{{sched}}, lineage};
-  heap_.push_back(Entry{at, seq, slot, slot_gen_[slot]});
-  std::push_heap(heap_.begin(), heap_.end(), later());
+  slot_ord_[slot] = ord;
+  heap_.push_back(Entry{at, ord});
+  in_order([](auto... args) { std::push_heap(args...); });
   ++live_;
-  return EventId(slot, slot_gen_[slot]);
+  return EventId(slot, static_cast<std::uint32_t>(seq));
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (!id.valid() || id.slot_ >= slot_gen_.size() || slot_gen_[id.slot_] != id.gen_) {
-    return false;
-  }
+  if (!id.valid() || id.slot_ >= slot_ord_.size()) return false;
+  const std::uint64_t ord = slot_ord_[id.slot_];
+  if (ord == kNoEvent || static_cast<std::uint32_t>(ord >> kSlotBits) != id.gen_) return false;
   // Orphan the heap entry and invalidate outstanding ids. The slot itself
   // stays out of the free list until the entry leaves the heap, so its key
   // is not overwritten under a queued corpse.
-  ++slot_gen_[id.slot_];
+  slot_ord_[id.slot_] = kNoEvent;
   slot_cb_[id.slot_] = EventCallback{};  // cancelled callbacks release captures now
   --live_;
   compact_if_stale();
@@ -48,41 +59,50 @@ void EventQueue::compact_if_stale() {
   if (heap_.size() < kCompactFloor || heap_.size() <= 2 * live_) return;
   std::erase_if(heap_, [this](const Entry& e) {
     if (is_live(e)) return false;
-    free_slots_.push_back(e.slot);
+    free_slots_.push_back(slot_of(e.ord));
     return true;
   });
-  std::make_heap(heap_.begin(), heap_.end(), later());
+  in_order([](auto... args) { std::make_heap(args...); });
 }
 
 void EventQueue::drop_cancelled_head() {
-  // Precondition live_ > 0: a live entry stops the loop before the heap
-  // runs dry. Each corpse is popped once, so this is amortized O(log n).
-  while (!is_live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), later());
-    free_slots_.push_back(heap_.back().slot);
+  // Precondition: the head is dead and live_ > 0, so a live entry stops the
+  // loop before the heap runs dry. Each corpse is popped once, so this is
+  // amortized O(log n). Callers test the head inline: it is usually live.
+  do {
+    in_order([](auto... args) { std::pop_heap(args...); });
+    free_slots_.push_back(slot_of(heap_.back().ord));
     heap_.pop_back();
-  }
+  } while (!is_live(heap_.front()));
 }
 
 std::optional<SimTime> EventQueue::next_time() {
   if (live_ == 0) return std::nullopt;
-  drop_cancelled_head();
+  if (!is_live(heap_.front())) drop_cancelled_head();
   return heap_.front().at;
+}
+
+std::optional<EventQueue::Fired> EventQueue::pop_due(SimTime deadline) {
+  if (live_ == 0) return std::nullopt;
+  if (!is_live(heap_.front())) drop_cancelled_head();
+  if (heap_.front().at > deadline) return std::nullopt;
+  in_order([](auto... args) { std::pop_heap(args...); });
+  const Entry e = heap_.back();
+  heap_.pop_back();
+  const std::uint32_t slot = slot_of(e.ord);
+  slot_ord_[slot] = kNoEvent;  // invalidates outstanding ids
+  free_slots_.push_back(slot);
+  --live_;
+  // Nothing writes the slot before the next push, so its key and callback
+  // are read after the release; the callback moves straight into Fired.
+  const SlotKey& key = slot_key_[slot];
+  return std::optional<Fired>(std::in_place, e.at, std::move(slot_cb_[slot]), key.path.hops[0],
+                              key.lineage, key.path);
 }
 
 EventQueue::Fired EventQueue::pop() {
   assert(live_ > 0 && "pop() on empty EventQueue");
-  drop_cancelled_head();
-  std::pop_heap(heap_.begin(), heap_.end(), later());
-  const Entry e = heap_.back();
-  heap_.pop_back();
-  ++slot_gen_[e.slot];  // invalidates outstanding ids
-  free_slots_.push_back(e.slot);
-  --live_;
-  // Nothing writes the slot before the next push, so its key and callback
-  // are read after the release; the callback moves straight into Fired.
-  const SlotKey& key = slot_key_[e.slot];
-  return Fired{e.at, std::move(slot_cb_[e.slot]), key.path.hops[0], key.lineage, key.path};
+  return std::move(*pop_due(SimTime::max()));
 }
 
 }  // namespace qmb::sim

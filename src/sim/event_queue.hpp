@@ -9,8 +9,8 @@
 // detail: the parallel (PDES) engine partitions the simulation into
 // per-domain queues and must merge cross-domain work back into an order
 // that reproduces this sequential tie-break. Concretely:
-//   1. pop() returns live events in strictly non-decreasing key order —
-//      equal-key events fire exactly in push() order;
+//   1. pop_due() and pop() return live events in strictly non-decreasing
+//      key order — equal-key events fire exactly in push() order;
 //   2. seq is assigned at push() time and never reordered by cancellation
 //      or compaction;
 //   3. total_scheduled() counts every push ever made, so two executions
@@ -29,22 +29,25 @@
 // the ancestors' scheduling instants (hops[1..]). Chains that are fully
 // time-symmetric past kDepth are ordered by the anchor stamp, which the
 // coordinator assigns in merge order — itself the senders' sequential
-// order, inductively. Sequential queues store all-zero paths and lineages,
-// so the extended comparator degenerates to the historical (at, seq)
-// bit-for-bit. Window merges sort deferred cross-domain sends by the same
+// order, inductively. While every queued path and lineage is zero, the
+// extended key degenerates to (at, seq) bit-for-bit, so a queue compares by
+// (at, seq) alone until its first push with a non-zero path or lineage
+// makes it keyed; it never goes back. A sequential engine's queue never
+// becomes keyed; a shard's does as soon as a push carries a causal stamp.
+// Window merges sort deferred cross-domain sends by the same
 // (emit, path, lineage) key, falling back to (domain, per-domain order)
 // only for pre-run-rooted ties — where domain blocks are ascending so that
 // fallback is rank order, matching the sequential setup loop.
 // test_event_queue's TieBreakContract test pins this down.
 //
-// Cancellation is O(1) and allocation-free: every live event owns a slot in
-// a generation table; cancelling bumps the slot's generation, which orphans
-// the heap entry (dropped when it reaches the head, or swept by compaction
-// when dead entries outnumber live ones — NACK-timeout storms cancel
-// thousands of armed retransmit timers and must not leave the heap full of
-// corpses). No hashing and no per-event allocation in the common case:
-// callbacks are small-buffer-optimized (sim::Callback) and slots are
-// recycled through a free list.
+// Cancellation is O(1) and allocation-free: every live event owns a slot
+// that records its heap entry's ord (seq and slot, packed); cancelling
+// clears the record, which orphans the heap entry (dropped when it reaches
+// the head, or swept by compaction when dead entries outnumber live ones —
+// NACK-timeout storms cancel thousands of armed retransmit timers and must
+// not leave the heap full of corpses). No hashing and no per-event
+// allocation in the common case: callbacks are small-buffer-optimized
+// (sim::Callback) and slots are recycled through a free list.
 #pragma once
 
 #include <array>
@@ -74,10 +77,12 @@ struct SchedPath {
 };
 
 /// Identifies a scheduled event so it can be cancelled. An id is a
-/// (slot, generation) pair: slots are reused, generations are not, so a
-/// stale id can never cancel a later event that inherited its slot. A
-/// sharded engine additionally stamps the owning domain so cancel() can
-/// find the right per-domain queue (0 for sequential engines).
+/// (slot, generation) pair, the generation being the low 32 bits of the
+/// push's sequence number: slots are reused, sequence numbers are not, so a
+/// stale id cannot cancel a later event that inherited its slot unless that
+/// event was pushed a multiple of 2^32 pushes later. A sharded engine
+/// additionally stamps the owning domain so cancel() can find the right
+/// per-domain queue (0 for sequential engines).
 class EventId {
  public:
   constexpr EventId() = default;
@@ -101,7 +106,10 @@ class EventQueue {
   /// sequential engine passes the zero defaults, which makes the key
   /// degenerate to the historical (at, seq). When `path` is null, a path of
   /// {sched, 0, 0, 0} is stored (path.hops[0] is always the sched instant).
-  /// The callback is moved once, into its slot.
+  /// The callback is moved once, into its slot. Throws std::length_error,
+  /// before changing anything, on the push after 2^40 - 1 pushes or when
+  /// 2^24 slots are pending (live plus cancelled-but-unswept), the limits
+  /// of a heap entry's packed (seq, slot).
   EventId push(SimTime at, EventCallback&& cb, SimTime sched = SimTime::zero(),
                std::uint64_t lineage = 0, const SchedPath* path = nullptr);
 
@@ -114,10 +122,9 @@ class EventQueue {
   /// amortized O(log n) pop instead of a scan of the heap.
   [[nodiscard]] std::optional<SimTime> next_time();
 
-  /// Removes and returns the earliest live event. Precondition: !empty().
-  /// The callback moves from its slot straight into Fired; sched/lineage/
-  /// path echo what push() recorded, so a sharded engine can propagate the
-  /// running event's causal stamp to whatever it schedules.
+  /// A popped event. The callback moves from its slot straight into Fired;
+  /// sched/lineage/path echo what push() recorded, so a sharded engine can
+  /// propagate the running event's causal stamp to whatever it schedules.
   struct Fired {
     SimTime at;
     EventCallback cb;
@@ -125,6 +132,14 @@ class EventQueue {
     std::uint64_t lineage;
     SchedPath path;
   };
+
+  /// Removes and returns the earliest live event if it fires at or before
+  /// `deadline`, else nullopt (also when empty). One call drops the
+  /// cancelled entries above the head, checks the head's time and pops it,
+  /// so an engine loop inspects the head once per event.
+  std::optional<Fired> pop_due(SimTime deadline);
+
+  /// pop_due without a deadline. Precondition: !empty().
   Fired pop();
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
@@ -139,17 +154,28 @@ class EventQueue {
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
  private:
-  // Heap entries are 24-byte PODs; the callback and the sharded ordering key
-  // live in the slot tables (stable storage, written once per push), so
-  // sift swaps are plain copies instead of SBO relocations of a 100-byte
-  // callback or 40 bytes of ancestry that sequential queues leave zero.
+  // Heap entries are 16-byte PODs: the fire time and ord = seq << 24 | slot.
+  // seq is unique, so comparing ords orders exactly as comparing seqs does,
+  // and an entry finds its slot without a second field. The callback and
+  // the sharded ordering key live in the slot tables (stable storage,
+  // written once per push), so sift swaps are plain copies instead of SBO
+  // relocations of a 100-byte callback or 40 bytes of ancestry.
   struct Entry {
     SimTime at;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-    std::uint32_t gen = 0;
+    std::uint64_t ord = 0;
   };
-  static_assert(sizeof(Entry) == 24);
+  static_assert(sizeof(Entry) == 16);
+
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kMaxSeq = (std::uint64_t{1} << (64 - kSlotBits)) - 1;
+  // slot_ord_ value of a slot with no pending event; seq starts at 1, so no
+  // entry's ord is 0.
+  static constexpr std::uint64_t kNoEvent = 0;
+
+  [[nodiscard]] static std::uint32_t slot_of(std::uint64_t ord) {
+    return static_cast<std::uint32_t>(ord & (kMaxSlots - 1));
+  }
 
   // The sharded part of the ordering key, per slot. A slot is recycled only
   // after its heap entry has left the heap (fired, dropped at the head or
@@ -158,41 +184,64 @@ class EventQueue {
   struct SlotKey {
     SchedPath path;
     std::uint64_t lineage = 0;
+
+    friend bool operator==(const SlotKey&, const SlotKey&) = default;
   };
 
-  // Min-heap order for std::push_heap etc., which build a max-heap on their
-  // comparator, hence the inversion. Fire times decide; the slot keys are
-  // read only when fire times tie.
+  // Min-heap orders for std::push_heap etc., which build a max-heap on their
+  // comparator, hence the inversion. An unkeyed queue holds only zero keys,
+  // so (at, ord) is its whole contract key and no comparison touches a slot
+  // table. A keyed queue reads the slot keys only when fire times tie.
   struct Later {
-    const std::vector<SlotKey>* keys;
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
-      const SlotKey& ka = (*keys)[a.slot];
-      const SlotKey& kb = (*keys)[b.slot];
+      return a.ord > b.ord;
+    }
+  };
+  struct KeyedLater {
+    const SlotKey* keys;
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      const SlotKey& ka = keys[slot_of(a.ord)];
+      const SlotKey& kb = keys[slot_of(b.ord)];
       for (std::size_t h = 0; h < SchedPath::kDepth; ++h) {
         if (ka.path.hops[h] != kb.path.hops[h]) return ka.path.hops[h] > kb.path.hops[h];
       }
       if (ka.lineage != kb.lineage) return ka.lineage > kb.lineage;
-      return a.seq > b.seq;
+      return a.ord > b.ord;
     }
   };
+
+  // Runs a heap algorithm under the queue's current order: one branch per
+  // heap operation instead of one per comparison.
+  // Callers pass e.g. [](auto... args) { std::push_heap(args...); }.
+  template <typename HeapOp>
+  void in_order(HeapOp op) {
+    if (keyed_) {
+      op(heap_.begin(), heap_.end(), KeyedLater{slot_key_.data()});
+    } else {
+      op(heap_.begin(), heap_.end(), Later{});
+    }
+  }
 
   // Below this size the dead-entry ratio is irrelevant; avoids re-heapifying
   // tiny queues on every other cancel.
   static constexpr std::size_t kCompactFloor = 64;
 
-  [[nodiscard]] bool is_live(const Entry& e) const { return slot_gen_[e.slot] == e.gen; }
-  [[nodiscard]] Later later() const { return Later{&slot_key_}; }
+  [[nodiscard]] bool is_live(const Entry& e) const { return slot_ord_[slot_of(e.ord)] == e.ord; }
   void drop_cancelled_head();
   void compact_if_stale();
 
   std::vector<Entry> heap_;
-  std::vector<std::uint32_t> slot_gen_;    // slot -> generation of its current owner
+  std::vector<std::uint64_t> slot_ord_;    // slot -> its pending entry's ord, or kNoEvent
   std::vector<EventCallback> slot_cb_;     // slot -> the pending callback
-  std::vector<SlotKey> slot_key_;          // slot -> the pending event's path/lineage
+  std::vector<SlotKey> slot_key_;          // slot -> path/lineage; written once keyed_
   std::vector<std::uint32_t> free_slots_;  // slots whose heap entry has left the heap
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
+  // Set by the first push with a non-zero key and never cleared. Until then
+  // every slot key is zero and stays unwritten.
+  bool keyed_ = false;
 };
 
 }  // namespace qmb::sim

@@ -187,6 +187,32 @@ TEST(Engine, DeterministicTieBreakAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(Engine, FiredCallbackReleasesCapturesBeforeNextEvent) {
+  // Event A's callback, and with it A's copy of `token`, must be destroyed
+  // before event B fires: on the sequential loop, and on a shard's drain
+  // loop with both events in one domain and one window.
+  auto check = [](Engine& e, int domain) {
+    auto token = std::make_shared<int>(0);
+    long count_at_b = -1;
+    {
+      Engine::DomainScope scope(e, domain);
+      e.schedule(1_us, [token] { ++*token; });
+      e.schedule(2_us, [&token, &count_at_b] { count_at_b = token.use_count(); });
+    }
+    e.run();
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(count_at_b, 1);
+  };
+  Engine sequential;
+  check(sequential, 0);
+
+  Engine sharded;
+  sharded.enable_domains(2, 5_us);
+  check(sharded, 1);
+  EXPECT_EQ(sharded.windows_run(), 1u);
+  EXPECT_EQ(sharded.domain_events_fired(1), 2u);
+}
+
 TEST(Engine, ScheduleMovesCallbackOnceInOnceOut) {
   // Three moves per event: the functor into the Callback, the Callback into
   // its queue slot, the slot into the fired event. schedule/schedule_at

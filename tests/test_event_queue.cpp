@@ -395,7 +395,11 @@ TEST(TieBreakContract, RandomPushCancelPopMatchesSortedReference) {
   // fire times and a few path/lineage values (so most comparisons tie on
   // time) must pop exactly the minimum of a sorted reference set. Heaps
   // grow past the compaction floor and shrink again, recycling slots
-  // through sweeps, head drops and fires.
+  // through sweeps, head drops and fires. The first kUnkeyedSteps steps
+  // push all-zero keys through the sequential push(at, cb), so the queue
+  // orders by (at, seq) alone until the first keyed push switches it to
+  // the full key over a heap of zero-keyed survivors.
+  constexpr int kUnkeyedSteps = 2000;
   EventQueue q;
   std::mt19937 rng(12345);
   std::set<Key> ref;
@@ -407,9 +411,14 @@ TEST(TieBreakContract, RandomPushCancelPopMatchesSortedReference) {
     const int phase = (step / 2000) % 2;  // alternately grow and drain
     const int op = draw(100);
     if (op < (phase == 0 ? 55 : 25)) {
-      const Key k{at_us(draw(4)), SchedPath{{at_us(draw(3)), at_us(draw(2)), at_us(draw(2))}},
-                  static_cast<std::uint64_t>(draw(3)), seq++};
-      pending.emplace_back(k, push_keyed(q, k, order));
+      Key k{at_us(draw(4)), SchedPath{}, 0, seq++};
+      if (step < kUnkeyedSteps) {
+        pending.emplace_back(k, q.push(k.at, [&order, s = k.seq] { order.push_back(s); }));
+      } else {
+        k.path = SchedPath{{at_us(draw(3)), at_us(draw(2)), at_us(draw(2))}};
+        k.lineage = static_cast<std::uint64_t>(draw(3));
+        pending.emplace_back(k, push_keyed(q, k, order));
+      }
       ref.insert(k);
     } else if (op < (phase == 0 ? 75 : 60) && !pending.empty()) {
       const auto victim = static_cast<std::size_t>(draw(static_cast<int>(pending.size())));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "myrinet/gm.hpp"
@@ -53,7 +54,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FragmentationBoundary,
                          ::testing::Values(0u, 1u, 8u, 4095u, 4096u, 4097u, 8192u,
                                            8193u, 65536u),
                          [](const ::testing::TestParamInfo<std::uint32_t>& info) {
-                           return "b" + std::to_string(info.param);
+                           // Appended, not "b" + ...: gcc 12 flags that
+                           // concatenation with a false -Wrestrict.
+                           std::string name = "b";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 class LossSoak : public ::testing::TestWithParam<double> {};
@@ -78,7 +83,9 @@ TEST_P(LossSoak, ManyMessagesAllDeliveredInOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Rates, LossSoak, ::testing::Values(0.01, 0.05, 0.15, 0.30),
                          [](const ::testing::TestParamInfo<double>& info) {
-                           return "p" + std::to_string(static_cast<int>(info.param * 100));
+                           std::string name = "p";
+                           name += std::to_string(static_cast<int>(info.param * 100));
+                           return name;
                          });
 
 TEST(McpStress, DuplicationSoak) {

@@ -202,7 +202,9 @@ TEST(TraceBuffer, StringTableInternIdSpaceBoundary) {
   obs::StringTable tab;
   std::uint16_t last = 0;
   for (int i = 0; i < 65536; ++i) {
-    last = tab.intern("s" + std::to_string(i));
+    std::string s = "s";  // appended: gcc 12 flags "s" + ... with a false -Wrestrict
+    s += std::to_string(i);
+    last = tab.intern(s);
   }
   EXPECT_EQ(tab.size(), 65536u);
   EXPECT_EQ(last, 65535u);
