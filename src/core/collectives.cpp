@@ -209,7 +209,7 @@ struct SubstrateHooks<MyriCluster> {
   static void arm(MyriCluster& c, int node, coll::GroupDesc desc) {
     myri::GroupDesc d{std::move(desc), {}};
     if (d.op_kind == coll::OpKind::kBarrier) d.features = c.features();
-    host(c, node).create_group(std::move(d));
+    c.node(node).coll().groups().create_group(std::move(d));
   }
 };
 
@@ -229,7 +229,7 @@ struct SubstrateHooks<ElanCluster> {
   static sim::SimDuration setup_cost(Host& h) { return h.config().host_event_setup; }
   static void provide_receives(Host&, int) {}
   static void arm(ElanCluster& c, int node, coll::GroupDesc desc) {
-    host(c, node).create_group(std::move(desc));
+    c.node(node).nic().groups().create_group(std::move(desc));
   }
 };
 
@@ -249,7 +249,7 @@ struct SubstrateHooks<IbCluster> {
   static sim::SimDuration setup_cost(Host& h) { return h.config().host_setup; }
   static void provide_receives(Host&, int) {}
   static void arm(IbCluster& c, int node, coll::GroupDesc desc) {
-    host(c, node).create_group(std::move(desc));
+    c.node(node).hca().groups().create_group(std::move(desc));
   }
 };
 

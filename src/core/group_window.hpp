@@ -10,11 +10,12 @@
 // recycles a slot only once its operation completed. A barrier is the
 // zero-payload case: its fold leaves the accumulator alone.
 //
-// The host-level executor and the three NIC engines instantiate it and add
-// only their cost hooks: how an edge is sent and what completion costs,
-// plus — on Myrinet — the NACK timer armed before step 0 and cancelled
-// when a slot is recycled. on_arrival classifies every message, so each
-// engine keeps its own counters.
+// The host-level executors and coll::NicGroupEngine (nic_group_engine.hpp,
+// the one group engine of all three NIC models) instantiate it and add only
+// their hooks: how an edge is sent and what completion costs, plus, in the
+// NIC engine, the NACK timer armed before step 0 and cancelled when a slot
+// is recycled. on_arrival classifies every message and leaves the counting
+// to its caller.
 #pragma once
 
 #include <cstdint>
@@ -28,33 +29,6 @@
 #include "core/schedule.hpp"
 
 namespace qmb::coll {
-
-/// One rank's membership in a NIC-resident collective group: what a NIC
-/// engine arms at group creation.
-struct GroupDesc {
-  std::uint32_t group_id = 0;
-  int my_rank = -1;
-  Placement rank_to_node{};  // rank -> fabric node, shared across the group's NICs
-  SharedSchedule schedule{};  // the whole group's schedule, shared across its NICs
-  OpKind op_kind = OpKind::kBarrier;
-  ReduceOp reduce_op = ReduceOp::kSum;  // allreduce only
-  std::uint32_t payload_bytes = 8;      // bytes per contribution word
-
-  /// This rank's part of the shared schedule.
-  [[nodiscard]] const RankSchedule& rank_schedule() const {
-    return schedule->ranks[static_cast<std::size_t>(my_rank)];
-  }
-};
-
-/// Throws std::invalid_argument unless `d` names a rank that both its
-/// placement and its schedule cover.
-inline void check_group_desc(const GroupDesc& d) {
-  if (d.rank_to_node == nullptr || d.schedule == nullptr || d.my_rank < 0 ||
-      d.my_rank >= static_cast<int>(d.rank_to_node->size()) ||
-      d.my_rank >= static_cast<int>(d.schedule->ranks.size())) {
-    throw std::invalid_argument("collective group: my_rank outside rank_to_node or schedule");
-  }
-}
 
 /// Dense table of per-group state indexed by group id, grown on demand.
 /// Group ids are handed out consecutively per cluster, so a node's table is

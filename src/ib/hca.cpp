@@ -126,7 +126,11 @@ void Hca::accept_request(int src_node, const IbWrite& w) {
 
 void Hca::deliver_request(const IbWrite& w) {
   if (w.imm_class == IbWrite::ImmClass::kGroup) {
-    handle_group_event(w);
+    // The RC transport delivers exactly once: nothing arrives stale or
+    // twice, so only early arrivals are ever counted.
+    if (auto* g = groups_.arriving(w.group)) {
+      groups_.arrive(*g, w.seq, static_cast<int>(w.src_rank), w.tag, w.value);
+    }
     return;
   }
   // The immediate data CQEs into host memory; the host layer adds its own
@@ -215,36 +219,8 @@ void Hca::retransmit_window(int peer, std::uint32_t slot) {
 
 // --- collective group engine (the paper's protocol on verbs) ---
 
-void Hca::create_group(coll::GroupDesc desc) {
-  if (groups_.contains(desc.group_id)) {
-    throw std::invalid_argument("ib collective group id already registered");
-  }
-  coll::check_group_desc(desc);
-  Group& g = groups_.emplace(desc.group_id);
-  g.desc = std::move(desc);
-  Group* gp = &g;
-  g.window.emplace(
-      g.desc.rank_schedule(), g.desc.op_kind, g.desc.reduce_op,
-      Window::Hooks{
-          .send = [this, gp](Slot& op,
-                             const coll::Edge& e) { group_send(*gp, op.seq, e, op.acc); },
-          .complete = [this, gp](Slot& op) { finish_op(*gp, op); },
-          .pre_start = [this, gp](Slot& op) { trace("op_enter", gp->desc.group_id, op.seq); },
-      });
-}
-
-void Hca::collective_enter(std::uint32_t group, std::int64_t value,
-                           std::function<void(std::int64_t)> done) {
-  // The doorbell dispatch shares the WQE-processing unit charge.
-  unit_.exec(config_->qp_process, [this, group, value, done = std::move(done)]() mutable {
-    Group* g = groups_.find(group);
-    assert(g != nullptr && "collective_enter on unknown group");
-    g->window->start(value, std::move(done));
-  });
-}
-
-void Hca::group_send(Group& g, std::uint32_t seq, const coll::Edge& e,
-                     std::int64_t value) {
+void Hca::send_edge(Groups::Group& g, std::uint32_t seq, const coll::Edge& e, int dst_node,
+                    std::uint32_t payload, std::int64_t value, bool /*retransmit*/) {
   // A barrier edge is a zero-byte RDMA write whose immediate data is the
   // whole protocol header — the verbs rendition of the paper's "RDMA
   // operations with no data transfer can fire a remote event". Value
@@ -256,37 +232,7 @@ void Hca::group_send(Group& g, std::uint32_t seq, const coll::Edge& e,
   body.tag = e.tag;
   body.src_rank = static_cast<std::uint32_t>(g.desc.my_rank);
   body.value = value;
-  const std::uint32_t payload =
-      g.desc.op_kind == coll::OpKind::kBarrier
-          ? 0u
-          : g.desc.payload_bytes * static_cast<std::uint32_t>(coll::edge_payload_words(
-                                       g.desc.op_kind, e.tag, value));
-  body.payload_bytes = payload;
-  const int dst_node = g.desc.rank_to_node->at(static_cast<std::size_t>(e.peer));
-  post_write(dst_node, body, payload);
-}
-
-void Hca::handle_group_event(const IbWrite& w) {
-  Group* g = groups_.find(w.group);
-  if (g == nullptr) return;
-  // The RC transport delivers exactly once: nothing arrives stale or
-  // twice, so only early arrivals are worth counting.
-  if (g->window->on_arrival(w.seq, static_cast<int>(w.src_rank), w.tag, w.value) ==
-      coll::Arrival::kEarly) {
-    ++stats_.early_buffered;
-  }
-}
-
-void Hca::finish_op(Group& g, Slot& op) {
-  ++stats_.ops_completed;
-  trace("op_complete", g.desc.group_id, op.seq);
-  auto done = std::move(op.done);
-  op.done = nullptr;
-  const std::int64_t result = op.acc;
-  // The completion CQE (immediate data + result) DMAs to host memory.
-  unit_.exec(config_->cq_dma, [done = std::move(done), result]() mutable {
-    if (done) done(result);
-  });
+  post_write(dst_node, body, g.desc.op_kind == coll::OpKind::kBarrier ? 0u : payload);
 }
 
 }  // namespace qmb::ib

@@ -14,10 +14,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
-#include "core/group_window.hpp"
+#include "core/nic_group_engine.hpp"
 #include "ib/config.hpp"
 #include "ib/verbs.hpp"
 #include "net/fabric.hpp"
@@ -32,15 +31,13 @@ namespace qmb::ib {
 /// "ib.*" names; RunResult folds ib.naks_sent / ib.retransmissions into
 /// the legacy nacks / retransmissions fingerprint counters and the fuzzer
 /// checks ib.ops_completed algebra.
-struct HcaStats {
+struct HcaStats : coll::GroupCounters {
   obs::Counter writes_posted;
   obs::Counter acks_sent;
   obs::Counter naks_sent;
   obs::Counter retransmissions;
   obs::Counter rto_fires;
   obs::Counter duplicates_dropped;
-  obs::Counter ops_completed;
-  obs::Counter early_buffered;
   obs::Counter crc_dropped;  // inbound CRC discards (fault-injected corruption)
 };
 
@@ -67,15 +64,11 @@ class Hca {
 
   // --- NIC-resident collective group engine (paper Secs. 5-7 on verbs) ---
 
-  /// Arms a collective group: this rank's schedule walks entirely on the
-  /// HCA, advanced by arriving write-with-immediate events.
-  void create_group(coll::GroupDesc desc);
-
-  /// Host rang the doorbell for one operation (at HCA time); its operand
-  /// rides the immediate data of the group's RDMA writes. `done` receives
-  /// the result at HCA time when the completion CQE lands in host memory.
-  void collective_enter(std::uint32_t group, std::int64_t value,
-                        std::function<void(std::int64_t)> done);
+  using Groups = coll::NicGroupEngine<Hca>;
+  /// The collective groups: each rank's schedule walks entirely on the HCA,
+  /// advanced by arriving write-with-immediate events; an operation's
+  /// operand rides the immediate data of the group's RDMA writes.
+  [[nodiscard]] Groups& groups() { return groups_; }
 
   [[nodiscard]] net::NicAddr addr() const { return addr_; }
   [[nodiscard]] int node() const { return node_; }
@@ -136,13 +129,23 @@ class Hca {
     RecvQp recv;
   };
 
-  // --- collective engine state ---
-  using Window = coll::GroupWindow<>;
-  using Slot = Window::Slot;
-  struct Group {
-    coll::GroupDesc desc;
-    std::optional<Window> window;  // bound to desc and this Group's address
-  };
+  friend Groups;
+
+  // --- coll::NicGroupEngine hooks: RC writes with immediate data; no NACK
+  // on the wire (the RC transport recovers losses below the engine) ---
+  static constexpr coll::GroupTraceNames kGroupTrace{.enter = "op_enter",
+                                                     .complete = "op_complete"};
+  static constexpr bool kNackOnWire = false;
+  void charge_enter(const coll::GroupDesc&, sim::EventCallback&& start) {
+    // The doorbell dispatch shares the WQE-processing unit charge.
+    unit_.exec(config_->qp_process, std::move(start));
+  }
+  void send_edge(Groups::Group& g, std::uint32_t seq, const coll::Edge& e, int dst_node,
+                 std::uint32_t payload, std::int64_t value, bool retransmit);
+  void charge_complete(const coll::GroupDesc&, coll::Completion&& c) {
+    // The completion CQE (immediate data + result) DMAs to host memory.
+    unit_.exec(config_->cq_dma, std::move(c));
+  }
 
   void on_packet(net::Packet&& p);
   void accept_request(int src_node, const IbWrite& w);
@@ -152,10 +155,6 @@ class Hca {
   // `slot` is the peer's entry in peers_, so timers skip the lookup.
   void arm_rto(int peer, std::uint32_t slot);
   void retransmit_window(int peer, std::uint32_t slot);
-
-  void handle_group_event(const IbWrite& w);
-  void group_send(Group& g, std::uint32_t seq, const coll::Edge& e, std::int64_t value);
-  void finish_op(Group& g, Slot& op);
 
   sim::Engine* engine_;
   net::Fabric* fabric_;
@@ -170,7 +169,7 @@ class Hca {
   HostMsgHandler host_msg_handler_;
 
   net::PeerTable<Peer> peers_;
-  coll::GroupTable<Group> groups_;
+  Groups groups_{*this, stats_};
 };
 
 }  // namespace qmb::ib

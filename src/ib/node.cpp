@@ -21,7 +21,6 @@ void IbNode::post(int dst_node, std::uint32_t bytes, std::uint32_t tag,
     body.imm_class = IbWrite::ImmClass::kHostMsg;
     body.tag = tag;
     body.src_rank = static_cast<std::uint32_t>(index_);
-    body.payload_bytes = bytes;
     body.value = value;
     hca_.trace("ib_post", dst_node, tag);
     hca_.post_write(dst_node, body, bytes);
@@ -64,13 +63,11 @@ void IbNode::install_dispatcher() {
 void IbNode::collective_enter(std::uint32_t group, std::int64_t value,
                               std::function<void(std::int64_t)> done) {
   host_cpu_.exec(cfg_.host_doorbell, [this, group, value, done = std::move(done)]() mutable {
-    hca_.collective_enter(group, value,
-                          [this, done = std::move(done)](std::int64_t result) mutable {
-                            host_cpu_.exec(cfg_.host_cq_poll,
-                                           [done = std::move(done), result]() mutable {
-                                             done(result);
-                                           });
-                          });
+    hca_.groups().collective_enter(group, value,
+                                   [this, done = std::move(done)](std::int64_t result) mutable {
+                                     host_cpu_.exec(cfg_.host_cq_poll,
+                                                    coll::Completion{std::move(done), result});
+                                   });
   });
 }
 

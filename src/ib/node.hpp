@@ -40,10 +40,6 @@ class IbNode {
   void add_collective_handler(std::uint32_t group, ReceiveHandler fn);
   void remove_collective_handler(std::uint32_t group);
 
-  /// Arms a collective group on this node's HCA (setup time, off the
-  /// measured path — groups are created once before the run).
-  void create_group(coll::GroupDesc desc) { hca_.create_group(std::move(desc)); }
-
   /// NIC-resident collective: operand in with the doorbell, result out
   /// with the CQE (0 for a barrier). `done` runs on the host after it
   /// polls the completion.

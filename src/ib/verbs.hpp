@@ -33,7 +33,6 @@ struct IbWrite {
   std::uint32_t seq = 0;       // op sequence in the group
   std::uint32_t tag = 0;       // schedule-edge tag / host message tag
   std::uint32_t src_rank = 0;  // sender's rank (kGroup) or node (kHostMsg)
-  std::uint32_t payload_bytes = 0;
   std::int64_t value = 0;      // payload word
 };
 

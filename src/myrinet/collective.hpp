@@ -1,5 +1,6 @@
 // The NIC-based collective message passing protocol (paper Sec. 3 and 6) —
-// the paper's primary contribution.
+// the paper's primary contribution — on the LANai: Myrinet's costs and wire
+// for coll::NicGroupEngine, which runs the protocol itself.
 //
 // Compared to running collectives over the MCP point-to-point path, this
 // engine:
@@ -25,12 +26,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <unordered_map>
-#include <vector>
 
-#include "core/group_window.hpp"
+#include "core/nic_group_engine.hpp"
 #include "myrinet/nic.hpp"
 #include "myrinet/packets.hpp"
 #include "obs/metrics.hpp"
@@ -57,33 +55,23 @@ struct GroupDesc : coll::GroupDesc {
 
 /// Handles into the engine's MetricRegistry, registered per NIC under
 /// "coll.*" names; RunResult reads the cross-node totals off the registry.
-struct CollStats {
+struct CollStats : coll::GroupCounters {
   obs::Counter msgs_sent;
   obs::Counter msgs_received;
-  obs::Counter duplicates;       // retransmit already arrived; ignored
-  obs::Counter early_buffered;   // arrived before the host entered the op
-  obs::Counter stale_dropped;    // for an operation already completed
   obs::Counter nacks_sent;
-  obs::Counter nacks_received;
   obs::Counter retransmissions;  // NACK- or timeout-triggered resends
   obs::Counter acks_sent;        // receiver_driven=false ablation only
-  obs::Counter ops_completed;
 };
 
 class CollectiveEngine {
  public:
+  using Groups = coll::NicGroupEngine<CollectiveEngine, GroupDesc>;
+
   explicit CollectiveEngine(Nic& nic);
 
-  /// Registers a process group on this NIC. Must be called on every member
-  /// NIC with the same group_id and consistent rank_to_node.
-  void create_group(GroupDesc desc);
-
-  /// Host entered the group's next operation (call at NIC time, post-PIO)
-  /// with `value`: the broadcast payload at the root, a reduction operand,
-  /// an allgather bit mask, or nothing for a barrier. `done` receives the
-  /// result at NIC time when the completion word lands in host memory.
-  void collective_enter(std::uint32_t group, std::int64_t value,
-                        std::function<void(std::int64_t)> done);
+  /// This NIC's process groups; collective_enter is called at NIC time,
+  /// post-PIO.
+  [[nodiscard]] Groups& groups() { return groups_; }
 
   /// Packet dispatcher entry for CollPacket / CollNack / CollAck bodies.
   /// Returns false if the body is not collective-protocol traffic.
@@ -92,20 +80,25 @@ class CollectiveEngine {
   [[nodiscard]] const CollStats& stats() const { return stats_; }
 
  private:
-  /// What the engine keeps per operation beyond the shared window.
-  struct SlotState {
-    sim::EventId nack_timer;
-    /// Value each sent edge carried, by edge id, for NACK resends; valid
-    /// where the executor's sent bit is set.
-    std::vector<std::int64_t> sent_values;
-  };
-  using Window = coll::GroupWindow<SlotState>;
-  using Slot = Window::Slot;
+  using Group = Groups::Group;
+  friend Groups;
 
-  struct Group {
-    GroupDesc desc;
-    std::optional<Window> window;  // bound to desc and this Group's address
-  };
+  // --- coll::NicGroupEngine hooks ---
+  static constexpr coll::GroupTraceNames kGroupTrace{
+      .enter = "coll_enter", .complete = "coll_complete", .nack_rx = "coll_nack_rx"};
+  static constexpr bool kNackOnWire = true;
+  sim::Engine& engine() { return nic_.engine(); }
+  void trace(std::string_view event, std::int64_t a, std::int64_t b, std::int64_t flow = 0) {
+    nic_.trace(event, a, b, flow);
+  }
+  void charge_enter(const GroupDesc& d, sim::EventCallback&& start);
+  void send_edge(Group& g, std::uint32_t seq, const coll::Edge& e, int dst_node,
+                 std::uint32_t payload, std::int64_t value, bool retransmit);
+  void charge_complete(const GroupDesc& d, coll::Completion&& c);
+  static bool nack_recovery(const GroupDesc& d) { return d.features.receiver_driven; }
+  static bool skip_retransmit(const GroupDesc& d) { return d.features.debug_skip_retransmit; }
+  [[nodiscard]] sim::SimDuration nack_timeout() const { return cfg_.nack_timeout; }
+  void send_nack(const GroupDesc& d, std::uint32_t seq, std::uint32_t tag, int peer_node);
 
   // Ablation-only per-message reliability record (receiver_driven = false).
   struct MsgRecord {
@@ -115,14 +108,6 @@ class CollectiveEngine {
     sim::EventId timer;
   };
 
-  Group& group_of(std::uint32_t id);
-  void send_msg(Group& g, std::uint32_t seq, const coll::Edge& e, bool is_retransmit,
-                std::int64_t value);
-  [[nodiscard]] std::uint32_t wire_bytes_for(const GroupDesc& desc, std::uint32_t tag,
-                                             std::int64_t value) const;
-  void finish_op(Group& g, Slot& op);
-  void arm_nack_timer(Group& g, Slot& op);
-  void handle_nack(const CollNack& n, std::uint64_t flow);
   void handle_ack(const CollAck& a);
   void arm_msg_timer(Group* gp, std::uint64_t key, std::uint32_t seq);
   [[nodiscard]] std::uint32_t send_cycles(const CollFeatures& f) const;
@@ -132,7 +117,7 @@ class CollectiveEngine {
   Nic& nic_;
   const LanaiConfig& cfg_;
   CollStats stats_;
-  coll::GroupTable<Group> groups_;
+  Groups groups_{*this, stats_};
   std::unordered_map<std::uint64_t, MsgRecord> msg_records_;  // ablation only
 };
 

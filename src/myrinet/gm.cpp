@@ -61,15 +61,13 @@ void GmPort::collective_enter(std::uint32_t group, std::int64_t value,
                               std::function<void(std::int64_t)> done) {
   host_cpu_.exec(host_.send_post, [this, group, value, done = std::move(done)]() mutable {
     nic_.pci().pio_write([this, group, value, done = std::move(done)]() mutable {
-      coll_.collective_enter(group, value,
-                             [this, done = std::move(done)](std::int64_t result) mutable {
-                               // Completion is a word in host memory: cheaper
-                               // to notice than a full receive event.
-                               host_cpu_.exec(host_.barrier_detect,
-                                              [done = std::move(done), result]() mutable {
-                                                done(result);
-                                              });
-                             });
+      coll_.groups().collective_enter(group, value,
+                                      [this, done = std::move(done)](std::int64_t result) mutable {
+                                        // Completion is a word in host memory: cheaper
+                                        // to notice than a full receive event.
+                                        host_cpu_.exec(host_.barrier_detect,
+                                                       coll::Completion{std::move(done), result});
+                                      });
     });
   });
 }

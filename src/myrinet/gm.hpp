@@ -48,9 +48,6 @@ class GmPort {
   void add_collective_handler(std::uint32_t group, CollectiveHandler fn);
   void remove_collective_handler(std::uint32_t group);
 
-  /// Registers a collective group on this node's NIC.
-  void create_group(GroupDesc desc) { coll_.create_group(std::move(desc)); }
-
   /// NIC-based collective entry: one doorbell in with the operand, one
   /// completion word out with the result (0 for a barrier).
   void collective_enter(std::uint32_t group, std::int64_t value,

@@ -39,14 +39,6 @@ struct AckPacket {
 /// Collective-protocol message: everything a barrier needs is one integer
 /// (the barrier sequence) plus addressing (group, schedule tag, source rank).
 struct CollPacket {
-  enum class Kind : std::uint8_t {
-    kBarrier,   // "rank src_rank reached barrier barrier_seq (schedule step tag)"
-    kBcast,     // broadcast payload notification
-    kReduce,    // partial reduction value
-    kGather,    // allgather fragment
-    kAlltoall,  // personalized-exchange word
-  };
-  Kind kind = Kind::kBarrier;
   std::uint32_t group = 0;
   std::uint32_t barrier_seq = 0;  // collective operation sequence within the group
   std::uint32_t tag = 0;          // schedule-edge tag (round index)

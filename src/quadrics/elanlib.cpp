@@ -22,7 +22,6 @@ void ElanNode::put(int dst_node, std::uint32_t bytes, std::uint32_t tag,
     body.ev_class = ElanRdma::EventClass::kHostMsg;
     body.tag = tag;
     body.src_rank = static_cast<std::uint32_t>(index_);
-    body.payload_bytes = bytes;
     body.value = value;
     // Host-side doorbell; the flow id is assigned (and traced) when the
     // RDMA unit injects the packet in rdma_put.
@@ -67,13 +66,11 @@ void ElanNode::install_dispatcher() {
 void ElanNode::collective_enter(std::uint32_t group, std::int64_t value,
                                 std::function<void(std::int64_t)> done) {
   host_cpu_.exec(cfg_.host_doorbell, [this, group, value, done = std::move(done)]() mutable {
-    nic_.collective_enter(group, value,
-                          [this, done = std::move(done)](std::int64_t result) mutable {
-                            host_cpu_.exec(cfg_.host_detect,
-                                           [done = std::move(done), result]() mutable {
-                                             done(result);
-                                           });
-                          });
+    nic_.groups().collective_enter(group, value,
+                                   [this, done = std::move(done)](std::int64_t result) mutable {
+                                     host_cpu_.exec(cfg_.host_detect,
+                                                    coll::Completion{std::move(done), result});
+                                   });
   });
 }
 

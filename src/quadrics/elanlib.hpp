@@ -47,11 +47,6 @@ class ElanNode {
   void add_collective_handler(std::uint32_t group, ReceiveHandler fn);
   void remove_collective_handler(std::uint32_t group);
 
-  /// Arms a chained-RDMA collective group on this node's NIC (setup time,
-  /// off the measured path — the paper arms descriptors from user level
-  /// once).
-  void create_group(coll::GroupDesc desc) { nic_.create_group(std::move(desc)); }
-
   /// Chained-RDMA NIC collective: operand in with the doorbell, result out
   /// with the final local event (0 for a barrier). `done` runs on the host
   /// after it polls the completion word.

@@ -1,6 +1,5 @@
 #include "quadrics/nic.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -21,7 +20,7 @@ Nic::Nic(sim::Engine& engine, net::Fabric& fabric, const Elan3Config& config,
   stats_.rdma_issued = reg.counter("elan.rdma_issued", node_);
   stats_.events_fired = reg.counter("elan.events_fired", node_);
   stats_.host_notifies = reg.counter("elan.host_notifies", node_);
-  stats_.barrier_ops_completed = reg.counter("elan.barrier_ops_completed", node_);
+  stats_.ops_completed = reg.counter("elan.barrier_ops_completed", node_);
   stats_.early_buffered = reg.counter("elan.early_buffered", node_);
   stats_.crc_dropped = reg.counter("nic.crc_dropped", node_);
   addr_ = fabric_->attach([this](net::Packet&& p) {
@@ -71,7 +70,11 @@ void Nic::on_packet(net::Packet&& p) {
             static_cast<std::int64_t>(flow));
       switch (body.ev_class) {
         case ElanRdma::EventClass::kBarrier:
-          handle_barrier_event(body);
+          // A hardware-reliable network delivers exactly once: nothing
+          // arrives stale or twice, so only early arrivals are ever counted.
+          if (auto* g = groups_.arriving(body.group)) {
+            groups_.arrive(*g, body.seq, static_cast<int>(body.src_rank), body.tag, body.value);
+          }
           return;
         case ElanRdma::EventClass::kHostMsg:
           // The event word DMAs into host memory; the host layer adds its
@@ -108,36 +111,8 @@ void Nic::on_packet(net::Packet&& p) {
   throw std::logic_error("unhandled packet body type at Elan NIC");
 }
 
-void Nic::create_group(coll::GroupDesc desc) {
-  if (groups_.contains(desc.group_id)) {
-    throw std::invalid_argument("elan collective group id already registered");
-  }
-  coll::check_group_desc(desc);
-  Group& g = groups_.emplace(desc.group_id);
-  g.desc = std::move(desc);
-  Group* gp = &g;
-  g.window.emplace(
-      g.desc.rank_schedule(), g.desc.op_kind, g.desc.reduce_op,
-      Window::Hooks{
-          .send = [this, gp](Slot& op,
-                             const coll::Edge& e) { barrier_send(*gp, op.seq, e, op.acc); },
-          .complete = [this, gp](Slot& op) { finish_barrier(*gp, op); },
-          .pre_start =
-              [this, gp](Slot& op) { trace("barrier_enter", gp->desc.group_id, op.seq); },
-      });
-}
-
-void Nic::collective_enter(std::uint32_t group, std::int64_t value,
-                           std::function<void(std::int64_t)> done) {
-  unit_.exec(config_->command_process, [this, group, value, done = std::move(done)]() mutable {
-    Group* g = groups_.find(group);
-    assert(g != nullptr && "collective_enter on unknown group");
-    g->window->start(value, std::move(done));
-  });
-}
-
-void Nic::barrier_send(Group& g, std::uint32_t seq, const coll::Edge& e,
-                       std::int64_t value) {
+void Nic::send_edge(Groups::Group& g, std::uint32_t seq, const coll::Edge& e, int dst_node,
+                    std::uint32_t payload, std::int64_t value, bool /*retransmit*/) {
   // For a barrier this is a zero-byte RDMA put that only fires the peer's
   // chained event (paper Sec. 7: "RDMA operations with no data transfer
   // can be utilized to fire a remote event"); value collectives put their
@@ -149,38 +124,7 @@ void Nic::barrier_send(Group& g, std::uint32_t seq, const coll::Edge& e,
   body.tag = e.tag;
   body.src_rank = static_cast<std::uint32_t>(g.desc.my_rank);
   body.value = value;
-  const std::uint32_t payload =
-      g.desc.op_kind == coll::OpKind::kBarrier
-          ? 0u
-          : g.desc.payload_bytes * static_cast<std::uint32_t>(coll::edge_payload_words(
-                                       g.desc.op_kind, e.tag, value));
-  body.payload_bytes = payload;
-  const int dst_node = g.desc.rank_to_node->at(static_cast<std::size_t>(e.peer));
-  rdma_put(dst_node, payload, body);
-}
-
-void Nic::handle_barrier_event(const ElanRdma& r) {
-  Group* g = groups_.find(r.group);
-  if (g == nullptr) return;
-  // A hardware-reliable network delivers exactly once: nothing arrives
-  // stale or twice, so only early arrivals are worth counting.
-  if (g->window->on_arrival(r.seq, static_cast<int>(r.src_rank), r.tag, r.value) ==
-      coll::Arrival::kEarly) {
-    ++stats_.early_buffered;
-  }
-}
-
-void Nic::finish_barrier(Group& g, Slot& op) {
-  ++stats_.barrier_ops_completed;
-  trace("barrier_complete", g.desc.group_id, op.seq);
-  auto done = std::move(op.done);
-  op.done = nullptr;
-  const std::int64_t result = op.acc;
-  // The final chained descriptor fires a *local* event whose word DMAs to
-  // host memory, carrying the operation's result.
-  unit_.exec(config_->host_notify_dma, [done = std::move(done), result]() mutable {
-    if (done) done(result);
-  });
+  rdma_put(dst_node, g.desc.op_kind == coll::OpKind::kBarrier ? 0u : payload, body);
 }
 
 }  // namespace qmb::elan

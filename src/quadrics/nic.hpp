@@ -9,9 +9,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 
-#include "core/group_window.hpp"
+#include "core/nic_group_engine.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 #include "quadrics/config.hpp"
@@ -23,12 +22,10 @@ namespace qmb::elan {
 
 /// Handles into the engine's MetricRegistry, registered per NIC under
 /// "elan.*" names; RunResult reads the cross-node totals off the registry.
-struct ElanStats {
+struct ElanStats : coll::GroupCounters {
   obs::Counter rdma_issued;
   obs::Counter events_fired;
   obs::Counter host_notifies;
-  obs::Counter barrier_ops_completed;
-  obs::Counter early_buffered;
   obs::Counter crc_dropped;  // inbound CRC discards (fault-injected corruption)
 };
 
@@ -51,17 +48,13 @@ class Nic {
 
   // --- chained-RDMA collective unit ---
 
-  /// Arms a collective group: builds the chained descriptor list for this
-  /// rank's schedule.
-  void create_group(coll::GroupDesc desc);
-
-  /// Host triggered the first descriptor of the chain (at NIC time) with
-  /// its operand; a value rides the RDMA puts exactly as a barrier's
-  /// notification does (paper Sec. 7 — a put may carry data as well as
-  /// fire an event). `done` receives the result at NIC time when the final
-  /// local event's word lands in host memory.
-  void collective_enter(std::uint32_t group, std::int64_t value,
-                        std::function<void(std::int64_t)> done);
+  using Groups = coll::NicGroupEngine<Nic>;
+  /// The collective unit: create_group builds the chained descriptor list
+  /// for a rank's schedule; collective_enter is the host's trigger of the
+  /// chain's first descriptor (at NIC time), its operand riding the RDMA
+  /// puts exactly as a barrier's notification does (paper Sec. 7 — a put
+  /// may carry data as well as fire an event).
+  [[nodiscard]] Groups& groups() { return groups_; }
 
   // --- hardware-barrier hooks (used by HwBarrierController) ---
 
@@ -90,17 +83,25 @@ class Nic {
              std::int64_t flow = 0);
 
  private:
-  using Window = coll::GroupWindow<>;
-  using Slot = Window::Slot;
-  struct Group {
-    coll::GroupDesc desc;
-    std::optional<Window> window;  // bound to desc and this Group's address
-  };
+  friend Groups;
+
+  // --- coll::NicGroupEngine hooks: chained RDMA puts; the hardware-reliable
+  // network has no NACK on the wire ---
+  static constexpr coll::GroupTraceNames kGroupTrace{.enter = "barrier_enter",
+                                                     .complete = "barrier_complete"};
+  static constexpr bool kNackOnWire = false;
+  void charge_enter(const coll::GroupDesc&, sim::EventCallback&& start) {
+    unit_.exec(config_->command_process, std::move(start));
+  }
+  void send_edge(Groups::Group& g, std::uint32_t seq, const coll::Edge& e, int dst_node,
+                 std::uint32_t payload, std::int64_t value, bool retransmit);
+  void charge_complete(const coll::GroupDesc&, coll::Completion&& c) {
+    // The final chained descriptor fires a *local* event whose word DMAs to
+    // host memory, carrying the operation's result.
+    unit_.exec(config_->host_notify_dma, std::move(c));
+  }
 
   void on_packet(net::Packet&& p);
-  void handle_barrier_event(const ElanRdma& r);
-  void barrier_send(Group& g, std::uint32_t seq, const coll::Edge& e, std::int64_t value);
-  void finish_barrier(Group& g, Slot& op);
 
   sim::Engine* engine_;
   net::Fabric* fabric_;
@@ -115,7 +116,7 @@ class Nic {
   ProbeHandler probe_handler_;
   GoHandler go_handler_;
   std::uint64_t tset_round_ = 0;
-  coll::GroupTable<Group> groups_;
+  Groups groups_{*this, stats_};
 };
 
 }  // namespace qmb::elan

@@ -20,7 +20,6 @@ struct ElanRdma {
   std::uint32_t seq = 0;
   std::uint32_t tag = 0;
   std::uint32_t src_rank = 0;
-  std::uint32_t payload_bytes = 0;
   std::int64_t value = 0;
 };
 

@@ -1,5 +1,6 @@
-// Unit tests of the Elan3 NIC model: RDMA timing, event dispatch, the
-// chained-descriptor operation window, and value semantics at NIC level.
+// Unit tests of the Elan3 NIC model: RDMA timing, event dispatch and value
+// semantics at NIC level (test_nic_group_engine.cpp checks the group
+// engine's window on every substrate).
 #include "quadrics/nic.hpp"
 
 #include <gtest/gtest.h>
@@ -46,7 +47,7 @@ struct Harness {
       d.schedule = sched;
       d.op_kind = kind;
       d.reduce_op = op;
-      nics[static_cast<std::size_t>(r)]->create_group(std::move(d));
+      nics[static_cast<std::size_t>(r)]->groups().create_group(std::move(d));
     }
   }
 };
@@ -108,55 +109,11 @@ TEST(ElanNic, ChainedAllreduceComputesAtNicLevel) {
   h.make_group(1, coll::OpKind::kAllreduce, coll::Algorithm::kPairwiseExchange);
   std::vector<std::int64_t> results(4, -1);
   for (int r = 0; r < 4; ++r) {
-    h.nics[static_cast<std::size_t>(r)]->collective_enter(
+    h.nics[static_cast<std::size_t>(r)]->groups().collective_enter(
         1, 10 + r, [&results, r](std::int64_t v) { results[static_cast<std::size_t>(r)] = v; });
   }
   h.engine.run();
   for (int r = 0; r < 4; ++r) EXPECT_EQ(results[static_cast<std::size_t>(r)], 46);
-}
-
-TEST(ElanNic, EarlyArrivalBufferedUntilHostEnters) {
-  Harness h(2);
-  h.make_group(1, coll::OpKind::kBarrier, coll::Algorithm::kDissemination);
-  bool done0 = false, done1 = false;
-  h.nics[0]->collective_enter(1, 0, [&](std::int64_t) { done0 = true; });
-  h.engine.run();
-  EXPECT_FALSE(done0);  // peer has not entered
-  EXPECT_GE(h.nics[1]->stats().early_buffered.value(), 1u);
-  h.nics[1]->collective_enter(1, 0, [&](std::int64_t) { done1 = true; });
-  h.engine.run();
-  EXPECT_TRUE(done0);
-  EXPECT_TRUE(done1);
-}
-
-TEST(ElanNic, ConsecutiveOpsRecycleWindowSlots) {
-  Harness h(4);
-  h.make_group(1, coll::OpKind::kBarrier, coll::Algorithm::kDissemination);
-  int completions = 0;
-  std::function<void(int, int)> loop = [&](int rank, int remaining) {
-    h.nics[static_cast<std::size_t>(rank)]->collective_enter(
-        1, 0, [&, rank, remaining](std::int64_t) {
-          ++completions;
-          if (remaining > 1) {
-            h.engine.schedule(sim::SimDuration::zero(),
-                              [&loop, rank, remaining] { loop(rank, remaining - 1); });
-          }
-        });
-  };
-  for (int r = 0; r < 4; ++r) loop(r, 8);
-  h.engine.run();
-  EXPECT_EQ(completions, 32);
-  EXPECT_EQ(h.nics[0]->stats().barrier_ops_completed.value(), 8u);
-}
-
-TEST(ElanNic, DuplicateGroupRejected) {
-  Harness h(2);
-  h.make_group(1, coll::OpKind::kBarrier, coll::Algorithm::kDissemination);
-  coll::GroupDesc d;
-  d.group_id = 1;
-  d.my_rank = 0;
-  d.rank_to_node = coll::make_placement({0, 1});
-  EXPECT_THROW(h.nics[0]->create_group(std::move(d)), std::invalid_argument);
 }
 
 TEST(ElanNic, TsetFlagRoundsAreMonotone) {
@@ -172,7 +129,7 @@ TEST(ElanNic, ValuePayloadGrowsWireBytes) {
   Harness h(2);
   h.make_group(1, coll::OpKind::kAllreduce, coll::Algorithm::kPairwiseExchange);
   for (int r = 0; r < 2; ++r) {
-    h.nics[static_cast<std::size_t>(r)]->collective_enter(1, r, [](std::int64_t) {});
+    h.nics[static_cast<std::size_t>(r)]->groups().collective_enter(1, r, [](std::int64_t) {});
   }
   h.engine.run();
   EXPECT_EQ(h.fabric->bytes_sent(), 2u * (h.cfg.header_bytes + 8));

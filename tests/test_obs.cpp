@@ -358,46 +358,65 @@ TEST(ChromeTrace, FlowPhasesEmitPairedStartFinishRecords) {
 }
 
 TEST(ChromeTrace, TracedBarrierPairsEveryCollSendByFlowId) {
-  // Acceptance: a traced 16-node dissemination barrier exports a document
-  // where every NIC-level COLL send's flow id has exactly one flow start
-  // and one flow finish (lossless run), i.e. every protocol trigger is tied
-  // to a complete fabric hop.
-  run::ExperimentSpec s;
-  s.network = run::Network::kMyrinetXP;
-  s.nodes = 16;
-  s.impl = run::Impl::kNic;
-  s.algorithm = coll::Algorithm::kDissemination;
-  s.iters = 3;
-  s.warmup = 1;
-  s.seed = 1;
-  s.chrome_trace = true;
-  const run::RunResult r = run::run_experiment(s);
-  EXPECT_EQ(r.trace_dropped, 0u);
+  // Acceptance: on every substrate, a traced 16-node dissemination barrier
+  // exports a document where every NIC-level trigger's flow id has exactly
+  // one flow start and one flow finish (lossless run), i.e. every protocol
+  // trigger is tied to a complete fabric hop, and every rank's group engine
+  // records each operation's enter and completion under its substrate's
+  // names.
+  struct Substrate {
+    run::Network network;
+    std::string trigger, enter, complete;
+  };
+  for (const Substrate& sub :
+       {Substrate{run::Network::kMyrinetXP, "coll_send", "coll_enter", "coll_complete"},
+        Substrate{run::Network::kQuadrics, "rdma_trigger", "barrier_enter", "barrier_complete"},
+        Substrate{run::Network::kInfiniBand, "coll_send", "op_enter", "op_complete"}}) {
+    SCOPED_TRACE(std::string(run::to_string(sub.network)));
+    run::ExperimentSpec s;
+    s.network = sub.network;
+    s.nodes = 16;
+    s.impl = run::Impl::kNic;
+    s.algorithm = coll::Algorithm::kDissemination;
+    s.iters = 3;
+    s.warmup = 1;
+    s.seed = 1;
+    s.chrome_trace = true;
+    const run::RunResult r = run::run_experiment(s);
+    EXPECT_EQ(r.trace_dropped, 0u);
 
-  const obs::JsonValue j = obs::JsonValue::parse(r.trace_json);
-  std::vector<double> coll_flows;
-  std::map<double, int> starts, finishes;
-  for (const auto& e : j.find("traceEvents")->array) {
-    const std::string_view ph = e.string_or("ph", "");
-    if (ph == "s") ++starts[e.number_or("id", -1)];
-    if (ph == "f") ++finishes[e.number_or("id", -1)];
-    if (ph == "i" && e.string_or("name", "") == "coll_send") {
-      const obs::JsonValue* args = e.find("args");
-      ASSERT_NE(args, nullptr);
-      const double flow = args->number_or("flow", 0);
-      EXPECT_GT(flow, 0) << "coll_send without a flow id";
-      coll_flows.push_back(flow);
+    const obs::JsonValue j = obs::JsonValue::parse(r.trace_json);
+    std::vector<double> trigger_flows;
+    std::map<double, int> starts, finishes;
+    std::map<std::string, int> instants;
+    for (const auto& e : j.find("traceEvents")->array) {
+      const std::string_view ph = e.string_or("ph", "");
+      if (ph == "s") ++starts[e.number_or("id", -1)];
+      if (ph == "f") ++finishes[e.number_or("id", -1)];
+      if (ph != "i") continue;
+      const std::string name(e.string_or("name", ""));
+      ++instants[name];
+      if (name == sub.trigger) {
+        const obs::JsonValue* args = e.find("args");
+        ASSERT_NE(args, nullptr);
+        const double flow = args->number_or("flow", 0);
+        EXPECT_GT(flow, 0) << sub.trigger << " without a flow id";
+        trigger_flows.push_back(flow);
+      }
     }
-  }
-  // 16 nodes x log2(16) rounds x (3 timed + 1 warmup) iterations.
-  ASSERT_EQ(coll_flows.size(), 16u * 4u * 4u);
-  for (const double flow : coll_flows) {
-    EXPECT_EQ(starts[flow], 1) << "flow " << flow;
-    EXPECT_EQ(finishes[flow], 1) << "flow " << flow;
-  }
-  // And globally: a lossless run has no dangling arrows at all.
-  for (const auto& [id, n] : starts) {
-    EXPECT_EQ(finishes[id], n) << "flow " << id;
+    // 16 nodes x log2(16) rounds x (3 timed + 1 warmup) iterations.
+    ASSERT_EQ(trigger_flows.size(), 16u * 4u * 4u);
+    for (const double flow : trigger_flows) {
+      EXPECT_EQ(starts[flow], 1) << "flow " << flow;
+      EXPECT_EQ(finishes[flow], 1) << "flow " << flow;
+    }
+    // And globally: a lossless run has no dangling arrows at all.
+    for (const auto& [id, n] : starts) {
+      EXPECT_EQ(finishes[id], n) << "flow " << id;
+    }
+    // Each of the 16 ranks enters and completes all 4 operations.
+    EXPECT_EQ(instants[sub.enter], 16 * 4);
+    EXPECT_EQ(instants[sub.complete], 16 * 4);
   }
 }
 

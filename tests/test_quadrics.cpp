@@ -49,7 +49,7 @@ TEST(ElanNicBarrier, CompletesForAllRanks) {
   const auto result = run_consecutive(engine, *barrier, {.warmup = 2, .iters = 10});
   EXPECT_EQ(result.iterations, 10u);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(cluster.node(i).nic().stats().barrier_ops_completed.value(), 12u);
+    EXPECT_EQ(cluster.node(i).nic().stats().ops_completed.value(), 12u);
   }
 }
 
