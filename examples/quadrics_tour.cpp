@@ -21,8 +21,8 @@ void tour_put() {
   sim::Engine engine;
   core::ElanCluster cluster(engine, elan::elan3_cluster(), 4);
   std::printf("1. tagged put: node 0 -> node 3 ... ");
-  cluster.node(3).set_receive_handler([&](int src, std::uint32_t tag, std::int64_t) {
-    std::printf("arrived from node %d, tag %u, at %.2f us\n", src, tag,
+  cluster.node(3).inbox().set_receive_handler([&](const coll::HostMsg& m) {
+    std::printf("arrived from node %d, tag %u, at %.2f us\n", m.src_node, m.tag,
                 engine.now().micros());
   });
   cluster.node(0).put(3, 8, 42);

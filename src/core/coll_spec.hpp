@@ -4,10 +4,10 @@
 // placement, root, reduction, payload size, schedule algorithm, radix,
 // rank placement) lives here, so growing a new knob means adding one field
 // instead of threading another positional parameter through every factory
-// and substrate adapter. The substrate registry's
-// `SubstrateCluster::make_collective(const CollSpec&)` is the single
-// construction entry point. Split-phase overlap is not a construction knob:
-// it rides ExperimentSpec::overlap_us into the run driver's RunPlan.
+// and substrate adapter. `core::make_collective` and the paper baselines
+// take one; the substrate registry lowers an ExperimentSpec to it with
+// `run::coll_spec_of`. Split-phase overlap is not a construction knob: it
+// rides ExperimentSpec::overlap_us into the run driver's RunPlan.
 #pragma once
 
 #include <cstdint>

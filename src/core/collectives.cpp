@@ -183,16 +183,17 @@ void Collective::wait(int rank, DoneFn done) {
 namespace {
 
 // What the shared executors need from one substrate: the node-side API a
-// rank talks to (GmPort, ElanNode, IbNode — each has collective_enter and
-// add_collective_handler), how a host-level message is sent and what
-// arming one operation costs the host, how a NIC group is armed, and the
-// executors' names.
+// rank's host-level executor talks to (GmPort, ElanNode, IbNode), how it
+// sends one message and what arming one operation costs the host; and, for
+// the NIC engines, the node's group engine, the doorbell that hands an
+// operation to the NIC and what noticing its completion costs the host.
 template <typename Cluster>
 struct SubstrateHooks;
 
 template <>
 struct SubstrateHooks<MyriCluster> {
   using Host = myri::GmPort;
+  using Node = myri::MyriNode;
   static constexpr std::string_view kHostName = "myri-host-";
   static constexpr std::string_view kNicName = "myri-nic-";
   static constexpr std::string_view kNicBarrierName = "myri-nic-coll-";
@@ -206,16 +207,41 @@ struct SubstrateHooks<MyriCluster> {
   static sim::SimDuration setup_cost(Host& h) { return h.host_config().barrier_logic; }
   // GM receives consume preposted buffer tokens.
   static void provide_receives(Host& h, int messages) { h.provide_receive_buffers(messages); }
+
+  static auto& groups(Node& n) { return n.coll().groups(); }
+  // A barrier group runs with the cluster's ablation features.
   static void arm(MyriCluster& c, int node, coll::GroupDesc desc) {
     myri::GroupDesc d{std::move(desc), {}};
     if (d.op_kind == coll::OpKind::kBarrier) d.features = c.features();
-    c.node(node).coll().groups().create_group(std::move(d));
+    groups(c.node(node)).create_group(std::move(d));
+  }
+  // GM's doorbell: the host posts a descriptor, then the PIO write crosses
+  // the bus.
+  template <typename Fn>
+  static void doorbell(Node& n, Fn&& at_nic) {
+    n.host_cpu().exec(n.port().host_config().send_post,
+                      [&n, at_nic = std::forward<Fn>(at_nic)]() mutable {
+                        n.pci().pio_write(std::move(at_nic));
+                      });
+  }
+  // Completion is a word in host memory: cheaper to notice than a full
+  // receive event.
+  static sim::SimDuration detect_cost(Node& n) { return n.port().host_config().barrier_detect; }
+};
+
+// The prior work's direct scheme: GM's host side over the node's
+// DirectEngine.
+struct DirectHooks : SubstrateHooks<MyriCluster> {
+  static auto& groups(Node& n) { return n.direct().groups(); }
+  static void arm(MyriCluster& c, int node, coll::GroupDesc desc) {
+    groups(c.node(node)).create_group(std::move(desc));
   }
 };
 
 template <>
 struct SubstrateHooks<ElanCluster> {
   using Host = elan::ElanNode;
+  using Node = elan::ElanNode;
   static constexpr std::string_view kHostName = "elan-host-";
   static constexpr std::string_view kNicName = "elan-nic-";
   static constexpr std::string_view kNicBarrierName = "elan-nic-";
@@ -228,14 +254,24 @@ struct SubstrateHooks<ElanCluster> {
   }
   static sim::SimDuration setup_cost(Host& h) { return h.config().host_event_setup; }
   static void provide_receives(Host&, int) {}
+
+  static auto& groups(Node& n) { return n.nic().groups(); }
   static void arm(ElanCluster& c, int node, coll::GroupDesc desc) {
-    c.node(node).nic().groups().create_group(std::move(desc));
+    groups(c.node(node)).create_group(std::move(desc));
   }
+  // The chain's trigger is one user-level doorbell; the host then polls the
+  // final local event's word.
+  template <typename Fn>
+  static void doorbell(Node& n, Fn&& at_nic) {
+    n.host_cpu().exec(n.config().host_doorbell, std::forward<Fn>(at_nic));
+  }
+  static sim::SimDuration detect_cost(Node& n) { return n.config().host_detect; }
 };
 
 template <>
 struct SubstrateHooks<IbCluster> {
   using Host = ib::IbNode;
+  using Node = ib::IbNode;
   static constexpr std::string_view kHostName = "ib-host-";
   static constexpr std::string_view kNicName = "ib-nic-";
   static constexpr std::string_view kNicBarrierName = "ib-nic-";
@@ -248,9 +284,17 @@ struct SubstrateHooks<IbCluster> {
   }
   static sim::SimDuration setup_cost(Host& h) { return h.config().host_setup; }
   static void provide_receives(Host&, int) {}
+
+  static auto& groups(Node& n) { return n.hca().groups(); }
   static void arm(IbCluster& c, int node, coll::GroupDesc desc) {
-    c.node(node).hca().groups().create_group(std::move(desc));
+    groups(c.node(node)).create_group(std::move(desc));
   }
+  // One doorbell MMIO in; the result comes back as a CQE the host polls.
+  template <typename Fn>
+  static void doorbell(Node& n, Fn&& at_nic) {
+    n.host_cpu().exec(n.config().host_doorbell, std::forward<Fn>(at_nic));
+  }
+  static sim::SimDuration detect_cost(Node& n) { return n.config().host_cq_poll; }
 };
 
 /// "<substrate>-<engine>-<kind>", or the schedule in place of the kind for
@@ -266,16 +310,19 @@ std::string engine_name(const coll::CollSpec& spec) {
   return name;
 }
 
-/// The NIC-resident engine: one doorbell in, one completion word out, all
-/// combining done by the NICs inside the collective protocol.
-template <typename Cluster>
+/// A NIC-resident engine: one doorbell in, one completion word out, all
+/// combining done by the NICs' group engines. `Hooks` picks the substrate
+/// and, on Myrinet, the engine (collective protocol or direct scheme).
+template <typename Cluster, typename Hooks = SubstrateHooks<Cluster>>
 class NicCollective final : public Collective {
  public:
-  NicCollective(Cluster& cluster, const coll::CollSpec& spec, std::string name)
+  /// `group_id` must not be registered on the cluster yet.
+  NicCollective(Cluster& cluster, const coll::CollSpec& spec, std::string name,
+                std::uint32_t group_id)
       : cluster_(cluster),
         kind_(spec.op),
         rank_to_node_(resolve_placement(spec.rank_to_node, cluster.size())),
-        group_id_(cluster.next_group_id()),
+        group_id_(group_id),
         name_(std::move(name)) {
     const int n = size();
     // One schedule for the whole group: every member's descriptor shares it.
@@ -295,15 +342,20 @@ class NicCollective final : public Collective {
   }
 
   void enter(int rank, std::int64_t value, DoneFn done) override {
-    const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
-    Hooks::host(cluster_, node).collective_enter(group_id_, value, std::move(done));
+    Node& nd = cluster_.node(rank_to_node_.at(static_cast<std::size_t>(rank)));
+    Hooks::doorbell(nd, [this, &nd, value, done = std::move(done)]() mutable {
+      Hooks::groups(nd).collective_enter(
+          group_id_, value, [&nd, done = std::move(done)](std::int64_t result) mutable {
+            nd.host_cpu().exec(Hooks::detect_cost(nd), coll::Completion{std::move(done), result});
+          });
+    });
   }
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
   [[nodiscard]] coll::OpKind kind() const override { return kind_; }
 
  private:
-  using Hooks = SubstrateHooks<Cluster>;
+  using Node = typename Hooks::Node;
 
   Cluster& cluster_;
   coll::OpKind kind_;
@@ -359,22 +411,21 @@ class HostCollective final : public Collective {
                     if (auto done = std::exchange(op.done, nullptr)) done(op.acc);
                   },
           });
-      ctx.host->add_collective_handler(
-          group_id_, [this, r](int src_node, std::uint32_t tag, std::int64_t value) {
-            Window& w = *ranks_[static_cast<std::size_t>(r)].window;
-            const int src_rank = node_to_rank_.at(static_cast<std::size_t>(src_node));
-            assert(src_rank >= 0);
-            const std::uint32_t seq =
-                BarrierTag::widen_seq(BarrierTag::seq_low(tag), w.next_seq());
-            w.on_arrival(seq, src_rank, BarrierTag::edge_tag(tag), value);
-          });
+      ctx.host->inbox().add_collective_handler(group_id_, [this, r](const auto& msg) {
+        Window& w = *ranks_[static_cast<std::size_t>(r)].window;
+        const int src_rank = node_to_rank_.at(static_cast<std::size_t>(msg.src_node));
+        assert(src_rank >= 0);
+        const std::uint32_t seq =
+            BarrierTag::widen_seq(BarrierTag::seq_low(msg.tag), w.next_seq());
+        w.on_arrival(seq, src_rank, BarrierTag::edge_tag(msg.tag), msg.value);
+      });
     }
   }
 
   HostCollective(const HostCollective&) = delete;
   HostCollective& operator=(const HostCollective&) = delete;
   ~HostCollective() override {
-    for (RankCtx& ctx : ranks_) ctx.host->remove_collective_handler(group_id_);
+    for (RankCtx& ctx : ranks_) ctx.host->inbox().remove_collective_handler(group_id_);
   }
 
   void enter(int rank, std::int64_t value, DoneFn done) override {
@@ -416,8 +467,26 @@ std::unique_ptr<Collective> make_engine(Cluster& cluster, const coll::CollSpec& 
   if (spec.engine == coll::Engine::kHost) {
     return std::make_unique<HostCollective<Cluster>>(cluster, spec, engine_name<Cluster>(spec));
   }
-  return std::make_unique<NicCollective<Cluster>>(cluster, spec, engine_name<Cluster>(spec));
+  return std::make_unique<NicCollective<Cluster>>(cluster, spec, engine_name<Cluster>(spec),
+                                                  cluster.next_group_id());
 }
+
+class ElanHwBarrier final : public Collective {
+ public:
+  explicit ElanHwBarrier(ElanCluster& cluster) : cluster_(cluster) {}
+
+  void enter(int rank, std::int64_t, DoneFn done) override {
+    cluster_.node(rank).hgsync_enter([done = std::move(done)] {
+      if (done) done(0);
+    });
+  }
+  [[nodiscard]] std::string_view name() const override { return "elan-hgsync"; }
+  [[nodiscard]] int size() const override { return cluster_.size(); }
+  [[nodiscard]] coll::OpKind kind() const override { return coll::OpKind::kBarrier; }
+
+ private:
+  ElanCluster& cluster_;
+};
 
 }  // namespace
 
@@ -436,6 +505,16 @@ std::unique_ptr<Collective> make_collective(IbCluster& cluster,
   return make_engine(cluster, spec);
 }
 
+std::unique_ptr<Collective> make_direct_barrier(MyriCluster& cluster,
+                                                const coll::CollSpec& spec) {
+  coll::CollSpec barrier = spec;
+  barrier.op = coll::OpKind::kBarrier;
+  std::string name = "myri-nic-direct-";
+  name += coll::to_string(spec.algorithm);
+  return std::make_unique<NicCollective<MyriCluster, DirectHooks>>(
+      cluster, barrier, std::move(name), cluster.next_group_id() & BarrierTag::kGroupMask);
+}
+
 std::unique_ptr<Collective> make_gsync_barrier(ElanCluster& cluster,
                                                std::vector<int> rank_to_node) {
   return std::make_unique<HostCollective<ElanCluster>>(
@@ -445,6 +524,10 @@ std::unique_ptr<Collective> make_gsync_barrier(ElanCluster& cluster,
                      .radix = 4,
                      .rank_to_node = std::move(rank_to_node)},
       "elan-gsync-tree");
+}
+
+std::unique_ptr<Collective> make_hgsync_barrier(ElanCluster& cluster) {
+  return std::make_unique<ElanHwBarrier>(cluster);
 }
 
 RunSeries run_consecutive(sim::Engine& engine, Collective& op, const RunPlan& plan) {

@@ -13,10 +13,12 @@
 // (Sec. 6.2); larger contributions fall back to pool buffers and host DMA
 // on Myrinet, while Elan RDMA carries any size to host memory directly.
 //
-// Every kind runs on one engine per side: the host-level executor, or a
-// NIC engine; both walk the schedule through coll::GroupWindow. The two
-// paper baselines with no collective twin — the Myrinet direct scheme and
-// Elan hgsync — are thin Collective adapters at kBarrier.
+// Every kind runs on one engine per side: the host-level executor over the
+// node's host inbox (core/host_inbox.hpp), or a NIC-resident collective
+// that rings the node's doorbell into a coll::NicGroupEngine; both walk the
+// schedule through coll::GroupWindow. The Myrinet direct scheme is that NIC
+// collective over a second engine hook set; only Elan hgsync, which runs
+// no schedule, is an adapter of its own.
 //
 //   sim::Engine engine;
 //   core::MyriCluster cluster(engine, myri::lanaixp_cluster(), 8);
@@ -135,10 +137,10 @@ using Barrier = Collective;
   return kind == coll::OpKind::kBarrier ? 0 : rank + 1;
 }
 
-/// Single construction entry points: one CollSpec in, one Collective out,
-/// dispatching on spec.engine. The substrate registry's
-/// SubstrateCluster::make_collective lands here. A Myrinet barrier group's
-/// NIC engine runs with the cluster's ablation features.
+/// One CollSpec in, one Collective out, dispatching on spec.engine. The
+/// substrate registry's SubstrateCluster::make_collective lands here, or on
+/// a baseline below. A Myrinet barrier group's NIC engine runs with the
+/// cluster's ablation features.
 std::unique_ptr<Collective> make_collective(MyriCluster& cluster,
                                             const coll::CollSpec& spec);
 std::unique_ptr<Collective> make_collective(ElanCluster& cluster,
@@ -150,8 +152,9 @@ std::unique_ptr<Collective> make_collective(IbCluster& cluster,
 /// spec.algorithm/radix/rank_to_node: the NIC detects barrier messages and
 /// triggers the next ones, but every message still traverses the MCP
 /// point-to-point machinery — per-destination queues, packet-pool claims,
-/// per-packet send records, ACK-based reliability. Installs itself as each
-/// NIC's MCP nic-consumer: one direct barrier per cluster at a time.
+/// per-packet send records, ACK-based reliability. It runs on each node's
+/// myri::DirectEngine, which tells groups apart by their BarrierTag, so
+/// several direct barriers can share a cluster.
 std::unique_ptr<Collective> make_direct_barrier(MyriCluster& cluster,
                                                 const coll::CollSpec& spec);
 

@@ -11,7 +11,7 @@
 // zero-payload case: its fold leaves the accumulator alone.
 //
 // The host-level executors and coll::NicGroupEngine (nic_group_engine.hpp,
-// the one group engine of all three NIC models) instantiate it and add only
+// the one group engine of every NIC scheme) instantiate it and add only
 // their hooks: how an edge is sent and what completion costs, plus, in the
 // NIC engine, the NACK timer armed before step 0 and cancelled when a slot
 // is recycled. on_arrival classifies every message and leaves the counting

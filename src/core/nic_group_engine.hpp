@@ -1,5 +1,6 @@
 // One NIC's collective group engine: the paper's NIC-resident protocol
-// (Secs. 3 and 6), written once for the Myrinet, Elan and IB models.
+// (Secs. 3 and 6), written once for the Myrinet, Elan and IB models and for
+// the prior work's direct scheme on Myrinet.
 //
 // Every group a NIC joins gets its own queue, a GroupWindow over the
 // group's schedule that arriving messages feed directly. The engine owns

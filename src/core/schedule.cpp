@@ -231,35 +231,6 @@ GroupSchedule make_fway_dissemination(int n, int f) {
   return g;
 }
 
-GroupSchedule make_remote_atomic(int n) {
-  // Central-counter barrier (shigeki-akiyama's remote_cas MPI barrier):
-  // every rank bumps a counter on rank 0 and blocks on the release flag;
-  // the arrival that makes the counter hit N-1 triggers the release
-  // fan-out. As a schedule that is a star: N-1 kTagUp edges into rank 0,
-  // N-1 kTagDown edges out, each one tagged RDMA write on IB.
-  GroupSchedule g;
-  g.algorithm = Algorithm::kRemoteAtomic;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    auto& rs = g.ranks[static_cast<std::size_t>(i)];
-    if (i == 0) {
-      Step gather;
-      for (int r = 1; r < n; ++r) gather.waits.push_back({r, kTagUp});
-      rs.steps.push_back(std::move(gather));
-      Step release;
-      for (int r = 1; r < n; ++r) release.sends.push_back({r, kTagDown});
-      rs.steps.push_back(std::move(release));
-    } else {
-      Step st;
-      st.sends.push_back({0, kTagUp});
-      st.waits.push_back({0, kTagDown});
-      rs.steps.push_back(std::move(st));
-    }
-  }
-  return g;
-}
-
 }  // namespace
 
 std::string_view to_string(Algorithm a) {
@@ -403,7 +374,14 @@ GroupSchedule make_barrier_schedule(Algorithm algorithm, int n, int radix) {
     case Algorithm::kTournament: return numbered(make_tournament(n));
     case Algorithm::kFwayDissemination:
       return numbered(make_fway_dissemination(n, radix > 0 ? radix : 4));
-    case Algorithm::kRemoteAtomic: return numbered(make_remote_atomic(n));
+    case Algorithm::kRemoteAtomic: {
+      // The central-counter barrier of verbs MPI libraries: every rank
+      // bumps a counter on rank 0, whose last arrival releases them all.
+      // As a schedule that is the gather-broadcast star.
+      GroupSchedule g = make_gather_broadcast(n, std::max(2, n - 1));
+      g.algorithm = Algorithm::kRemoteAtomic;
+      return numbered(std::move(g));
+    }
     case Algorithm::kRotation: break;  // rejected above
   }
   throw std::invalid_argument("unknown algorithm");

@@ -17,7 +17,8 @@
 //  * fway-dissemination — radix-f dissemination: ceil(log_f N) rounds of
 //                         f-1 sends each (f = the radix parameter)
 //  * remote-atomic      — central counter star (every rank signals rank 0,
-//                         rank 0 releases; on IB, tagged RDMA writes)
+//                         rank 0 releases): gather-broadcast at degree N-1
+//                         (on IB, tagged RDMA writes)
 //
 // kRotation is a label, not a barrier: it names the alltoall rotation-ring
 // pattern so traces and metrics report that schedule honestly.

@@ -136,7 +136,7 @@ void Hca::deliver_request(const IbWrite& w) {
   // The immediate data CQEs into host memory; the host layer adds its own
   // poll cost on top.
   unit_.exec(config_->cq_dma, [this, w] {
-    if (host_msg_handler_) host_msg_handler_(w);
+    if (host_msg_handler_) host_msg_handler_({static_cast<int>(w.src_rank), w.tag, w.value});
   });
 }
 

@@ -16,6 +16,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/host_inbox.hpp"
 #include "core/nic_group_engine.hpp"
 #include "ib/config.hpp"
 #include "ib/verbs.hpp"
@@ -59,7 +60,7 @@ class Hca {
   /// Handler for write-with-immediate requests whose immediate data is a
   /// host-level message; runs at HCA time after the CQE DMA (host poll
   /// cost is the caller's).
-  using HostMsgHandler = std::function<void(const IbWrite&)>;
+  using HostMsgHandler = std::function<void(const coll::HostMsg&)>;
   void set_host_msg_handler(HostMsgHandler h) { host_msg_handler_ = std::move(h); }
 
   // --- NIC-resident collective group engine (paper Secs. 5-7 on verbs) ---

@@ -102,7 +102,7 @@ void Communicator::send(int rank, int dst_rank, std::uint32_t bytes, std::uint32
 void Communicator::set_receive_handler(
     int rank, std::function<void(int, std::uint32_t, std::uint32_t)> fn) {
   const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
-  cluster_.node(node).port().set_receive_handler(
+  cluster_.node(node).port().inbox().set_receive_handler(
       [this, fn = std::move(fn)](const myri::RecvEvent& ev) {
         const int src_rank = node_to_rank_.at(static_cast<std::size_t>(ev.src_node));
         fn(src_rank, ev.tag, ev.bytes);

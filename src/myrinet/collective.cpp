@@ -206,4 +206,30 @@ void CollectiveEngine::handle_ack(const CollAck& a) {
   msg_records_.erase(it);
 }
 
+DirectEngine::DirectEngine(Nic& nic, Mcp& mcp) : nic_(nic), mcp_(mcp) {
+  mcp_.set_nic_consumer([this](const RecvEvent& ev) { on_message(ev); });
+}
+
+void DirectEngine::send_edge(Group& g, std::uint32_t seq, const coll::Edge& e, int dst_node,
+                             std::uint32_t /*payload*/, std::int64_t /*value*/,
+                             bool /*retransmit*/) {
+  // The message's one integer names its sender, as on every other wire.
+  mcp_.nic_send(dst_node, core::BarrierTag::encode(g.desc.group_id, seq, e.tag),
+                g.desc.my_rank);
+}
+
+void DirectEngine::charge_complete(const coll::GroupDesc&, coll::Completion&& c) {
+  // The NIC posts one event record to the host.
+  nic_.exec(nic_.lanai().cyc_post_recv_event,
+            [this, c = std::move(c)]() mutable { nic_.pci().dma(8, std::move(c)); });
+}
+
+void DirectEngine::on_message(const RecvEvent& ev) {
+  using core::BarrierTag;
+  Group* g = groups_.arriving(BarrierTag::group(ev.tag));
+  if (g == nullptr) return;
+  groups_.arrive(*g, BarrierTag::widen_seq(BarrierTag::seq_low(ev.tag), g->window->next_seq()),
+                 static_cast<int>(ev.value), BarrierTag::edge_tag(ev.tag), 0);
+}
+
 }  // namespace qmb::myri

@@ -23,12 +23,17 @@
 // per-message ACK/timeout machinery and its packets); queue-contention
 // effects of dedicated_queue=false beyond the cycle cost are not modeled,
 // since the figure benchmarks run barriers in isolation.
+//
+// DirectEngine is the engine's second hook set on the LANai: the prior
+// work's direct scheme, which runs the same NIC-triggered schedule with
+// none of the four simplifications.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 
 #include "core/nic_group_engine.hpp"
+#include "myrinet/mcp.hpp"
 #include "myrinet/nic.hpp"
 #include "myrinet/packets.hpp"
 #include "obs/metrics.hpp"
@@ -119,6 +124,52 @@ class CollectiveEngine {
   CollStats stats_;
   Groups groups_{*this, stats_};
   std::unordered_map<std::uint64_t, MsgRecord> msg_records_;  // ablation only
+};
+
+/// Prior work's direct NIC-based barrier (Buntinas et al.; paper Figs. 5-6):
+/// the NIC detects barrier messages and triggers the next ones, but every
+/// message is an MCP NIC-sourced send — send token, destination queue,
+/// packet claim, per-packet send record, ACK — and the operation starts and
+/// completes like a GM send and receive event. It keeps no recovery state
+/// of its own (the MCP's ACKs cover loss) and registers no counters.
+class DirectEngine {
+ public:
+  using Groups = coll::NicGroupEngine<DirectEngine>;
+
+  /// Installs itself as `mcp`'s NIC consumer.
+  DirectEngine(Nic& nic, Mcp& mcp);
+
+  /// This NIC's direct-scheme groups. Messages name their group in a
+  /// BarrierTag, so group ids must fit its group field.
+  [[nodiscard]] Groups& groups() { return groups_; }
+
+ private:
+  using Group = Groups::Group;
+  friend Groups;
+
+  // --- coll::NicGroupEngine hooks ---
+  static constexpr coll::GroupTraceNames kGroupTrace{.enter = "direct_enter",
+                                                     .complete = "direct_complete"};
+  static constexpr bool kNackOnWire = false;
+  sim::Engine& engine() { return nic_.engine(); }
+  void trace(std::string_view event, std::int64_t a, std::int64_t b, std::int64_t flow = 0) {
+    nic_.trace(event, a, b, flow);
+  }
+  void charge_enter(const coll::GroupDesc&, sim::EventCallback&& start) {
+    // The doorbell is translated like a host send event.
+    nic_.exec(nic_.lanai().cyc_process_send_event, std::move(start));
+  }
+  void send_edge(Group& g, std::uint32_t seq, const coll::Edge& e, int dst_node,
+                 std::uint32_t payload, std::int64_t value, bool retransmit);
+  void charge_complete(const coll::GroupDesc&, coll::Completion&& c);
+
+  /// The MCP's upcall for an arriving NIC-sourced message.
+  void on_message(const RecvEvent& ev);
+
+  Nic& nic_;
+  Mcp& mcp_;
+  coll::GroupCounters counters_;  // none registered
+  Groups groups_{*this, counters_};
 };
 
 }  // namespace qmb::myri

@@ -10,10 +10,11 @@
 //  * received data DMAs into preposted host receive buffers and a receive
 //    event notifies the host.
 //
-// NIC-sourced sends (the prior work's "direct scheme" barrier) ride this
-// same path minus the host DMA — they still pay queuing, packetization,
-// per-packet bookkeeping and ACK-based error control, which is exactly the
-// redundancy the collective protocol removes.
+// NIC-sourced sends ride this same path minus the host DMA. They carry the
+// prior work's direct scheme (myri::DirectEngine in collective.hpp, one of
+// coll::NicGroupEngine's hook sets): its messages still pay queuing,
+// packetization, per-packet bookkeeping and ACK-based error control, which
+// is exactly the redundancy the collective protocol removes.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,7 @@ struct RecvEvent {
   int src_node = -1;
   std::uint32_t tag = 0;
   std::uint32_t bytes = 0;
-  std::int64_t inline_value = 0;
+  std::int64_t value = 0;  // first payload word
 };
 
 /// Handles into the engine's MetricRegistry, registered per NIC under
@@ -73,14 +74,15 @@ class Mcp {
     host_receiver_ = std::move(fn);
   }
 
-  // --- NIC-internal entry points (direct-scheme collectives) ---
+  // --- NIC-internal entry points (the direct scheme) ---
 
   /// Enqueues a NIC-sourced small message (payload already on the NIC).
   /// Goes through the full token/queue/packet/ACK machinery but skips the
   /// host DMA on both ends; delivered to the peer's nic consumer.
   void nic_send(int dst_node, std::uint32_t tag, std::int64_t value);
 
-  /// Consumer for NIC-sourced messages arriving at this NIC.
+  /// Consumer for NIC-sourced messages arriving at this NIC (the node's
+  /// DirectEngine installs itself).
   void set_nic_consumer(std::function<void(const RecvEvent&)> fn) {
     nic_consumer_ = std::move(fn);
   }

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/coll_tag.hpp"
-
 namespace qmb::elan {
 
 ElanNode::ElanNode(sim::Engine& engine, net::Fabric& fabric, const Elan3Config& config,
@@ -12,7 +10,11 @@ ElanNode::ElanNode(sim::Engine& engine, net::Fabric& fabric, const Elan3Config& 
     : index_(index),
       cfg_(config),
       host_cpu_(engine),
-      nic_(engine, fabric, config, index, tracer) {}
+      nic_(engine, fabric, config, index, tracer),
+      inbox_(host_cpu_, config.host_detect,
+             [this](Nic::HostMsgHandler receive) {
+               nic_.set_host_msg_handler(std::move(receive));
+             }) {}
 
 void ElanNode::put(int dst_node, std::uint32_t bytes, std::uint32_t tag,
                    std::int64_t value) {
@@ -27,50 +29,6 @@ void ElanNode::put(int dst_node, std::uint32_t bytes, std::uint32_t tag,
     // RDMA unit injects the packet in rdma_put.
     nic_.trace("elan_put", dst_node, tag);
     nic_.rdma_put(dst_node, bytes, body);
-  });
-}
-
-void ElanNode::set_receive_handler(ReceiveHandler fn) {
-  app_handler_ = std::move(fn);
-  install_dispatcher();
-}
-
-void ElanNode::add_collective_handler(std::uint32_t group, ReceiveHandler fn) {
-  group_handlers_.emplace(group & core::BarrierTag::kGroupMask, std::move(fn));
-  install_dispatcher();
-}
-
-void ElanNode::remove_collective_handler(std::uint32_t group) {
-  group_handlers_.erase(group & core::BarrierTag::kGroupMask);
-}
-
-void ElanNode::install_dispatcher() {
-  if (dispatcher_installed_) return;
-  dispatcher_installed_ = true;
-  // One host_detect poll per delivered message, however many handlers are
-  // registered — the host wakes once and routes the message by its tag.
-  nic_.set_host_msg_handler([this](const ElanRdma& r) {
-    host_cpu_.exec(cfg_.host_detect, [this, src = static_cast<int>(r.src_rank),
-                                      tag = r.tag, value = r.value] {
-      if (core::BarrierTag::is_barrier(tag)) {
-        if (const auto* handler = group_handlers_.find(core::BarrierTag::group(tag))) {
-          (*handler)(src, tag, value);
-        }
-        return;
-      }
-      if (app_handler_) app_handler_(src, tag, value);
-    });
-  });
-}
-
-void ElanNode::collective_enter(std::uint32_t group, std::int64_t value,
-                                std::function<void(std::int64_t)> done) {
-  host_cpu_.exec(cfg_.host_doorbell, [this, group, value, done = std::move(done)]() mutable {
-    nic_.groups().collective_enter(group, value,
-                                   [this, done = std::move(done)](std::int64_t result) mutable {
-                                     host_cpu_.exec(cfg_.host_detect,
-                                                    coll::Completion{std::move(done), result});
-                                   });
   });
 }
 

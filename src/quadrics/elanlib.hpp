@@ -1,19 +1,19 @@
-// Elanlib-style host API (paper Sec. 4.1): tagged puts, the chained-RDMA
-// NIC collective doorbell, and elan_hgsync()'s hardware-barrier entry. Host
-// costs (descriptor setup, doorbell, event-word polling) run on the node's
-// host CPU resource.
+// Elanlib-style host API (paper Sec. 4.1): tagged puts, their host inbox,
+// and elan_hgsync()'s hardware-barrier entry. Host costs (descriptor setup,
+// doorbell, event-word polling) run on the node's host CPU resource.
 //
 // The three Quadrics barrier flavours of Fig. 7 are built on these
 // primitives in core/collectives.cpp:
 //   * elan_gsync  — the host executor's gather-broadcast tree over put()
 //   * elan_hgsync — hardware broadcast + network test-and-set
-//   * NIC barrier — chained RDMA descriptors (collective_enter)
+//   * NIC barrier — chained RDMA descriptors (the NIC's groups(), rung by
+//     one host_doorbell)
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 
+#include "core/host_inbox.hpp"
 #include "quadrics/fabric.hpp"
 #include "quadrics/nic.hpp"
 #include "sim/resource.hpp"
@@ -33,25 +33,8 @@ class ElanNode {
   /// `value` models the first payload word.
   void put(int dst_node, std::uint32_t bytes, std::uint32_t tag, std::int64_t value = 0);
 
-  using ReceiveHandler =
-      std::function<void(int src_node, std::uint32_t tag, std::int64_t value)>;
-
-  /// Installs (or replaces) the application's receive handler. Every
-  /// delivered host message pays one host_detect poll, then runs this
-  /// handler — or, for a BarrierTag-encoded tag, its group's handler.
-  void set_receive_handler(ReceiveHandler fn);
-
-  /// Registers the handler for host-level collective messages of `group`
-  /// (BarrierTag-encoded tags); several groups coexist, demultiplexed on
-  /// the tag's group field like GmPort's.
-  void add_collective_handler(std::uint32_t group, ReceiveHandler fn);
-  void remove_collective_handler(std::uint32_t group);
-
-  /// Chained-RDMA NIC collective: operand in with the doorbell, result out
-  /// with the final local event (0 for a barrier). `done` runs on the host
-  /// after it polls the completion word.
-  void collective_enter(std::uint32_t group, std::int64_t value,
-                        std::function<void(std::int64_t)> done);
+  /// Delivered host messages, after one host_detect poll each.
+  [[nodiscard]] coll::HostInbox<coll::HostMsg>& inbox() { return inbox_; }
 
   /// elan_hgsync() entry: sets the NIC test-and-set flag and waits for the
   /// hardware release. Requires attach_hw_barrier().
@@ -65,16 +48,12 @@ class ElanNode {
   [[nodiscard]] const Elan3Config& config() const { return cfg_; }
 
  private:
-  void install_dispatcher();
-
   int index_;
   const Elan3Config& cfg_;
   sim::Resource host_cpu_;
   Nic nic_;
+  coll::HostInbox<coll::HostMsg> inbox_;
   HwBarrierController* hw_ = nullptr;
-  ReceiveHandler app_handler_;
-  coll::GroupTable<ReceiveHandler> group_handlers_;  // by BarrierTag group field
-  bool dispatcher_installed_ = false;
 };
 
 }  // namespace qmb::elan

@@ -81,7 +81,9 @@ void Nic::on_packet(net::Packet&& p) {
           // own poll cost on top.
           unit_.exec(config_->host_notify_dma, [this, body] {
             ++stats_.host_notifies;
-            if (host_msg_handler_) host_msg_handler_(body);
+            if (host_msg_handler_) {
+              host_msg_handler_({static_cast<int>(body.src_rank), body.tag, body.value});
+            }
           });
           return;
       }

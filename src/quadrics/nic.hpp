@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "core/host_inbox.hpp"
 #include "core/nic_group_engine.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
@@ -43,7 +44,7 @@ class Nic {
   /// Handler for host-level tagged puts landing on this NIC; invoked at NIC
   /// time after the event word reaches host memory (host poll cost is the
   /// caller's).
-  using HostMsgHandler = std::function<void(const ElanRdma&)>;
+  using HostMsgHandler = std::function<void(const coll::HostMsg&)>;
   void set_host_msg_handler(HostMsgHandler h) { host_msg_handler_ = std::move(h); }
 
   // --- chained-RDMA collective unit ---

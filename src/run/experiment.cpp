@@ -243,9 +243,8 @@ std::string validate(const ExperimentSpec& s) {
       return err;
     }
     if (s.impl != Impl::kNic && s.impl != Impl::kHost) {
-      return std::string("--workload runs concurrent groups; --impl ") +
-             std::string(to_string(s.impl)) +
-             " is a single-group scheme (use nic or host)";
+      return std::string("--workload runs its groups on the nic or host engine, not --impl ") +
+             std::string(to_string(s.impl));
     }
     for (const coll::OpKind kind : load::distinct_kinds(s.workload)) {
       if (!caps_allow(caps, kind, s.impl)) {

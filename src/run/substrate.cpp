@@ -97,15 +97,12 @@ std::string caps_algorithm_list(const SubstrateCaps& caps, coll::OpKind op) {
   return out;
 }
 
-std::unique_ptr<core::Collective> SubstrateCluster::make_collective(
-    const ExperimentSpec& spec, std::vector<int> placement) {
-  coll::CollSpec cs;
-  cs.op = spec.op;
-  cs.engine = spec.impl == Impl::kHost ? coll::Engine::kHost : coll::Engine::kNic;
-  cs.algorithm = spec.algorithm;
-  cs.radix = spec.radix;
-  cs.rank_to_node = std::move(placement);
-  return make_collective(cs);
+coll::CollSpec coll_spec_of(const ExperimentSpec& spec, std::vector<int> placement) {
+  return {.op = spec.op,
+          .engine = spec.impl == Impl::kHost ? coll::Engine::kHost : coll::Engine::kNic,
+          .algorithm = spec.algorithm,
+          .radix = spec.radix,
+          .rank_to_node = std::move(placement)};
 }
 
 }  // namespace qmb::run

@@ -76,19 +76,12 @@ class SubstrateCluster {
  public:
   virtual ~SubstrateCluster() = default;
   [[nodiscard]] virtual net::Fabric& fabric() = 0;
-  /// THE collective construction entry point: one CollSpec in, one
-  /// executor out. Every knob (kind, engine, root, reduce, payload,
-  /// algorithm, radix, placement) rides the spec — growing a knob never
-  /// touches this signature again.
+  /// Builds the spec's operation (kind, impl, algorithm, radix) over
+  /// `placement` (rank -> node). Each adapter lowers the spec with
+  /// coll_spec_of and calls core::make_collective, or builds the paper
+  /// baseline the impl names (Myrinet direct, Quadrics gsync/hgsync).
   [[nodiscard]] virtual std::unique_ptr<core::Collective> make_collective(
-      const coll::CollSpec& spec) = 0;
-  /// Builds the spec's operation over `placement` (rank -> node). The base
-  /// lowers the spec to a CollSpec (op/impl/algorithm/radix) and
-  /// calls the entry point above; a substrate with a paper baseline that
-  /// has no CollSpec engine (Myrinet direct, Quadrics gsync/hgsync)
-  /// overrides it to build that baseline first.
-  [[nodiscard]] virtual std::unique_ptr<core::Collective> make_collective(
-      const ExperimentSpec& spec, std::vector<int> placement);
+      const ExperimentSpec& spec, std::vector<int> placement) = 0;
   /// Kept for perfbench: make_collective for a barrier spec.
   [[nodiscard]] std::unique_ptr<core::Collective> make_barrier(const ExperimentSpec& spec,
                                                                std::vector<int> placement) {
@@ -105,6 +98,11 @@ class SubstrateCluster {
   /// send path — the open-loop generator's flood/p2p_rand traffic.
   virtual void flood_send(int src, int dst, std::uint32_t bytes, std::uint32_t tag) = 0;
 };
+
+/// The CollSpec for `spec`'s operation over `placement`: its kind,
+/// algorithm and radix, on the host engine for --impl host and on the NIC
+/// engine otherwise.
+[[nodiscard]] coll::CollSpec coll_spec_of(const ExperimentSpec& spec, std::vector<int> placement);
 
 /// One registered network model.
 class Substrate {

@@ -16,9 +16,9 @@ class IbSubstrateCluster final : public SubstrateCluster {
 
   net::Fabric& fabric() override { return cluster_.fabric(); }
 
-  using SubstrateCluster::make_collective;
-  std::unique_ptr<core::Collective> make_collective(const coll::CollSpec& spec) override {
-    return core::make_collective(cluster_, spec);
+  std::unique_ptr<core::Collective> make_collective(const ExperimentSpec& s,
+                                                    std::vector<int> placement) override {
+    return core::make_collective(cluster_, coll_spec_of(s, std::move(placement)));
   }
 
   // RC write-with-immediate needs no receive provisioning; flood traffic is

@@ -16,17 +16,12 @@ class MyrinetCluster final : public SubstrateCluster {
 
   net::Fabric& fabric() override { return cluster_.fabric(); }
 
-  std::unique_ptr<core::Collective> make_collective(const coll::CollSpec& spec) override {
-    return core::make_collective(cluster_, spec);
-  }
   std::unique_ptr<core::Collective> make_collective(const ExperimentSpec& s,
                                                     std::vector<int> placement) override {
     if (s.op == coll::OpKind::kBarrier && s.impl == Impl::kDirect) {
-      return core::make_direct_barrier(
-          cluster_,
-          {.algorithm = s.algorithm, .radix = s.radix, .rank_to_node = std::move(placement)});
+      return core::make_direct_barrier(cluster_, coll_spec_of(s, std::move(placement)));
     }
-    return SubstrateCluster::make_collective(s, std::move(placement));
+    return core::make_collective(cluster_, coll_spec_of(s, std::move(placement)));
   }
 
   void flood_prepare() override {
@@ -39,7 +34,7 @@ class MyrinetCluster final : public SubstrateCluster {
     for (int i = 0; i < cluster_.size(); ++i) {
       myri::GmPort* port = &cluster_.node(i).port();
       port->provide_receive_buffers(1024);
-      port->set_receive_handler(
+      port->inbox().set_receive_handler(
           [port](const myri::RecvEvent&) { port->provide_receive_buffers(1); });
     }
   }

@@ -16,9 +16,6 @@ class QuadricsCluster final : public SubstrateCluster {
 
   net::Fabric& fabric() override { return cluster_.fabric(); }
 
-  std::unique_ptr<core::Collective> make_collective(const coll::CollSpec& spec) override {
-    return core::make_collective(cluster_, spec);
-  }
   /// Barriers on --impl host run the gsync tree, the Elanlib host barrier.
   std::unique_ptr<core::Collective> make_collective(const ExperimentSpec& s,
                                                     std::vector<int> placement) override {
@@ -28,7 +25,7 @@ class QuadricsCluster final : public SubstrateCluster {
     if (s.op == coll::OpKind::kBarrier && (s.impl == Impl::kGsync || s.impl == Impl::kHost)) {
       return core::make_gsync_barrier(cluster_, std::move(placement));
     }
-    return SubstrateCluster::make_collective(s, std::move(placement));
+    return core::make_collective(cluster_, coll_spec_of(s, std::move(placement)));
   }
 
   // elan_put fires a remote event; no receive-side resources to provision.

@@ -126,6 +126,36 @@ TEST(MyriBarriers, CollectiveProtocolBeatsDirectScheme) {
   EXPECT_GT(direct_r.mean.picos(), coll_r.mean.picos());
 }
 
+TEST(MyriBarriers, TwoDirectBarriersShareOneCluster) {
+  // Every NIC's direct engine tells its groups apart by the BarrierTag's
+  // group field, so a second direct barrier on the same nodes leaves the
+  // first one's arrivals alone.
+  Engine engine;
+  MyriCluster cluster(engine, myri::lanaixp_cluster(), 4);
+  auto first = make_myri_barrier(cluster, MyriKind::kDirect, coll::Algorithm::kDissemination);
+  auto second = make_myri_barrier(cluster, MyriKind::kDirect, coll::Algorithm::kDissemination);
+  for (Collective* barrier : {first.get(), second.get()}) {
+    SCOPED_TRACE(std::string(barrier->name()));
+    const auto r = run_consecutive(engine, *barrier, {.warmup = 2, .iters = 8});
+    EXPECT_EQ(r.iterations, 8u);
+    EXPECT_EQ(r.value_errors, 0u);
+  }
+}
+
+TEST(MyriBarriers, BarriersOutlastTheTagSequenceWindow) {
+  // Host-level and direct-scheme messages carry only the low 8 bits of the
+  // operation sequence (core::BarrierTag); receivers widen them against
+  // their own progress, so a run past 256 operations must still complete.
+  for (const MyriKind kind : {MyriKind::kHost, MyriKind::kDirect}) {
+    Engine engine;
+    MyriCluster cluster(engine, myri::lanaixp_cluster(), 4);
+    auto barrier = make_myri_barrier(cluster, kind, coll::Algorithm::kDissemination);
+    SCOPED_TRACE(std::string(barrier->name()));
+    const auto r = run_consecutive(engine, *barrier, {.warmup = 0, .iters = 300});
+    EXPECT_EQ(r.iterations, 300u);
+  }
+}
+
 TEST(MyriBarriers, CollectiveProtocolHalvesWirePackets) {
   // The direct scheme ACKs every barrier message; the collective protocol
   // sends none (receiver-driven NACKs only on loss).

@@ -55,7 +55,7 @@ struct Harness {
 TEST(ElanNic, RdmaPutFiresRemoteHostEvent) {
   Harness h(2);
   int notified = 0;
-  h.nics[1]->set_host_msg_handler([&](const ElanRdma& r) {
+  h.nics[1]->set_host_msg_handler([&](const coll::HostMsg& r) {
     EXPECT_EQ(r.tag, 9u);
     EXPECT_EQ(r.value, 1234);
     ++notified;
@@ -75,7 +75,7 @@ TEST(ElanNic, RdmaPutFiresRemoteHostEvent) {
 TEST(ElanNic, RdmaTimingIncludesIssueWireAndEvent) {
   Harness h(2);
   SimTime arrived;
-  h.nics[1]->set_host_msg_handler([&](const ElanRdma&) { arrived = h.engine.now(); });
+  h.nics[1]->set_host_msg_handler([&](const coll::HostMsg&) { arrived = h.engine.now(); });
   ElanRdma body;
   body.ev_class = ElanRdma::EventClass::kHostMsg;
   h.nics[0]->rdma_put(1, 0, body);
@@ -92,7 +92,7 @@ TEST(ElanNic, BarrierOpsSerializeOnTheUnit) {
   std::vector<SimTime> arrivals;
   for (int i = 1; i <= 2; ++i) {
     h.nics[static_cast<std::size_t>(i)]->set_host_msg_handler(
-        [&](const ElanRdma&) { arrivals.push_back(h.engine.now()); });
+        [&](const coll::HostMsg&) { arrivals.push_back(h.engine.now()); });
   }
   for (int dst = 1; dst <= 2; ++dst) {
     ElanRdma body;

@@ -35,7 +35,7 @@ TEST(GmPort, RoundTripThroughHostApi) {
   Harness h(2);
   std::vector<RecvEvent> events;
   h.port(1).provide_receive_buffers(1);
-  h.port(1).set_receive_handler([&](const RecvEvent& ev) { events.push_back(ev); });
+  h.port(1).inbox().set_receive_handler([&](const RecvEvent& ev) { events.push_back(ev); });
   h.port(0).send(1, 256, 42);
   h.engine.run();
   ASSERT_EQ(events.size(), 1u);
@@ -46,7 +46,7 @@ TEST(GmPort, LatencyIncludesHostCosts) {
   Harness h(2);
   SimTime received;
   h.port(1).provide_receive_buffers(1);
-  h.port(1).set_receive_handler([&](const RecvEvent&) { received = h.engine.now(); });
+  h.port(1).inbox().set_receive_handler([&](const RecvEvent&) { received = h.engine.now(); });
   h.port(0).send(1, 8, 1);
   h.engine.run();
   // Must be at least host post + PIO + wire + recv detect; a pure-fabric
@@ -59,7 +59,7 @@ TEST(GmPort, SendCompletionCallbackOnHost) {
   Harness h(2);
   bool completed = false;
   h.port(1).provide_receive_buffers(1);
-  h.port(1).set_receive_handler([](const RecvEvent&) {});
+  h.port(1).inbox().set_receive_handler([](const RecvEvent&) {});
   h.port(0).send(1, 64, 1, [&] { completed = true; });
   h.engine.run();
   EXPECT_TRUE(completed);
@@ -70,7 +70,7 @@ TEST(GmPort, LatencyGrowsWithMessageSize) {
     Harness h(2);
     SimTime received;
     h.port(1).provide_receive_buffers(1);
-    h.port(1).set_receive_handler([&](const RecvEvent&) { received = h.engine.now(); });
+    h.port(1).inbox().set_receive_handler([&](const RecvEvent&) { received = h.engine.now(); });
     h.port(0).send(1, bytes, 1);
     h.engine.run();
     return received;
@@ -86,7 +86,7 @@ TEST(GmPort, SmallMessageLatencyInGmBallpark) {
   Harness h(2);
   SimTime received;
   h.port(1).provide_receive_buffers(1);
-  h.port(1).set_receive_handler([&](const RecvEvent&) { received = h.engine.now(); });
+  h.port(1).inbox().set_receive_handler([&](const RecvEvent&) { received = h.engine.now(); });
   h.port(0).send(1, 8, 1);
   h.engine.run();
   EXPECT_GT(received.micros(), 3.0);
@@ -98,8 +98,8 @@ TEST(GmPort, ConcurrentBidirectionalTraffic) {
   int got0 = 0, got1 = 0;
   h.port(0).provide_receive_buffers(10);
   h.port(1).provide_receive_buffers(10);
-  h.port(0).set_receive_handler([&](const RecvEvent&) { ++got0; });
-  h.port(1).set_receive_handler([&](const RecvEvent&) { ++got1; });
+  h.port(0).inbox().set_receive_handler([&](const RecvEvent&) { ++got0; });
+  h.port(1).inbox().set_receive_handler([&](const RecvEvent&) { ++got1; });
   for (std::uint32_t i = 0; i < 10; ++i) {
     h.port(0).send(1, 128, i);
     h.port(1).send(0, 128, i);
@@ -113,7 +113,7 @@ TEST(GmPort, ManyToOneIncast) {
   Harness h(5);
   int got = 0;
   h.port(0).provide_receive_buffers(4 * 8);
-  h.port(0).set_receive_handler([&](const RecvEvent&) { ++got; });
+  h.port(0).inbox().set_receive_handler([&](const RecvEvent&) { ++got; });
   for (int src = 1; src < 5; ++src) {
     for (std::uint32_t i = 0; i < 8; ++i) h.port(src).send(0, 256, i);
   }

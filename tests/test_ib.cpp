@@ -41,10 +41,10 @@ net::FaultSpec nth_fault(net::FaultAction action, std::uint64_t nth, int src) {
 TEST(IbTransport, WriteImmDeliversTaggedHostMessage) {
   Harness h(2);
   int received = 0;
-  h.node(1).set_receive_handler([&](int src, std::uint32_t tag, std::int64_t value) {
-    EXPECT_EQ(src, 0);
-    EXPECT_EQ(tag, 9u);
-    EXPECT_EQ(value, 1234);
+  h.node(1).inbox().set_receive_handler([&](const coll::HostMsg& m) {
+    EXPECT_EQ(m.src_node, 0);
+    EXPECT_EQ(m.tag, 9u);
+    EXPECT_EQ(m.value, 1234);
     ++received;
   });
   h.node(0).post(1, 8, 9, 1234);
@@ -54,6 +54,21 @@ TEST(IbTransport, WriteImmDeliversTaggedHostMessage) {
   EXPECT_EQ(h.node(1).hca().stats().acks_sent.value(), 1u);
 }
 
+TEST(IbTransport, HostPollsOnlyOnceSomeoneListens) {
+  // The inbox installs the HCA's upcall at its first registration: until
+  // then a delivered message costs the host no CQ poll.
+  Harness h(2);
+  h.node(0).post(1, 8, 9, 1);
+  h.engine.run();
+  EXPECT_EQ(h.node(1).host_cpu().jobs_executed(), 0u);
+  int received = 0;
+  h.node(1).inbox().set_receive_handler([&](const coll::HostMsg&) { ++received; });
+  h.node(0).post(1, 8, 9, 2);
+  h.engine.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(h.node(1).host_cpu().jobs_executed(), 1u);
+}
+
 TEST(IbTransport, GapTriggersNakAndGoBackNRecovers) {
   // Drop the second request from node 0; the third arriving out of order
   // NAKs the gap and go-back-N replays the window. Every message must
@@ -61,8 +76,8 @@ TEST(IbTransport, GapTriggersNakAndGoBackNRecovers) {
   Harness h(2);
   h.faults().install(nth_fault(net::FaultAction::kDrop, 2, /*src=*/0));
   std::vector<std::int64_t> got;
-  h.node(1).set_receive_handler(
-      [&](int, std::uint32_t, std::int64_t value) { got.push_back(value); });
+  h.node(1).inbox().set_receive_handler(
+      [&](const coll::HostMsg& m) { got.push_back(m.value); });
   for (std::int64_t v = 1; v <= 4; ++v) h.node(0).post(1, 8, 0, v);
   h.engine.run();
   EXPECT_EQ(got, (std::vector<std::int64_t>{1, 2, 3, 4}));
@@ -78,7 +93,7 @@ TEST(IbTransport, DuplicateDeliveryIsSuppressed) {
   Harness h(2);
   h.faults().install(nth_fault(net::FaultAction::kDuplicate, 1, /*src=*/0));
   int received = 0;
-  h.node(1).set_receive_handler([&](int, std::uint32_t, std::int64_t) { ++received; });
+  h.node(1).inbox().set_receive_handler([&](const coll::HostMsg&) { ++received; });
   h.node(0).post(1, 8, 0, 5);
   h.engine.run();
   EXPECT_EQ(received, 1);
@@ -91,7 +106,7 @@ TEST(IbTransport, TailLossIsRecoveredByRtoAlone) {
   Harness h(2);
   h.faults().install(nth_fault(net::FaultAction::kDrop, 1, /*src=*/0));
   int received = 0;
-  h.node(1).set_receive_handler([&](int, std::uint32_t, std::int64_t) { ++received; });
+  h.node(1).inbox().set_receive_handler([&](const coll::HostMsg&) { ++received; });
   h.node(0).post(1, 8, 0, 42);
   h.engine.run();
   EXPECT_EQ(received, 1);
@@ -105,7 +120,7 @@ TEST(IbTransport, CorruptedPacketDiscardedAtIcrcThenRetransmitted) {
   Harness h(2);
   h.faults().install(nth_fault(net::FaultAction::kCorrupt, 1, /*src=*/0));
   std::int64_t got = -1;
-  h.node(1).set_receive_handler([&](int, std::uint32_t, std::int64_t value) { got = value; });
+  h.node(1).inbox().set_receive_handler([&](const coll::HostMsg& m) { got = m.value; });
   h.node(0).post(1, 8, 0, 7);
   h.engine.run();
   EXPECT_EQ(got, 7);

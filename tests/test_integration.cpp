@@ -102,7 +102,7 @@ TEST(Concurrency, BarrierCorrectUnderCompetingTraffic) {
 
   int received = 0;
   c.node(5).port().provide_receive_buffers(64);
-  c.node(5).port().set_receive_handler([&](const myri::RecvEvent&) { ++received; });
+  c.node(5).port().inbox().set_receive_handler([&](const myri::RecvEvent&) { ++received; });
   for (int i = 0; i < 20; ++i) {
     c.node(4).port().send(5, 4096, static_cast<std::uint32_t>(i));
   }
@@ -120,7 +120,7 @@ TEST(Concurrency, CompetingTrafficSlowsTheBarrier) {
     auto b = make_collective(c, {});
     if (with_traffic) {
       c.node(5).port().provide_receive_buffers(512);
-      c.node(5).port().set_receive_handler([](const myri::RecvEvent&) {});
+      c.node(5).port().inbox().set_receive_handler([](const myri::RecvEvent&) {});
       for (int i = 0; i < 400; ++i) {
         c.node(4).port().send(5, 4096, static_cast<std::uint32_t>(i));
       }

@@ -188,7 +188,7 @@ TEST(Mcp, NicSendBypassesHostAndFeedsConsumer) {
   ASSERT_EQ(consumed.size(), 1u);
   EXPECT_EQ(consumed[0].src_node, 0);
   EXPECT_EQ(consumed[0].tag, 0x77u);
-  EXPECT_EQ(consumed[0].inline_value, 1234);
+  EXPECT_EQ(consumed[0].value, 1234);
   // NIC-sourced messages never touch the host DMA path.
   EXPECT_EQ(h.node(1).pci().dmas(), 0u);
   // But they are still ACKed: the direct scheme keeps p2p reliability.

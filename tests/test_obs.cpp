@@ -358,25 +358,32 @@ TEST(ChromeTrace, FlowPhasesEmitPairedStartFinishRecords) {
 }
 
 TEST(ChromeTrace, TracedBarrierPairsEveryCollSendByFlowId) {
-  // Acceptance: on every substrate, a traced 16-node dissemination barrier
-  // exports a document where every NIC-level trigger's flow id has exactly
-  // one flow start and one flow finish (lossless run), i.e. every protocol
-  // trigger is tied to a complete fabric hop, and every rank's group engine
-  // records each operation's enter and completion under its substrate's
-  // names.
+  // Acceptance: on every substrate's NIC engines, a traced 16-node
+  // dissemination barrier exports a document where every NIC-level
+  // trigger's flow id has exactly one flow start and one flow finish
+  // (lossless run), i.e. every protocol trigger is tied to a complete
+  // fabric hop, and every rank's group engine records each operation's
+  // enter and completion under its engine's names.
   struct Substrate {
     run::Network network;
+    run::Impl impl;
     std::string trigger, enter, complete;
   };
   for (const Substrate& sub :
-       {Substrate{run::Network::kMyrinetXP, "coll_send", "coll_enter", "coll_complete"},
-        Substrate{run::Network::kQuadrics, "rdma_trigger", "barrier_enter", "barrier_complete"},
-        Substrate{run::Network::kInfiniBand, "coll_send", "op_enter", "op_complete"}}) {
-    SCOPED_TRACE(std::string(run::to_string(sub.network)));
+       {Substrate{run::Network::kMyrinetXP, run::Impl::kNic, "coll_send", "coll_enter",
+                  "coll_complete"},
+        Substrate{run::Network::kMyrinetXP, run::Impl::kDirect, "mcp_send", "direct_enter",
+                  "direct_complete"},
+        Substrate{run::Network::kQuadrics, run::Impl::kNic, "rdma_trigger", "barrier_enter",
+                  "barrier_complete"},
+        Substrate{run::Network::kInfiniBand, run::Impl::kNic, "coll_send", "op_enter",
+                  "op_complete"}}) {
+    SCOPED_TRACE(std::string(run::to_string(sub.network)) + "/" +
+                 std::string(run::to_string(sub.impl)));
     run::ExperimentSpec s;
     s.network = sub.network;
     s.nodes = 16;
-    s.impl = run::Impl::kNic;
+    s.impl = sub.impl;
     s.algorithm = coll::Algorithm::kDissemination;
     s.iters = 3;
     s.warmup = 1;

@@ -20,9 +20,9 @@ TEST(ElanPut, TaggedPutReachesRemoteHost) {
   ElanCluster cluster(engine, elan::elan3_cluster(), 4);
   int got_src = -1;
   std::uint32_t got_tag = 0;
-  cluster.node(2).set_receive_handler([&](int src, std::uint32_t tag, std::int64_t) {
-    got_src = src;
-    got_tag = tag;
+  cluster.node(2).inbox().set_receive_handler([&](const coll::HostMsg& m) {
+    got_src = m.src_node;
+    got_tag = m.tag;
   });
   cluster.node(0).put(2, 8, 77);
   engine.run();
@@ -34,7 +34,7 @@ TEST(ElanPut, LatencyIsMicrosecondScale) {
   Engine engine;
   ElanCluster cluster(engine, elan::elan3_cluster(), 8);
   SimTime received;
-  cluster.node(7).set_receive_handler([&](int, std::uint32_t, std::int64_t) { received = engine.now(); });
+  cluster.node(7).inbox().set_receive_handler([&](const coll::HostMsg&) { received = engine.now(); });
   cluster.node(0).put(7, 8, 1);
   engine.run();
   // QsNet/Elan3 small put+event one-way was ~2-5us.
