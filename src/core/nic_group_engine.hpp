@@ -11,6 +11,14 @@
 // before step 0 that NACKs each missing wait of the current step, and the
 // resend of a NACKed edge from the value it carried when first sent.
 //
+// The NACK timer runs one of two rules. A fixed-period timer (Myrinet)
+// NACKs every nack_timeout() from the operation's start. A silence timer
+// (IB) NACKs only once nack_timeout() has passed with no accepted arrival
+// for the operation; each round that NACKs doubles the wait, up to
+// kMaxNackBackoff times the base, and the next accepted arrival resets it
+// to the base. A slow star root then keeps its leaves to a few NACKs per
+// operation instead of one per period.
+//
 // The `Nic` type supplies only its costs and its wire, as members the
 // engine calls directly (no std::function or virtual call per edge):
 //   kGroupTrace                  trace names for enter, complete, NACK rx
@@ -20,11 +28,13 @@
 //   send_edge(g, seq, e, dst_node, payload_bytes, value, retransmit)
 //   charge_complete(desc, c)     result delivery to the host, then c
 // and, when kNackOnWire:
+//   kNackOnSilence               silence timer with backoff, else fixed period
 //   nack_recovery(desc)          whether this group arms the NACK timer
 //   nack_timeout(), send_nack(desc, seq, tag, peer_node)
 //   skip_retransmit(desc)        the fuzzer's planted recovery bug
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -96,7 +106,14 @@ class NicGroupEngine {
     /// the executor's sent bit is set, and kept only where the wire carries
     /// NACKs.
     std::vector<std::int64_t> sent_values;
+    /// Silence timer only: the last accepted arrival (or the start, or the
+    /// last NACK round), and the silence that must follow it before the
+    /// next NACK round.
+    sim::SimTime quiet_since;
+    sim::SimDuration nack_wait;
   };
+  /// Cap on a silence timer's backed-off wait, in multiples of the base.
+  static constexpr std::int64_t kMaxNackBackoff = 64;
   using Window = GroupWindow<SlotState>;
   using Slot = typename Window::Slot;
   struct Group {
@@ -182,7 +199,11 @@ class NicGroupEngine {
   /// counts what became of it.
   void arrive(Group& g, std::uint32_t seq, int peer, std::uint32_t tag, std::int64_t value) {
     switch (g.window->on_arrival(seq, peer, tag, value)) {
-      case Arrival::kAccepted: break;
+      case Arrival::kAccepted:
+        if constexpr (Nic::kNackOnWire) {
+          if constexpr (Nic::kNackOnSilence) heard(g, seq);
+        }
+        break;
       case Arrival::kDuplicate: ++counters_.duplicates; break;
       case Arrival::kEarly: ++counters_.early_buffered; break;
       case Arrival::kStale: ++counters_.stale_dropped; break;
@@ -222,7 +243,9 @@ class NicGroupEngine {
   void pre_start(Group& g, Slot& op) {
     if constexpr (Nic::kNackOnWire) {
       op.state.sent_values.resize(g.window->schedule().edge_count());
-      if (nic_.nack_recovery(g.desc)) arm_nack_timer(g, op);
+      op.state.quiet_since = nic_.engine().now();
+      op.state.nack_wait = nic_.nack_timeout();
+      if (nic_.nack_recovery(g.desc)) arm_nack_timer(g, op, op.state.nack_wait);
     }
     nic_.trace(Nic::kGroupTrace.enter, g.desc.group_id, op.seq);
   }
@@ -236,18 +259,54 @@ class NicGroupEngine {
     nic_.charge_complete(g.desc, std::move(c));
   }
 
-  void arm_nack_timer(Group& g, Slot& op) {
+  void arm_nack_timer(Group& g, Slot& op, sim::SimDuration after) {
     Group* gp = &g;
     Slot* opp = &op;
     const std::uint32_t armed_seq = op.seq;
-    op.state.nack_timer = nic_.engine().schedule(nic_.nack_timeout(), [this, gp, opp, armed_seq] {
+    op.state.nack_timer = nic_.engine().schedule(after, [this, gp, opp, armed_seq] {
       if (!opp->in_use || opp->seq != armed_seq || opp->complete || !opp->active) return;
-      for (const Edge& miss : opp->exec->missing_current_waits()) {
-        nic_.send_nack(gp->desc, armed_seq, miss.tag,
-                       gp->desc.rank_to_node->at(static_cast<std::size_t>(miss.peer)));
-      }
-      arm_nack_timer(*gp, *opp);
+      nack_timer_fired(*gp, *opp);
     });
+  }
+
+  void nack_timer_fired(Group& g, Slot& op) {
+    if constexpr (Nic::kNackOnSilence) {
+      SlotState& st = op.state;
+      const sim::SimTime now = nic_.engine().now();
+      if (const sim::SimTime due = st.quiet_since + st.nack_wait; now < due) {
+        arm_nack_timer(g, op, due - now);  // heard from since the timer was armed
+        return;
+      }
+      nack_missing(g, op);
+      st.quiet_since = now;
+      st.nack_wait = std::min(st.nack_wait * 2, nic_.nack_timeout() * kMaxNackBackoff);
+      arm_nack_timer(g, op, st.nack_wait);
+    } else {
+      nack_missing(g, op);
+      arm_nack_timer(g, op, nic_.nack_timeout());
+    }
+  }
+
+  void nack_missing(Group& g, Slot& op) {
+    for (const Edge& miss : op.exec->missing_current_waits()) {
+      nic_.send_nack(g.desc, op.seq, miss.tag,
+                     g.desc.rank_to_node->at(static_cast<std::size_t>(miss.peer)));
+    }
+  }
+
+  /// Silence timer: an accepted arrival for operation `seq` ends the
+  /// silence. A pending fire at the base wait re-checks on its own; a
+  /// backed-off wait (only a fired timer backs off) is cut short to the
+  /// base.
+  void heard(Group& g, std::uint32_t seq) {
+    Slot* op = g.window->find(seq);
+    if (op == nullptr || op->complete) return;
+    SlotState& st = op->state;
+    st.quiet_since = nic_.engine().now();
+    if (st.nack_wait == nic_.nack_timeout()) return;
+    st.nack_wait = nic_.nack_timeout();
+    nic_.engine().cancel(st.nack_timer);
+    arm_nack_timer(g, *op, st.nack_wait);
   }
 
   Nic& nic_;

@@ -26,9 +26,10 @@ struct FuzzOptions {
   int max_iters = 10;          // derived specs use 1..max_iters timed iters
   std::int64_t horizon_ms = 10'000;  // simulated-time watchdog per case
   /// Plants the deliberate skip-retransmission bug (CollFeatures::
-  /// debug_skip_retransmit) into every derived Myrinet NIC-engine case.
-  /// Lossy cases then hang at the horizon and the invariants must catch
-  /// them — the fuzzer's own end-to-end self-check.
+  /// debug_skip_retransmit) into every derived NIC-engine case on a
+  /// loss-capable substrate (Myrinet and IB). Lossy cases then hang at the
+  /// horizon and the invariants must catch them — the fuzzer's own
+  /// end-to-end self-check.
   bool inject_bug = false;
   /// PDES worker threads for every derived case (default 1 = sequential).
   /// The conservative engine is bit-deterministic, so verdicts, repro

@@ -37,7 +37,7 @@ struct Violation {
 ///  - drop-accounting:      fabric.packets_dropped == fault.dropped
 ///  - crc-accounting:       nic.crc_dropped == fault.corrupted
 ///  - ops-counter-algebra:  coll.ops_completed == nodes * (warmup + iters)
-///                          (Myrinet NIC collective engine only)
+///                          (coll.* on Myrinet, ib.* on IB NIC engines)
 [[nodiscard]] std::vector<Violation> check_invariants(const run::RunResult& r);
 
 /// "invariant: detail; invariant: detail" for logs and artifacts.

@@ -5,9 +5,10 @@
 // Support", same lineage; see PAPERS.md).
 //
 // Unlike QsNet, the IB wire is NOT assumed reliable end-to-end at the layer
-// we model: the RC transport recovers losses itself with per-QP packet
-// sequence numbers, cumulative ACKs, NAK-on-gap, and a go-back-N
-// retransmission timer. That machinery is what lets the fault injector's
+// we model. Host messages recover losses on the RC transport, with per-QP
+// packet sequence numbers, cumulative ACKs, NAK-on-gap, and a go-back-N
+// retransmission timer; collective writes go unacknowledged and recover by
+// receiver-driven NACK. That machinery is what lets the fault injector's
 // drop/corrupt/duplicate/reorder rules run against this substrate, which
 // neither Quadrics model supports.
 #pragma once
@@ -31,10 +32,12 @@ struct IbConfig {
   sim::SimDuration cq_dma = sim::nanoseconds(300);       // CQE (immediate data) DMA to host memory
   sim::SimDuration ack_process = sim::nanoseconds(100);  // ACK/NAK generation or retirement
 
-  // --- RC reliability ---
-  /// Go-back-N retransmission timeout. Far above the unloaded RTT so a
-  /// timer fire means real loss, not congestion; NAK-on-gap recovers the
-  /// common case much sooner.
+  // --- reliability ---
+  /// Go-back-N retransmission timeout, doubled on each consecutive expiry.
+  /// Far above the unloaded RTT so a timer fire means real loss, not
+  /// congestion; NAK-on-gap recovers the common case much sooner. It is
+  /// also the base of the collective NACK timer: the same "silence means
+  /// loss" bound, applied by the receiver.
   sim::SimDuration rto = sim::microseconds(50);
 
   // --- fabric ---

@@ -3,13 +3,20 @@
 // serialized Resource) — the verbs twin of the Elan3 NIC in
 // src/quadrics/nic.hpp.
 //
-// The transport is the part neither existing substrate has: one RC queue
-// pair per (src, dst) direction with packet sequence numbers, cumulative
-// ACKs, NAK-on-gap, and go-back-N retransmission on a timer. The paper's
-// four protocol simplifications (dedicated per-group queue, static
-// buffering, bounded retransmission state, NIC-resident progress) are
-// exercised here on a fabric where loss, duplication and reordering are
-// all recoverable — the generalization claim of Sec. 9.
+// Host-level messages ride the RC transport: one queue pair per (src, dst)
+// direction with packet sequence numbers, cumulative ACKs, NAK-on-gap, and
+// go-back-N retransmission on a timer that doubles on each consecutive
+// expiry and gives up, naming both nodes, after IB's retry_cnt of 7.
+//
+// Collective traffic drops the ACKs, the paper's fourth simplification:
+// each schedule edge is one unacknowledged, UC-style write into the
+// group's static slot (no PSN, no per-packet record, no RTO), and a lost
+// write is recovered by the group engine's receiver-driven NACK, on a
+// silence timer whose base is the RTO. All four protocol simplifications
+// (dedicated per-group queue, static buffering, bounded retransmission
+// state, NIC-resident progress) are thereby exercised on a fabric where
+// loss, duplication and reordering are all recoverable — the
+// generalization claim of Sec. 9.
 #pragma once
 
 #include <cstdint>
@@ -31,30 +38,40 @@ namespace qmb::ib {
 /// Handles into the engine's MetricRegistry, registered per HCA under
 /// "ib.*" names; RunResult folds ib.naks_sent / ib.retransmissions into
 /// the legacy nacks / retransmissions fingerprint counters and the fuzzer
-/// checks ib.ops_completed algebra.
+/// checks ib.ops_completed algebra. The RC transport and the collective
+/// path share the counters: `duplicates` counts both RC duplicates and
+/// collective writes that arrived twice. The engine's stale and
+/// NACK-received counts stay unregistered, since naks_sent and
+/// retransmissions already show recovery and each registration is paid
+/// per HCA at cluster build.
 struct HcaStats : coll::GroupCounters {
-  obs::Counter writes_posted;
+  obs::Counter writes_posted;    // RC posts and first sends of collective writes
   obs::Counter acks_sent;
-  obs::Counter naks_sent;
-  obs::Counter retransmissions;
+  obs::Counter naks_sent;        // RC NAKs and collective NACKs
+  obs::Counter retransmissions;  // go-back-N replays and NACKed collective resends
   obs::Counter rto_fires;
-  obs::Counter duplicates_dropped;
   obs::Counter crc_dropped;  // inbound CRC discards (fault-injected corruption)
 };
 
 class Hca {
  public:
-  /// `skip_retransmit` disables NAK handling and the RTO timer — the
-  /// planted-bug hook (spec.features.debug_skip_retransmit) the fuzzer
-  /// uses to prove its invariants can catch a broken recovery path.
+  /// `skip_retransmit` disables NAK handling, the RTO timer and the resend
+  /// of NACKed collective writes — the planted-bug hook
+  /// (spec.features.debug_skip_retransmit) the fuzzer uses to prove its
+  /// invariants can catch a broken recovery path.
   Hca(sim::Engine& engine, net::Fabric& fabric, const IbConfig& config, int node_index,
       sim::Tracer* tracer, bool skip_retransmit = false);
+
+  /// IB's retry_cnt: RTO expiries a QP answers with a replay before the
+  /// next one, still without ACK progress, fails the run.
+  static constexpr int kRetryCount = 7;
 
   // --- RC transport verbs ---
 
   /// Posts one RC request towards `dst_node` (called at HCA time,
   /// post-doorbell): stamps the QP's next PSN, records the packet for
-  /// go-back-N, injects it, and arms the retransmission timer.
+  /// go-back-N, injects it, and arms the retransmission timer. Throws
+  /// std::runtime_error, from the timer, once the retry count is spent.
   void post_write(int dst_node, IbWrite body, std::uint32_t payload_bytes);
 
   /// Handler for write-with-immediate requests whose immediate data is a
@@ -68,7 +85,8 @@ class Hca {
   using Groups = coll::NicGroupEngine<Hca>;
   /// The collective groups: each rank's schedule walks entirely on the HCA,
   /// advanced by arriving write-with-immediate events; an operation's
-  /// operand rides the immediate data of the group's RDMA writes.
+  /// operand rides the immediate data of the group's unacknowledged RDMA
+  /// writes.
   [[nodiscard]] Groups& groups() { return groups_; }
 
   [[nodiscard]] net::NicAddr addr() const { return addr_; }
@@ -119,6 +137,7 @@ class Hca {
     SendQueue unacked;  // PSN order; front is the oldest
     sim::EventId rto_timer;
     bool timer_armed = false;
+    int retries = 0;  // consecutive RTO expiries since the last ACK progress
   };
   struct RecvQp {
     std::uint32_t expected_psn = 0;
@@ -132,11 +151,13 @@ class Hca {
 
   friend Groups;
 
-  // --- coll::NicGroupEngine hooks: RC writes with immediate data; no NACK
-  // on the wire (the RC transport recovers losses below the engine) ---
-  static constexpr coll::GroupTraceNames kGroupTrace{.enter = "op_enter",
-                                                     .complete = "op_complete"};
-  static constexpr bool kNackOnWire = false;
+  // --- coll::NicGroupEngine hooks: unacknowledged writes with immediate
+  // data, recovered by receiver-driven NACK on a silence timer whose base
+  // is the RC RTO ---
+  static constexpr coll::GroupTraceNames kGroupTrace{
+      .enter = "op_enter", .complete = "op_complete", .nack_rx = "coll_nack_rx"};
+  static constexpr bool kNackOnWire = true;
+  static constexpr bool kNackOnSilence = true;
   void charge_enter(const coll::GroupDesc&, sim::EventCallback&& start) {
     // The doorbell dispatch shares the WQE-processing unit charge.
     unit_.exec(config_->qp_process, std::move(start));
@@ -147,10 +168,13 @@ class Hca {
     // The completion CQE (immediate data + result) DMAs to host memory.
     unit_.exec(config_->cq_dma, std::move(c));
   }
+  static bool nack_recovery(const coll::GroupDesc&) { return true; }
+  [[nodiscard]] bool skip_retransmit(const coll::GroupDesc&) const { return skip_retransmit_; }
+  [[nodiscard]] sim::SimDuration nack_timeout() const { return config_->rto; }
+  void send_nack(const coll::GroupDesc& d, std::uint32_t seq, std::uint32_t tag, int peer_node);
 
   void on_packet(net::Packet&& p);
   void accept_request(int src_node, const IbWrite& w);
-  void deliver_request(const IbWrite& w);
   void send_ack(int dst_node, std::uint32_t psn, bool nak);
   void handle_ack(int peer, const IbAck& a);
   // `slot` is the peer's entry in peers_, so timers skip the lookup.

@@ -92,6 +92,8 @@ class CollectiveEngine {
   static constexpr coll::GroupTraceNames kGroupTrace{
       .enter = "coll_enter", .complete = "coll_complete", .nack_rx = "coll_nack_rx"};
   static constexpr bool kNackOnWire = true;
+  // NACK every nack_timeout from the operation's start (the paper's rule).
+  static constexpr bool kNackOnSilence = false;
   sim::Engine& engine() { return nic_.engine(); }
   void trace(std::string_view event, std::int64_t a, std::int64_t b, std::int64_t flow = 0) {
     nic_.trace(event, a, b, flow);

@@ -88,11 +88,12 @@ class SubstrateCluster {
     return make_collective(spec, std::move(placement));
   }
 
-  /// Prepares every node for background point-to-point flood traffic
-  /// (e.g. the Myrinet adapter provisions and replenishes receive buffers
-  /// so plain-tagged messages never trigger NACK storms). Called once
-  /// before any flood_send; a no-op where receives need no resources.
-  virtual void flood_prepare() {}
+  /// Prepares every node for background point-to-point flood traffic:
+  /// each node's host inbox listens, so every flood message costs its
+  /// receiving host one poll whatever the --impl (the Myrinet adapter also
+  /// provisions and replenishes receive buffers so plain-tagged messages
+  /// never trigger NACK storms). Called once before any flood_send.
+  virtual void flood_prepare() = 0;
   /// One background point-to-point message src -> dst with an application
   /// tag (no BarrierTag base bit), riding the substrate's ordinary host
   /// send path — the open-loop generator's flood/p2p_rand traffic.

@@ -21,8 +21,16 @@ class IbSubstrateCluster final : public SubstrateCluster {
     return core::make_collective(cluster_, coll_spec_of(s, std::move(placement)));
   }
 
-  // RC write-with-immediate needs no receive provisioning; flood traffic is
-  // an ordinary tagged post whose CQE the remote host consumes and ignores.
+  // RC write-with-immediate needs no receive provisioning, but the remote
+  // host still polls each flood message's CQE off its completion queue:
+  // every inbox listens, with a handler that drops the message.
+  void flood_prepare() override {
+    for (int i = 0; i < cluster_.size(); ++i) {
+      cluster_.node(i).inbox().set_receive_handler([](const coll::HostMsg&) {});
+    }
+  }
+
+  // Flood traffic is an ordinary tagged post.
   void flood_send(int src, int dst, std::uint32_t bytes, std::uint32_t tag) override {
     cluster_.node(src).post(dst, bytes, tag);
   }

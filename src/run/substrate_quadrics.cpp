@@ -28,7 +28,15 @@ class QuadricsCluster final : public SubstrateCluster {
     return core::make_collective(cluster_, coll_spec_of(s, std::move(placement)));
   }
 
-  // elan_put fires a remote event; no receive-side resources to provision.
+  // elan_put fires a remote event and needs no receive-side resources, but
+  // the remote host still polls each flood message's event word: every
+  // inbox listens, with a handler that drops the message.
+  void flood_prepare() override {
+    for (int i = 0; i < cluster_.size(); ++i) {
+      cluster_.node(i).inbox().set_receive_handler([](const coll::HostMsg&) {});
+    }
+  }
+
   void flood_send(int src, int dst, std::uint32_t bytes, std::uint32_t tag) override {
     cluster_.node(src).put(dst, bytes, tag);
   }

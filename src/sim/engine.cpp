@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <exception>
 #include <optional>
 #include <thread>
+#include <utility>
 
 namespace qmb::sim {
 
@@ -145,12 +147,17 @@ void Engine::drain_shard(Shard& s, SimTime end) {
   // event is scoped to its iteration, so its captures die before the next
   // one fires.
   const SimTime last = end - picoseconds(1);
-  while (std::optional<EventQueue::Fired> f = s.queue.pop_due(last)) {
-    s.now = f->at;
-    s.cur_path = f->path;
-    s.cur_lineage = f->lineage;
-    ++s.fired;
-    f->cb();
+  try {
+    while (std::optional<EventQueue::Fired> f = s.queue.pop_due(last)) {
+      s.now = f->at;
+      s.cur_path = f->path;
+      s.cur_lineage = f->lineage;
+      ++s.fired;
+      f->cb();
+    }
+  } catch (...) {
+    // Never let it escape a worker thread: that would terminate the process.
+    s.error = std::current_exception();
   }
   s.cur_path = SchedPath{};
   s.cur_lineage = 0;
@@ -180,6 +187,21 @@ std::uint64_t Engine::run_windows(SimTime deadline, bool bounded) {
   };
 
   std::vector<std::thread> pool;
+  // Joins the pool on every way out, a throwing window hook included.
+  struct PoolGuard {
+    std::vector<std::thread>& pool;
+    std::atomic<std::uint64_t>& epoch;
+    std::atomic<bool>& stop;
+    void join() {
+      if (pool.empty()) return;
+      stop.store(true, std::memory_order_release);
+      epoch.fetch_add(1, std::memory_order_release);
+      epoch.notify_all();
+      for (auto& t : pool) t.join();
+      pool.clear();
+    }
+    ~PoolGuard() { join(); }
+  } guard{pool, epoch, stop};
   pool.reserve(static_cast<std::size_t>(std::max(0, nworkers)));
   for (int w = 0; w < nworkers; ++w) {
     pool.emplace_back([&, my_epoch = std::uint64_t{0}]() mutable {
@@ -219,21 +241,22 @@ std::uint64_t Engine::run_windows(SimTime deadline, bool bounded) {
 
     ++windows_;
     window_floor_ = window_end;
+    if (std::any_of(shards_.begin(), shards_.end(), [](const auto& s) { return s->error; })) {
+      break;
+    }
     if (window_hook_) window_hook_();
   }
-
-  if (!pool.empty()) {
-    stop.store(true, std::memory_order_release);
-    epoch.fetch_add(1, std::memory_order_release);
-    epoch.notify_all();
-    for (auto& t : pool) t.join();
-  }
+  guard.join();
 
   // Mirror the sequential clock semantics: the engine clock ends at the last
   // fired event (run_until then clamps it up to the deadline in the caller).
   SimTime maxnow = now_;
   for (const auto& s : shards_) maxnow = std::max(maxnow, s->now);
   now_ = maxnow;
+  // The lowest domain's exception, whichever thread ran it.
+  for (const auto& s : shards_) {
+    if (s->error) std::rethrow_exception(std::exchange(s->error, nullptr));
+  }
   return events_fired() - fired_before;
 }
 

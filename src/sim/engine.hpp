@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -188,6 +189,9 @@ class Engine {
     // chain's anchor and near ancestry traceable.
     SchedPath cur_path;
     std::uint64_t cur_lineage = 0;
+    // What a callback threw; it ends this shard's window, and run_windows
+    // rethrows it once the window is over and the pool joined.
+    std::exception_ptr error;
   };
 
   [[nodiscard]] Shard& current_shard() {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "move_counter.hpp"
@@ -248,6 +250,40 @@ TEST(Engine, ShardedScheduleMovesCallbackOnceInOnceOut) {
               e.schedule_at_on(1, SimTime(3'000'000), std::move(fn));
             }),
             3);
+}
+
+TEST(Engine, CallbackExceptionReachesCallerWithWorkerThreads) {
+  // A throwing callback ends its domain's window; the other domains finish
+  // theirs, the pool is joined, and run() rethrows the lowest domain's
+  // exception, whichever thread ran it. No later window opens.
+  const auto thrown = [](Engine& e) -> std::string {
+    try {
+      e.run();
+    } catch (const std::runtime_error& err) {
+      return err.what();
+    }
+    return "nothing";
+  };
+  for (const int threads : {1, 2}) {
+    Engine e;
+    e.enable_domains(2, 5_us);
+    e.set_threads(threads);
+    bool window_finished = false;
+    bool next_window = false;
+    e.schedule_at_on(1, SimTime(1'000'000), [] { throw std::runtime_error("domain 1"); });
+    e.schedule_at_on(0, SimTime(3'000'000), [&] { window_finished = true; });
+    e.schedule_at_on(0, SimTime(20'000'000), [&] { next_window = true; });
+    EXPECT_EQ(thrown(e), "domain 1") << threads << " threads";
+    EXPECT_TRUE(window_finished);
+    EXPECT_FALSE(next_window);
+
+    Engine both;
+    both.enable_domains(2, 5_us);
+    both.set_threads(threads);
+    both.schedule_at_on(1, SimTime(1'000'000), [] { throw std::runtime_error("domain 1"); });
+    both.schedule_at_on(0, SimTime(2'000'000), [] { throw std::runtime_error("domain 0"); });
+    EXPECT_EQ(thrown(both), "domain 0") << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Unit tests of the IB verbs substrate: RC transport recovery (NAK
-// retransmit, RTO on tail loss, ICRC discard of corrupted packets), the
-// NIC-resident collective window, and the barrier's log-scaling latency
-// curve.
+// retransmit, RTO on tail loss with backoff and a retry limit, ICRC discard
+// of corrupted packets), the unacknowledged collective path and its NACK
+// recovery, the NIC-resident collective window, and the barrier's
+// log-scaling latency curve.
 #include "ib/hca.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -97,7 +99,7 @@ TEST(IbTransport, DuplicateDeliveryIsSuppressed) {
   h.node(0).post(1, 8, 0, 5);
   h.engine.run();
   EXPECT_EQ(received, 1);
-  EXPECT_GE(h.node(1).hca().stats().duplicates_dropped.value(), 1u);
+  EXPECT_GE(h.node(1).hca().stats().duplicates.value(), 1u);
 }
 
 TEST(IbTransport, TailLossIsRecoveredByRtoAlone) {
@@ -114,6 +116,36 @@ TEST(IbTransport, TailLossIsRecoveredByRtoAlone) {
   EXPECT_GE(tx.rto_fires.value(), 1u);
   EXPECT_GE(tx.retransmissions.value(), 1u);
   EXPECT_EQ(h.node(1).hca().stats().naks_sent.value(), 0u);
+}
+
+TEST(IbTransport, RtoBacksOffAndRetryLimitNamesBothNodes) {
+  // Every request from node 0 to node 1 is lost. The RTO doubles on each
+  // consecutive expiry (50, 100, ... 6400 us), and once retry_cnt replays
+  // went unanswered the next expiry ends the run with an error naming the
+  // QP's two nodes, well before the horizon.
+  Harness h(2);
+  net::FaultSpec blackhole;
+  blackhole.action = net::FaultAction::kDrop;
+  blackhole.src = 0;
+  blackhole.dst = 1;
+  blackhole.until_ps = sim::milliseconds(100).picos();
+  h.faults().install(blackhole);
+  h.node(0).post(1, 8, 0, 1);
+  std::string error;
+  try {
+    h.engine.run_until(sim::SimTime::zero() + sim::milliseconds(100));
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(error, "ib: retry count exceeded on QP 0 -> 1");
+  const HcaStats& tx = h.node(0).hca().stats();
+  EXPECT_EQ(tx.rto_fires.value(), static_cast<std::uint64_t>(Hca::kRetryCount + 1));
+  EXPECT_EQ(tx.retransmissions.value(), static_cast<std::uint64_t>(Hca::kRetryCount));
+  // Eight expiries at 1 + 2 + ... + 128 base RTOs, plus one replay's WQE
+  // fetch before each re-arm; a fixed RTO would have given up after 8.
+  const sim::SimDuration rto = h.cluster.config().rto;
+  EXPECT_GE(h.engine.now() - sim::SimTime::zero(), 255 * rto);
+  EXPECT_LT(h.engine.now() - sim::SimTime::zero(), 256 * rto);
 }
 
 TEST(IbTransport, CorruptedPacketDiscardedAtIcrcThenRetransmitted) {
@@ -139,6 +171,56 @@ TEST(IbCollective, WindowOverrunThrows) {
   barrier->enter(0, 0, [](std::int64_t) {});
   barrier->enter(0, 0, [](std::int64_t) {});
   EXPECT_THROW(h.engine.run(), std::logic_error);
+}
+
+TEST(IbCollective, BarrierSendsOnePacketPerScheduleEdge) {
+  // The paper's fourth simplification on verbs: collective writes are never
+  // ACKed, so an 8-node dissemination barrier (3 rounds, one write per rank
+  // per round) puts 24 packets on the wire per operation. The only timers
+  // ever cancelled are the NACK timers, one per rank per operation: no RC
+  // retransmission timer was armed.
+  Harness h(8);
+  auto barrier = core::make_collective(h.cluster, {});
+  core::run_consecutive(h.engine, *barrier, {.warmup = 0, .iters = 10});
+  const obs::MetricRegistry& reg = h.engine.metrics();
+  EXPECT_EQ(reg.total("fabric.packets_sent"), 240u);
+  EXPECT_EQ(reg.total("ib.writes_posted"), 240u);
+  EXPECT_EQ(reg.total("ib.acks_sent"), 0u);
+  EXPECT_EQ(reg.total("ib.naks_sent"), 0u);
+  EXPECT_EQ(h.engine.events_scheduled() - h.engine.events_fired(), 8u * 10u);
+}
+
+TEST(IbCollective, DroppedEdgeIsRecoveredByNack) {
+  // One collective write is lost. No RC timer covers it: its receiver's
+  // NACK timer notices the silence and the sender resends the edge.
+  Harness h(8);
+  h.faults().install(nth_fault(net::FaultAction::kDrop, 30, /*src=*/-1));
+  auto barrier = core::make_collective(h.cluster, {});
+  core::run_consecutive(h.engine, *barrier, {.warmup = 0, .iters = 10});
+  const obs::MetricRegistry& reg = h.engine.metrics();
+  EXPECT_EQ(reg.total("fault.dropped"), 1u);
+  EXPECT_EQ(reg.total("ib.ops_completed"), 8u * 10u);
+  EXPECT_GE(reg.total("ib.naks_sent"), 1u);
+  EXPECT_GE(reg.total("ib.retransmissions"), 1u);
+  EXPECT_EQ(reg.total("ib.rto_fires"), 0u);
+}
+
+TEST(IbCollective, StarNacksBackOff) {
+  // A 160-rank star: the root serializes 159 arrivals and 159 releases, so
+  // leaves wait ~200 us for their release with nothing lost. The silence
+  // timer doubles after each NACK round, which keeps a leaf to a few NACKs
+  // per operation (a fixed 50 us period storms), and no RC timer exists to
+  // fire spuriously.
+  constexpr int kRanks = 160;
+  constexpr int kIters = 20;
+  Harness h(kRanks);
+  auto barrier =
+      core::make_collective(h.cluster, {.algorithm = coll::Algorithm::kRemoteAtomic});
+  core::run_consecutive(h.engine, *barrier, {.warmup = 0, .iters = kIters});
+  const obs::MetricRegistry& reg = h.engine.metrics();
+  EXPECT_EQ(reg.total("ib.ops_completed"), static_cast<std::uint64_t>(kRanks * kIters));
+  EXPECT_EQ(reg.total("ib.rto_fires"), 0u);
+  EXPECT_LE(reg.total("ib.naks_sent"), 4u * (kRanks - 1) * kIters);
 }
 
 TEST(IbBarrier, RerunIsBitIdentical) {

@@ -76,6 +76,31 @@ TEST(RunExperiment, IbBarrierImplsRun) {
   }
 }
 
+TEST(RunExperiment, FloodReceiveCostsTheHostOnePollUnderNicImpl) {
+  // Under --impl nic no collective makes a host listen, so flood_prepare
+  // must (Myrinet's also provisions GM receive buffers): every flood
+  // message then wakes its receiving host for one poll, one host event per
+  // message on top of the wire and NIC work.
+  constexpr int kMessages = 5;
+  for (const Network network : {Network::kQuadrics, Network::kInfiniBand}) {
+    const auto events = [network](bool prepare) {
+      sim::Engine engine;
+      auto cluster =
+          substrate_for(network).build_cluster(engine, quick_spec(network, 2), nullptr);
+      if (prepare) cluster->flood_prepare();
+      for (int i = 0; i < kMessages; ++i) {
+        engine.schedule(sim::microseconds(20 * i), [&cluster] {
+          cluster->flood_send(0, 1, 512, 7);
+        });
+      }
+      engine.run();
+      return engine.events_fired();
+    };
+    EXPECT_EQ(events(true) - events(false), static_cast<std::uint64_t>(kMessages))
+        << to_string(network);
+  }
+}
+
 TEST(RunExperiment, IbDropRecoveryIsDeterministic) {
   auto spec = quick_spec(Network::kInfiniBand, 8);
   spec.drop_prob = 0.05;

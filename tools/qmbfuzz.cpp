@@ -66,8 +66,8 @@ struct Options {
       "                      knob; cases the engine cannot shard fall back to\n"
       "                      the sequential engine automatically\n"
       "  --inject-bug        plant the deliberate skip-retransmission bug in\n"
-      "                      every Myrinet NIC case (fuzzer self-check: the\n"
-      "                      invariants must catch it)\n"
+      "                      every Myrinet and IB NIC case (fuzzer self-check:\n"
+      "                      the invariants must catch it)\n"
       "  --max-nodes N       cap derived cluster sizes (default 12)\n"
       "  --max-iters K       cap derived timed iterations (default 10)\n"
       "  --horizon-ms H      per-case simulated-time watchdog (default 10000)\n"
