@@ -234,22 +234,30 @@ std::vector<SuitePoint> build_points(bool quick) {
     }
   }
 
-  // Algorithm zoo tier: every barrier algorithm each substrate's
-  // capability model admits, on the schedule-driven NIC executor, so the
-  // Tinit/Ttrig scaling of the whole zoo is one keyed artifact. Plus a
-  // split-phase overlap sweep: the same dissemination barrier with each
-  // rank computing ov microseconds between notify() and wait(), showing
-  // how much of the synchronization cost hides behind compute.
+  // Algorithm zoo tier: every barrier algorithm on the schedule-driven
+  // NIC executor of each substrate, so the Tinit/Ttrig scaling of the whole
+  // zoo is one keyed artifact; on IB also the verbs central-counter star
+  // (gb at degree n-1, keyed by its radix). Plus a split-phase overlap
+  // sweep: the same dissemination barrier with each rank computing ov
+  // microseconds between notify() and wait(), showing how much of the
+  // synchronization cost hides behind compute.
   {
     const std::vector<int> algo_nodes = quick ? std::vector<int>{8, 64}
                                               : std::vector<int>{8, 64, 256};
     for (const Network net :
          {Network::kMyrinetXP, Network::kQuadrics, Network::kInfiniBand}) {
-      const run::SubstrateCaps& caps = run::substrate_for(net).caps();
-      for (const coll::Algorithm alg : caps.barrier_algorithms) {
+      for (const coll::Algorithm alg : run::caps_algorithms(coll::OpKind::kBarrier)) {
         for (const int n : algo_nodes) {
           run::ExperimentSpec s = bench::barrier_spec(net, n, Impl::kNic, alg);
           pts.push_back({key_for("algos", s), s});
+        }
+      }
+      if (net == Network::kInfiniBand) {
+        for (const int n : algo_nodes) {
+          run::ExperimentSpec s =
+              bench::barrier_spec(net, n, Impl::kNic, coll::Algorithm::kGatherBroadcast);
+          s.radix = n - 1;
+          pts.push_back({key_for("algos", s) + "/r" + std::to_string(s.radix), s});
         }
       }
       for (const int ov : {0, 4, 16}) {
@@ -294,10 +302,8 @@ std::vector<SuitePoint> build_points(bool quick) {
   // "which allreduce schedule wins at which scale" is one keyed artifact.
   for (const Network net :
        {Network::kMyrinetXP, Network::kQuadrics, Network::kInfiniBand}) {
-    const run::SubstrateCaps& caps = run::substrate_for(net).caps();
     for (const Impl impl : {Impl::kNic, Impl::kHost}) {
-      for (const coll::Algorithm alg :
-           run::caps_algorithms(caps, coll::OpKind::kAllreduce)) {
+      for (const coll::Algorithm alg : run::caps_algorithms(coll::OpKind::kAllreduce)) {
         for (const int n : {8, 64}) {
           run::ExperimentSpec s = bench::barrier_spec(net, n, impl, alg);
           s.op = coll::OpKind::kAllreduce;

@@ -17,7 +17,7 @@ using namespace qmb;
 namespace {
 
 void print_schedule(coll::Algorithm alg, int n) {
-  const auto g = coll::make_barrier_schedule(alg, n, alg == coll::Algorithm::kGatherBroadcast ? 2 : 2);
+  const auto g = coll::make_barrier_schedule(alg, n, 2);
   std::printf("\n%s, %d ranks (%d messages, %d steps):\n",
               std::string(coll::to_string(alg)).c_str(), n, g.total_messages(),
               g.max_steps());

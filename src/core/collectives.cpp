@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,16 +11,6 @@
 #include "core/group_window.hpp"
 
 namespace qmb::core {
-
-namespace {
-
-[[noreturn]] void throw_unsupported(coll::OpKind kind, coll::Algorithm algorithm) {
-  throw std::invalid_argument(std::string(coll::to_string(kind)) +
-                              " has no value-correct schedule for algorithm " +
-                              std::string(coll::to_string(algorithm)));
-}
-
-}  // namespace
 
 std::int64_t expected_collective_result(coll::OpKind kind, int n) {
   switch (kind) {
@@ -41,88 +30,6 @@ std::int64_t expected_collective_result(coll::OpKind kind, int n) {
     }
   }
   return 0;
-}
-
-const std::vector<coll::Algorithm>& collective_algorithms_for(coll::OpKind kind) {
-  using A = coll::Algorithm;
-  // Listed in kBarrierAlgorithms order. Bcast trees must push the payload
-  // down before combining ACKs up (gather-first patterns broadcast
-  // nothing); sum-reductions need exchange rounds whose partial blocks
-  // tile without overlap (plain dissemination double-counts on non-power
-  // sizes, hence the power-of-f-block f-way variant); allgather's union is
-  // idempotent, so every knowledge-complete barrier pattern qualifies.
-  static const std::vector<A> barrier(std::begin(coll::kBarrierAlgorithms),
-                                      std::end(coll::kBarrierAlgorithms));
-  static const std::vector<A> bcast = {A::kGatherBroadcast, A::kDissemination,
-                                       A::kTree};
-  static const std::vector<A> value_combine = {
-      A::kGatherBroadcast, A::kPairwiseExchange, A::kDissemination,
-      A::kTree,            A::kTournament,       A::kFwayDissemination,
-  };
-  static const std::vector<A> alltoall = {A::kDissemination};
-  switch (kind) {
-    case coll::OpKind::kBarrier: return barrier;
-    case coll::OpKind::kBcast: return bcast;
-    case coll::OpKind::kAllreduce:
-    case coll::OpKind::kAllgather: return value_combine;
-    case coll::OpKind::kAlltoall: return alltoall;
-  }
-  throw std::invalid_argument("unknown collective kind");
-}
-
-coll::GroupSchedule make_collective_schedule(coll::OpKind kind, int n, int root,
-                                             coll::Algorithm algorithm, int radix) {
-  using A = coll::Algorithm;
-  switch (kind) {
-    case coll::OpKind::kBarrier:
-      return coll::make_barrier_schedule(algorithm, n, radix);
-    case coll::OpKind::kBcast:
-      switch (algorithm) {
-        case A::kDissemination:  // default: canonical binary tree
-          return coll::make_bcast_schedule(n, root);
-        case A::kGatherBroadcast:  // the d-ary tree, degree = radix
-          return coll::make_bcast_schedule(n, root, radix > 0 ? radix : 2);
-        case A::kTree:
-          return coll::make_binomial_bcast_schedule(n, root);
-        default:
-          throw_unsupported(kind, algorithm);
-      }
-    case coll::OpKind::kAllreduce:
-      switch (algorithm) {
-        case A::kDissemination:  // default: canonical recursive doubling
-        case A::kPairwiseExchange:
-          return coll::make_allreduce_schedule(n);
-        case A::kGatherBroadcast:
-        case A::kTree:
-        case A::kTournament:
-          // Combine-up / result-down patterns: non-result tags sum the
-          // partials, kTagDown/kTagWake replace with the final value.
-          return coll::make_barrier_schedule(algorithm, n, radix);
-        case A::kFwayDissemination:
-          return coll::make_fway_allreduce_schedule(n, radix);
-        default:
-          throw_unsupported(kind, algorithm);
-      }
-    case coll::OpKind::kAllgather:
-      switch (algorithm) {
-        case A::kDissemination:  // default: canonical dissemination
-          return coll::make_allgather_schedule(n);
-        case A::kGatherBroadcast:
-        case A::kPairwiseExchange:
-        case A::kTree:
-        case A::kTournament:
-        case A::kFwayDissemination:
-          // Union is idempotent, so any knowledge-complete barrier
-          // schedule gathers correctly.
-          return coll::make_barrier_schedule(algorithm, n, radix);
-        default:
-          throw_unsupported(kind, algorithm);
-      }
-    case coll::OpKind::kAlltoall:
-      if (algorithm == A::kDissemination) return coll::make_alltoall_schedule(n);
-      throw_unsupported(kind, algorithm);
-  }
-  throw std::invalid_argument("unknown collective kind");
 }
 
 Collective::SplitState& Collective::split_state(int rank) {
@@ -327,7 +234,7 @@ class NicCollective final : public Collective {
     const int n = size();
     // One schedule for the whole group: every member's descriptor shares it.
     const coll::SharedSchedule schedule = std::make_shared<const coll::GroupSchedule>(
-        make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix));
+        coll::make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix));
     const coll::Placement placement = coll::make_placement(rank_to_node_);
     for (int r = 0; r < n; ++r) {
       Hooks::arm(cluster_, rank_to_node_[static_cast<std::size_t>(r)],
@@ -375,7 +282,7 @@ class HostCollective final : public Collective {
         payload_bytes_(spec.payload_bytes),
         rank_to_node_(resolve_placement(spec.rank_to_node, cluster.size())),
         group_id_(cluster.next_group_id() & BarrierTag::kGroupMask),
-        schedule_(make_collective_schedule(spec.op, size(), spec.root, spec.algorithm,
+        schedule_(coll::make_collective_schedule(spec.op, size(), spec.root, spec.algorithm,
                                            spec.radix)),
         name_(std::move(name)) {
     const int n = size();

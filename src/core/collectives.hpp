@@ -106,25 +106,6 @@ class Collective {
 /// OpKind::kBarrier.
 using Barrier = Collective;
 
-/// Builds the schedule for an operation kind. `root` applies to bcast;
-/// `algorithm` selects the pattern per kind (kDissemination = the kind's
-/// canonical default) and `radix` its degree/fan-out. Throws
-/// std::invalid_argument for (kind, algorithm) pairs with no value-correct
-/// schedule — the pairs collective_algorithms_for does not list.
-[[nodiscard]] coll::GroupSchedule make_collective_schedule(
-    coll::OpKind kind, int n, int root,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-
-/// The algorithms make_collective_schedule accepts for `kind`, in the
-/// kBarrierAlgorithms order. Single source of truth for every substrate's
-/// value-collective algorithms (run::caps_algorithms), validate()'s error
-/// text, and the fuzzer's case space. Value kinds only list
-/// algorithms whose schedule provably combines that kind's payloads
-/// (e.g. plain dissemination double-counts a sum, so allreduce maps its
-/// kDissemination default to recursive doubling instead).
-[[nodiscard]] const std::vector<coll::Algorithm>& collective_algorithms_for(
-    coll::OpKind kind);
-
 /// The exact result every rank must observe when rank r enters with
 /// checked_contribution(kind, r) (root 0 for bcast; sum-reduce;
 /// allgather/alltoall union contribution masks; 0 for a barrier). Shared by

@@ -1,168 +1,143 @@
 #include "core/schedule.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <deque>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 namespace qmb::coll {
 namespace {
 
-[[nodiscard]] int floor_pow2(int n) {
-  int m = 1;
-  while (m * 2 <= n) m *= 2;
-  return m;
-}
-
-GroupSchedule make_dissemination(int n) {
+GroupSchedule sized(int n) {
   GroupSchedule g;
-  g.algorithm = Algorithm::kDissemination;
   g.size = n;
   g.ranks.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    auto& rs = g.ranks[static_cast<std::size_t>(i)];
-    for (int m = 0, dist = 1; dist < n; ++m, dist *= 2) {
-      Step st;
-      st.sends.push_back({(i + dist) % n, static_cast<std::uint32_t>(m)});
-      st.waits.push_back({(i - dist + n) % n, static_cast<std::uint32_t>(m)});
-      rs.steps.push_back(std::move(st));
-    }
-  }
   return g;
 }
 
-GroupSchedule make_pairwise_exchange(int n) {
-  GroupSchedule g;
-  g.algorithm = Algorithm::kPairwiseExchange;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
-  const int m = floor_pow2(n);
+/// The largest power of f that is at most n.
+[[nodiscard]] int floor_pow(int n, int f) {
+  long long m = 1;
+  while (m * f <= n) m *= f;
+  return static_cast<int>(m);
+}
 
+/// f-way dissemination rounds among ranks [0, n): round k sends to the
+/// distances j * f^k (j = 1..f-1) and waits on their mirrors. A round's
+/// distances are distinct mod n up to the first that is 0 mod n, and every
+/// later one repeats an earlier one, so the round ends there.
+void dissemination_rounds(RankSchedule& rs, int i, int n, int f) {
+  std::uint32_t round = 0;
+  for (long long unit = 1; unit < n; unit *= f, ++round) {
+    Step st;
+    for (int j = 1; j < f; ++j) {
+      const int d = static_cast<int>(j * unit % n);
+      if (d == 0) break;
+      st.sends.push_back({(i + d) % n, round});
+      st.waits.push_back({(i - d + n) % n, round});
+    }
+    rs.steps.push_back(std::move(st));
+  }
+}
+
+/// XOR exchange rounds among ranks [0, m), m a power of two.
+void xor_rounds(RankSchedule& rs, int i, int m) {
+  std::uint32_t round = 0;
+  for (int dist = 1; dist < m; dist *= 2, ++round) {
+    rs.steps.push_back({{{i ^ dist, round}}, {{i ^ dist, round}}});
+  }
+}
+
+/// The extra-rank fold: ranks at or above the block size m register with
+/// rank i mod m (kTagPre) and wait for its release (kTagPost); `core` runs
+/// the exchange among ranks [0, m).
+template <typename Core>
+GroupSchedule folded(int n, int m, Core core) {
+  GroupSchedule g = sized(n);
   for (int i = 0; i < n; ++i) {
-    auto& rs = g.ranks[static_cast<std::size_t>(i)];
+    RankSchedule& rs = g.ranks[static_cast<std::size_t>(i)];
     if (i >= m) {
-      // Extra rank: register with partner i-m up front, wait for release.
-      Step pre;
-      pre.sends.push_back({i - m, kTagPre});
-      rs.steps.push_back(std::move(pre));
-      Step post;
-      post.waits.push_back({i - m, kTagPost});
-      rs.steps.push_back(std::move(post));
+      rs.steps.push_back({{{i % m, kTagPre}}, {}});
+      rs.steps.push_back({{}, {{i % m, kTagPost}}});
       continue;
     }
-    if (i + m < n) {
-      // Partner of an extra rank: absorb its registration first.
-      Step pre;
-      pre.waits.push_back({i + m, kTagPre});
-      rs.steps.push_back(std::move(pre));
+    Step pre;
+    Step post;
+    for (int e = i + m; e < n; e += m) {
+      pre.waits.push_back({e, kTagPre});
+      post.sends.push_back({e, kTagPost});
     }
-    for (int s = 0, dist = 1; dist < m; ++s, dist *= 2) {
-      Step st;
-      const int peer = i ^ dist;
-      st.sends.push_back({peer, static_cast<std::uint32_t>(s)});
-      st.waits.push_back({peer, static_cast<std::uint32_t>(s)});
-      rs.steps.push_back(std::move(st));
-    }
-    if (i + m < n) {
-      Step post;
-      post.sends.push_back({i + m, kTagPost});
-      rs.steps.push_back(std::move(post));
-    }
+    if (!pre.waits.empty()) rs.steps.push_back(std::move(pre));
+    core(rs, i, m);
+    if (!post.sends.empty()) rs.steps.push_back(std::move(post));
   }
   return g;
 }
 
-GroupSchedule make_gather_broadcast(int n, int d) {
-  if (d < 1) throw std::invalid_argument("tree degree must be >= 1");
-  GroupSchedule g;
-  g.algorithm = Algorithm::kGatherBroadcast;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    auto& rs = g.ranks[static_cast<std::size_t>(i)];
-    std::vector<int> children;
-    for (int c = d * i + 1; c <= d * i + d && c < n; ++c) children.push_back(c);
-    const int parent = (i - 1) / d;
+enum class TreeOrder {
+  kBarrier,  // gather from the children, send up, wait for the release, release
+  kBcast,    // wait for the payload, forward it, gather the ACKs, ACK up
+};
 
-    if (i == 0) {
-      if (!children.empty()) {
-        Step gather;
-        for (int c : children) gather.waits.push_back({c, kTagUp});
-        rs.steps.push_back(std::move(gather));
-        Step release;
-        for (int c : children) release.sends.push_back({c, kTagDown});
-        rs.steps.push_back(std::move(release));
-      }
-      continue;
-    }
-    if (!children.empty()) {
-      Step gather;
-      for (int c : children) gather.waits.push_back({c, kTagUp});
-      rs.steps.push_back(std::move(gather));
-    }
-    Step up_then_wait;
-    up_then_wait.sends.push_back({parent, kTagUp});
-    up_then_wait.waits.push_back({parent, kTagDown});
-    rs.steps.push_back(std::move(up_then_wait));
-    if (!children.empty()) {
-      Step release;
-      for (int c : children) release.sends.push_back({c, kTagDown});
-      rs.steps.push_back(std::move(release));
-    }
-  }
-  return g;
-}
-
-GroupSchedule make_binomial_tree(int n) {
-  GroupSchedule g;
-  g.algorithm = Algorithm::kTree;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    auto& rs = g.ranks[static_cast<std::size_t>(i)];
-    // Binomial structure: rank i's parent is i minus its lowest set bit;
-    // its children are i + 2^k for every 2^k below that bit (and < n).
+/// One rooted tree over virtual ranks v = (r - root) mod n: d-ary for
+/// degree >= 2, binomial for degree 0 (v's parent is v minus its lowest set
+/// bit, its children v + 2^k for every 2^k below that bit). The bcast order
+/// keeps consecutive broadcasts pipelined by at most one operation: without
+/// the ACKs the root completes at once and races arbitrarily far ahead of
+/// the leaves, which no fixed-depth operation window could absorb.
+GroupSchedule tree(int n, int root, int degree, TreeOrder order) {
+  GroupSchedule g = sized(n);
+  const auto real = [n, root](long long v) { return static_cast<int>((v + root) % n); };
+  for (int v = 0; v < n; ++v) {
     int parent = -1;
-    std::vector<int> children;
-    for (int m = 1; m < n; m *= 2) {
-      if ((i & m) != 0) {
-        parent = i - m;
-        break;
+    Step gather;   // the children's kTagUp edges
+    Step release;  // the children's kTagDown edges
+    const auto child = [&](long long c) {
+      gather.waits.push_back({real(c), kTagUp});
+      release.sends.push_back({real(c), kTagDown});
+    };
+    if (degree > 0) {
+      if (v > 0) parent = (v - 1) / degree;
+      const long long first = static_cast<long long>(degree) * v + 1;
+      for (long long c = first; c < first + degree && c < n; ++c) child(c);
+    } else {
+      for (int m = 1; m < n; m *= 2) {
+        if ((v & m) != 0) {
+          parent = v - m;
+          break;
+        }
+        if (v + m < n) child(v + m);
       }
-      if (i + m < n) children.push_back(i + m);
     }
-    if (!children.empty()) {
-      Step gather;
-      for (int c : children) gather.waits.push_back({c, kTagUp});
-      rs.steps.push_back(std::move(gather));
-    }
-    if (parent >= 0) {
-      Step up_then_wait;
-      up_then_wait.sends.push_back({parent, kTagUp});
-      up_then_wait.waits.push_back({parent, kTagDown});
-      rs.steps.push_back(std::move(up_then_wait));
-    }
-    if (!children.empty()) {
-      Step release;
-      for (int c : children) release.sends.push_back({c, kTagDown});
-      rs.steps.push_back(std::move(release));
+    RankSchedule& rs = g.ranks[static_cast<std::size_t>(real(v))];
+    const bool children = !gather.waits.empty();
+    if (order == TreeOrder::kBarrier) {
+      if (children) rs.steps.push_back(std::move(gather));
+      if (parent >= 0) rs.steps.push_back({{{real(parent), kTagUp}}, {{real(parent), kTagDown}}});
+      if (children) rs.steps.push_back(std::move(release));
+    } else {
+      if (parent >= 0) rs.steps.push_back({{}, {{real(parent), kTagDown}}});
+      if (children) {
+        rs.steps.push_back(std::move(release));
+        rs.steps.push_back(std::move(gather));
+      }
+      if (parent >= 0) rs.steps.push_back({{{real(parent), kTagUp}}, {}});
     }
   }
   return g;
 }
 
-GroupSchedule make_tournament(int n) {
+GroupSchedule tournament(int n, int, int) {
   // Mellor-Crummey/Scott tournament with statically determined winners:
   // rank i loses at round k = ctz(i) (it signals i - 2^k and blocks for a
   // wakeup), winning every earlier round against i + 2^k where that loser
   // exists. Rank 0 is the champion; wakeups fan back out in reverse round
   // order. Same edges as the binomial tree, but each round is its own
   // sequenced step — the timing signature the tournament is known for.
-  GroupSchedule g;
-  g.algorithm = Algorithm::kTournament;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
+  GroupSchedule g = sized(n);
   for (int i = 0; i < n; ++i) {
     auto& rs = g.ranks[static_cast<std::size_t>(i)];
     int lose_round = -1;  // champion never loses
@@ -203,33 +178,93 @@ GroupSchedule make_tournament(int n) {
   return g;
 }
 
-GroupSchedule make_fway_dissemination(int n, int f) {
-  if (f < 2) throw std::invalid_argument("f-way dissemination needs radix >= 2");
-  GroupSchedule g;
-  g.algorithm = Algorithm::kFwayDissemination;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
+/// All-to-all personalized exchange as a rotation ring: round r sends this
+/// rank's word for peer (i+r) mod n directly to it. n-1 rounds, one direct
+/// message per ordered pair — the pattern the paper's Sec. 9 asks about.
+GroupSchedule rotation(int n, int, int) {
+  GroupSchedule g = sized(n);
   for (int i = 0; i < n; ++i) {
     auto& rs = g.ranks[static_cast<std::size_t>(i)];
-    int round = 0;
-    for (long long unit = 1; unit < n; unit *= f, ++round) {
+    for (int r = 1; r < n; ++r) {
       Step st;
-      // Round k covers distances j * f^k for j = 1..f-1. Distances that
-      // collapse to 0 mod n (or repeat within the round) are skipped: the
-      // knowledge they would carry is already covered.
-      std::vector<bool> used(static_cast<std::size_t>(n), false);
-      for (int j = 1; j < f; ++j) {
-        const int d = static_cast<int>((static_cast<long long>(j) * unit) % n);
-        if (d == 0 || used[static_cast<std::size_t>(d)]) continue;
-        used[static_cast<std::size_t>(d)] = true;
-        st.sends.push_back({(i + d) % n, static_cast<std::uint32_t>(round)});
-        st.waits.push_back({(i - d + n) % n, static_cast<std::uint32_t>(round)});
-      }
+      st.sends.push_back({(i + r) % n, static_cast<std::uint32_t>(r - 1)});
+      st.waits.push_back({(i - r + n) % n, static_cast<std::uint32_t>(r - 1)});
       rs.steps.push_back(std::move(st));
     }
   }
   return g;
 }
+
+constexpr int kBinomial = 0;  // tree degree of the binomial tree
+
+// The table's builders: (ranks, bcast root, radix with its default applied).
+GroupSchedule fway(int n, int, int f) {
+  GroupSchedule g = sized(n);
+  for (int i = 0; i < n; ++i) dissemination_rounds(g.ranks[static_cast<std::size_t>(i)], i, n, f);
+  return g;
+}
+GroupSchedule ds(int n, int, int) { return fway(n, 0, 2); }
+GroupSchedule pe(int n, int, int) { return folded(n, floor_pow(n, 2), xor_rounds); }
+GroupSchedule gb(int n, int, int d) { return tree(n, 0, d, TreeOrder::kBarrier); }
+GroupSchedule binomial(int n, int, int) { return tree(n, 0, kBinomial, TreeOrder::kBarrier); }
+GroupSchedule gb_bcast(int n, int root, int d) { return tree(n, root, d, TreeOrder::kBcast); }
+GroupSchedule binary_bcast(int n, int root, int) { return tree(n, root, 2, TreeOrder::kBcast); }
+GroupSchedule binomial_bcast(int n, int root, int) {
+  return tree(n, root, kBinomial, TreeOrder::kBcast);
+}
+
+/// Allreduce over radix-f dissemination rounds. Plain dissemination's
+/// skip-distances double-count contributions under a non-idempotent
+/// reduction, so the exchange runs on the largest power-of-f block m: after
+/// round k every block rank holds the sum of the f^(k+1) contiguous ranks
+/// ending at itself, and those blocks tile with no overlap.
+GroupSchedule fway_allreduce(int n, int, int f) {
+  return folded(n, floor_pow(n, f), [f](RankSchedule& rs, int i, int m) {
+    dissemination_rounds(rs, i, m, f);
+  });
+}
+
+/// One (op kind, algorithm) pair: its builder and the radix it defaults to.
+struct Pattern {
+  OpKind kind;
+  Algorithm algorithm;
+  GroupSchedule (*build)(int n, int root, int radix);
+  int default_radix = 0;  // 0: the builder takes no radix
+};
+
+// Rows in each kind's legal-list order. Bcast trees must push the payload
+// down before combining ACKs up; sum-reductions need exchange rounds whose
+// partial blocks tile without overlap (hence recursive doubling for the
+// allreduce default, and the power-of-f block for f-way); combine-up /
+// result-down patterns sum on non-result tags and replace on kTagDown and
+// kTagWake; allgather's union is idempotent, so every knowledge-complete
+// barrier pattern qualifies.
+using K = OpKind;
+using A = Algorithm;
+constexpr Pattern kPatterns[] = {
+    {K::kBarrier, A::kDissemination, ds},
+    {K::kBarrier, A::kPairwiseExchange, pe},
+    {K::kBarrier, A::kGatherBroadcast, gb, 2},
+    {K::kBarrier, A::kTree, binomial},
+    {K::kBarrier, A::kTournament, tournament},
+    {K::kBarrier, A::kFwayDissemination, fway, 4},
+    {K::kBcast, A::kGatherBroadcast, gb_bcast, 2},
+    {K::kBcast, A::kDissemination, binary_bcast},
+    {K::kBcast, A::kTree, binomial_bcast},
+    {K::kAllreduce, A::kGatherBroadcast, gb, 2},
+    {K::kAllreduce, A::kPairwiseExchange, pe},
+    {K::kAllreduce, A::kDissemination, pe},
+    {K::kAllreduce, A::kTree, binomial},
+    {K::kAllreduce, A::kTournament, tournament},
+    {K::kAllreduce, A::kFwayDissemination, fway_allreduce, 4},
+    {K::kAllgather, A::kGatherBroadcast, gb, 2},
+    {K::kAllgather, A::kPairwiseExchange, pe},
+    {K::kAllgather, A::kDissemination, ds},
+    {K::kAllgather, A::kTree, binomial},
+    {K::kAllgather, A::kTournament, tournament},
+    {K::kAllgather, A::kFwayDissemination, fway, 4},
+    {K::kAlltoall, A::kDissemination, rotation},
+};
 
 }  // namespace
 
@@ -241,8 +276,6 @@ std::string_view to_string(Algorithm a) {
     case Algorithm::kTree: return "tree";
     case Algorithm::kTournament: return "tournament";
     case Algorithm::kFwayDissemination: return "fway-dissemination";
-    case Algorithm::kRemoteAtomic: return "remote-atomic";
-    case Algorithm::kRotation: return "rotation";
   }
   return "?";
 }
@@ -251,7 +284,6 @@ std::optional<Algorithm> parse_algorithm(std::string_view s) {
   for (Algorithm a : kBarrierAlgorithms) {
     if (s == to_string(a)) return a;
   }
-  if (s == to_string(Algorithm::kRotation)) return Algorithm::kRotation;
   return std::nullopt;
 }
 
@@ -347,44 +379,37 @@ namespace {
 
 }  // namespace
 
-GroupSchedule make_barrier_schedule(Algorithm algorithm, int n, int radix) {
-  if (n < 1) throw std::invalid_argument("barrier group needs >= 1 rank");
-  if (algorithm == Algorithm::kRotation) {
-    throw std::invalid_argument(
-        "rotation labels the alltoall ring; it is not a barrier algorithm");
-  }
+GroupSchedule make_collective_schedule(OpKind kind, int n, int root, Algorithm algorithm,
+                                       int radix) {
+  if (n < 1) throw std::invalid_argument("collective group needs >= 1 rank");
   if (radix == 1) {
     // Degree-1 trees degenerate to O(n) chains; callers always mean either
     // "the default" (0) or a real fan-out (>= 2).
-    throw std::invalid_argument("barrier radix must be 0 (default) or >= 2");
+    throw std::invalid_argument("radix must be 0 (default) or >= 2");
   }
-  if (n == 1) {
-    GroupSchedule g;
-    g.algorithm = algorithm;
-    g.size = 1;
-    g.ranks.resize(1);
-    return g;
+  if (kind == OpKind::kBcast && (root < 0 || root >= n)) {
+    throw std::invalid_argument("bcast root out of range");
   }
-  switch (algorithm) {
-    case Algorithm::kDissemination: return numbered(make_dissemination(n));
-    case Algorithm::kPairwiseExchange: return numbered(make_pairwise_exchange(n));
-    case Algorithm::kGatherBroadcast:
-      return numbered(make_gather_broadcast(n, radix > 0 ? radix : 2));
-    case Algorithm::kTree: return numbered(make_binomial_tree(n));
-    case Algorithm::kTournament: return numbered(make_tournament(n));
-    case Algorithm::kFwayDissemination:
-      return numbered(make_fway_dissemination(n, radix > 0 ? radix : 4));
-    case Algorithm::kRemoteAtomic: {
-      // The central-counter barrier of verbs MPI libraries: every rank
-      // bumps a counter on rank 0, whose last arrival releases them all.
-      // As a schedule that is the gather-broadcast star.
-      GroupSchedule g = make_gather_broadcast(n, std::max(2, n - 1));
-      g.algorithm = Algorithm::kRemoteAtomic;
-      return numbered(std::move(g));
+  for (const Pattern& p : kPatterns) {
+    if (p.kind != kind || p.algorithm != algorithm) continue;
+    // A radix above n + 1 builds the n + 1 schedule; clamping keeps the
+    // tree's child indices and the dissemination rounds bounded.
+    return numbered(p.build(n, root, std::min(radix > 0 ? radix : p.default_radix, n + 1)));
+  }
+  throw std::invalid_argument(std::string(to_string(kind)) +
+                              " has no value-correct schedule for algorithm " +
+                              std::string(to_string(algorithm)));
+}
+
+const std::vector<Algorithm>& collective_algorithms_for(OpKind kind) {
+  static const auto lists = [] {
+    std::array<std::vector<Algorithm>, 5> by_kind;
+    for (const Pattern& p : kPatterns) {
+      by_kind[static_cast<std::size_t>(p.kind)].push_back(p.algorithm);
     }
-    case Algorithm::kRotation: break;  // rejected above
-  }
-  throw std::invalid_argument("unknown algorithm");
+    return by_kind;
+  }();
+  return lists.at(static_cast<std::size_t>(kind));
 }
 
 std::int64_t combine_value(OpKind kind, ReduceOp op, std::uint32_t tag,
@@ -418,191 +443,6 @@ int value_words(OpKind kind, std::int64_t value) {
     v >>= 1;
   }
   return words > 0 ? words : 1;
-}
-
-GroupSchedule make_bcast_schedule(int n, int root, int tree_degree) {
-  if (n < 1) throw std::invalid_argument("bcast group needs >= 1 rank");
-  if (root < 0 || root >= n) throw std::invalid_argument("bcast root out of range");
-  if (tree_degree < 1) throw std::invalid_argument("tree degree must be >= 1");
-  GroupSchedule g;
-  g.algorithm = Algorithm::kGatherBroadcast;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
-  // Tree on virtual ranks v = (r - root) mod n, so `root` is virtual rank 0.
-  //
-  // The payload fans out on kTagDown edges; an ACK phase combines back up
-  // on kTagUp edges (as in the paper's NIC-multicast companion work). The
-  // ACK phase is what keeps consecutive broadcasts pipelined by at most one
-  // operation: without it the root completes instantly and can race
-  // arbitrarily far ahead of the leaves, which no fixed-depth operation
-  // window could absorb.
-  const auto real = [&](int v) { return (v + root) % n; };
-  for (int v = 0; v < n; ++v) {
-    auto& rs = g.ranks[static_cast<std::size_t>(real(v))];
-    std::vector<int> children;
-    for (int c = tree_degree * v + 1; c <= tree_degree * v + tree_degree && c < n; ++c) {
-      children.push_back(c);
-    }
-    if (v == 0) {
-      if (!children.empty()) {
-        Step release;
-        for (int c : children) release.sends.push_back({real(c), kTagDown});
-        rs.steps.push_back(std::move(release));
-        Step gather;
-        for (int c : children) gather.waits.push_back({real(c), kTagUp});
-        rs.steps.push_back(std::move(gather));
-      }
-      continue;
-    }
-    const int parent = (v - 1) / tree_degree;
-    Step recv;
-    recv.waits.push_back({real(parent), kTagDown});
-    rs.steps.push_back(std::move(recv));
-    if (!children.empty()) {
-      Step fwd;
-      for (int c : children) fwd.sends.push_back({real(c), kTagDown});
-      rs.steps.push_back(std::move(fwd));
-      Step gather;
-      for (int c : children) gather.waits.push_back({real(c), kTagUp});
-      rs.steps.push_back(std::move(gather));
-    }
-    Step ack;
-    ack.sends.push_back({real(parent), kTagUp});
-    rs.steps.push_back(std::move(ack));
-  }
-  return numbered(std::move(g));
-}
-
-GroupSchedule make_binomial_bcast_schedule(int n, int root) {
-  if (n < 1) throw std::invalid_argument("bcast group needs >= 1 rank");
-  if (root < 0 || root >= n) throw std::invalid_argument("bcast root out of range");
-  GroupSchedule g;
-  g.algorithm = Algorithm::kTree;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
-  // Binomial tree on virtual ranks v = (r - root) mod n: v's parent is v
-  // minus its lowest set bit, its children are v + 2^k for every 2^k below
-  // that bit (and < n). Phase order matches make_bcast_schedule — payload
-  // down first, ACKs combine back up — so the root cannot race ahead of
-  // the leaves by more than one operation.
-  const auto real = [&](int v) { return (v + root) % n; };
-  for (int v = 0; v < n; ++v) {
-    auto& rs = g.ranks[static_cast<std::size_t>(real(v))];
-    int parent = -1;
-    std::vector<int> children;
-    for (int m = 1; m < n; m *= 2) {
-      if ((v & m) != 0) {
-        parent = v - m;
-        break;
-      }
-      if (v + m < n) children.push_back(v + m);
-    }
-    if (parent >= 0) {
-      Step recv;
-      recv.waits.push_back({real(parent), kTagDown});
-      rs.steps.push_back(std::move(recv));
-    }
-    if (!children.empty()) {
-      Step fwd;
-      for (int c : children) fwd.sends.push_back({real(c), kTagDown});
-      rs.steps.push_back(std::move(fwd));
-      Step gather;
-      for (int c : children) gather.waits.push_back({real(c), kTagUp});
-      rs.steps.push_back(std::move(gather));
-    }
-    if (parent >= 0) {
-      Step ack;
-      ack.sends.push_back({real(parent), kTagUp});
-      rs.steps.push_back(std::move(ack));
-    }
-  }
-  return numbered(std::move(g));
-}
-
-GroupSchedule make_allreduce_schedule(int n) {
-  // Recursive doubling: exchange partials, then release the extra ranks
-  // with the final result. The pairwise-exchange barrier schedule already
-  // has exactly this structure; only the payload semantics differ.
-  return make_barrier_schedule(Algorithm::kPairwiseExchange, n);
-}
-
-GroupSchedule make_fway_allreduce_schedule(int n, int f) {
-  if (n < 1) throw std::invalid_argument("allreduce group needs >= 1 rank");
-  if (f <= 0) f = 4;
-  if (f < 2) throw std::invalid_argument("f-way allreduce needs radix >= 2");
-  GroupSchedule g;
-  g.algorithm = Algorithm::kFwayDissemination;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
-  if (n == 1) return g;
-  // The dissemination barrier's skip-distances double-count contributions
-  // under a non-idempotent reduction on arbitrary n, so the value-carrying
-  // variant restricts the exchange rounds to the largest power-of-f block
-  // m: after round k every block rank holds the sum of the f^(k+1)
-  // contiguous ranks ending at itself, and those source blocks tile with no
-  // overlap. Ranks >= m register with base i mod m up front (kTagPre,
-  // summed) and wait for the final result (kTagPost, replaces).
-  long long m = 1;
-  while (m * static_cast<long long>(f) <= n) m *= f;
-  const int base_count = static_cast<int>(m);
-  for (int i = 0; i < n; ++i) {
-    auto& rs = g.ranks[static_cast<std::size_t>(i)];
-    if (i >= base_count) {
-      Step pre;
-      pre.sends.push_back({i % base_count, kTagPre});
-      rs.steps.push_back(std::move(pre));
-      Step post;
-      post.waits.push_back({i % base_count, kTagPost});
-      rs.steps.push_back(std::move(post));
-      continue;
-    }
-    std::vector<int> extras;
-    for (int e = i + base_count; e < n; e += base_count) extras.push_back(e);
-    if (!extras.empty()) {
-      Step pre;
-      for (int e : extras) pre.waits.push_back({e, kTagPre});
-      rs.steps.push_back(std::move(pre));
-    }
-    int round = 0;
-    for (long long unit = 1; unit < base_count; unit *= f, ++round) {
-      Step st;
-      for (int j = 1; j < f; ++j) {
-        const int d = static_cast<int>((static_cast<long long>(j) * unit) % base_count);
-        st.sends.push_back({(i + d) % base_count, static_cast<std::uint32_t>(round)});
-        st.waits.push_back({(i - d + base_count) % base_count,
-                            static_cast<std::uint32_t>(round)});
-      }
-      rs.steps.push_back(std::move(st));
-    }
-    if (!extras.empty()) {
-      Step post;
-      for (int e : extras) post.sends.push_back({e, kTagPost});
-      rs.steps.push_back(std::move(post));
-    }
-  }
-  return numbered(std::move(g));
-}
-
-GroupSchedule make_allgather_schedule(int n) {
-  return make_barrier_schedule(Algorithm::kDissemination, n);
-}
-
-GroupSchedule make_alltoall_schedule(int n) {
-  if (n < 1) throw std::invalid_argument("alltoall group needs >= 1 rank");
-  GroupSchedule g;
-  g.algorithm = Algorithm::kRotation;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    auto& rs = g.ranks[static_cast<std::size_t>(i)];
-    for (int r = 1; r < n; ++r) {
-      Step st;
-      st.sends.push_back({(i + r) % n, static_cast<std::uint32_t>(r - 1)});
-      st.waits.push_back({(i - r + n) % n, static_cast<std::uint32_t>(r - 1)});
-      rs.steps.push_back(std::move(st));
-    }
-  }
-  return numbered(std::move(g));
 }
 
 bool schedule_is_correct_barrier(const GroupSchedule& schedule) {

@@ -1,11 +1,12 @@
 // Barrier communication schedules (paper Sec. 5, Figs. 2-4).
 //
-// A GroupSchedule is the full message pattern of one barrier operation: for
-// every rank, an ordered list of steps, each step issuing sends on entry and
-// blocking until its expected receives arrive. The barrier algorithms:
+// A GroupSchedule is the full message pattern of one collective operation:
+// for every rank, an ordered list of steps, each step issuing sends on entry
+// and blocking until its expected receives arrive. The barrier algorithms:
 //
 //  * gather-broadcast   — d-ary tree, combine to root, fan back out
-//                         (2 log_d N steps)
+//                         (2 log_d N steps); at degree N-1 it is the
+//                         central-counter star of verbs MPI libraries
 //  * pairwise-exchange  — MPICH recursive doubling (log2 N steps, +2 for
 //                         non-powers of two)
 //  * dissemination      — Mellor-Crummey/Scott (ceil(log2 N) steps always)
@@ -16,19 +17,19 @@
 //                         champion wakes its losers in reverse round order
 //  * fway-dissemination — radix-f dissemination: ceil(log_f N) rounds of
 //                         f-1 sends each (f = the radix parameter)
-//  * remote-atomic      — central counter star (every rank signals rank 0,
-//                         rank 0 releases): gather-broadcast at degree N-1
-//                         (on IB, tagged RDMA writes)
 //
-// kRotation is a label, not a barrier: it names the alltoall rotation-ring
-// pattern so traces and metrics report that schedule honestly.
+// Four shared builders make every schedule but the tournament and the
+// alltoall rotation ring: f-way dissemination rounds, XOR exchange rounds,
+// the extra-rank fold and one rooted tree. One table beside them picks the
+// builder for each (op kind, algorithm) pair, and the legal-algorithm lists
+// are read off that table.
 //
 // The schedule is *data*: the same GroupSchedule drives the host-based GM
 // barrier, the direct NIC scheme, the NIC collective protocol, and the
 // Quadrics chained-RDMA barrier. ScheduleExecutor is the shared step-advance
-// state machine those executors embed. Every generator numbers each rank's
-// distinct (peer, tag) edges as it builds the schedule, so the executor's
-// bookkeeping is bit vectors over edge ids, not hash sets of messages.
+// state machine those executors embed. Every schedule has each rank's
+// distinct (peer, tag) edges numbered, so the executor's bookkeeping is bit
+// vectors over edge ids, not hash sets of messages.
 #pragma once
 
 #include <algorithm>
@@ -48,18 +49,14 @@ enum class Algorithm {
   kTree,
   kTournament,
   kFwayDissemination,
-  kRemoteAtomic,
-  kRotation,  // alltoall's rotation ring; not a barrier algorithm
 };
 
-/// Every barrier algorithm (kRotation excluded — it only labels alltoall),
-/// in a fixed order shared by tests, the fuzzer's coverage accounting, and
-/// the spec JSON codec.
+/// Every Algorithm value, in a fixed order shared by tests, the fuzzer's
+/// coverage accounting, and the spec JSON codec.
 inline constexpr Algorithm kBarrierAlgorithms[] = {
     Algorithm::kGatherBroadcast, Algorithm::kPairwiseExchange,
     Algorithm::kDissemination,   Algorithm::kTree,
     Algorithm::kTournament,      Algorithm::kFwayDissemination,
-    Algorithm::kRemoteAtomic,
 };
 
 /// Immutable rank -> fabric-node map shared by every NIC-side group
@@ -75,18 +72,18 @@ using Placement = std::shared_ptr<const std::vector<int>>;
 [[nodiscard]] std::string_view to_string(Algorithm a);
 
 /// Parses the names to_string(Algorithm) emits ("dissemination",
-/// "gather-broadcast", ...); kRotation included for round-tripping labels.
+/// "gather-broadcast", ...).
 [[nodiscard]] std::optional<Algorithm> parse_algorithm(std::string_view s);
 
 // Tag namespaces. Plain exchange rounds use small step indices; the named
-// sentinels mark the pre/post steps of non-power-of-two pairwise-exchange
-// and the two phases of gather-broadcast. Value-carrying collectives use
-// the distinction: messages with a *result* tag carry a final value
-// (replace), everything else carries a partial (combine).
-inline constexpr std::uint32_t kTagPre = 0x100;   // PE: high rank registers with partner
-inline constexpr std::uint32_t kTagPost = 0x101;  // PE: partner releases high rank
-inline constexpr std::uint32_t kTagUp = 0x200;    // GB: combine toward the root
-inline constexpr std::uint32_t kTagDown = 0x201;  // GB: release from the root
+// sentinels mark the pre/post steps of the extra-rank fold and the two
+// phases of the rooted tree. Value-carrying collectives use the
+// distinction: messages with a *result* tag carry a final value (replace),
+// everything else carries a partial (combine).
+inline constexpr std::uint32_t kTagPre = 0x100;   // fold: extra rank registers with partner
+inline constexpr std::uint32_t kTagPost = 0x101;  // fold: partner releases extra rank
+inline constexpr std::uint32_t kTagUp = 0x200;    // tree: combine (or ACK) toward the root
+inline constexpr std::uint32_t kTagDown = 0x201;  // tree: release (or payload) from the root
 inline constexpr std::uint32_t kTagWake = 0x202;  // tournament: champion-derived wakeup
 
 /// True for tags whose payload is a completed result rather than a partial.
@@ -154,9 +151,9 @@ struct RankSchedule {
   [[nodiscard]] int total_sends() const;
   [[nodiscard]] int total_waits() const;
 
-  /// Numbers the distinct edges: fills edge_keys and every Edge::id. The
-  /// schedule generators call it; a hand-built schedule must too before an
-  /// executor walks it.
+  /// Numbers the distinct edges: fills edge_keys and every Edge::id.
+  /// make_collective_schedule calls it; a hand-built schedule must too
+  /// before an executor walks it.
   void number_edges();
   /// True when every send and wait carries a valid id.
   [[nodiscard]] bool numbered() const;
@@ -171,7 +168,6 @@ struct RankSchedule {
 };
 
 struct GroupSchedule {
-  Algorithm algorithm = Algorithm::kDissemination;
   int size = 0;
   std::vector<RankSchedule> ranks;
 
@@ -213,45 +209,31 @@ class EdgeBits {
   std::vector<std::uint64_t> more_;  // the bits, otherwise
 };
 
-/// Builds the message pattern for an N-rank barrier. `radix` is the
-/// gather-broadcast tree degree and the f of f-way dissemination; <= 0
-/// picks the algorithm's default (degree 2, radix 4). The other algorithms
-/// ignore it. Throws std::invalid_argument for kRotation (a pattern label,
-/// not a barrier).
-[[nodiscard]] GroupSchedule make_barrier_schedule(Algorithm algorithm, int n,
-                                                  int radix = 0);
+/// Builds the schedule for an N-rank operation of `kind`. `algorithm`
+/// selects the pattern (kDissemination is each kind's canonical default),
+/// `radix` the tree degree or dissemination fan-out (<= 0: the pattern's own
+/// default, degree 2 or radix 4; any radix above N + 1 builds the N + 1
+/// schedule), and `root` the bcast root. Throws std::invalid_argument for
+/// N < 1, radix 1, a bcast root outside [0, N), and (kind, algorithm) pairs
+/// with no value-correct schedule — the pairs collective_algorithms_for
+/// does not list.
+[[nodiscard]] GroupSchedule make_collective_schedule(
+    OpKind kind, int n, int root, Algorithm algorithm = Algorithm::kDissemination,
+    int radix = 0);
 
-/// Broadcast from `root`: the down-phase of a d-ary tree (rotated so any
-/// rank can be the root). Every message carries the final value (kTagDown).
-[[nodiscard]] GroupSchedule make_bcast_schedule(int n, int root, int tree_degree = 2);
+/// make_collective_schedule for a barrier.
+[[nodiscard]] inline GroupSchedule make_barrier_schedule(Algorithm algorithm, int n,
+                                                         int radix = 0) {
+  return make_collective_schedule(OpKind::kBarrier, n, 0, algorithm, radix);
+}
 
-/// Broadcast from `root` over a binomial tree (rotated virtual ranks, like
-/// make_bcast_schedule): rank-dependent fan-out, log2 N payload depth, with
-/// the same down-before-ack phase ordering so consecutive broadcasts stay
-/// pipelined by at most one operation.
-[[nodiscard]] GroupSchedule make_binomial_bcast_schedule(int n, int root);
-
-/// Allreduce: recursive-doubling pairwise exchange. Exchange-step messages
-/// carry partials (combine); the non-power-of-two post step carries the
-/// final result (kTagPost). Correct for non-idempotent operations (sum).
-[[nodiscard]] GroupSchedule make_allreduce_schedule(int n);
-
-/// Allreduce over radix-f dissemination rounds: the largest power-of-f
-/// block runs ceil(log_f m) exchange rounds whose contiguous partial-sum
-/// blocks tile exactly (correct for non-idempotent reductions); the ranks
-/// beyond the block register up front (kTagPre) and are released with the
-/// final result (kTagPost). `f` <= 0 picks the default radix 4.
-[[nodiscard]] GroupSchedule make_fway_allreduce_schedule(int n, int f = 4);
-
-/// Allgather of one contribution per rank, as a dissemination pattern.
-/// Only correct for idempotent merges (set union / bitmask or) — which is
-/// what the engine's allgather uses.
-[[nodiscard]] GroupSchedule make_allgather_schedule(int n);
-
-/// All-to-all personalized exchange, as a rotation ring: round r sends this
-/// rank's word for peer (i+r) mod n directly to it. n-1 rounds, one direct
-/// message per ordered pair — the pattern the paper's Sec. 9 asks about.
-[[nodiscard]] GroupSchedule make_alltoall_schedule(int n);
+/// The algorithms make_collective_schedule accepts for `kind`, in its
+/// table's order: the single source of every legal-algorithm list
+/// (run::caps_algorithms, validate()'s error text, the fuzzer's case
+/// space). Value kinds only list algorithms whose schedule provably
+/// combines that kind's payloads (plain dissemination double-counts a sum,
+/// so allreduce maps its kDissemination default to recursive doubling).
+[[nodiscard]] const std::vector<Algorithm>& collective_algorithms_for(OpKind kind);
 
 /// Verifies the "full information" barrier property: following schedule
 /// edges in step order, every rank's exit transitively depends on every

@@ -88,14 +88,13 @@ run::ExperimentSpec derive_case(std::uint64_t seed, const FuzzOptions& opts) {
     s.impl = rng.next_bool(0.25) ? run::Impl::kHost : run::Impl::kNic;
   }
 
-  // Drawn from the substrate's capability list *for the drawn op kind* so
-  // every legal (kind, algorithm) pair — including remote-atomic barriers,
-  // which only IB registers, and the value-collective schedules
+  // Drawn from the legal list *for the drawn op kind* so every legal
+  // (kind, algorithm) pair — including the value-collective schedules
   // (tree/fway allreduce etc.) — gets fuzzed, and illegal pairs never
   // derive. The fixed-pattern barrier impls ignore schedules (validate()
   // rejects a non-default algorithm there), so those fall back to the
   // default after the draw.
-  s.algorithm = pick(rng, run::caps_algorithms(caps, s.op));
+  s.algorithm = pick(rng, run::caps_algorithms(s.op));
   if (s.op == coll::OpKind::kBarrier &&
       std::find(caps.fixed_pattern_barrier_impls.begin(),
                 caps.fixed_pattern_barrier_impls.end(),
@@ -291,7 +290,7 @@ run::ExperimentSpec spec_from_json(std::string_view json) {
     s.impl = *i;
   }
   if (const obs::JsonValue* v = doc.find("algorithm")) {
-    // Accept both the CLI short form (ds/pe/gb/tree/trn/fway/ra) and
+    // Accept both the CLI short form (ds/pe/gb/tree/trn/fway) and
     // coll::to_string()'s long form, which is what spec_to_json writes.
     auto a = run::parse_algorithm(v->string);
     if (!a) {

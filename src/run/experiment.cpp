@@ -58,7 +58,6 @@ std::optional<coll::Algorithm> parse_algorithm(std::string_view s) {
   if (s == "tree") return coll::Algorithm::kTree;
   if (s == "trn") return coll::Algorithm::kTournament;
   if (s == "fway") return coll::Algorithm::kFwayDissemination;
-  if (s == "ra") return coll::Algorithm::kRemoteAtomic;
   return std::nullopt;
 }
 
@@ -70,8 +69,6 @@ std::string_view algorithm_cli_name(coll::Algorithm a) {
     case coll::Algorithm::kTree: return "tree";
     case coll::Algorithm::kTournament: return "trn";
     case coll::Algorithm::kFwayDissemination: return "fway";
-    case coll::Algorithm::kRemoteAtomic: return "ra";
-    case coll::Algorithm::kRotation: return "rotation";
   }
   return "?";
 }
@@ -113,14 +110,13 @@ std::string impl_note(const ExperimentSpec& s) {
   return std::string("not a ") + std::string(to_string(s.network)) + " implementation";
 }
 
-std::string loss_error(const ExperimentSpec& s, const SubstrateCaps& caps,
-                       const char* what, const char* remove) {
+std::string loss_error(const ExperimentSpec& s, const char* what, const char* remove) {
   std::string msg = what;
   msg += " not supported on --network ";
   msg += to_string(s.network);
   msg += " (";
-  msg += caps.loss_note;
-  msg += "); ";
+  msg += to_string(s.network);
+  msg += " has no loss-recovery path); ";
   msg += remove;
   msg += " or use --network ";
   msg += loss_capable_names();
@@ -189,11 +185,11 @@ std::string validate(const ExperimentSpec& s) {
     return "--radix must be 0 (algorithm default) or >= 2 (got " +
            std::to_string(s.radix) + ")";
   }
-  if (!caps_allow_algorithm(caps, s.op, s.algorithm)) {
+  if (!caps_allow_algorithm(s.op, s.algorithm)) {
     return std::string("--algorithm ") + std::string(algorithm_cli_name(s.algorithm)) +
            " is not supported for --op " + std::string(coll::to_string(s.op)) +
            " on --network " + std::string(to_string(s.network)) +
-           " (valid: " + caps_algorithm_list(caps, s.op) + ")";
+           " (valid: " + caps_algorithm_list(s.op) + ")";
   }
   if (s.op == coll::OpKind::kBarrier && s.algorithm != coll::Algorithm::kDissemination &&
       std::find(caps.fixed_pattern_barrier_impls.begin(),
@@ -217,10 +213,10 @@ std::string validate(const ExperimentSpec& s) {
            "decides when its groups enter)";
   }
   if (!caps.loss_recovery && s.drop_prob > 0.0) {
-    return loss_error(s, caps, "--drop-prob is", "remove it");
+    return loss_error(s, "--drop-prob is", "remove it");
   }
   if (!caps.loss_recovery && !s.faults.empty()) {
-    return loss_error(s, caps, "--fault rules are", "remove them");
+    return loss_error(s, "--fault rules are", "remove them");
   }
   for (std::size_t i = 0; i < s.faults.size(); ++i) {
     const net::FaultSpec& f = s.faults[i];

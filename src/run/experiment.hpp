@@ -45,7 +45,7 @@ enum class Impl { kNic, kHost, kDirect, kGsync, kHgsync };
 [[nodiscard]] std::optional<Impl> parse_impl(std::string_view s);
 [[nodiscard]] std::optional<coll::Algorithm> parse_algorithm(std::string_view s);
 /// The short CLI spelling parse_algorithm accepts ("ds", "pe", "gb",
-/// "tree", "trn", "fway", "ra").
+/// "tree", "trn", "fway").
 [[nodiscard]] std::string_view algorithm_cli_name(coll::Algorithm a);
 [[nodiscard]] std::optional<coll::OpKind> parse_op(std::string_view s);
 

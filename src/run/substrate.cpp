@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/collectives.hpp"
 #include "run/substrate_internal.hpp"
 
 namespace qmb::run {
@@ -76,21 +75,18 @@ std::string caps_impl_list(const SubstrateCaps& caps, coll::OpKind op) {
   return out;
 }
 
-const std::vector<coll::Algorithm>& caps_algorithms(const SubstrateCaps& caps,
-                                                    coll::OpKind op) {
-  if (op == coll::OpKind::kBarrier) return caps.barrier_algorithms;
-  return core::collective_algorithms_for(op);
+const std::vector<coll::Algorithm>& caps_algorithms(coll::OpKind op) {
+  return coll::collective_algorithms_for(op);
 }
 
-bool caps_allow_algorithm(const SubstrateCaps& caps, coll::OpKind op,
-                          coll::Algorithm a) {
-  const std::vector<coll::Algorithm>& legal = caps_algorithms(caps, op);
+bool caps_allow_algorithm(coll::OpKind op, coll::Algorithm a) {
+  const std::vector<coll::Algorithm>& legal = caps_algorithms(op);
   return std::find(legal.begin(), legal.end(), a) != legal.end();
 }
 
-std::string caps_algorithm_list(const SubstrateCaps& caps, coll::OpKind op) {
+std::string caps_algorithm_list(coll::OpKind op) {
   std::string out;
-  for (const coll::Algorithm a : caps_algorithms(caps, op)) {
+  for (const coll::Algorithm a : caps_algorithms(op)) {
     if (!out.empty()) out += ", ";
     out += algorithm_cli_name(a);
   }

@@ -24,25 +24,17 @@ namespace qmb::run {
 ///
 /// Only what differs between substrates is here. Every substrate runs value
 /// collectives (bcast/allreduce/allgather/alltoall) on the nic and host
-/// engines with the schedule layer's core::collective_algorithms_for
-/// table, and exposes the 2047 concurrent groups the BarrierTag group field
-/// can name; caps_allow / caps_algorithms and validate() read those shared
-/// sources directly.
+/// engines, runs every (op kind, algorithm) pair of the schedule layer's
+/// coll::collective_algorithms_for table on its schedule-driven impls, and
+/// exposes the 2047 concurrent groups the BarrierTag group field can name;
+/// caps_allow / caps_algorithms and validate() read those shared sources
+/// directly.
 struct SubstrateCaps {
   /// Lost, duplicated and corrupted packets are recovered here, so
   /// --drop-prob and net::FaultSpec plans are legal.
   bool loss_recovery = false;
   bool ablations = false;  // myri::CollFeatures ablation switches apply
-  /// Why loss injection is unsupported (empty when loss_recovery is on);
-  /// spliced verbatim into validate()'s error text.
-  std::string_view loss_note = "";
   std::vector<Impl> barrier_impls;  // legal --impl values for barriers
-  /// Barrier Algorithm values the substrate's executors can run. The
-  /// schedule-driven impls take any schedule, so this is a property of the
-  /// substrate (remote-atomic is the verbs central-counter barrier and is
-  /// registered on IB only); the fixed-pattern impls (gsync/hgsync)
-  /// additionally reject everything but the default regardless of this list.
-  std::vector<coll::Algorithm> barrier_algorithms;
   /// Barrier impls that embed a fixed pattern and ignore schedules (the
   /// Quadrics gsync tree and hardware barrier, and quadrics --impl host
   /// which maps to the gsync tree). validate() rejects a non-default
@@ -142,18 +134,14 @@ class Substrate {
 /// The legal --impl list for `op` under `caps`, e.g. "nic, host, direct".
 [[nodiscard]] std::string caps_impl_list(const SubstrateCaps& caps, coll::OpKind op);
 
-/// The algorithms the substrate's executors can run for `op`: the barrier
-/// list for kBarrier, core::collective_algorithms_for(op) otherwise.
-[[nodiscard]] const std::vector<coll::Algorithm>& caps_algorithms(
-    const SubstrateCaps& caps, coll::OpKind op);
+/// The algorithms the schedule-driven executors run for `op`, on every
+/// substrate: coll::collective_algorithms_for(op).
+[[nodiscard]] const std::vector<coll::Algorithm>& caps_algorithms(coll::OpKind op);
 
-/// Whether `a` is an algorithm the substrate's executors can run for `op`.
-[[nodiscard]] bool caps_allow_algorithm(const SubstrateCaps& caps, coll::OpKind op,
-                                        coll::Algorithm a);
+/// Whether `a` is an algorithm the schedule-driven executors run for `op`.
+[[nodiscard]] bool caps_allow_algorithm(coll::OpKind op, coll::Algorithm a);
 
-/// The legal --algorithm list for `op` under `caps`, e.g.
-/// "ds, pe, gb, tree, trn, fway".
-[[nodiscard]] std::string caps_algorithm_list(const SubstrateCaps& caps,
-                                              coll::OpKind op);
+/// The legal --algorithm list for `op`, e.g. "ds, pe, gb, tree, trn, fway".
+[[nodiscard]] std::string caps_algorithm_list(coll::OpKind op);
 
 }  // namespace qmb::run

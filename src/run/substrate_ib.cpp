@@ -43,18 +43,12 @@ class IbSubstrate final : public Substrate {
  public:
   IbSubstrate() {
     caps_.loss_recovery = true;
+    // Both IB executors are schedule-driven. The central-counter barrier
+    // of verbs MPI libraries is `gb --radix N-1`: a star of tagged RDMA
+    // writes into rank 0 (N-1 up-edges, N-1 release edges), the same
+    // write-with-immediate building block as every other schedule; no
+    // remote atomic verb is modelled.
     caps_.barrier_impls = {Impl::kNic, Impl::kHost};
-    // Both IB executors are schedule-driven. remote-atomic is the
-    // central-counter barrier of verbs MPI libraries, registered here only:
-    // it runs as a star of tagged RDMA writes into rank 0 (N-1 up-edges,
-    // N-1 release edges), the same write-with-immediate building block as
-    // every other schedule; no remote atomic verb is modelled.
-    caps_.barrier_algorithms = {
-        coll::Algorithm::kDissemination,      coll::Algorithm::kPairwiseExchange,
-        coll::Algorithm::kGatherBroadcast,    coll::Algorithm::kTree,
-        coll::Algorithm::kTournament,         coll::Algorithm::kFwayDissemination,
-        coll::Algorithm::kRemoteAtomic,
-    };
     // RC writes land without a host-side copy; the wire binds the flood
     // per byte, plus the responder HCA's PSN check and CQE DMA per message.
     const ib::IbConfig cfg;

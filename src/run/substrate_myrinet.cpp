@@ -54,14 +54,6 @@ class MyrinetSubstrate final : public Substrate {
     caps_.loss_recovery = true;
     caps_.ablations = true;
     caps_.barrier_impls = {Impl::kNic, Impl::kHost, Impl::kDirect};
-    // Every Myrinet executor is schedule-driven, so any message-passing
-    // pattern runs; remote-atomic is the verbs central-counter barrier and
-    // stays on IB.
-    caps_.barrier_algorithms = {
-        coll::Algorithm::kDissemination,      coll::Algorithm::kPairwiseExchange,
-        coll::Algorithm::kGatherBroadcast,    coll::Algorithm::kTree,
-        coll::Algorithm::kTournament,         coll::Algorithm::kFwayDissemination,
-    };
     // The flood's tightest server is the *sender's* MCP: each host-sourced
     // message serializes LANai firmware work (send-event translation, token
     // schedule, packet claim, header build, ACK bookkeeping) with the

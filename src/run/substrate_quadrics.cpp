@@ -48,16 +48,7 @@ class QuadricsCluster final : public SubstrateCluster {
 class QuadricsSubstrate final : public Substrate {
  public:
   QuadricsSubstrate() {
-    caps_.loss_note = "the Quadrics models have no loss recovery path";
     caps_.barrier_impls = {Impl::kNic, Impl::kHost, Impl::kGsync, Impl::kHgsync};
-    // The chained-RDMA NIC barrier is schedule-driven; remote-atomic is the
-    // verbs central-counter barrier and stays on IB. The host/gsync/hgsync
-    // barriers embed fixed patterns (see below).
-    caps_.barrier_algorithms = {
-        coll::Algorithm::kDissemination,      coll::Algorithm::kPairwiseExchange,
-        coll::Algorithm::kGatherBroadcast,    coll::Algorithm::kTree,
-        coll::Algorithm::kTournament,         coll::Algorithm::kFwayDissemination,
-    };
     // --impl host maps to the gsync software tree for barriers, so it is
     // fixed-pattern here (unlike Myrinet/IB host barriers).
     caps_.fixed_pattern_barrier_impls = {Impl::kHost, Impl::kGsync, Impl::kHgsync};

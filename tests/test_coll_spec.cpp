@@ -172,21 +172,8 @@ TEST(CollSpecMatrix, UnsupportedPairsThrowWithBothNames) {
                                         coll::Algorithm::kPairwiseExchange, 0),
                std::invalid_argument);
   EXPECT_THROW(make_collective_schedule(coll::OpKind::kBcast, 8, 0,
-                                        coll::Algorithm::kRemoteAtomic, 0),
+                                        coll::Algorithm::kTournament, 0),
                std::invalid_argument);
-}
-
-/// The capability tables every substrate advertises must be exactly the
-/// schedule layer's value-correct sets — the matrix above then covers
-/// every pair any substrate will accept.
-TEST(CollSpecMatrix, SubstrateCapsMirrorTheScheduleLayerTable) {
-  for (const run::Substrate* sub : run::substrates()) {
-    for (const coll::OpKind kind : kValueKinds) {
-      EXPECT_EQ(run::caps_algorithms(sub->caps(), kind),
-                collective_algorithms_for(kind))
-          << sub->name() << " " << coll::to_string(kind);
-    }
-  }
 }
 
 // ---------- end-to-end: every pair on every substrate ----------
@@ -194,9 +181,8 @@ TEST(CollSpecMatrix, SubstrateCapsMirrorTheScheduleLayerTable) {
 TEST(CollSpecEndToEnd, EveryAdvertisedPairRunsWithZeroValueErrors) {
   for (const run::Network net : {run::Network::kMyrinetXP, run::Network::kQuadrics,
                                  run::Network::kInfiniBand}) {
-    const run::SubstrateCaps& caps = run::substrate_for(net).caps();
     for (const coll::OpKind kind : kValueKinds) {
-      for (const coll::Algorithm alg : run::caps_algorithms(caps, kind)) {
+      for (const coll::Algorithm alg : run::caps_algorithms(kind)) {
         run::ExperimentSpec s;
         s.network = net;
         s.nodes = 6;  // non-power size exercises the extra-rank paths
@@ -224,7 +210,7 @@ TEST(CollSpecEndToEnd, ReduceAliasWithTreeAndOverlapRunsEverywhere) {
   ASSERT_TRUE(op.has_value());
   EXPECT_EQ(*op, coll::OpKind::kAllreduce);
   for (const run::Substrate* sub : run::substrates()) {
-    ASSERT_TRUE(run::caps_allow_algorithm(sub->caps(), *op, coll::Algorithm::kTree));
+    ASSERT_TRUE(run::caps_allow_algorithm(*op, coll::Algorithm::kTree));
     run::ExperimentSpec s;
     s.network = sub->network();
     s.nodes = 6;
@@ -425,8 +411,6 @@ TEST(CollSpecJson, EnumCodecsRoundTrip) {
   for (const coll::Algorithm a : coll::kBarrierAlgorithms) {
     EXPECT_EQ(coll::parse_algorithm(coll::to_string(a)), a);
   }
-  EXPECT_EQ(coll::parse_algorithm(coll::to_string(coll::Algorithm::kRotation)),
-            coll::Algorithm::kRotation);
   EXPECT_FALSE(coll::parse_algorithm("butterfly").has_value());
 }
 

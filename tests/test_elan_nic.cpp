@@ -35,8 +35,7 @@ struct Harness {
                   coll::ReduceOp op = coll::ReduceOp::kSum) {
     const int n = static_cast<int>(nics.size());
     const auto sched = std::make_shared<const coll::GroupSchedule>(
-        kind == coll::OpKind::kBarrier ? coll::make_barrier_schedule(alg, n)
-                                       : coll::make_allreduce_schedule(n));
+        coll::make_collective_schedule(kind, n, 0, alg));
     std::vector<int> ident(static_cast<std::size_t>(n));
     std::iota(ident.begin(), ident.end(), 0);
     for (int r = 0; r < n; ++r) {

@@ -175,9 +175,8 @@ TEST(FuzzCase, DerivationDrawsEveryBarrierAlgorithm) {
   std::set<coll::Algorithm> algorithms;
   bool any_radix = false;
   bool any_overlap = false;
-  // 4096 seeds: the draw is now conditioned on the op kind, so the rarest
-  // pair (remote-atomic needs barrier x InfiniBand x an 1/8 pick) lands a
-  // dozen-odd times rather than hanging on a coin flip.
+  // 4096 seeds: the draw is conditioned on the op kind, so even a 1/6 pick
+  // within one kind lands many times rather than hanging on a coin flip.
   for (std::uint64_t seed = 1; seed <= 4096; ++seed) {
     const auto s = derive_case(seed);
     algorithms.insert(s.algorithm);
@@ -187,7 +186,6 @@ TEST(FuzzCase, DerivationDrawsEveryBarrierAlgorithm) {
   for (const coll::Algorithm a : coll::kBarrierAlgorithms) {
     EXPECT_TRUE(algorithms.count(a)) << coll::to_string(a);
   }
-  EXPECT_FALSE(algorithms.count(coll::Algorithm::kRotation));
   EXPECT_TRUE(any_radix);
   EXPECT_TRUE(any_overlap);
 }

@@ -183,7 +183,7 @@ TEST(HotpathAlloc, SteadyStateSweepPerformsZeroAllocations) {
 /// consecutive operations on rank 0 of an 8-rank group, with one early
 /// arrival per operation: its first wait lands before it starts.
 std::uint64_t steady_window_allocs(coll::OpKind kind, coll::Algorithm alg, int& completions) {
-  const coll::GroupSchedule g = core::make_collective_schedule(kind, 8, 0, alg);
+  const coll::GroupSchedule g = coll::make_collective_schedule(kind, 8, 0, alg);
   const coll::RankSchedule& rs = g.ranks[0];
   std::vector<coll::Edge> waits;
   for (const coll::Step& st : rs.steps) waits.insert(waits.end(), st.waits.begin(), st.waits.end());

@@ -214,8 +214,8 @@ TEST(IbCollective, StarNacksBackOff) {
   constexpr int kRanks = 160;
   constexpr int kIters = 20;
   Harness h(kRanks);
-  auto barrier =
-      core::make_collective(h.cluster, {.algorithm = coll::Algorithm::kRemoteAtomic});
+  auto barrier = core::make_collective(
+      h.cluster, {.algorithm = coll::Algorithm::kGatherBroadcast, .radix = kRanks - 1});
   core::run_consecutive(h.engine, *barrier, {.warmup = 0, .iters = kIters});
   const obs::MetricRegistry& reg = h.engine.metrics();
   EXPECT_EQ(reg.total("ib.ops_completed"), static_cast<std::uint64_t>(kRanks * kIters));

@@ -221,9 +221,8 @@ TEST(AlgorithmZoo, EveryAdvertisedPairRunsDeterministically) {
   // actually execute, produce a plausible latency, and be bit-reproducible.
   for (const Network net : {Network::kMyrinetXP, Network::kMyrinetL9,
                             Network::kQuadrics, Network::kInfiniBand}) {
-    const SubstrateCaps& caps = substrate_for(net).caps();
-    EXPECT_FALSE(caps.barrier_algorithms.empty());
-    for (const coll::Algorithm alg : caps.barrier_algorithms) {
+    EXPECT_FALSE(caps_algorithms(coll::OpKind::kBarrier).empty());
+    for (const coll::Algorithm alg : caps_algorithms(coll::OpKind::kBarrier)) {
       auto s = quick_spec(net, 8);
       s.algorithm = alg;
       EXPECT_EQ(validate(s), "") << coll::to_string(alg);
@@ -258,10 +257,13 @@ TEST(AlgorithmZoo, SplitPhaseOverlapIsMeasuredAndDeterministic) {
 
 TEST(Validate, NamesTheUnsupportedAlgorithm) {
   auto s = quick_spec(Network::kMyrinetXP, 4);
-  s.algorithm = coll::Algorithm::kRemoteAtomic;
+  s.op = coll::OpKind::kAlltoall;
+  s.algorithm = coll::Algorithm::kTree;
   const std::string err = validate(s);
-  EXPECT_NE(err.find("ra"), std::string::npos) << err;
+  EXPECT_NE(err.find("--algorithm tree"), std::string::npos) << err;
+  EXPECT_NE(err.find("alltoall"), std::string::npos) << err;
   EXPECT_NE(err.find("myrinet-xp"), std::string::npos) << err;
+  EXPECT_NE(err.find("(valid: ds)"), std::string::npos) << err;
 }
 
 TEST(Validate, FixedPatternImplRejectsAlgorithmChoice) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -257,10 +260,11 @@ TEST(FwayDissemination, EachRoundSendsAtMostFMinusOne) {
   }
 }
 
-// ---------- remote-atomic central counter ----------
+// ---------- the central-counter star ----------
 
 TEST(RemoteAtomic, StarShape) {
-  const auto g = make_barrier_schedule(Algorithm::kRemoteAtomic, 9);
+  // The verbs central-counter barrier is gather-broadcast at degree n - 1.
+  const auto g = make_barrier_schedule(Algorithm::kGatherBroadcast, 9, 8);
   const auto& hub = g.ranks[0];
   ASSERT_EQ(hub.steps.size(), 2u);
   EXPECT_EQ(hub.steps[0].waits.size(), 8u);  // every rank increments
@@ -276,25 +280,124 @@ TEST(RemoteAtomic, StarShape) {
   EXPECT_EQ(g.total_messages(), 2 * (9 - 1));
 }
 
-// ---------- rotation is a label, not a barrier ----------
-
-TEST(Rotation, BarrierScheduleThrows) {
-  EXPECT_THROW(make_barrier_schedule(Algorithm::kRotation, 8),
-               std::invalid_argument);
-}
-
-TEST(Rotation, AlltoallIsLabeledHonestly) {
-  // Regression: the alltoall ring used to masquerade as kDissemination in
-  // traces and metrics.
-  EXPECT_EQ(make_alltoall_schedule(8).algorithm, Algorithm::kRotation);
-}
-
 TEST(AlgorithmNames, ZooRoundTripsThroughToString) {
   EXPECT_EQ(to_string(Algorithm::kTree), "tree");
   EXPECT_EQ(to_string(Algorithm::kTournament), "tournament");
   EXPECT_EQ(to_string(Algorithm::kFwayDissemination), "fway-dissemination");
-  EXPECT_EQ(to_string(Algorithm::kRemoteAtomic), "remote-atomic");
-  EXPECT_EQ(to_string(Algorithm::kRotation), "rotation");
+}
+
+// ---------- golden digest: every schedule the table builds ----------
+
+/// FNV-1a over every rank's steps, sends, waits and edge ids, continuing
+/// from `h`.
+std::uint64_t digest(const GroupSchedule& g, std::uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(g.ranks.size());
+  for (const RankSchedule& rs : g.ranks) {
+    mix(rs.steps.size());
+    mix(rs.edge_count());
+    for (const Step& st : rs.steps) {
+      for (const auto* edges : {&st.sends, &st.waits}) {
+        mix(edges->size());
+        for (const Edge& e : *edges) {
+          mix(RankSchedule::edge_key(e.peer, e.tag));
+          mix(e.id);
+        }
+      }
+    }
+  }
+  return h;
+}
+
+struct TablePair {
+  OpKind kind;
+  Algorithm algorithm;
+  bool radixed = false;  // the pattern takes a degree or fan-out
+};
+
+constexpr TablePair kTablePairs[] = {
+    {OpKind::kBarrier, Algorithm::kDissemination},
+    {OpKind::kBarrier, Algorithm::kPairwiseExchange},
+    {OpKind::kBarrier, Algorithm::kGatherBroadcast, true},
+    {OpKind::kBarrier, Algorithm::kTree},
+    {OpKind::kBarrier, Algorithm::kTournament},
+    {OpKind::kBarrier, Algorithm::kFwayDissemination, true},
+    {OpKind::kBcast, Algorithm::kGatherBroadcast, true},
+    {OpKind::kBcast, Algorithm::kDissemination},
+    {OpKind::kBcast, Algorithm::kTree},
+    {OpKind::kAllreduce, Algorithm::kGatherBroadcast, true},
+    {OpKind::kAllreduce, Algorithm::kPairwiseExchange},
+    {OpKind::kAllreduce, Algorithm::kDissemination},
+    {OpKind::kAllreduce, Algorithm::kTree},
+    {OpKind::kAllreduce, Algorithm::kTournament},
+    {OpKind::kAllreduce, Algorithm::kFwayDissemination, true},
+    {OpKind::kAllgather, Algorithm::kGatherBroadcast, true},
+    {OpKind::kAllgather, Algorithm::kPairwiseExchange},
+    {OpKind::kAllgather, Algorithm::kDissemination},
+    {OpKind::kAllgather, Algorithm::kTree},
+    {OpKind::kAllgather, Algorithm::kTournament},
+    {OpKind::kAllgather, Algorithm::kFwayDissemination, true},
+    {OpKind::kAlltoall, Algorithm::kDissemination},
+};
+
+TEST(ScheduleGolden, EveryTableScheduleMatchesItsDigest) {
+  // Pins every schedule edge for edge: a builder change that moves one
+  // step, send, wait or edge id anywhere here changes the digest. The
+  // value was computed once and must only change with a deliberate
+  // schedule change (which also moves the bench fingerprints).
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int n = 1; n <= 130; ++n) {
+    std::vector<int> radices = {0, 2, 3, 4, 5, 8, 16};
+    for (const int r : {n - 1, n + 1}) {
+      if (r >= 2) radices.push_back(r);
+    }
+    for (const TablePair& p : kTablePairs) {
+      const std::vector<int> roots =
+          p.kind == OpKind::kBcast ? std::vector<int>{0, n / 2, n - 1} : std::vector<int>{0};
+      for (const int root : roots) {
+        for (const int radix : p.radixed ? radices : std::vector<int>{0}) {
+          h = digest(make_collective_schedule(p.kind, n, root, p.algorithm, radix), h);
+        }
+      }
+    }
+    // The central-counter star: every rank signals rank 0, which releases all.
+    h = digest(make_barrier_schedule(Algorithm::kGatherBroadcast, n, std::max(2, n - 1)), h);
+  }
+  EXPECT_EQ(h, 0xecbf91ed04eda762ULL) << std::hex << h;
+}
+
+TEST(ScheduleGolden, TablePairsAreTheLegalPairs) {
+  for (const OpKind kind : {OpKind::kBarrier, OpKind::kBcast, OpKind::kAllreduce,
+                            OpKind::kAllgather, OpKind::kAlltoall}) {
+    std::vector<Algorithm> pinned;
+    for (const TablePair& p : kTablePairs) {
+      if (p.kind == kind) pinned.push_back(p.algorithm);
+    }
+    EXPECT_EQ(pinned, collective_algorithms_for(kind)) << to_string(kind);
+  }
+}
+
+TEST(ScheduleRadix, AnyRadixAboveNPlusOneBuildsTheNPlusOneSchedule) {
+  // Regression: an unbounded radix overflowed the d-ary tree's child index
+  // and spun f-way dissemination's rounds ~radix times per rank.
+  constexpr TablePair kRadixed[] = {
+      {OpKind::kBarrier, Algorithm::kGatherBroadcast},
+      {OpKind::kBarrier, Algorithm::kFwayDissemination},
+      {OpKind::kAllreduce, Algorithm::kFwayDissemination},
+      {OpKind::kBcast, Algorithm::kGatherBroadcast},
+  };
+  for (const int n : {8, 64}) {
+    for (const TablePair& p : kRadixed) {
+      EXPECT_EQ(digest(make_collective_schedule(p.kind, n, 0, p.algorithm, INT_MAX)),
+                digest(make_collective_schedule(p.kind, n, 0, p.algorithm, n + 1)))
+          << to_string(p.kind) << "/" << to_string(p.algorithm) << " n=" << n;
+    }
+  }
 }
 
 // ---------- correctness property (all algorithms, swept N) ----------
@@ -305,11 +408,17 @@ struct CorrectnessCase {
   int radix;
 };
 
+/// The radix of the central-counter star, gather-broadcast at degree
+/// max(2, n - 1). Its cases keep the name of the verbs barrier it models,
+/// remote_atomic_n<N>_r0.
+constexpr int kStar = -1;
+
 class BarrierCorrectness : public ::testing::TestWithParam<CorrectnessCase> {};
 
 TEST_P(BarrierCorrectness, FullInformationProperty) {
   const auto& p = GetParam();
-  const auto g = make_barrier_schedule(p.algorithm, p.n, p.radix);
+  const int radix = p.radix == kStar ? std::max(2, p.n - 1) : p.radix;
+  const auto g = make_barrier_schedule(p.algorithm, p.n, radix);
   EXPECT_TRUE(schedule_is_correct_barrier(g))
       << to_string(p.algorithm) << " n=" << p.n << " radix=" << p.radix;
 }
@@ -327,18 +436,20 @@ std::vector<CorrectnessCase> all_cases() {
       cases.push_back({Algorithm::kGatherBroadcast, n, f});
     }
   }
+  for (int n = 1; n <= 33; ++n) cases.push_back({Algorithm::kGatherBroadcast, n, kStar});
   return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, BarrierCorrectness, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<CorrectnessCase>& info) {
-      std::string name(to_string(info.param.algorithm));
+      const bool star = info.param.radix == kStar;
+      std::string name(star ? "remote-atomic" : to_string(info.param.algorithm));
       for (char& c : name) {
         if (c == '-') c = '_';
       }
       return name + "_n" + std::to_string(info.param.n) + "_r" +
-             std::to_string(info.param.radix);
+             std::to_string(star ? 0 : info.param.radix);
     });
 
 // ---------- executor ----------
@@ -520,9 +631,9 @@ TEST(EdgeNumbering, ExecutorRejectsAnUnnumberedSchedule) {
 }
 
 TEST(EdgeNumbering, WideStarRootSpillsPastOneWord) {
-  // The remote-atomic root waits on n-1 edges and sends n-1 more: 126
-  // edges, beyond the 64 an inline bit word holds.
-  const auto g = make_barrier_schedule(Algorithm::kRemoteAtomic, 64);
+  // The star's root waits on n-1 edges and sends n-1 more: 126 edges,
+  // beyond the 64 an inline bit word holds.
+  const auto g = make_barrier_schedule(Algorithm::kGatherBroadcast, 64, 63);
   ASSERT_EQ(g.ranks[0].edge_count(), 126u);
   int sends = 0;
   bool complete = false;
@@ -542,7 +653,6 @@ TEST(EdgeNumbering, WideStarRootSpillsPastOneWord) {
 TEST(CorrectnessChecker, RejectsIncompleteBarrier) {
   GroupSchedule g;
   g.size = 4;
-  g.algorithm = Algorithm::kDissemination;
   g.ranks.resize(4);
   // Only a ring of single messages: rank i -> i+1; no transitive closure in
   // one step, and rank 0 completes knowing only rank 3.

@@ -95,25 +95,25 @@ TEST_P(OrderInvariance, ResultIndependentOfDeliveryOrder) {
       expected = 0;
       break;
     case OpKind::kBcast:
-      g = make_bcast_schedule(p.n, 0);
+      g = make_collective_schedule(OpKind::kBcast, p.n, 0);
       inputs.assign(static_cast<std::size_t>(p.n), 0);
       inputs[0] = 777;
       expected = 777;
       break;
     case OpKind::kAllreduce:
-      g = make_allreduce_schedule(p.n);
+      g = make_collective_schedule(OpKind::kAllreduce, p.n, 0);
       for (int r = 0; r < p.n; ++r) {
         inputs.push_back(5 * r - 7);
         expected += 5 * r - 7;
       }
       break;
     case OpKind::kAllgather:
-      g = make_allgather_schedule(p.n);
+      g = make_collective_schedule(OpKind::kAllgather, p.n, 0);
       for (int r = 0; r < p.n; ++r) inputs.push_back(std::int64_t{1} << r);
       expected = (std::int64_t{1} << p.n) - 1;
       break;
     case OpKind::kAlltoall:
-      g = make_alltoall_schedule(p.n);
+      g = make_collective_schedule(OpKind::kAlltoall, p.n, 0);
       for (int r = 0; r < p.n; ++r) inputs.push_back(std::int64_t{1} << r);
       expected = (std::int64_t{1} << p.n) - 1;
       break;
@@ -155,7 +155,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, OrderInvariance, ::testing::ValuesIn(prop_cas
 TEST(OrderInvariance, MinMaxReductionsToo) {
   for (const auto op : {ReduceOp::kMin, ReduceOp::kMax}) {
     const int n = 7;
-    const auto g = make_allreduce_schedule(n);
+    const auto g = make_collective_schedule(OpKind::kAllreduce, n, 0);
     std::vector<std::int64_t> inputs;
     for (int r = 0; r < n; ++r) inputs.push_back((r * 13) % 9 - 4);
     std::int64_t expected = inputs[0];
@@ -177,7 +177,7 @@ TEST(OrderInvariance, TwoOverlappingOperationsStayIsolated) {
   // first's completion; results must match their own operation regardless
   // of interleaving.
   const int n = 4;
-  const auto g = make_allreduce_schedule(n);
+  const auto g = make_collective_schedule(OpKind::kAllreduce, n, 0);
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     sim::Rng rng(seed);
     std::vector<std::vector<std::int64_t>> results(2);
@@ -376,9 +376,9 @@ std::string compare_with_reference(const GroupSchedule& g, sim::Rng& rng) {
 TEST(NumberedExecutor, MatchesSetReferenceOnEveryPairInRandomOrder) {
   for (const auto kind : {OpKind::kBarrier, OpKind::kBcast, OpKind::kAllreduce,
                           OpKind::kAllgather, OpKind::kAlltoall}) {
-    for (const Algorithm alg : core::collective_algorithms_for(kind)) {
+    for (const Algorithm alg : coll::collective_algorithms_for(kind)) {
       for (int n = 1; n <= 33; ++n) {
-        const GroupSchedule g = core::make_collective_schedule(kind, n, 0, alg);
+        const GroupSchedule g = coll::make_collective_schedule(kind, n, 0, alg);
         for (std::uint64_t seed = 1; seed <= 3; ++seed) {
           sim::Rng rng(seed * 1000 + static_cast<std::uint64_t>(n));
           const std::string err = compare_with_reference(g, rng);

@@ -233,7 +233,7 @@ void print_coverage(const Options& o, std::uint64_t base_seed) {
   std::printf("collective coverage:");
   for (std::size_t v = 0; v < std::size(kValueKinds); ++v) {
     const std::string op{run::to_string(kValueKinds[v])};
-    for (const coll::Algorithm a : core::collective_algorithms_for(kValueKinds[v])) {
+    for (const coll::Algorithm a : coll::collective_algorithms_for(kValueKinds[v])) {
       std::size_t c = 0;
       for (std::size_t k = 0; k < kAlgos; ++k) {
         if (coll::kBarrierAlgorithms[k] == a) c = pair_counts[v][k];

@@ -49,12 +49,12 @@ struct Options {
       "  --impl nic|host|direct|gsync|hgsync        (default nic;\n"
       "         direct = prior-work NIC scheme, Myrinet barrier only;\n"
       "         gsync/hgsync = Quadrics barrier only)\n"
-      "  --algorithm ds|pe|gb|tree|trn|fway|ra      (default ds;\n"
+      "  --algorithm ds|pe|gb|tree|trn|fway         (default ds;\n"
       "         ds = dissemination, pe = pairwise exchange, gb = gather-\n"
-      "         broadcast tree, tree = binomial tree, trn = tournament,\n"
-      "         fway = f-way dissemination, ra = remote-atomic central\n"
-      "         counter, IB only; per-(network, op) support is capability-\n"
-      "         gated — value collectives accept the value-correct subset)\n"
+      "         broadcast tree (gb --radix N-1 is the central-counter star),\n"
+      "         tree = binomial tree, trn = tournament, fway = f-way\n"
+      "         dissemination; value collectives accept the value-correct\n"
+      "         subset)\n"
       "  --radix R                                  gb tree degree / fway f\n"
       "         (default 0 = the algorithm's own default: gb 2, fway 4)\n"
       "  --overlap US                               split-phase collectives: each\n"
@@ -204,9 +204,7 @@ Options parse(int argc, char** argv) {
       const auto alg = run::parse_algorithm(v);
       if (!alg) {
         std::fprintf(stderr,
-                     "unknown --algorithm '%s' (valid: ds, pe, gb, tree, trn, fway, "
-                     "ra)\n",
-                     v);
+                     "unknown --algorithm '%s' (valid: ds, pe, gb, tree, trn, fway)\n", v);
         usage(argv[0]);
       }
       o.spec.algorithm = *alg;
