@@ -377,6 +377,14 @@ namespace {
   return g;
 }
 
+/// The table row for (kind, algorithm), or nullptr for an illegal pair.
+[[nodiscard]] const Pattern* find_pattern(OpKind kind, Algorithm algorithm) {
+  for (const Pattern& p : kPatterns) {
+    if (p.kind == kind && p.algorithm == algorithm) return &p;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 GroupSchedule make_collective_schedule(OpKind kind, int n, int root, Algorithm algorithm,
@@ -390,15 +398,15 @@ GroupSchedule make_collective_schedule(OpKind kind, int n, int root, Algorithm a
   if (kind == OpKind::kBcast && (root < 0 || root >= n)) {
     throw std::invalid_argument("bcast root out of range");
   }
-  for (const Pattern& p : kPatterns) {
-    if (p.kind != kind || p.algorithm != algorithm) continue;
-    // A radix above n + 1 builds the n + 1 schedule; clamping keeps the
-    // tree's child indices and the dissemination rounds bounded.
-    return numbered(p.build(n, root, std::min(radix > 0 ? radix : p.default_radix, n + 1)));
+  const Pattern* p = find_pattern(kind, algorithm);
+  if (p == nullptr) {
+    throw std::invalid_argument(std::string(to_string(kind)) +
+                                " has no value-correct schedule for algorithm " +
+                                std::string(to_string(algorithm)));
   }
-  throw std::invalid_argument(std::string(to_string(kind)) +
-                              " has no value-correct schedule for algorithm " +
-                              std::string(to_string(algorithm)));
+  // A radix above n + 1 builds the n + 1 schedule; clamping keeps the
+  // tree's child indices and the dissemination rounds bounded.
+  return numbered(p->build(n, root, std::min(radix > 0 ? radix : p->default_radix, n + 1)));
 }
 
 const std::vector<Algorithm>& collective_algorithms_for(OpKind kind) {
@@ -410,6 +418,11 @@ const std::vector<Algorithm>& collective_algorithms_for(OpKind kind) {
     return by_kind;
   }();
   return lists.at(static_cast<std::size_t>(kind));
+}
+
+bool takes_radix(OpKind kind, Algorithm algorithm) {
+  const Pattern* p = find_pattern(kind, algorithm);
+  return p != nullptr && p->default_radix > 0;
 }
 
 std::int64_t combine_value(OpKind kind, ReduceOp op, std::uint32_t tag,

@@ -235,6 +235,11 @@ class EdgeBits {
 /// so allreduce maps its kDissemination default to recursive doubling).
 [[nodiscard]] const std::vector<Algorithm>& collective_algorithms_for(OpKind kind);
 
+/// Whether the (kind, algorithm) schedule has a radix to set: the tree
+/// degree of gather-broadcast, the fan-out of f-way dissemination. False
+/// for every other pair, legal or not.
+[[nodiscard]] bool takes_radix(OpKind kind, Algorithm algorithm);
+
 /// Verifies the "full information" barrier property: following schedule
 /// edges in step order, every rank's exit transitively depends on every
 /// rank's entry. Returns true when the schedule is a correct barrier.

@@ -177,10 +177,12 @@ run::ExperimentSpec derive_case(std::uint64_t seed, const FuzzOptions& opts) {
     w.seed = rng.next_u64();
     // The workload impl redraw above can land on a fixed-pattern barrier
     // impl (quadrics --impl host is the gsync tree); keep the case legal.
+    // That impl ignores the radix drawn for gb or fway, and ds takes none.
     if (std::find(caps.fixed_pattern_barrier_impls.begin(),
                   caps.fixed_pattern_barrier_impls.end(),
                   s.impl) != caps.fixed_pattern_barrier_impls.end()) {
       s.algorithm = coll::Algorithm::kDissemination;
+      s.radix = 0;
     }
   }
 

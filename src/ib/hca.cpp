@@ -34,6 +34,8 @@ Hca::Hca(sim::Engine& engine, net::Fabric& fabric, const IbConfig& config,
   stats_.duplicates = reg.counter("ib.duplicates_dropped", node_);
   stats_.ops_completed = reg.counter("ib.ops_completed", node_);
   stats_.early_buffered = reg.counter("ib.early_buffered", node_);
+  stats_.stale_dropped = reg.counter("ib.stale_dropped", node_);
+  stats_.nacks_received = reg.counter("ib.naks_received", node_);
   stats_.crc_dropped = reg.counter("nic.crc_dropped", node_);
   addr_ = fabric_->attach([this](net::Packet&& p) {
     if (p.corrupted) {  // ICRC check: discard before the transport sees it

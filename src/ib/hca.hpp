@@ -41,9 +41,8 @@ namespace qmb::ib {
 /// checks ib.ops_completed algebra. The RC transport and the collective
 /// path share the counters: `duplicates` counts both RC duplicates and
 /// collective writes that arrived twice. The engine's stale and
-/// NACK-received counts stay unregistered, since naks_sent and
-/// retransmissions already show recovery and each registration is paid
-/// per HCA at cluster build.
+/// NACK-received counts register as ib.stale_dropped and ib.naks_received:
+/// beside ib.naks_sent they show how many collective NACKs reached a peer.
 struct HcaStats : coll::GroupCounters {
   obs::Counter writes_posted;    // RC posts and first sends of collective writes
   obs::Counter acks_sent;

@@ -191,6 +191,12 @@ std::string validate(const ExperimentSpec& s) {
            " on --network " + std::string(to_string(s.network)) +
            " (valid: " + caps_algorithm_list(s.op) + ")";
   }
+  if (s.radix != 0 && !coll::takes_radix(s.op, s.algorithm)) {
+    return std::string("--radix does not apply to --algorithm ") +
+           std::string(algorithm_cli_name(s.algorithm)) + " for --op " +
+           std::string(coll::to_string(s.op)) +
+           " (it sets the gb tree degree or the fway fan-out)";
+  }
   if (s.op == coll::OpKind::kBarrier && s.algorithm != coll::Algorithm::kDissemination &&
       std::find(caps.fixed_pattern_barrier_impls.begin(),
                 caps.fixed_pattern_barrier_impls.end(),

@@ -11,20 +11,24 @@
 // cache, the inline PacketPayload, and the enlarged sim::Callback inline
 // storage: regressing any of them makes this count non-zero. Likewise a
 // collective window, once each of its two slots has run an operation,
-// keeps its bookkeeping in bits and per-edge slots it already owns.
+// keeps its bookkeeping in bits and per-edge slots it already owns, and
+// the metric registry allocates per metric name, not per (name, node).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <new>
+#include <string_view>
 #include <vector>
 
 #include "core/collectives.hpp"
 #include "core/group_window.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -216,6 +220,33 @@ TEST(HotpathAlloc, SteadyStateGroupWindowPerformsZeroAllocations) {
                             << ": 8 steady operations allocated " << allocs << " times";
     }
   }
+}
+
+TEST(HotpathAlloc, MetricRegistrationAllocatesPerNameNotPerNode) {
+  // A 4096-node Myrinet cluster's per-node names, registered node by node
+  // as its constructors do. Values sit side by side per name, so the
+  // allocations are each name's store growing, not one per (name, node).
+  static constexpr std::string_view kNames[] = {
+      "mcp.data_packets_sent", "mcp.acks_sent",       "mcp.retransmissions",
+      "mcp.drops_bad_seq",     "mcp.dup_acked",       "mcp.drops_no_token",
+      "mcp.tokens_completed",  "mcp.buffer_stalls",   "coll.msgs_sent",
+      "coll.msgs_received",    "coll.duplicates",     "coll.early_buffered",
+      "coll.stale_dropped",    "coll.nacks_sent",     "coll.nacks_received",
+      "coll.retransmissions",  "coll.acks_sent",      "coll.ops_completed",
+      "nic.crc_dropped"};
+  constexpr int kNodes = 4096;
+  obs::MetricRegistry reg;
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (int node = 0; node < kNodes; ++node) {
+    for (const std::string_view name : kNames) ++reg.counter(name, node);
+  }
+  g_counting.store(false);
+  const std::uint64_t registrations = std::size(kNames) * kNodes;
+  EXPECT_EQ(reg.size(), registrations);
+  EXPECT_EQ(reg.total("mcp.acks_sent"), static_cast<std::uint64_t>(kNodes));
+  EXPECT_LT(g_allocs.load() * 16, registrations)
+      << g_allocs.load() << " allocations for " << registrations << " registrations";
 }
 
 }  // namespace

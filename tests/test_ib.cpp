@@ -201,6 +201,9 @@ TEST(IbCollective, DroppedEdgeIsRecoveredByNack) {
   EXPECT_EQ(reg.total("fault.dropped"), 1u);
   EXPECT_EQ(reg.total("ib.ops_completed"), 8u * 10u);
   EXPECT_GE(reg.total("ib.naks_sent"), 1u);
+  // Every NACK that reached its peer was sent; none is counted twice.
+  EXPECT_GE(reg.total("ib.naks_received"), 1u);
+  EXPECT_LE(reg.total("ib.naks_received"), reg.total("ib.naks_sent"));
   EXPECT_GE(reg.total("ib.retransmissions"), 1u);
   EXPECT_EQ(reg.total("ib.rto_fires"), 0u);
 }

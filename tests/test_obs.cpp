@@ -104,6 +104,54 @@ TEST(MetricRegistry, HandlesSurviveManyLaterRegistrations) {
   EXPECT_EQ(reg.total("first"), 1u);
 }
 
+TEST(MetricRegistry, NodeHandleSurvivesLaterNodesOfTheSameName) {
+  // Later nodes append to the name's own value store; the node-0 value
+  // must not move under its handle while the store grows past any block.
+  obs::MetricRegistry reg;
+  obs::Counter first = reg.counter("mcp.acks", 0);
+  for (int node = 1; node <= 10'000; ++node) {
+    obs::Counter c = reg.counter("mcp.acks", node);
+    ++c;
+  }
+  first += 5;
+  EXPECT_EQ(first.value(), 5u);
+  EXPECT_EQ(reg.counter("mcp.acks", 0).value(), 5u);
+  EXPECT_EQ(reg.total("mcp.acks"), 10'005u);
+  EXPECT_EQ(reg.size(), 10'001u);
+}
+
+TEST(MetricRegistry, ANameHasOneKindAcrossNodes) {
+  obs::MetricRegistry reg;
+  (void)reg.counter("x", 0);
+  EXPECT_THROW((void)reg.gauge("x", 1), std::logic_error);
+  EXPECT_THROW((void)reg.histogram("x", -1), std::logic_error);
+}
+
+TEST(MetricRegistry, NodeBelowWholeSimulationThrows) {
+  // node -1 is the whole simulation; nothing maps below it.
+  obs::MetricRegistry reg;
+  EXPECT_THROW((void)reg.counter("x", -2), std::out_of_range);
+  EXPECT_EQ(reg.size(), 0u);
+}
+
+TEST(MetricRegistry, HistogramsSumBucketByBucketAcrossNodes) {
+  obs::MetricRegistry reg;
+  obs::Histogram a = reg.histogram("lat", 0);
+  obs::Histogram b = reg.histogram("lat", 3);
+  obs::Histogram whole = reg.histogram("lat");
+  a.record(1);
+  a.record(5);
+  b.record(6);
+  b.record(0);
+  whole.record(2);
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].kind, obs::MetricKind::kHistogram);
+  EXPECT_EQ(snap[0].value, 5u);
+  EXPECT_EQ(snap[0].sum, 14u);
+  EXPECT_EQ(snap[0].buckets, (std::vector<std::uint64_t>{1, 1, 1, 2}));
+}
+
 // --------------------------------------------------------------- histogram
 
 TEST(Histogram, BucketIndexBoundaries) {

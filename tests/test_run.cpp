@@ -274,12 +274,45 @@ TEST(Validate, FixedPatternImplRejectsAlgorithmChoice) {
 
 TEST(Validate, RadixMustBeZeroOrAtLeastTwo) {
   auto s = quick_spec();
+  s.algorithm = coll::Algorithm::kGatherBroadcast;
   s.radix = 1;
   EXPECT_NE(validate(s).find("--radix"), std::string::npos) << validate(s);
   s.radix = 0;
   EXPECT_EQ(validate(s), "");
   s.radix = 2;
   EXPECT_EQ(validate(s), "");
+}
+
+TEST(Validate, RadixNeedsAnAlgorithmThatTakesOne) {
+  // Plain dissemination, pairwise exchange, the binomial tree and the
+  // tournament have no radix; accepting one would run the radix-free
+  // schedule under a spec that claims otherwise.
+  for (const coll::Algorithm alg :
+       {coll::Algorithm::kDissemination, coll::Algorithm::kPairwiseExchange,
+        coll::Algorithm::kTree, coll::Algorithm::kTournament}) {
+    auto s = quick_spec();
+    s.algorithm = alg;
+    s.radix = 8;
+    std::string named = "--algorithm ";
+    named += algorithm_cli_name(alg);
+    const std::string err = validate(s);
+    EXPECT_NE(err.find("--radix"), std::string::npos) << coll::to_string(alg);
+    EXPECT_NE(err.find(named), std::string::npos) << err;
+    EXPECT_NE(err.find("barrier"), std::string::npos) << err;
+  }
+  auto bcast = quick_spec();
+  bcast.op = coll::OpKind::kBcast;
+  bcast.radix = 8;
+  const std::string err = validate(bcast);
+  EXPECT_NE(err.find("--algorithm ds"), std::string::npos) << err;
+  EXPECT_NE(err.find("bcast"), std::string::npos) << err;
+  for (const coll::Algorithm alg :
+       {coll::Algorithm::kGatherBroadcast, coll::Algorithm::kFwayDissemination}) {
+    auto s = quick_spec();
+    s.algorithm = alg;
+    s.radix = 8;
+    EXPECT_EQ(validate(s), "") << coll::to_string(alg);
+  }
 }
 
 TEST(Validate, OverlapAppliesToValueOpsButExcludesWorkload) {
