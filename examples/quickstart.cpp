@@ -23,10 +23,11 @@ void print_schedule(coll::Algorithm alg, int n) {
               g.max_steps());
   for (int r = 0; r < n; ++r) {
     std::printf("  rank %d:", r);
-    for (const auto& step : g.ranks[static_cast<std::size_t>(r)].steps) {
+    const coll::RankSchedule& rs = g.ranks[static_cast<std::size_t>(r)];
+    for (std::size_t step = 0; step < rs.step_count(); ++step) {
       std::printf(" [");
-      for (const auto& s : step.sends) std::printf(" ->%d", s.peer);
-      for (const auto& w : step.waits) std::printf(" <-%d", w.peer);
+      for (const auto& s : rs.sends(step)) std::printf(" ->%d", s.peer);
+      for (const auto& w : rs.waits(step)) std::printf(" <-%d", w.peer);
       std::printf(" ]");
     }
     std::printf("\n");

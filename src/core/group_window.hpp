@@ -4,11 +4,12 @@
 // Consecutive operations overlap: a peer that completed operation k may
 // send its first message of k+1 before this rank finished k, but never k+2
 // (its completion of k+1 transitively required everyone to finish k).
-// GroupWindow keeps two operation slots, buffers early arrivals, keeps each
-// edge's payload in a per-edge value slot (indexed by the schedule's edge
-// ids) that folds into the accumulator as its step is consumed, and
-// recycles a slot only once its operation completed. A barrier is the
-// zero-payload case: its fold leaves the accumulator alone.
+// GroupWindow keeps two operation slots, buffers early arrivals, and
+// recycles a slot only once its operation completed. A value kind keeps
+// each edge's payload in a per-edge value array (indexed by the schedule's
+// edge ids, sized when the window is built) that folds into the
+// accumulator as its step is consumed. A barrier carries no payload: its
+// slots keep no value array and fold nothing.
 //
 // The host-level executors and coll::NicGroupEngine (nic_group_engine.hpp,
 // the one group engine of every NIC scheme) instantiate it and add only
@@ -22,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -91,8 +93,9 @@ class GroupWindow {
       std::int64_t value;
     };
     std::vector<Early> early;  // arrivals before start(), replayed by it
-    /// Per-edge payloads, written by each edge's first arrival and folded
-    /// when its step is consumed; only arrived edges are ever read.
+    /// Value kinds only: per-edge payloads, written by each edge's first
+    /// arrival and folded when its step is consumed; only arrived edges are
+    /// ever read.
     std::vector<std::int64_t> values;
   };
 
@@ -112,9 +115,15 @@ class GroupWindow {
     int duplicates;     // buffered arrivals the replay found repeated
   };
 
-  /// `schedule` must be numbered and outlive the window.
-  GroupWindow(const RankSchedule& schedule, OpKind kind, ReduceOp reduce, Hooks hooks)
-      : schedule_(&schedule), kind_(kind), reduce_(reduce), hooks_(std::move(hooks)) {}
+  /// `schedule` must outlive the window. Both slots start from `state`.
+  GroupWindow(const RankSchedule& schedule, OpKind kind, ReduceOp reduce, Hooks hooks,
+              const SlotState& state = {})
+      : schedule_(&schedule), kind_(kind), reduce_(reduce), hooks_(std::move(hooks)) {
+    for (Slot& s : slots_) {
+      s.state = state;
+      if (kind_ != OpKind::kBarrier) s.values.assign(schedule.edge_count(), 0);
+    }
+  }
   GroupWindow(const GroupWindow&) = delete;
   GroupWindow& operator=(const GroupWindow&) = delete;
 
@@ -178,7 +187,7 @@ class GroupWindow {
   bool record(Slot& s, const typename Slot::Early& a) {
     if (a.id == kNoEdge) return s.exec->on_arrival(a.peer, a.tag);
     if (s.exec->has_arrived(a.id)) return false;
-    s.values[a.id] = a.value;
+    if (kind_ != OpKind::kBarrier) s.values[a.id] = a.value;
     return s.exec->on_arrival(a.id);
   }
 
@@ -204,18 +213,18 @@ class GroupWindow {
 
   void make_executor(Slot& s) {
     Slot* sp = &s;
-    s.values.assign(schedule_->edge_count(), 0);
     s.exec.emplace(
         *schedule_, [this, sp](const Edge& e) { hooks_.send(*sp, e); },
         [this, sp] {
           sp->complete = true;
           hooks_.complete(*sp);
         });
+    if (kind_ == OpKind::kBarrier) return;
     // Fold payloads only as their step is consumed (see ScheduleExecutor::
     // set_step_consumer): an early arrival must not leak into the value
     // this rank sends during the same step.
-    s.exec->set_step_consumer([this, sp](const Step& st) {
-      for (const Edge& w : st.waits) {
+    s.exec->set_step_consumer([this, sp](std::span<const Edge> waits) {
+      for (const Edge& w : waits) {
         sp->acc = combine_value(kind_, reduce_, w.tag, sp->acc, sp->values[w.id]);
       }
     });

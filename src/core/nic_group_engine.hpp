@@ -9,7 +9,8 @@
 // payload size and destination node, arrival lookup and classification,
 // completion, and receiver-driven recovery (Sec. 6.3): a NACK timer armed
 // before step 0 that NACKs each missing wait of the current step, and the
-// resend of a NACKed edge from the value it carried when first sent.
+// resend of a NACKed edge from the value it carried when first sent (a
+// barrier edge carries none, so its resend carries 0).
 //
 // The NACK timer runs one of two rules. A fixed-period timer (Myrinet)
 // NACKs every nack_timeout() from the operation's start. A silence timer
@@ -103,8 +104,9 @@ class NicGroupEngine {
   struct SlotState {
     sim::EventId nack_timer;
     /// Value each sent edge carried, by edge id, for resends; valid where
-    /// the executor's sent bit is set, and kept only where the wire carries
-    /// NACKs.
+    /// the executor's sent bit is set. Sized when the window is built, and
+    /// only for value kinds on a wire that carries NACKs (see
+    /// keeps_sent_values).
     std::vector<std::int64_t> sent_values;
     /// Silence timer only: the last accepted arrival (or the start, or the
     /// last NACK round), and the silence that must follow it before the
@@ -144,18 +146,27 @@ class NicGroupEngine {
     Group& g = groups_.emplace(desc.group_id);
     g.desc = std::move(desc);
     Group* gp = &g;
+    SlotState state;
+    if (keeps_sent_values(g.desc)) state.sent_values.assign(g.desc.rank_schedule().edge_count(), 0);
     g.window.emplace(
         g.desc.rank_schedule(), g.desc.op_kind, g.desc.reduce_op,
         typename Window::Hooks{
             .send =
                 [this, gp](Slot& op, const Edge& e) {
-                  if constexpr (Nic::kNackOnWire) op.state.sent_values[e.id] = op.acc;
+                  if (keeps_sent_values(gp->desc)) op.state.sent_values[e.id] = op.acc;
                   send(*gp, op.seq, e, op.acc, false);
                 },
             .complete = [this, gp](Slot& op) { complete(*gp, op); },
             .pre_start = [this, gp](Slot& op) { pre_start(*gp, op); },
             .recycle = [this](Slot& op) { nic_.engine().cancel(op.state.nack_timer); },
-        });
+        },
+        state);
+  }
+
+  /// The value to resend edge `id` of operation `op` with: what it carried
+  /// when first sent. `op` must have sent it.
+  [[nodiscard]] static std::int64_t resend_value(const Group& g, const Slot& op, EdgeId id) {
+    return keeps_sent_values(g.desc) ? op.state.sent_values[id] : 0;
   }
 
   /// This NIC's entry for `group`, or nullptr when it never joined it.
@@ -225,7 +236,7 @@ class NicGroupEngine {
     if (const Slot* slot = g.window->find(seq); slot != nullptr && slot->exec) {
       if (edge.id != kNoEdge && slot->exec->has_sent(edge.id)) {
         if (nic_.skip_retransmit(g.desc)) return;  // the fuzzer's planted bug
-        send(g, seq, edge, slot->state.sent_values[edge.id], true);
+        send(g, seq, edge, resend_value(g, *slot, edge.id), true);
       }
       return;
     }
@@ -240,9 +251,15 @@ class NicGroupEngine {
   }
 
  private:
+  /// Whether `desc`'s operations keep each sent edge's value for resends:
+  /// value kinds on a wire that carries NACKs. A barrier edge carries no
+  /// value, so every barrier resend carries 0.
+  [[nodiscard]] static bool keeps_sent_values(const Desc& desc) {
+    return Nic::kNackOnWire && desc.op_kind != OpKind::kBarrier;
+  }
+
   void pre_start(Group& g, Slot& op) {
     if constexpr (Nic::kNackOnWire) {
-      op.state.sent_values.resize(g.window->schedule().edge_count());
       op.state.quiet_since = nic_.engine().now();
       op.state.nack_wait = nic_.nack_timeout();
       if (nic_.nack_recovery(g.desc)) arm_nack_timer(g, op, op.state.nack_wait);
@@ -288,9 +305,10 @@ class NicGroupEngine {
   }
 
   void nack_missing(Group& g, Slot& op) {
-    for (const Edge& miss : op.exec->missing_current_waits()) {
-      nic_.send_nack(g.desc, op.seq, miss.tag,
-                     g.desc.rank_to_node->at(static_cast<std::size_t>(miss.peer)));
+    for (const Edge& w : op.exec->current_waits()) {
+      if (op.exec->has_arrived(w.id)) continue;
+      nic_.send_nack(g.desc, op.seq, w.tag,
+                     g.desc.rank_to_node->at(static_cast<std::size_t>(w.peer)));
     }
   }
 

@@ -3,20 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace qmb::coll {
 namespace {
-
-GroupSchedule sized(int n) {
-  GroupSchedule g;
-  g.size = n;
-  g.ranks.resize(static_cast<std::size_t>(n));
-  return g;
-}
 
 /// The largest power of f that is at most n.
 [[nodiscard]] int floor_pow(int n, int f) {
@@ -29,25 +24,26 @@ GroupSchedule sized(int n) {
 /// distances j * f^k (j = 1..f-1) and waits on their mirrors. A round's
 /// distances are distinct mod n up to the first that is 0 mod n, and every
 /// later one repeats an earlier one, so the round ends there.
-void dissemination_rounds(RankSchedule& rs, int i, int n, int f) {
+void dissemination_rounds(ScheduleWriter& w, int i, int n, int f) {
   std::uint32_t round = 0;
   for (long long unit = 1; unit < n; unit *= f, ++round) {
-    Step st;
     for (int j = 1; j < f; ++j) {
       const int d = static_cast<int>(j * unit % n);
       if (d == 0) break;
-      st.sends.push_back({(i + d) % n, round});
-      st.waits.push_back({(i - d + n) % n, round});
+      w.send((i + d) % n, round);
+      w.wait((i - d + n) % n, round);
     }
-    rs.steps.push_back(std::move(st));
+    w.end_step();
   }
 }
 
 /// XOR exchange rounds among ranks [0, m), m a power of two.
-void xor_rounds(RankSchedule& rs, int i, int m) {
+void xor_rounds(ScheduleWriter& w, int i, int m) {
   std::uint32_t round = 0;
   for (int dist = 1; dist < m; dist *= 2, ++round) {
-    rs.steps.push_back({{{i ^ dist, round}}, {{i ^ dist, round}}});
+    w.send(i ^ dist, round);
+    w.wait(i ^ dist, round);
+    w.end_step();
   }
 }
 
@@ -56,25 +52,25 @@ void xor_rounds(RankSchedule& rs, int i, int m) {
 /// the exchange among ranks [0, m).
 template <typename Core>
 GroupSchedule folded(int n, int m, Core core) {
-  GroupSchedule g = sized(n);
-  for (int i = 0; i < n; ++i) {
-    RankSchedule& rs = g.ranks[static_cast<std::size_t>(i)];
+  return ScheduleWriter::build(n, [n, m, &core](ScheduleWriter& w, int i) {
     if (i >= m) {
-      rs.steps.push_back({{{i % m, kTagPre}}, {}});
-      rs.steps.push_back({{}, {{i % m, kTagPost}}});
-      continue;
+      w.send(i % m, kTagPre);
+      w.end_step();
+      w.wait(i % m, kTagPost);
+      w.end_step();
+      return;
     }
-    Step pre;
-    Step post;
-    for (int e = i + m; e < n; e += m) {
-      pre.waits.push_back({e, kTagPre});
-      post.sends.push_back({e, kTagPost});
+    const bool partners = i + m < n;
+    if (partners) {
+      for (int e = i + m; e < n; e += m) w.wait(e, kTagPre);
+      w.end_step();
     }
-    if (!pre.waits.empty()) rs.steps.push_back(std::move(pre));
-    core(rs, i, m);
-    if (!post.sends.empty()) rs.steps.push_back(std::move(post));
-  }
-  return g;
+    core(w, i, m);
+    if (partners) {
+      for (int e = i + m; e < n; e += m) w.send(e, kTagPost);
+      w.end_step();
+    }
+  });
 }
 
 enum class TreeOrder {
@@ -89,45 +85,54 @@ enum class TreeOrder {
 /// the ACKs the root completes at once and races arbitrarily far ahead of
 /// the leaves, which no fixed-depth operation window could absorb.
 GroupSchedule tree(int n, int root, int degree, TreeOrder order) {
-  GroupSchedule g = sized(n);
-  const auto real = [n, root](long long v) { return static_cast<int>((v + root) % n); };
-  for (int v = 0; v < n; ++v) {
-    int parent = -1;
-    Step gather;   // the children's kTagUp edges
-    Step release;  // the children's kTagDown edges
-    const auto child = [&](long long c) {
-      gather.waits.push_back({real(c), kTagUp});
-      release.sends.push_back({real(c), kTagDown});
-    };
-    if (degree > 0) {
-      if (v > 0) parent = (v - 1) / degree;
-      const long long first = static_cast<long long>(degree) * v + 1;
-      for (long long c = first; c < first + degree && c < n; ++c) child(c);
-    } else {
-      for (int m = 1; m < n; m *= 2) {
-        if ((v & m) != 0) {
-          parent = v - m;
-          break;
+  return ScheduleWriter::build(n, [n, root, degree, order](ScheduleWriter& w, int r) {
+    const auto real = [n, root](long long v) { return static_cast<int>((v + root) % n); };
+    const long long v = (r - root + n) % n;
+    long long parent = -1;
+    if (v > 0) parent = degree > 0 ? (v - 1) / degree : v - (v & -v);
+    const auto each_child = [&](auto&& fn) {
+      if (degree > 0) {
+        const long long first = static_cast<long long>(degree) * v + 1;
+        for (long long c = first; c < first + degree && c < n; ++c) fn(real(c));
+      } else {
+        for (long long m = 1; m < n && (v & m) == 0; m *= 2) {
+          if (v + m < n) fn(real(v + m));
         }
-        if (v + m < n) child(v + m);
       }
-    }
-    RankSchedule& rs = g.ranks[static_cast<std::size_t>(real(v))];
-    const bool children = !gather.waits.empty();
+    };
+    int children = 0;
+    each_child([&children](int) { ++children; });
+    const auto gather = [&] {  // the children's kTagUp edges
+      each_child([&w](int c) { w.wait(c, kTagUp); });
+      w.end_step();
+    };
+    const auto release = [&] {  // the children's kTagDown edges
+      each_child([&w](int c) { w.send(c, kTagDown); });
+      w.end_step();
+    };
     if (order == TreeOrder::kBarrier) {
-      if (children) rs.steps.push_back(std::move(gather));
-      if (parent >= 0) rs.steps.push_back({{{real(parent), kTagUp}}, {{real(parent), kTagDown}}});
-      if (children) rs.steps.push_back(std::move(release));
-    } else {
-      if (parent >= 0) rs.steps.push_back({{}, {{real(parent), kTagDown}}});
-      if (children) {
-        rs.steps.push_back(std::move(release));
-        rs.steps.push_back(std::move(gather));
+      if (children > 0) gather();
+      if (parent >= 0) {
+        w.send(real(parent), kTagUp);
+        w.wait(real(parent), kTagDown);
+        w.end_step();
       }
-      if (parent >= 0) rs.steps.push_back({{{real(parent), kTagUp}}, {}});
+      if (children > 0) release();
+    } else {
+      if (parent >= 0) {
+        w.wait(real(parent), kTagDown);
+        w.end_step();
+      }
+      if (children > 0) {
+        release();
+        gather();
+      }
+      if (parent >= 0) {
+        w.send(real(parent), kTagUp);
+        w.end_step();
+      }
     }
-  }
-  return g;
+  });
 }
 
 GroupSchedule tournament(int n, int, int) {
@@ -137,9 +142,7 @@ GroupSchedule tournament(int n, int, int) {
   // exists. Rank 0 is the champion; wakeups fan back out in reverse round
   // order. Same edges as the binomial tree, but each round is its own
   // sequenced step — the timing signature the tournament is known for.
-  GroupSchedule g = sized(n);
-  for (int i = 0; i < n; ++i) {
-    auto& rs = g.ranks[static_cast<std::size_t>(i)];
+  return ScheduleWriter::build(n, [n](ScheduleWriter& w, int i) {
     int lose_round = -1;  // champion never loses
     int lose_dist = 0;
     for (int k = 0, m = 1; m < n; ++k, m *= 2) {
@@ -149,16 +152,14 @@ GroupSchedule tournament(int n, int, int) {
         break;
       }
       if (i + m < n) {
-        Step win;
-        win.waits.push_back({i + m, static_cast<std::uint32_t>(k)});
-        rs.steps.push_back(std::move(win));
+        w.wait(i + m, static_cast<std::uint32_t>(k));
+        w.end_step();
       }
     }
     if (lose_round >= 0) {
-      Step lose;
-      lose.sends.push_back({i - lose_dist, static_cast<std::uint32_t>(lose_round)});
-      lose.waits.push_back({i - lose_dist, kTagWake});
-      rs.steps.push_back(std::move(lose));
+      w.send(i - lose_dist, static_cast<std::uint32_t>(lose_round));
+      w.wait(i - lose_dist, kTagWake);
+      w.end_step();
     }
     // Wakeup fan-out: every round this rank won, in reverse order. The
     // champion's top is the next power of two >= n (its last win round may
@@ -170,38 +171,31 @@ GroupSchedule tournament(int n, int, int) {
     }
     for (int m = top / 2; m >= 1; m /= 2) {
       if (i + m >= n) continue;
-      Step wake;
-      wake.sends.push_back({i + m, kTagWake});
-      rs.steps.push_back(std::move(wake));
+      w.send(i + m, kTagWake);
+      w.end_step();
     }
-  }
-  return g;
+  });
 }
 
 /// All-to-all personalized exchange as a rotation ring: round r sends this
 /// rank's word for peer (i+r) mod n directly to it. n-1 rounds, one direct
 /// message per ordered pair — the pattern the paper's Sec. 9 asks about.
 GroupSchedule rotation(int n, int, int) {
-  GroupSchedule g = sized(n);
-  for (int i = 0; i < n; ++i) {
-    auto& rs = g.ranks[static_cast<std::size_t>(i)];
+  return ScheduleWriter::build(n, [n](ScheduleWriter& w, int i) {
     for (int r = 1; r < n; ++r) {
-      Step st;
-      st.sends.push_back({(i + r) % n, static_cast<std::uint32_t>(r - 1)});
-      st.waits.push_back({(i - r + n) % n, static_cast<std::uint32_t>(r - 1)});
-      rs.steps.push_back(std::move(st));
+      w.send((i + r) % n, static_cast<std::uint32_t>(r - 1));
+      w.wait((i - r + n) % n, static_cast<std::uint32_t>(r - 1));
+      w.end_step();
     }
-  }
-  return g;
+  });
 }
 
 constexpr int kBinomial = 0;  // tree degree of the binomial tree
 
 // The table's builders: (ranks, bcast root, radix with its default applied).
 GroupSchedule fway(int n, int, int f) {
-  GroupSchedule g = sized(n);
-  for (int i = 0; i < n; ++i) dissemination_rounds(g.ranks[static_cast<std::size_t>(i)], i, n, f);
-  return g;
+  return ScheduleWriter::build(
+      n, [n, f](ScheduleWriter& w, int i) { dissemination_rounds(w, i, n, f); });
 }
 GroupSchedule ds(int n, int, int) { return fway(n, 0, 2); }
 GroupSchedule pe(int n, int, int) { return folded(n, floor_pow(n, 2), xor_rounds); }
@@ -219,8 +213,8 @@ GroupSchedule binomial_bcast(int n, int root, int) {
 /// round k every block rank holds the sum of the f^(k+1) contiguous ranks
 /// ending at itself, and those blocks tile with no overlap.
 GroupSchedule fway_allreduce(int n, int, int f) {
-  return folded(n, floor_pow(n, f), [f](RankSchedule& rs, int i, int m) {
-    dissemination_rounds(rs, i, m, f);
+  return folded(n, floor_pow(n, f), [f](ScheduleWriter& w, int i, int m) {
+    dissemination_rounds(w, i, m, f);
   });
 }
 
@@ -310,13 +304,13 @@ std::optional<OpKind> parse_op_kind(std::string_view s) {
 
 int RankSchedule::total_sends() const {
   int n = 0;
-  for (const Step& s : steps) n += static_cast<int>(s.sends.size());
+  for (std::size_t s = 0; s < steps_; ++s) n += static_cast<int>(sends(s).size());
   return n;
 }
 
 int RankSchedule::total_waits() const {
   int n = 0;
-  for (const Step& s : steps) n += static_cast<int>(s.waits.size());
+  for (std::size_t s = 0; s < steps_; ++s) n += static_cast<int>(waits(s).size());
   return n;
 }
 
@@ -328,54 +322,68 @@ int GroupSchedule::total_messages() const {
 
 int GroupSchedule::max_steps() const {
   std::size_t n = 0;
-  for (const RankSchedule& r : ranks) n = std::max(n, r.steps.size());
+  for (const RankSchedule& r : ranks) n = std::max(n, r.step_count());
   return static_cast<int>(n);
-}
-
-void RankSchedule::number_edges() {
-  edge_keys.clear();
-  edge_keys.reserve(static_cast<std::size_t>(total_sends() + total_waits()));
-  for (const Step& st : steps) {
-    for (const Edge& e : st.sends) edge_keys.push_back(edge_key(e.peer, e.tag));
-    for (const Edge& e : st.waits) edge_keys.push_back(edge_key(e.peer, e.tag));
-  }
-  std::sort(edge_keys.begin(), edge_keys.end());
-  edge_keys.erase(std::unique(edge_keys.begin(), edge_keys.end()), edge_keys.end());
-  for (Step& st : steps) {
-    for (Edge& e : st.sends) e.id = find_edge(e.peer, e.tag);
-    for (Edge& e : st.waits) e.id = find_edge(e.peer, e.tag);
-  }
-}
-
-bool RankSchedule::numbered() const {
-  const auto valid = [this](const Edge& e) { return e.id < edge_keys.size(); };
-  return std::all_of(steps.begin(), steps.end(), [&valid](const Step& st) {
-    return std::all_of(st.sends.begin(), st.sends.end(), valid) &&
-           std::all_of(st.waits.begin(), st.waits.end(), valid);
-  });
 }
 
 EdgeId RankSchedule::find_edge(int peer, std::uint32_t tag) const {
   // Branch-free lower bound: arrivals come in no order a predictor learns.
   const std::uint64_t key = edge_key(peer, tag);
-  std::size_t n = edge_keys.size();
+  std::size_t n = keys_;
   if (n == 0) return kNoEdge;
-  const std::uint64_t* base = edge_keys.data();
+  const std::uint64_t* const first = keys();
+  const std::uint64_t* base = first;
   while (n > 1) {
     const std::size_t half = n / 2;
     base = base[half - 1] < key ? base + half : base;
     n -= half;
   }
   if (*base != key) return kNoEdge;
-  return static_cast<EdgeId>(base - edge_keys.data());
+  return static_cast<EdgeId>(base - first);
+}
+
+void ScheduleWriter::end_step() {
+  bounds_.push_back(static_cast<std::uint32_t>(edges_.size()));
+  edges_.insert(edges_.end(), waits_.begin(), waits_.end());
+  bounds_.push_back(static_cast<std::uint32_t>(edges_.size()));
+  waits_.clear();
+}
+
+RankSchedule ScheduleWriter::end_rank() {
+  assert(waits_.empty() && edges_.size() == bounds_.back() &&
+         "a rank's last step must be closed with end_step()");
+  keys_.clear();
+  for (const Edge& e : edges_) keys_.push_back(RankSchedule::edge_key(e.peer, e.tag));
+  std::sort(keys_.begin(), keys_.end());
+  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+  for (Edge& e : edges_) {
+    const auto key = std::lower_bound(keys_.begin(), keys_.end(),
+                                      RankSchedule::edge_key(e.peer, e.tag));
+    e.id = static_cast<EdgeId>(key - keys_.begin());
+  }
+
+  // memcpy creates the arrays' objects in the block (operator new storage
+  // is suitably aligned for each); RankSchedule's readers launder their
+  // pointers into it.
+  static_assert(std::is_trivially_copyable_v<Edge> && alignof(Edge) <= alignof(std::uint32_t));
+  RankSchedule rs;
+  rs.keys_ = static_cast<std::uint32_t>(keys_.size());
+  rs.steps_ = static_cast<std::uint32_t>(bounds_.size() / 2);
+  const std::size_t key_bytes = keys_.size() * sizeof(std::uint64_t);
+  const std::size_t bound_bytes = bounds_.size() * sizeof(std::uint32_t);
+  const std::size_t edge_bytes = edges_.size() * sizeof(Edge);
+  rs.block_.reset(static_cast<std::byte*>(::operator new(key_bytes + bound_bytes + edge_bytes)));
+  std::byte* const p = rs.block_.get();
+  if (key_bytes > 0) std::memcpy(p, keys_.data(), key_bytes);
+  std::memcpy(p + key_bytes, bounds_.data(), bound_bytes);
+  if (edge_bytes > 0) std::memcpy(p + key_bytes + bound_bytes, edges_.data(), edge_bytes);
+
+  edges_.clear();
+  bounds_.resize(1);
+  return rs;
 }
 
 namespace {
-
-[[nodiscard]] GroupSchedule numbered(GroupSchedule g) {
-  for (RankSchedule& r : g.ranks) r.number_edges();
-  return g;
-}
 
 /// The table row for (kind, algorithm), or nullptr for an illegal pair.
 [[nodiscard]] const Pattern* find_pattern(OpKind kind, Algorithm algorithm) {
@@ -406,7 +414,7 @@ GroupSchedule make_collective_schedule(OpKind kind, int n, int root, Algorithm a
   }
   // A radix above n + 1 builds the n + 1 schedule; clamping keeps the
   // tree's child indices and the dissemination rounds bounded.
-  return numbered(p->build(n, root, std::min(radix > 0 ? radix : p->default_radix, n + 1)));
+  return p->build(n, root, std::min(radix > 0 ? radix : p->default_radix, n + 1));
 }
 
 const std::vector<Algorithm>& collective_algorithms_for(OpKind kind) {
@@ -458,12 +466,10 @@ int value_words(OpKind kind, std::int64_t value) {
   return words > 0 ? words : 1;
 }
 
-bool schedule_is_correct_barrier(const GroupSchedule& schedule) {
+bool schedule_is_correct_barrier(const GroupSchedule& g) {
   // Virtual execution with knowledge propagation: every message carries the
   // sender's current knowledge set; a correct barrier ends with every rank
-  // knowing every other rank and every executor complete. Hand-built
-  // schedules arrive unnumbered; the executors walk a numbered copy.
-  const GroupSchedule g = numbered(schedule);
+  // knowing every other rank and every executor complete.
   const int n = g.size;
   std::vector<std::vector<bool>> knows(static_cast<std::size_t>(n),
                                        std::vector<bool>(static_cast<std::size_t>(n), false));
@@ -513,11 +519,7 @@ ScheduleExecutor::ScheduleExecutor(const RankSchedule& schedule, SendFn send,
       send_(std::move(send)),
       complete_(std::move(complete)),
       sent_(schedule.edge_count()),
-      arrived_(schedule.edge_count()) {
-  if (!schedule.numbered()) {
-    throw std::invalid_argument("schedule executor needs numbered edges (number_edges)");
-  }
-}
+      arrived_(schedule.edge_count()) {}
 
 void ScheduleExecutor::start() {
   assert(!started_ && "start() on a running executor; reset() first");
@@ -553,8 +555,7 @@ void ScheduleExecutor::reset() {
 
 std::vector<Edge> ScheduleExecutor::missing_current_waits() const {
   std::vector<Edge> missing;
-  if (!started_ || complete()) return missing;
-  for (const Edge& w : schedule_->steps[step_].waits) {
+  for (const Edge& w : current_waits()) {
     if (!arrived_.test(w.id)) missing.push_back(w);
   }
   return missing;
@@ -570,15 +571,16 @@ void ScheduleExecutor::advance() {
   // whose waits are not yet satisfied. Step entry is detected by whether its
   // sends were issued (the sent bits act as the entry marker; a key repeated
   // across steps is sent once).
-  while (step_ < schedule_->steps.size()) {
-    const Step& st = schedule_->steps[step_];
-    for (const Edge& s : st.sends) {
+  while (step_ < schedule_->step_count()) {
+    const std::span<const Edge> sends = schedule_->sends(step_);
+    const std::span<const Edge> waits = schedule_->waits(step_);
+    for (const Edge& s : sends) {
       if (sent_.set(s.id)) send_(s);
     }
-    for (const Edge& w : st.waits) {
+    for (const Edge& w : waits) {
       if (!arrived_.test(w.id)) return;
     }
-    if (consume_ && !st.waits.empty()) consume_(st);
+    if (consume_ && !waits.empty()) consume_(waits);
     ++step_;
   }
   complete_();

@@ -27,16 +27,22 @@
 // The schedule is *data*: the same GroupSchedule drives the host-based GM
 // barrier, the direct NIC scheme, the NIC collective protocol, and the
 // Quadrics chained-RDMA barrier. ScheduleExecutor is the shared step-advance
-// state machine those executors embed. Every schedule has each rank's
-// distinct (peer, tag) edges numbered, so the executor's bookkeeping is bit
-// vectors over edge ids, not hash sets of messages.
+// state machine those executors embed. Every builder, and every hand-built
+// test schedule, writes through ScheduleWriter, which numbers each rank's
+// distinct (peer, tag) edges as the rank ends and stores the rank in one
+// block: its sorted edge keys, its step bounds and its step edges. The
+// executor's bookkeeping is bit vectors over those edge ids, not hash sets
+// of messages.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -130,34 +136,35 @@ inline constexpr EdgeId kNoEdge = ~EdgeId{0};
 struct Edge {
   int peer = -1;
   std::uint32_t tag = 0;
-  EdgeId id = kNoEdge;  // set by RankSchedule::number_edges
+  EdgeId id = kNoEdge;  // numbered when ScheduleWriter ends the rank
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-/// One step of a rank's schedule. Entering the step issues every send;
-/// the step completes when every wait has arrived.
-struct Step {
-  std::vector<Edge> sends;
-  std::vector<Edge> waits;
-};
-
-struct RankSchedule {
-  std::vector<Step> steps;
-  /// Every distinct (peer, tag) key among the sends and waits, ascending;
-  /// an edge's id is its key's index. A send and a wait with the same key
-  /// (a pairwise exchange) share one id.
-  std::vector<std::uint64_t> edge_keys;
+/// One rank's numbered schedule, in one heap block:
+///
+///   keys   edge_count() x u64   every distinct (peer, tag) key, ascending;
+///                               an edge's id is its key's index
+///   bounds 2 x steps + 1 x u32  step s sends edges [b[2s], b[2s+1]) and
+///                               waits on edges [b[2s+1], b[2s+2])
+///   edges  b[2 x steps] x Edge  every step's sends, then its waits
+///
+/// Entering a step issues its sends; the step completes when every wait has
+/// arrived. A send and a wait with the same key (a pairwise exchange) share
+/// one id. Only ScheduleWriter builds one, so every rank is numbered.
+class RankSchedule {
+ public:
+  [[nodiscard]] std::size_t step_count() const { return steps_; }
+  [[nodiscard]] std::span<const Edge> sends(std::size_t step) const {
+    return {edges() + bounds()[2 * step], edges() + bounds()[2 * step + 1]};
+  }
+  [[nodiscard]] std::span<const Edge> waits(std::size_t step) const {
+    return {edges() + bounds()[2 * step + 1], edges() + bounds()[2 * step + 2]};
+  }
+  [[nodiscard]] std::span<const std::uint64_t> edge_keys() const { return {keys(), keys_}; }
+  [[nodiscard]] std::size_t edge_count() const { return keys_; }
 
   [[nodiscard]] int total_sends() const;
   [[nodiscard]] int total_waits() const;
-
-  /// Numbers the distinct edges: fills edge_keys and every Edge::id.
-  /// make_collective_schedule calls it; a hand-built schedule must too
-  /// before an executor walks it.
-  void number_edges();
-  /// True when every send and wait carries a valid id.
-  [[nodiscard]] bool numbered() const;
-  [[nodiscard]] std::size_t edge_count() const { return edge_keys.size(); }
 
   /// The id of (peer, tag), or kNoEdge when no send or wait carries it.
   [[nodiscard]] EdgeId find_edge(int peer, std::uint32_t tag) const;
@@ -165,6 +172,30 @@ struct RankSchedule {
   [[nodiscard]] static std::uint64_t edge_key(int peer, std::uint32_t tag) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
   }
+
+ private:
+  friend class ScheduleWriter;
+  RankSchedule() = default;
+
+  // The three arrays were constructed in block_ by ScheduleWriter.
+  [[nodiscard]] const std::uint64_t* keys() const {
+    return std::launder(reinterpret_cast<const std::uint64_t*>(block_.get()));
+  }
+  [[nodiscard]] const std::uint32_t* bounds() const {
+    return std::launder(
+        reinterpret_cast<const std::uint32_t*>(block_.get() + keys_ * sizeof(std::uint64_t)));
+  }
+  [[nodiscard]] const Edge* edges() const {
+    return std::launder(reinterpret_cast<const Edge*>(
+        block_.get() + keys_ * sizeof(std::uint64_t) + (2 * steps_ + 1) * sizeof(std::uint32_t)));
+  }
+
+  struct Release {
+    void operator()(std::byte* block) const { ::operator delete(block); }
+  };
+  std::unique_ptr<std::byte, Release> block_;  // from ::operator new
+  std::uint32_t keys_ = 0;
+  std::uint32_t steps_ = 0;
 };
 
 struct GroupSchedule {
@@ -173,6 +204,47 @@ struct GroupSchedule {
 
   [[nodiscard]] int total_messages() const;
   [[nodiscard]] int max_steps() const;
+};
+
+/// The one way to write a schedule: every builder and every hand-built test
+/// schedule appends each rank's steps through it. Sends and waits go to the
+/// open step, end_step() closes it, and once a rank's steps are written the
+/// writer numbers its edges and copies them into the rank's block. Its
+/// buffers are reused from rank to rank, so a schedule costs one
+/// allocation per rank.
+class ScheduleWriter {
+ public:
+  void send(int peer, std::uint32_t tag) { edges_.push_back({peer, tag}); }
+  void wait(int peer, std::uint32_t tag) { waits_.push_back({peer, tag}); }
+  /// Closes the open step, which may be empty.
+  void end_step();
+
+  /// The n-rank schedule whose rank i's steps `write_rank(writer, i)`
+  /// writes, for i = 0 .. n - 1 in order. Each rank must close its last
+  /// step.
+  template <typename WriteRank>
+  [[nodiscard]] static GroupSchedule build(int n, WriteRank&& write_rank) {
+    GroupSchedule g;
+    g.size = n;
+    g.ranks.reserve(static_cast<std::size_t>(n));
+    ScheduleWriter w;
+    for (int i = 0; i < n; ++i) {
+      write_rank(w, i);
+      g.ranks.push_back(w.end_rank());
+    }
+    return g;
+  }
+
+ private:
+  ScheduleWriter() = default;
+  /// Numbers the rank's edges, moves it into one block and clears the
+  /// buffers for the next rank.
+  RankSchedule end_rank();
+
+  std::vector<Edge> edges_;                // the rank's closed steps, then the open step's sends
+  std::vector<Edge> waits_;                // the open step's waits
+  std::vector<std::uint32_t> bounds_{0};   // the layout's bounds of the closed steps
+  std::vector<std::uint64_t> keys_;        // numbering scratch
 };
 
 /// One collective's schedule, built (and numbered) once and shared
@@ -258,7 +330,6 @@ class ScheduleExecutor {
   using SendFn = std::function<void(const Edge&)>;
   using CompleteFn = std::function<void()>;
 
-  /// Throws std::invalid_argument when `schedule` is not numbered.
   ScheduleExecutor(const RankSchedule& schedule, SendFn send, CompleteFn complete);
 
   /// Begins the operation: issues step-0 sends, advances through any steps
@@ -273,13 +344,14 @@ class ScheduleExecutor {
   /// Same, for an arrival already resolved to schedule edge `id`.
   bool on_arrival(EdgeId id);
 
-  /// Installs a callback invoked when a step's waits are all present and
-  /// the step is consumed — after that step's sends went out, before the
-  /// next step's sends are issued. This is where a value-carrying protocol
-  /// folds the step's payloads into its accumulator: folding earlier (at
-  /// arrival time) would corrupt recursive-doubling partials, because an
-  /// early arrival for step s must not leak into the value sent at step s.
-  using StepConsumeFn = std::function<void(const Step&)>;
+  /// Installs a callback invoked with a step's waits when they have all
+  /// arrived and the step is consumed — after that step's sends went out,
+  /// before the next step's sends are issued. This is where a value-carrying
+  /// protocol folds the step's payloads into its accumulator: folding
+  /// earlier (at arrival time) would corrupt recursive-doubling partials,
+  /// because an early arrival for step s must not leak into the value sent
+  /// at step s.
+  using StepConsumeFn = std::function<void(std::span<const Edge> waits)>;
   void set_step_consumer(StepConsumeFn fn) { consume_ = std::move(fn); }
 
   /// Re-arms for the next operation; buffered future arrivals are NOT kept
@@ -287,10 +359,18 @@ class ScheduleExecutor {
   void reset();
 
   [[nodiscard]] bool started() const { return started_; }
-  [[nodiscard]] bool complete() const { return started_ && step_ >= schedule_->steps.size(); }
+  [[nodiscard]] bool complete() const { return started_ && step_ >= schedule_->step_count(); }
   [[nodiscard]] std::size_t current_step() const { return step_; }
 
-  /// Waits of the current step not yet arrived (receiver-driven NACK targets).
+  /// Waits of the current step, arrived or not; empty unless the operation
+  /// is running.
+  [[nodiscard]] std::span<const Edge> current_waits() const {
+    if (!started_ || complete()) return {};
+    return schedule_->waits(step_);
+  }
+  /// Waits of the current step not yet arrived (receiver-driven NACK
+  /// targets), as a fresh vector; a NACK round walks current_waits()
+  /// in place instead.
   [[nodiscard]] std::vector<Edge> missing_current_waits() const;
 
   /// True if the executor has issued the send matching (peer, tag) in this

@@ -50,18 +50,17 @@ std::vector<std::int64_t> simulate_values(const coll::GroupSchedule& g,
     progress = false;
     for (int r = 0; r < n; ++r) {
       RankState& me = ranks[static_cast<std::size_t>(r)];
-      const auto& steps = g.ranks[static_cast<std::size_t>(r)].steps;
-      while (me.step < steps.size()) {
-        const coll::Step& st = steps[me.step];
+      const coll::RankSchedule& rs = g.ranks[static_cast<std::size_t>(r)];
+      while (me.step < rs.step_count()) {
         if (!me.entered) {
-          for (const coll::Edge& e : st.sends) {
+          for (const coll::Edge& e : rs.sends(me.step)) {
             ranks[static_cast<std::size_t>(e.peer)].inbox[{r, e.tag}].push_back(me.acc);
           }
           me.entered = true;
           progress = true;
         }
         bool all_arrived = true;
-        for (const coll::Edge& w : st.waits) {
+        for (const coll::Edge& w : rs.waits(me.step)) {
           const auto it = me.inbox.find({w.peer, w.tag});
           if (it == me.inbox.end() || it->second.empty()) {
             all_arrived = false;
@@ -69,7 +68,7 @@ std::vector<std::int64_t> simulate_values(const coll::GroupSchedule& g,
           }
         }
         if (!all_arrived) break;
-        for (const coll::Edge& w : st.waits) {
+        for (const coll::Edge& w : rs.waits(me.step)) {
           auto& q = me.inbox[{w.peer, w.tag}];
           me.acc = coll::combine_value(kind, op, w.tag, me.acc, q.front());
           q.pop_front();
@@ -83,7 +82,7 @@ std::vector<std::int64_t> simulate_values(const coll::GroupSchedule& g,
   std::vector<std::int64_t> out;
   for (int r = 0; r < n; ++r) {
     const RankState& me = ranks[static_cast<std::size_t>(r)];
-    if (me.step != g.ranks[static_cast<std::size_t>(r)].steps.size()) {
+    if (me.step != g.ranks[static_cast<std::size_t>(r)].step_count()) {
       throw std::runtime_error("schedule deadlocked at rank " + std::to_string(r));
     }
     out.push_back(me.acc);

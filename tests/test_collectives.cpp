@@ -477,7 +477,7 @@ TEST(Collectives, ScheduleFactoryHonorsRequestedBarrierAlgorithm) {
     const auto want = coll::make_barrier_schedule(alg, 8, 0);
     ASSERT_EQ(got.ranks.size(), want.ranks.size());
     for (std::size_t r = 0; r < got.ranks.size(); ++r) {
-      EXPECT_EQ(got.ranks[r].steps.size(), want.ranks[r].steps.size())
+      EXPECT_EQ(got.ranks[r].step_count(), want.ranks[r].step_count())
           << coll::to_string(alg) << " rank " << r;
     }
   }
@@ -487,8 +487,8 @@ TEST(Collectives, ScheduleFactoryHonorsRequestedBarrierAlgorithm) {
                                            coll::Algorithm::kFwayDissemination, 4);
   const auto f2 = make_collective_schedule(coll::OpKind::kBarrier, 16, 0,
                                            coll::Algorithm::kFwayDissemination, 2);
-  EXPECT_EQ(f4.ranks[0].steps.size(), 2u);
-  EXPECT_EQ(f2.ranks[0].steps.size(), 4u);
+  EXPECT_EQ(f4.ranks[0].step_count(), 2u);
+  EXPECT_EQ(f2.ranks[0].step_count(), 4u);
 }
 
 TEST(Collectives, CombineValueRules) {

@@ -13,6 +13,8 @@
 // collective window, once each of its two slots has run an operation,
 // keeps its bookkeeping in bits and per-edge slots it already owns, and
 // the metric registry allocates per metric name, not per (name, node).
+// The collective layer's own state is pinned too: one allocation per rank
+// of schedule, no per-edge arrays for a barrier, none in a NACK round.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,11 +23,13 @@
 #include <iterator>
 #include <memory>
 #include <new>
+#include <numeric>
 #include <string_view>
 #include <vector>
 
 #include "core/collectives.hpp"
 #include "core/group_window.hpp"
+#include "core/nic_group_engine.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
@@ -35,10 +39,12 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
-void note_alloc() {
+void note_alloc(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
 }
 
@@ -48,17 +54,22 @@ void* checked(void* p) {
 }
 
 void* raw_alloc(std::size_t size) {
-  note_alloc();
+  note_alloc(size);
   return std::malloc(size != 0 ? size : 1);
 }
 
 void* raw_aligned_alloc(std::size_t size, std::size_t align) {
-  note_alloc();
+  note_alloc(size);
   if (align < sizeof(void*)) align = sizeof(void*);
   void* p = nullptr;
   if (posix_memalign(&p, align, size != 0 ? size : align) != 0) return nullptr;
   return p;
 }
+
+// Every replacement operator delete frees through this one out-of-line
+// call. Inlined free() calls let GCC pair a caller's operator new with a
+// free() and raise -Wmismatched-new-delete on the replacements themselves.
+[[gnu::noinline]] void raw_free(void* p) noexcept { std::free(p); }
 
 }  // namespace
 
@@ -85,21 +96,21 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return raw_aligned_alloc(size, static_cast<std::size_t>(align));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { raw_free(p); }
+void operator delete[](void* p) noexcept { raw_free(p); }
+void operator delete(void* p, std::size_t) noexcept { raw_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { raw_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { raw_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { raw_free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { raw_free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { raw_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { raw_free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { raw_free(p); }
 void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  raw_free(p);
 }
 void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  raw_free(p);
 }
 
 namespace qmb::net {
@@ -190,7 +201,9 @@ std::uint64_t steady_window_allocs(coll::OpKind kind, coll::Algorithm alg, int& 
   const coll::GroupSchedule g = coll::make_collective_schedule(kind, 8, 0, alg);
   const coll::RankSchedule& rs = g.ranks[0];
   std::vector<coll::Edge> waits;
-  for (const coll::Step& st : rs.steps) waits.insert(waits.end(), st.waits.begin(), st.waits.end());
+  for (std::size_t s = 0; s < rs.step_count(); ++s) {
+    waits.insert(waits.end(), rs.waits(s).begin(), rs.waits(s).end());
+  }
   coll::GroupWindow<> window(
       rs, kind, coll::ReduceOp::kSum,
       {.send = [](coll::GroupWindow<>::Slot&, const coll::Edge&) {},
@@ -220,6 +233,115 @@ TEST(HotpathAlloc, SteadyStateGroupWindowPerformsZeroAllocations) {
                             << ": 8 steady operations allocated " << allocs << " times";
     }
   }
+}
+
+TEST(HotpathAlloc, BarrierScheduleAllocatesOncePerRank) {
+  // Each rank's schedule is one block, and the writer reuses its buffers
+  // from rank to rank. Per-step edge vectors made 30 allocations per rank.
+  constexpr std::uint64_t kRanks = 4096;
+  for (const coll::Algorithm alg : coll::kBarrierAlgorithms) {
+    g_allocs.store(0);
+    g_counting.store(true);
+    const coll::GroupSchedule g = coll::make_barrier_schedule(alg, static_cast<int>(kRanks));
+    g_counting.store(false);
+    EXPECT_LE(g_allocs.load(), kRanks + 64) << coll::to_string(alg);
+  }
+}
+
+/// A NIC that charges nothing and puts nothing on a wire: what its group
+/// engine allocates is the engine's own. It NACKs on a fixed period, like
+/// Myrinet.
+struct BareNic {
+  static constexpr coll::GroupTraceNames kGroupTrace{
+      .enter = "enter", .complete = "complete", .nack_rx = "nack_rx"};
+  static constexpr bool kNackOnWire = true;
+  static constexpr bool kNackOnSilence = false;
+  static constexpr sim::SimDuration kNackTimeout = sim::microseconds(10);
+
+  sim::Engine& engine() { return engine_; }
+  void trace(std::string_view, std::int64_t, std::int64_t, std::int64_t = 0) {}
+  template <typename Start>
+  void charge_enter(const coll::GroupDesc&, Start&& start) {
+    start();
+  }
+  template <typename Group>
+  void send_edge(Group&, std::uint32_t, const coll::Edge&, int, std::uint32_t, std::int64_t,
+                 bool) {}
+  void charge_complete(const coll::GroupDesc&, coll::Completion&& c) { c(); }
+  static bool nack_recovery(const coll::GroupDesc&) { return true; }
+  static bool skip_retransmit(const coll::GroupDesc&) { return false; }
+  static sim::SimDuration nack_timeout() { return kNackTimeout; }
+  void send_nack(const coll::GroupDesc&, std::uint32_t, std::uint32_t, int) { ++nacks; }
+
+  sim::Engine& engine_;
+  std::uint64_t nacks = 0;
+};
+
+/// Rank 0's descriptor of an n-rank dissemination barrier, group 0.
+coll::GroupDesc barrier_desc(int n) {
+  std::vector<int> ident(static_cast<std::size_t>(n));
+  std::iota(ident.begin(), ident.end(), 0);
+  return {.group_id = 0,
+          .my_rank = 0,
+          .rank_to_node = coll::make_placement(std::move(ident)),
+          .schedule = std::make_shared<const coll::GroupSchedule>(
+              coll::make_barrier_schedule(coll::Algorithm::kDissemination, n))};
+}
+
+/// Bytes a BareNic's group engine allocates for rank 0 of an n-rank
+/// barrier, from create_group through two operations that complete.
+std::uint64_t barrier_group_bytes(int n) {
+  sim::Engine engine;
+  BareNic nic{engine};
+  coll::GroupCounters counters;
+  coll::NicGroupEngine<BareNic> groups(nic, counters);
+  coll::GroupDesc desc = barrier_desc(n);
+  std::vector<coll::Edge> waits;
+  const coll::RankSchedule& rs = desc.rank_schedule();
+  for (std::size_t s = 0; s < rs.step_count(); ++s) {
+    waits.insert(waits.end(), rs.waits(s).begin(), rs.waits(s).end());
+  }
+  int completions = 0;
+  g_bytes.store(0);
+  g_counting.store(true);
+  groups.create_group(std::move(desc));
+  auto& group = *groups.find(0);
+  for (std::uint32_t op = 0; op < 2; ++op) {
+    groups.collective_enter(0, 0, [&completions](std::int64_t) { ++completions; });
+    for (const coll::Edge& w : waits) groups.arrive(group, op, w.peer, w.tag, 0);
+  }
+  g_counting.store(false);
+  EXPECT_EQ(completions, 2) << "n=" << n;
+  return g_bytes.load();
+}
+
+TEST(HotpathAlloc, BarrierGroupAllocatesNothingSizedByItsEdgeCount) {
+  // A barrier edge carries no value, so neither the window's received
+  // values nor the engine's resend values exist: rank 0 allocates the same
+  // bytes with 6 edges as with 20.
+  EXPECT_EQ(barrier_group_bytes(8), barrier_group_bytes(1024));
+}
+
+TEST(HotpathAlloc, NackRoundAllocatesNothing) {
+  // Rank 0 of an 8-rank barrier whose peers never answer: every round of
+  // the NACK timer finds step 0's one wait missing and NACKs it.
+  sim::Engine engine;
+  BareNic nic{engine};
+  coll::GroupCounters counters;
+  coll::NicGroupEngine<BareNic> groups(nic, counters);
+  groups.create_group(barrier_desc(8));
+  groups.collective_enter(0, 0, {});
+  const sim::SimDuration half = BareNic::kNackTimeout / 2;
+  engine.run_until(sim::SimTime::zero() + BareNic::kNackTimeout * 3 + half);
+  const std::uint64_t warm = nic.nacks;
+  ASSERT_EQ(warm, 3u);
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  engine.run_until(sim::SimTime::zero() + BareNic::kNackTimeout * 13 + half);
+  g_counting.store(false);
+  EXPECT_EQ(nic.nacks - warm, 10u);
+  EXPECT_EQ(g_allocs.load(), 0u) << "10 NACK rounds allocated " << g_allocs.load() << " times";
 }
 
 TEST(HotpathAlloc, MetricRegistrationAllocatesPerNameNotPerNode) {

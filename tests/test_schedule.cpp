@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <climits>
 #include <cstdint>
+#include <functional>
 #include <set>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -26,9 +28,9 @@ TEST(Dissemination, StepCountIsCeilLog2) {
 TEST(Dissemination, EveryRankSendsAndWaitsOncePerStep) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 12);
   for (const auto& rs : g.ranks) {
-    for (const auto& st : rs.steps) {
-      EXPECT_EQ(st.sends.size(), 1u);
-      EXPECT_EQ(st.waits.size(), 1u);
+    for (std::size_t s = 0; s < rs.step_count(); ++s) {
+      EXPECT_EQ(rs.sends(s).size(), 1u);
+      EXPECT_EQ(rs.waits(s).size(), 1u);
     }
   }
 }
@@ -38,9 +40,10 @@ TEST(Dissemination, PeersFollowTheFormula) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, n);
   for (int i = 0; i < n; ++i) {
     int dist = 1;
-    for (const auto& st : g.ranks[static_cast<std::size_t>(i)].steps) {
-      EXPECT_EQ(st.sends[0].peer, (i + dist) % n);
-      EXPECT_EQ(st.waits[0].peer, (i - dist + n) % n);
+    const auto& rs = g.ranks[static_cast<std::size_t>(i)];
+    for (std::size_t s = 0; s < rs.step_count(); ++s) {
+      EXPECT_EQ(rs.sends(s)[0].peer, (i + dist) % n);
+      EXPECT_EQ(rs.waits(s)[0].peer, (i - dist + n) % n);
       dist *= 2;
     }
   }
@@ -60,11 +63,12 @@ TEST(PairwiseExchange, PowerOfTwoIsPurePairing) {
   EXPECT_EQ(g.max_steps(), 3);
   for (int i = 0; i < 8; ++i) {
     int dist = 1;
-    for (const auto& st : g.ranks[static_cast<std::size_t>(i)].steps) {
-      ASSERT_EQ(st.sends.size(), 1u);
-      ASSERT_EQ(st.waits.size(), 1u);
-      EXPECT_EQ(st.sends[0].peer, i ^ dist);
-      EXPECT_EQ(st.waits[0].peer, i ^ dist);
+    const auto& rs = g.ranks[static_cast<std::size_t>(i)];
+    for (std::size_t s = 0; s < rs.step_count(); ++s) {
+      ASSERT_EQ(rs.sends(s).size(), 1u);
+      ASSERT_EQ(rs.waits(s).size(), 1u);
+      EXPECT_EQ(rs.sends(s)[0].peer, i ^ dist);
+      EXPECT_EQ(rs.waits(s)[0].peer, i ^ dist);
       dist *= 2;
     }
   }
@@ -75,8 +79,9 @@ TEST(PairwiseExchange, ExchangeIsSymmetric) {
   const auto g = make_barrier_schedule(Algorithm::kPairwiseExchange, 16);
   std::set<std::tuple<int, int, std::uint32_t>> sends;
   for (int i = 0; i < 16; ++i) {
-    for (const auto& st : g.ranks[static_cast<std::size_t>(i)].steps) {
-      for (const auto& s : st.sends) sends.insert({i, s.peer, s.tag});
+    const auto& rs = g.ranks[static_cast<std::size_t>(i)];
+    for (std::size_t st = 0; st < rs.step_count(); ++st) {
+      for (const auto& s : rs.sends(st)) sends.insert({i, s.peer, s.tag});
     }
   }
   for (const auto& [src, dst, tag] : sends) {
@@ -90,15 +95,15 @@ TEST(PairwiseExchange, NonPowerOfTwoAddsTwoSteps) {
   const auto g = make_barrier_schedule(Algorithm::kPairwiseExchange, 12);
   // Ranks 8..11 have exactly 2 steps (register, wait release).
   for (int i = 8; i < 12; ++i) {
-    EXPECT_EQ(g.ranks[static_cast<std::size_t>(i)].steps.size(), 2u) << i;
+    EXPECT_EQ(g.ranks[static_cast<std::size_t>(i)].step_count(), 2u) << i;
   }
   // Ranks 0..3 (with partners) have 1 + 3 + 1 steps.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(g.ranks[static_cast<std::size_t>(i)].steps.size(), 5u) << i;
+    EXPECT_EQ(g.ranks[static_cast<std::size_t>(i)].step_count(), 5u) << i;
   }
   // Ranks 4..7 (no partner) have exactly the 3 exchange steps.
   for (int i = 4; i < 8; ++i) {
-    EXPECT_EQ(g.ranks[static_cast<std::size_t>(i)].steps.size(), 3u) << i;
+    EXPECT_EQ(g.ranks[static_cast<std::size_t>(i)].step_count(), 3u) << i;
   }
 }
 
@@ -115,21 +120,21 @@ TEST(PairwiseExchange, ExtraRanksSendOneMessageEach) {
 TEST(GatherBroadcast, RootHasGatherThenRelease) {
   const auto g = make_barrier_schedule(Algorithm::kGatherBroadcast, 7, 2);
   const auto& root = g.ranks[0];
-  ASSERT_EQ(root.steps.size(), 2u);
-  EXPECT_EQ(root.steps[0].waits.size(), 2u);  // children 1, 2
-  EXPECT_TRUE(root.steps[0].sends.empty());
-  EXPECT_EQ(root.steps[1].sends.size(), 2u);
-  EXPECT_TRUE(root.steps[1].waits.empty());
+  ASSERT_EQ(root.step_count(), 2u);
+  EXPECT_EQ(root.waits(0).size(), 2u);  // children 1, 2
+  EXPECT_TRUE(root.sends(0).empty());
+  EXPECT_EQ(root.sends(1).size(), 2u);
+  EXPECT_TRUE(root.waits(1).empty());
 }
 
 TEST(GatherBroadcast, LeafSendsUpWaitsDown) {
   const auto g = make_barrier_schedule(Algorithm::kGatherBroadcast, 7, 2);
   const auto& leaf = g.ranks[5];
-  ASSERT_EQ(leaf.steps.size(), 1u);
-  ASSERT_EQ(leaf.steps[0].sends.size(), 1u);
-  ASSERT_EQ(leaf.steps[0].waits.size(), 1u);
-  EXPECT_EQ(leaf.steps[0].sends[0].peer, 2);  // parent of 5 with d=2
-  EXPECT_EQ(leaf.steps[0].waits[0].peer, 2);
+  ASSERT_EQ(leaf.step_count(), 1u);
+  ASSERT_EQ(leaf.sends(0).size(), 1u);
+  ASSERT_EQ(leaf.waits(0).size(), 1u);
+  EXPECT_EQ(leaf.sends(0)[0].peer, 2);  // parent of 5 with d=2
+  EXPECT_EQ(leaf.waits(0)[0].peer, 2);
 }
 
 TEST(GatherBroadcast, MessageCountIsTwiceEdges) {
@@ -149,8 +154,8 @@ TEST(GatherBroadcast, InvalidDegreeThrows) {
 TEST(GatherBroadcast, RadixZeroMeansDefaultDegreeTwo) {
   const auto def = make_barrier_schedule(Algorithm::kGatherBroadcast, 7, 0);
   const auto& root = def.ranks[0];
-  ASSERT_EQ(root.steps.size(), 2u);
-  EXPECT_EQ(root.steps[0].waits.size(), 2u);  // binary tree: children 1, 2
+  ASSERT_EQ(root.step_count(), 2u);
+  EXPECT_EQ(root.waits(0).size(), 2u);  // binary tree: children 1, 2
   EXPECT_EQ(def.total_messages(), 2 * (7 - 1));
 }
 
@@ -159,11 +164,11 @@ TEST(GatherBroadcast, RadixZeroMeansDefaultDegreeTwo) {
 TEST(Tree, RootGathersAllSubtreesAndReleases) {
   const auto g = make_barrier_schedule(Algorithm::kTree, 8);
   const auto& root = g.ranks[0];
-  ASSERT_EQ(root.steps.size(), 2u);
-  EXPECT_EQ(root.steps[0].waits.size(), 3u);  // children 1, 2, 4
-  EXPECT_EQ(root.steps[1].sends.size(), 3u);
-  EXPECT_TRUE(root.steps[0].sends.empty());
-  EXPECT_TRUE(root.steps[1].waits.empty());
+  ASSERT_EQ(root.step_count(), 2u);
+  EXPECT_EQ(root.waits(0).size(), 3u);  // children 1, 2, 4
+  EXPECT_EQ(root.sends(1).size(), 3u);
+  EXPECT_TRUE(root.sends(0).empty());
+  EXPECT_TRUE(root.waits(1).empty());
 }
 
 TEST(Tree, ParentIsRankMinusLowBit) {
@@ -172,8 +177,8 @@ TEST(Tree, ParentIsRankMinusLowBit) {
     const auto& rs = g.ranks[static_cast<std::size_t>(i)];
     const int parent = i - (i & -i);
     bool sends_up = false;
-    for (const auto& st : rs.steps) {
-      for (const auto& e : st.sends) {
+    for (std::size_t s = 0; s < rs.step_count(); ++s) {
+      for (const auto& e : rs.sends(s)) {
         if (e.tag == kTagUp) {
           EXPECT_EQ(e.peer, parent) << "rank " << i;
           sends_up = true;
@@ -201,8 +206,8 @@ TEST(Tournament, EveryLoserSignalsOnceAndIsWoken) {
   for (int i = 1; i < 16; ++i) {
     const auto& rs = g.ranks[static_cast<std::size_t>(i)];
     bool waits_wake = false;
-    for (const auto& st : rs.steps) {
-      for (const auto& e : st.waits) waits_wake |= e.tag == kTagWake;
+    for (std::size_t s = 0; s < rs.step_count(); ++s) {
+      for (const auto& e : rs.waits(s)) waits_wake |= e.tag == kTagWake;
     }
     EXPECT_TRUE(waits_wake) << "rank " << i;
   }
@@ -213,8 +218,8 @@ TEST(Tournament, LoserRoundIsLowestSetBit) {
   // Rank 6 = 0b110 loses round 1 to rank 4: its up-message carries tag 1.
   const auto& rs = g.ranks[6];
   bool found = false;
-  for (const auto& st : rs.steps) {
-    for (const auto& e : st.sends) {
+  for (std::size_t s = 0; s < rs.step_count(); ++s) {
+    for (const auto& e : rs.sends(s)) {
       if (e.tag == 1) {
         EXPECT_EQ(e.peer, 4);
         found = true;
@@ -242,10 +247,10 @@ TEST(FwayDissemination, RadixTwoMatchesDissemination) {
   for (int i = 0; i < 11; ++i) {
     const auto& a = f2.ranks[static_cast<std::size_t>(i)];
     const auto& b = ds.ranks[static_cast<std::size_t>(i)];
-    ASSERT_EQ(a.steps.size(), b.steps.size());
-    for (std::size_t s = 0; s < a.steps.size(); ++s) {
-      ASSERT_EQ(a.steps[s].sends.size(), 1u);
-      EXPECT_EQ(a.steps[s].sends[0].peer, b.steps[s].sends[0].peer);
+    ASSERT_EQ(a.step_count(), b.step_count());
+    for (std::size_t s = 0; s < a.step_count(); ++s) {
+      ASSERT_EQ(a.sends(s).size(), 1u);
+      EXPECT_EQ(a.sends(s)[0].peer, b.sends(s)[0].peer);
     }
   }
 }
@@ -253,9 +258,9 @@ TEST(FwayDissemination, RadixTwoMatchesDissemination) {
 TEST(FwayDissemination, EachRoundSendsAtMostFMinusOne) {
   const auto g = make_barrier_schedule(Algorithm::kFwayDissemination, 20, 5);
   for (const auto& rs : g.ranks) {
-    for (const auto& st : rs.steps) {
-      EXPECT_LE(st.sends.size(), 4u);
-      EXPECT_EQ(st.sends.size(), st.waits.size());
+    for (std::size_t s = 0; s < rs.step_count(); ++s) {
+      EXPECT_LE(rs.sends(s).size(), 4u);
+      EXPECT_EQ(rs.sends(s).size(), rs.waits(s).size());
     }
   }
 }
@@ -266,16 +271,16 @@ TEST(RemoteAtomic, StarShape) {
   // The verbs central-counter barrier is gather-broadcast at degree n - 1.
   const auto g = make_barrier_schedule(Algorithm::kGatherBroadcast, 9, 8);
   const auto& hub = g.ranks[0];
-  ASSERT_EQ(hub.steps.size(), 2u);
-  EXPECT_EQ(hub.steps[0].waits.size(), 8u);  // every rank increments
-  EXPECT_EQ(hub.steps[1].sends.size(), 8u);  // hub releases everyone
+  ASSERT_EQ(hub.step_count(), 2u);
+  EXPECT_EQ(hub.waits(0).size(), 8u);  // every rank increments
+  EXPECT_EQ(hub.sends(1).size(), 8u);  // hub releases everyone
   for (int i = 1; i < 9; ++i) {
     const auto& rs = g.ranks[static_cast<std::size_t>(i)];
-    ASSERT_EQ(rs.steps.size(), 1u);
-    ASSERT_EQ(rs.steps[0].sends.size(), 1u);
-    EXPECT_EQ(rs.steps[0].sends[0].peer, 0);
-    ASSERT_EQ(rs.steps[0].waits.size(), 1u);
-    EXPECT_EQ(rs.steps[0].waits[0].peer, 0);
+    ASSERT_EQ(rs.step_count(), 1u);
+    ASSERT_EQ(rs.sends(0).size(), 1u);
+    EXPECT_EQ(rs.sends(0)[0].peer, 0);
+    ASSERT_EQ(rs.waits(0).size(), 1u);
+    EXPECT_EQ(rs.waits(0)[0].peer, 0);
   }
   EXPECT_EQ(g.total_messages(), 2 * (9 - 1));
 }
@@ -299,12 +304,12 @@ std::uint64_t digest(const GroupSchedule& g, std::uint64_t h = 0xcbf29ce48422232
   };
   mix(g.ranks.size());
   for (const RankSchedule& rs : g.ranks) {
-    mix(rs.steps.size());
+    mix(rs.step_count());
     mix(rs.edge_count());
-    for (const Step& st : rs.steps) {
-      for (const auto* edges : {&st.sends, &st.waits}) {
-        mix(edges->size());
-        for (const Edge& e : *edges) {
+    for (std::size_t s = 0; s < rs.step_count(); ++s) {
+      for (const std::span<const Edge> edges : {rs.sends(s), rs.waits(s)}) {
+        mix(edges.size());
+        for (const Edge& e : edges) {
           mix(RankSchedule::edge_key(e.peer, e.tag));
           mix(e.id);
         }
@@ -553,35 +558,38 @@ TEST(ScheduleExecutor, SingleRankCompletesImmediately) {
 TEST(EdgeNumbering, GeneratorsNumberEveryEdge) {
   const auto g = make_barrier_schedule(Algorithm::kPairwiseExchange, 6);
   for (const RankSchedule& rs : g.ranks) {
-    ASSERT_TRUE(rs.numbered());
-    for (const Step& st : rs.steps) {
-      for (const auto* edges : {&st.sends, &st.waits}) {
-        for (const Edge& e : *edges) {
+    const auto keys = rs.edge_keys();
+    ASSERT_EQ(keys.size(), rs.edge_count());
+    EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end(), std::greater_equal<>()), keys.end())
+        << "edge keys must ascend strictly";
+    for (std::size_t s = 0; s < rs.step_count(); ++s) {
+      for (const std::span<const Edge> edges : {rs.sends(s), rs.waits(s)}) {
+        for (const Edge& e : edges) {
           ASSERT_LT(e.id, rs.edge_count());
-          EXPECT_EQ(rs.edge_keys[e.id], RankSchedule::edge_key(e.peer, e.tag));
+          EXPECT_EQ(keys[e.id], RankSchedule::edge_key(e.peer, e.tag));
           EXPECT_EQ(rs.find_edge(e.peer, e.tag), e.id);
         }
       }
     }
   }
   // A pairwise exchange sends and waits on the same (peer, tag): one id.
-  const Step& exchange = g.ranks[0].steps[1];
-  EXPECT_EQ(exchange.sends[0].id, exchange.waits[0].id);
+  const RankSchedule& exchange = g.ranks[0];
+  EXPECT_EQ(exchange.sends(1)[0].id, exchange.waits(1)[0].id);
   EXPECT_EQ(g.ranks[0].find_edge(5, 0), kNoEdge);
 }
 
 TEST(EdgeNumbering, RepeatedKeyGetsOneIdAndSendsOnce) {
-  RankSchedule rs;
-  Step first;
-  first.sends.push_back({1, 7});
-  first.waits.push_back({2, 7});
-  Step second;
-  second.sends.push_back({1, 7});  // the same message again
-  second.waits.push_back({3, 7});
-  rs.steps = {first, second};
-  rs.number_edges();
+  const GroupSchedule g = ScheduleWriter::build(1, [](ScheduleWriter& w, int) {
+    w.send(1, 7);
+    w.wait(2, 7);
+    w.end_step();
+    w.send(1, 7);  // the same message again
+    w.wait(3, 7);
+    w.end_step();
+  });
+  const RankSchedule& rs = g.ranks[0];
   EXPECT_EQ(rs.edge_count(), 3u);
-  EXPECT_EQ(rs.steps[0].sends[0].id, rs.steps[1].sends[0].id);
+  EXPECT_EQ(rs.sends(0)[0].id, rs.sends(1)[0].id);
 
   std::vector<Edge> sent;
   ScheduleExecutor ex(rs, [&](const Edge& e) { sent.push_back(e); }, [] {});
@@ -615,21 +623,6 @@ TEST(EdgeNumbering, ArrivalOnNoEdgeCountsOnceAndNeverCompletesAStep) {
   EXPECT_TRUE(ex.on_arrival(3, 9));
 }
 
-TEST(EdgeNumbering, ExecutorRejectsAnUnnumberedSchedule) {
-  RankSchedule rs;
-  Step st;
-  st.sends.push_back({1, 0});
-  rs.steps.push_back(st);
-  EXPECT_FALSE(rs.numbered());
-  EXPECT_THROW(ScheduleExecutor(rs, [](const Edge&) {}, [] {}), std::invalid_argument);
-  rs.number_edges();
-  EXPECT_TRUE(rs.numbered());
-  EXPECT_NO_THROW(ScheduleExecutor(rs, [](const Edge&) {}, [] {}));
-  // An edge added after numbering has no id yet.
-  rs.steps[0].waits.push_back({2, 0});
-  EXPECT_FALSE(rs.numbered());
-}
-
 TEST(EdgeNumbering, WideStarRootSpillsPastOneWord) {
   // The star's root waits on n-1 edges and sends n-1 more: 126 edges,
   // beyond the 64 an inline bit word holds.
@@ -651,17 +644,13 @@ TEST(EdgeNumbering, WideStarRootSpillsPastOneWord) {
 
 // A deliberately broken schedule must be rejected by the checker.
 TEST(CorrectnessChecker, RejectsIncompleteBarrier) {
-  GroupSchedule g;
-  g.size = 4;
-  g.ranks.resize(4);
   // Only a ring of single messages: rank i -> i+1; no transitive closure in
   // one step, and rank 0 completes knowing only rank 3.
-  for (int i = 0; i < 4; ++i) {
-    Step st;
-    st.sends.push_back({(i + 1) % 4, 0});
-    st.waits.push_back({(i + 3) % 4, 0});
-    g.ranks[static_cast<std::size_t>(i)].steps.push_back(st);
-  }
+  const GroupSchedule g = ScheduleWriter::build(4, [](ScheduleWriter& w, int i) {
+    w.send((i + 1) % 4, 0);
+    w.wait((i + 3) % 4, 0);
+    w.end_step();
+  });
   EXPECT_FALSE(schedule_is_correct_barrier(g));
 }
 

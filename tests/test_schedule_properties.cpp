@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -241,14 +242,14 @@ class SetReferenceExecutor {
     if (started_ && !complete()) advance();
     return true;
   }
-  [[nodiscard]] bool complete() const { return started_ && step_ >= schedule_->steps.size(); }
+  [[nodiscard]] bool complete() const { return started_ && step_ >= schedule_->step_count(); }
   [[nodiscard]] bool has_sent(int peer, std::uint32_t tag) const {
     return sent_.contains({peer, tag});
   }
   [[nodiscard]] std::vector<std::pair<int, std::uint32_t>> missing_current_waits() const {
     std::vector<std::pair<int, std::uint32_t>> missing;
     if (!started_ || complete()) return missing;
-    for (const Edge& w : schedule_->steps[step_].waits) {
+    for (const Edge& w : schedule_->waits(step_)) {
       if (!arrived_.contains({w.peer, w.tag})) missing.emplace_back(w.peer, w.tag);
     }
     return missing;
@@ -256,15 +257,14 @@ class SetReferenceExecutor {
 
  private:
   void advance() {
-    while (step_ < schedule_->steps.size()) {
-      const Step& st = schedule_->steps[step_];
-      for (const Edge& e : st.sends) {
+    while (step_ < schedule_->step_count()) {
+      for (const Edge& e : schedule_->sends(step_)) {
         if (sent_.insert({e.peer, e.tag}).second) send_(e);
       }
-      for (const Edge& w : st.waits) {
+      for (const Edge& w : schedule_->waits(step_)) {
         if (!arrived_.contains({w.peer, w.tag})) return;
       }
-      if (!st.waits.empty()) consume_(step_);
+      if (!schedule_->waits(step_).empty()) consume_(step_);
       ++step_;
     }
   }
@@ -305,8 +305,14 @@ std::string compare_with_reference(const GroupSchedule& g, sim::Rng& rng) {
           wire.push_back({r, e.peer, e.tag, 0});
         },
         [] {});
-    p.exec->set_step_consumer(
-        [&p, &rs](const Step& st) { p.consumed.push_back(static_cast<std::size_t>(&st - rs.steps.data())); });
+    p.exec->set_step_consumer([&p, &rs](std::span<const Edge> waits) {
+      // The consumed step's own waits, or a step index no rank has.
+      const std::size_t step = p.exec->current_step();
+      const std::span<const Edge> own = rs.waits(step);
+      p.consumed.push_back(waits.data() == own.data() && waits.size() == own.size()
+                               ? step
+                               : rs.step_count());
+    });
     p.ref = std::make_unique<SetReferenceExecutor>(
         rs, [&p](const Edge& e) { p.ref_sent.emplace_back(e.peer, e.tag); },
         [&p](std::size_t step) { p.ref_consumed.push_back(step); });
@@ -320,8 +326,9 @@ std::string compare_with_reference(const GroupSchedule& g, sim::Rng& rng) {
     std::vector<std::pair<int, std::uint32_t>> missing;
     for (const Edge& e : p.exec->missing_current_waits()) missing.emplace_back(e.peer, e.tag);
     if (missing != p.ref->missing_current_waits()) return at + "missing waits differ";
-    for (const Step& st : g.ranks[static_cast<std::size_t>(r)].steps) {
-      for (const Edge& e : st.sends) {
+    const RankSchedule& rs = g.ranks[static_cast<std::size_t>(r)];
+    for (std::size_t s = 0; s < rs.step_count(); ++s) {
+      for (const Edge& e : rs.sends(s)) {
         if (p.exec->has_sent(e.peer, e.tag) != p.ref->has_sent(e.peer, e.tag)) {
           return at + "has_sent differs";
         }
