@@ -1,15 +1,22 @@
 // One rank's two-deep operation window over its collective schedule — the
-// bookkeeping every collective engine shares.
+// one step-advance state machine every collective engine shares.
 //
 // Consecutive operations overlap: a peer that completed operation k may
 // send its first message of k+1 before this rank finished k, but never k+2
 // (its completion of k+1 transitively required everyone to finish k).
 // GroupWindow keeps two operation slots, buffers early arrivals, and
-// recycles a slot only once its operation completed. A value kind keeps
-// each edge's payload in a per-edge value array (indexed by the schedule's
-// edge ids, sized when the window is built) that folds into the
-// accumulator as its step is consumed. A barrier carries no payload: its
-// slots keep no value array and fold nothing.
+// recycles a slot only once its operation completed.
+//
+// A slot is the paper's one record per operation (Sec. 6.3): the step it
+// is in and bit vectors, over the schedule's edge ids, of the edges it has
+// sent and the edges that have arrived. The window walks the schedule
+// itself. Entering a step issues its sends (a key repeated across steps
+// goes out once), a step is consumed once all its waits have arrived, and
+// the operation completes after the last step. A value kind keeps each
+// edge's payload in a per-edge value array (sized when the window is
+// built) and folds a step's payloads into the accumulator as the step is
+// consumed. A barrier carries no payload: its slots keep no value array
+// and fold nothing.
 //
 // The host-level executors and coll::NicGroupEngine (nic_group_engine.hpp,
 // the one group engine of every NIC scheme) instantiate it and add only
@@ -19,10 +26,11 @@
 // to its caller.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -58,6 +66,35 @@ class GroupTable {
   std::vector<std::unique_ptr<T>> items_;
 };
 
+/// Fixed-size bit vector over one rank's edge ids. Up to 64 edges (every
+/// schedule but a wide star's root) fit in one inline word.
+class EdgeBits {
+ public:
+  explicit EdgeBits(std::size_t edges) : more_(edges > 64 ? (edges + 63) / 64 : 0, 0) {}
+
+  [[nodiscard]] bool test(EdgeId id) const { return ((word(id) >> (id & 63)) & 1) != 0; }
+  /// Sets the bit; false when it was already set.
+  bool set(EdgeId id) {
+    std::uint64_t& w = more_.empty() ? first_ : more_[id >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    if ((w & bit) != 0) return false;
+    w |= bit;
+    return true;
+  }
+  void clear() {
+    first_ = 0;
+    std::fill(more_.begin(), more_.end(), 0);
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t word(EdgeId id) const {
+    return more_.empty() ? first_ : more_[id >> 6];
+  }
+
+  std::uint64_t first_ = 0;          // the bits, when there are at most 64
+  std::vector<std::uint64_t> more_;  // the bits, otherwise
+};
+
 /// How GroupWindow::on_arrival classified one message.
 enum class Arrival : std::uint8_t {
   kAccepted,   // recorded against the running operation
@@ -77,13 +114,18 @@ class GroupWindow {
   /// One operation in flight. Hooks read it; the window writes every field
   /// except `state`, which belongs to the engine.
   struct Slot {
+    explicit Slot(std::size_t edges) : sent(edges), arrived(edges) {}
+
     std::uint32_t seq = 0;
     bool in_use = false;   // bound to `seq`
     bool active = false;   // this rank started the operation
     bool complete = false;
     std::int64_t acc = 0;  // running value; the result once complete
     DoneFn done;           // start()'s completion callback
-    std::optional<ScheduleExecutor> exec;  // built at the slot's first start
+    std::size_t step = 0;  // the step it waits in; step_count() once complete
+    EdgeBits sent;         // edges this operation has issued
+    EdgeBits arrived;      // edges that have arrived for it
+    std::vector<std::uint64_t> stray;  // keys of arrivals on no schedule edge
     SlotState state;
 
     struct Early {
@@ -97,6 +139,12 @@ class GroupWindow {
     /// arrival and folded when its step is consumed; only arrived edges are
     /// ever read.
     std::vector<std::int64_t> values;
+
+    /// Whether this operation issued edge `id` (false for kNoEdge): a NACK
+    /// for it is answered with a resend.
+    [[nodiscard]] bool has_sent(EdgeId id) const { return id != kNoEdge && sent.test(id); }
+    /// Whether edge `id` has arrived (false for kNoEdge).
+    [[nodiscard]] bool has_arrived(EdgeId id) const { return id != kNoEdge && arrived.test(id); }
   };
 
   struct Hooks {
@@ -118,7 +166,11 @@ class GroupWindow {
   /// `schedule` must outlive the window. Both slots start from `state`.
   GroupWindow(const RankSchedule& schedule, OpKind kind, ReduceOp reduce, Hooks hooks,
               const SlotState& state = {})
-      : schedule_(&schedule), kind_(kind), reduce_(reduce), hooks_(std::move(hooks)) {
+      : schedule_(&schedule),
+        kind_(kind),
+        reduce_(reduce),
+        hooks_(std::move(hooks)),
+        slots_{Slot(schedule.edge_count()), Slot(schedule.edge_count())} {
     for (Slot& s : slots_) {
       s.state = state;
       if (kind_ != OpKind::kBarrier) s.values.assign(schedule.edge_count(), 0);
@@ -135,11 +187,10 @@ class GroupWindow {
     s.done = std::move(done);
     s.acc = value;
     s.active = true;
-    if (!s.exec) make_executor(s);
     if (hooks_.pre_start) hooks_.pre_start(s);
-    // Nothing has arrived at the executor yet, so start() consumes no step
-    // with waits; each buffered payload lands in its slot as it is replayed.
-    s.exec->start();
+    // Nothing is recorded yet, so this consumes no step with waits; each
+    // buffered arrival lands as it is replayed.
+    advance(s);
     int duplicates = 0;
     for (const auto& ea : s.early) {
       if (s.complete) break;
@@ -175,6 +226,13 @@ class GroupWindow {
     return s.in_use && s.seq == seq ? &s : nullptr;
   }
 
+  /// Waits of `s`'s current step, arrived or not; empty unless its
+  /// operation is running.
+  [[nodiscard]] std::span<const Edge> current_waits(const Slot& s) const {
+    if (!s.active || s.complete) return {};
+    return schedule_->waits(s.step);
+  }
+
   /// Sequence number the next start() will use.
   [[nodiscard]] std::uint32_t next_seq() const { return next_seq_; }
 
@@ -182,13 +240,46 @@ class GroupWindow {
   [[nodiscard]] const RankSchedule& schedule() const { return *schedule_; }
 
  private:
-  /// Hands one arrival to a started slot's executor; the first arrival of
-  /// an edge keeps its payload (a retransmitted twin never overwrites it).
+  /// Records one arrival at a started, incomplete slot; false for a
+  /// duplicate. The first arrival of an edge keeps its payload (a
+  /// retransmitted twin never overwrites it). An arrival on no schedule
+  /// edge is remembered once, so a repeat reads as a duplicate, but it
+  /// satisfies no wait.
   bool record(Slot& s, const typename Slot::Early& a) {
-    if (a.id == kNoEdge) return s.exec->on_arrival(a.peer, a.tag);
-    if (s.exec->has_arrived(a.id)) return false;
+    if (a.id == kNoEdge) {
+      const std::uint64_t key = RankSchedule::edge_key(a.peer, a.tag);
+      if (std::find(s.stray.begin(), s.stray.end(), key) != s.stray.end()) return false;
+      s.stray.push_back(key);
+      return true;
+    }
+    if (!s.arrived.set(a.id)) return false;
     if (kind_ != OpKind::kBarrier) s.values[a.id] = a.value;
-    return s.exec->on_arrival(a.id);
+    advance(s);
+    return true;
+  }
+
+  /// Issues the sends of each step `s` enters and stops at the first wait
+  /// not yet arrived; completes the operation after the last step. A value
+  /// kind folds a step's payloads only as the step is consumed: an early
+  /// arrival must not leak into the value this rank sends during the same
+  /// step.
+  void advance(Slot& s) {
+    for (; s.step < schedule_->step_count(); ++s.step) {
+      const std::span<const Edge> sends = schedule_->sends(s.step);
+      const std::span<const Edge> waits = schedule_->waits(s.step);
+      for (const Edge& e : sends) {
+        if (s.sent.set(e.id)) hooks_.send(s, e);
+      }
+      for (const Edge& w : waits) {
+        if (!s.arrived.test(w.id)) return;
+      }
+      if (kind_ == OpKind::kBarrier) continue;
+      for (const Edge& w : waits) {
+        s.acc = combine_value(kind_, reduce_, w.tag, s.acc, s.values[w.id]);
+      }
+    }
+    s.complete = true;
+    hooks_.complete(s);
   }
 
   Slot& bind(std::uint32_t seq) {
@@ -200,7 +291,6 @@ class GroupWindow {
       }
       if (hooks_.recycle) hooks_.recycle(s);
     }
-    if (s.exec) s.exec->reset();
     s.early.clear();
     s.seq = seq;
     s.in_use = true;
@@ -208,26 +298,11 @@ class GroupWindow {
     s.complete = false;
     s.acc = 0;
     s.done = nullptr;
+    s.step = 0;
+    s.sent.clear();
+    s.arrived.clear();
+    s.stray.clear();
     return s;
-  }
-
-  void make_executor(Slot& s) {
-    Slot* sp = &s;
-    s.exec.emplace(
-        *schedule_, [this, sp](const Edge& e) { hooks_.send(*sp, e); },
-        [this, sp] {
-          sp->complete = true;
-          hooks_.complete(*sp);
-        });
-    if (kind_ == OpKind::kBarrier) return;
-    // Fold payloads only as their step is consumed (see ScheduleExecutor::
-    // set_step_consumer): an early arrival must not leak into the value
-    // this rank sends during the same step.
-    s.exec->set_step_consumer([this, sp](std::span<const Edge> waits) {
-      for (const Edge& w : waits) {
-        sp->acc = combine_value(kind_, reduce_, w.tag, sp->acc, sp->values[w.id]);
-      }
-    });
   }
 
   const RankSchedule* schedule_;

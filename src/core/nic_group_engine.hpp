@@ -21,7 +21,10 @@
 // operation instead of one per period.
 //
 // The `Nic` type supplies only its costs and its wire, as members the
-// engine calls directly (no std::function or virtual call per edge):
+// engine calls directly, with no std::function or virtual call between
+// them. Each edge send and each completion still reaches the engine
+// through one of its window's std::function hooks (GroupWindow::Hooks).
+// The `Nic` members:
 //   kGroupTrace                  trace names for enter, complete, NACK rx
 //   kNackOnWire                  whether the wire carries NACKs at all
 //   engine(), trace(...)         the simulation engine and the trace hook
@@ -104,7 +107,7 @@ class NicGroupEngine {
   struct SlotState {
     sim::EventId nack_timer;
     /// Value each sent edge carried, by edge id, for resends; valid where
-    /// the executor's sent bit is set. Sized when the window is built, and
+    /// the slot's sent bit is set. Sized when the window is built, and
     /// only for value kinds on a wire that carries NACKs (see
     /// keeps_sent_values).
     std::vector<std::int64_t> sent_values;
@@ -233,8 +236,8 @@ class NicGroupEngine {
     nic_.trace(Nic::kGroupTrace.nack_rx, peer, core::BarrierTag::encode(group, seq, tag),
                static_cast<std::int64_t>(flow));
     const Edge edge{peer, tag, g.window->schedule().find_edge(peer, tag)};
-    if (const Slot* slot = g.window->find(seq); slot != nullptr && slot->exec) {
-      if (edge.id != kNoEdge && slot->exec->has_sent(edge.id)) {
+    if (const Slot* slot = g.window->find(seq); slot != nullptr) {
+      if (slot->has_sent(edge.id)) {
         if (nic_.skip_retransmit(g.desc)) return;  // the fuzzer's planted bug
         send(g, seq, edge, resend_value(g, *slot, edge.id), true);
       }
@@ -305,8 +308,8 @@ class NicGroupEngine {
   }
 
   void nack_missing(Group& g, Slot& op) {
-    for (const Edge& w : op.exec->current_waits()) {
-      if (op.exec->has_arrived(w.id)) continue;
+    for (const Edge& w : g.window->current_waits(op)) {
+      if (op.has_arrived(w.id)) continue;
       nic_.send_nack(g.desc, op.seq, w.tag,
                      g.desc.rank_to_node->at(static_cast<std::size_t>(w.peer)));
     }

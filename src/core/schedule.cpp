@@ -5,10 +5,11 @@
 #include <cassert>
 #include <cstring>
 #include <deque>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+
+#include "core/group_window.hpp"
 
 namespace qmb::coll {
 namespace {
@@ -469,7 +470,7 @@ int value_words(OpKind kind, std::int64_t value) {
 bool schedule_is_correct_barrier(const GroupSchedule& g) {
   // Virtual execution with knowledge propagation: every message carries the
   // sender's current knowledge set; a correct barrier ends with every rank
-  // knowing every other rank and every executor complete.
+  // knowing every other rank and every rank's operation complete.
   const int n = g.size;
   std::vector<std::vector<bool>> knows(static_cast<std::size_t>(n),
                                        std::vector<bool>(static_cast<std::size_t>(n), false));
@@ -482,16 +483,19 @@ bool schedule_is_correct_barrier(const GroupSchedule& g) {
   };
   std::deque<Msg> wire;
 
-  std::vector<std::unique_ptr<ScheduleExecutor>> exec(static_cast<std::size_t>(n));
+  std::deque<GroupWindow<>> ranks;
   for (int i = 0; i < n; ++i) {
-    exec[static_cast<std::size_t>(i)] = std::make_unique<ScheduleExecutor>(
-        g.ranks[static_cast<std::size_t>(i)],
-        [&, i](const Edge& e) {
-          wire.push_back(Msg{i, e.peer, e.tag, knows[static_cast<std::size_t>(i)]});
-        },
-        [] {});
+    ranks.emplace_back(g.ranks[static_cast<std::size_t>(i)], OpKind::kBarrier, ReduceOp::kSum,
+                       GroupWindow<>::Hooks{
+                           .send =
+                               [&, i](GroupWindow<>::Slot&, const Edge& e) {
+                                 wire.push_back(Msg{i, e.peer, e.tag,
+                                                    knows[static_cast<std::size_t>(i)]});
+                               },
+                           .complete = [](GroupWindow<>::Slot&) {},
+                       });
   }
-  for (auto& e : exec) e->start();
+  for (auto& w : ranks) w.start();
 
   while (!wire.empty()) {
     Msg m = std::move(wire.front());
@@ -501,89 +505,16 @@ bool schedule_is_correct_barrier(const GroupSchedule& g) {
     for (int r = 0; r < n; ++r) {
       if (m.carried[static_cast<std::size_t>(r)]) dst_knows[static_cast<std::size_t>(r)] = true;
     }
-    exec[static_cast<std::size_t>(m.dst)]->on_arrival(m.src, m.tag);
+    ranks[static_cast<std::size_t>(m.dst)].on_arrival(0, m.src, m.tag);
   }
 
   for (int i = 0; i < n; ++i) {
-    if (!exec[static_cast<std::size_t>(i)]->complete()) return false;
+    if (!ranks[static_cast<std::size_t>(i)].find(0)->complete) return false;
     for (int r = 0; r < n; ++r) {
       if (!knows[static_cast<std::size_t>(i)][static_cast<std::size_t>(r)]) return false;
     }
   }
   return true;
-}
-
-ScheduleExecutor::ScheduleExecutor(const RankSchedule& schedule, SendFn send,
-                                   CompleteFn complete)
-    : schedule_(&schedule),
-      send_(std::move(send)),
-      complete_(std::move(complete)),
-      sent_(schedule.edge_count()),
-      arrived_(schedule.edge_count()) {}
-
-void ScheduleExecutor::start() {
-  assert(!started_ && "start() on a running executor; reset() first");
-  started_ = true;
-  step_ = 0;
-  advance();
-}
-
-bool ScheduleExecutor::on_arrival(int peer, std::uint32_t tag) {
-  const EdgeId id = schedule_->find_edge(peer, tag);
-  if (id != kNoEdge) return on_arrival(id);
-  // On no schedule edge: remembered once, so a repeat reads as a duplicate,
-  // but it satisfies no wait and never advances a step.
-  const std::uint64_t key = RankSchedule::edge_key(peer, tag);
-  if (std::find(stray_.begin(), stray_.end(), key) != stray_.end()) return false;
-  stray_.push_back(key);
-  return true;
-}
-
-bool ScheduleExecutor::on_arrival(EdgeId id) {
-  if (!arrived_.set(id)) return false;  // duplicate
-  if (started_ && !complete()) advance();
-  return true;
-}
-
-void ScheduleExecutor::reset() {
-  arrived_.clear();
-  sent_.clear();
-  stray_.clear();
-  step_ = 0;
-  started_ = false;
-}
-
-std::vector<Edge> ScheduleExecutor::missing_current_waits() const {
-  std::vector<Edge> missing;
-  for (const Edge& w : current_waits()) {
-    if (!arrived_.test(w.id)) missing.push_back(w);
-  }
-  return missing;
-}
-
-bool ScheduleExecutor::has_sent(int peer, std::uint32_t tag) const {
-  const EdgeId id = schedule_->find_edge(peer, tag);
-  return id != kNoEdge && sent_.test(id);
-}
-
-void ScheduleExecutor::advance() {
-  // Issue sends of each newly entered step, then stop at the first step
-  // whose waits are not yet satisfied. Step entry is detected by whether its
-  // sends were issued (the sent bits act as the entry marker; a key repeated
-  // across steps is sent once).
-  while (step_ < schedule_->step_count()) {
-    const std::span<const Edge> sends = schedule_->sends(step_);
-    const std::span<const Edge> waits = schedule_->waits(step_);
-    for (const Edge& s : sends) {
-      if (sent_.set(s.id)) send_(s);
-    }
-    for (const Edge& w : waits) {
-      if (!arrived_.test(w.id)) return;
-    }
-    if (consume_ && !waits.empty()) consume_(waits);
-    ++step_;
-  }
-  complete_();
 }
 
 }  // namespace qmb::coll

@@ -26,19 +26,17 @@
 //
 // The schedule is *data*: the same GroupSchedule drives the host-based GM
 // barrier, the direct NIC scheme, the NIC collective protocol, and the
-// Quadrics chained-RDMA barrier. ScheduleExecutor is the shared step-advance
-// state machine those executors embed. Every builder, and every hand-built
+// Quadrics chained-RDMA barrier, each walked step by step by a
+// coll::GroupWindow (group_window.hpp). Every builder, and every hand-built
 // test schedule, writes through ScheduleWriter, which numbers each rank's
 // distinct (peer, tag) edges as the rank ends and stores the rank in one
-// block: its sorted edge keys, its step bounds and its step edges. The
-// executor's bookkeeping is bit vectors over those edge ids, not hash sets
-// of messages.
+// block: its sorted edge keys, its step bounds and its step edges. A
+// window's bookkeeping is bit vectors over those edge ids, not hash sets of
+// messages.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <optional>
@@ -127,8 +125,8 @@ enum class ReduceOp : std::uint8_t { kSum, kMin, kMax };
 }
 
 /// Number of one distinct (peer, tag) pair in a rank's schedule: its bit
-/// in ScheduleExecutor's sent/arrived vectors and its slot in the per-edge
-/// value arrays (paper Sec. 6.3's bit vector of expected messages).
+/// in a GroupWindow slot's sent/arrived vectors and its slot in the
+/// per-edge value arrays (paper Sec. 6.3's bit vector of expected messages).
 using EdgeId = std::uint32_t;
 inline constexpr EdgeId kNoEdge = ~EdgeId{0};
 
@@ -252,35 +250,6 @@ class ScheduleWriter {
 /// construction, so NICs in different PDES domains read it freely.
 using SharedSchedule = std::shared_ptr<const GroupSchedule>;
 
-/// Fixed-size bit vector over one rank's edge ids. Up to 64 edges (every
-/// schedule but a wide star's root) fit in one inline word.
-class EdgeBits {
- public:
-  explicit EdgeBits(std::size_t edges) : more_(edges > 64 ? (edges + 63) / 64 : 0, 0) {}
-
-  [[nodiscard]] bool test(EdgeId id) const { return ((word(id) >> (id & 63)) & 1) != 0; }
-  /// Sets the bit; false when it was already set.
-  bool set(EdgeId id) {
-    std::uint64_t& w = more_.empty() ? first_ : more_[id >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
-    if ((w & bit) != 0) return false;
-    w |= bit;
-    return true;
-  }
-  void clear() {
-    first_ = 0;
-    std::fill(more_.begin(), more_.end(), 0);
-  }
-
- private:
-  [[nodiscard]] std::uint64_t word(EdgeId id) const {
-    return more_.empty() ? first_ : more_[id >> 6];
-  }
-
-  std::uint64_t first_ = 0;          // the bits, when there are at most 64
-  std::vector<std::uint64_t> more_;  // the bits, otherwise
-};
-
 /// Builds the schedule for an N-rank operation of `kind`. `algorithm`
 /// selects the pattern (kDissemination is each kind's canonical default),
 /// `radix` the tree degree or dissemination fan-out (<= 0: the pattern's own
@@ -316,81 +285,5 @@ class EdgeBits {
 /// edges in step order, every rank's exit transitively depends on every
 /// rank's entry. Returns true when the schedule is a correct barrier.
 [[nodiscard]] bool schedule_is_correct_barrier(const GroupSchedule& s);
-
-/// Step-advance state machine for one rank in one barrier operation.
-///
-/// The embedding protocol engine supplies `send` (issue a message to a peer;
-/// timing is the engine's business) and `complete` (this rank's barrier is
-/// locally complete). Early arrivals for future steps are buffered;
-/// duplicate arrivals (retransmissions) are idempotent. Sends and arrivals
-/// are kept as bit vectors over the schedule's edge ids, so reset() clears
-/// a few words.
-class ScheduleExecutor {
- public:
-  using SendFn = std::function<void(const Edge&)>;
-  using CompleteFn = std::function<void()>;
-
-  ScheduleExecutor(const RankSchedule& schedule, SendFn send, CompleteFn complete);
-
-  /// Begins the operation: issues step-0 sends, advances through any steps
-  /// whose waits are already satisfied (e.g. empty or buffered).
-  void start();
-
-  /// Records a message from `peer` with `tag`; advances steps as satisfied.
-  /// Returns false for a duplicate (already recorded) arrival. A message on
-  /// no schedule edge is recorded once and never satisfies a wait.
-  bool on_arrival(int peer, std::uint32_t tag);
-
-  /// Same, for an arrival already resolved to schedule edge `id`.
-  bool on_arrival(EdgeId id);
-
-  /// Installs a callback invoked with a step's waits when they have all
-  /// arrived and the step is consumed — after that step's sends went out,
-  /// before the next step's sends are issued. This is where a value-carrying
-  /// protocol folds the step's payloads into its accumulator: folding
-  /// earlier (at arrival time) would corrupt recursive-doubling partials,
-  /// because an early arrival for step s must not leak into the value sent
-  /// at step s.
-  using StepConsumeFn = std::function<void(std::span<const Edge> waits)>;
-  void set_step_consumer(StepConsumeFn fn) { consume_ = std::move(fn); }
-
-  /// Re-arms for the next operation; buffered future arrivals are NOT kept
-  /// (the caller owns cross-operation windowing).
-  void reset();
-
-  [[nodiscard]] bool started() const { return started_; }
-  [[nodiscard]] bool complete() const { return started_ && step_ >= schedule_->step_count(); }
-  [[nodiscard]] std::size_t current_step() const { return step_; }
-
-  /// Waits of the current step, arrived or not; empty unless the operation
-  /// is running.
-  [[nodiscard]] std::span<const Edge> current_waits() const {
-    if (!started_ || complete()) return {};
-    return schedule_->waits(step_);
-  }
-  /// Waits of the current step not yet arrived (receiver-driven NACK
-  /// targets), as a fresh vector; a NACK round walks current_waits()
-  /// in place instead.
-  [[nodiscard]] std::vector<Edge> missing_current_waits() const;
-
-  /// True if the executor has issued the send matching (peer, tag) in this
-  /// operation — i.e. a NACK for it should be answered with a retransmit.
-  [[nodiscard]] bool has_sent(int peer, std::uint32_t tag) const;
-  [[nodiscard]] bool has_sent(EdgeId id) const { return sent_.test(id); }
-  [[nodiscard]] bool has_arrived(EdgeId id) const { return arrived_.test(id); }
-
- private:
-  void advance();
-
-  const RankSchedule* schedule_;
-  SendFn send_;
-  CompleteFn complete_;
-  StepConsumeFn consume_;
-  EdgeBits sent_;
-  EdgeBits arrived_;
-  std::vector<std::uint64_t> stray_;  // keys of arrivals on no schedule edge
-  std::size_t step_ = 0;
-  bool started_ = false;
-};
 
 }  // namespace qmb::coll

@@ -102,7 +102,7 @@ void CollectiveEngine::arm_msg_timer(Group* gp, std::uint64_t key, std::uint32_t
     if (rit == msg_records_.end()) return;  // ACKed meanwhile
     const coll::Edge edge = rit->second.edge;
     const auto* slot = gp->window->find(seq);
-    const std::int64_t value = slot != nullptr && slot->exec && slot->exec->has_sent(edge.id)
+    const std::int64_t value = slot != nullptr && slot->has_sent(edge.id)
                                    ? Groups::resend_value(*gp, *slot, edge.id)
                                    : 0;
     groups_.send(*gp, seq, edge, value, true);

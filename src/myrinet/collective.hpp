@@ -11,8 +11,9 @@
 //     of pool buffers and no host DMA — the entire payload is one integer
 //     already in NIC SRAM (Sec. 6.2);
 //   * keeps ONE send record per barrier operation with a bit vector of
-//     expected messages (here: the ScheduleExecutor's arrived bits, one per
-//     schedule edge id) instead of per-packet records (Sec. 6.3);
+//     expected messages (here: a coll::GroupWindow slot's step and its
+//     arrived bits, one per schedule edge id) instead of per-packet records
+//     (Sec. 6.3);
 //   * uses receiver-driven retransmission: no ACKs; a receiver missing an
 //     expected message past the timeout NACKs the sender, halving the packet
 //     count (Sec. 6.3).

@@ -12,8 +12,7 @@ Fabric::Fabric(sim::Engine& engine, std::unique_ptr<Topology> topology,
     : engine_(engine),
       topology_(std::move(topology)),
       params_(params),
-      tracer_(tracer),
-      routes_(*topology_) {
+      tracer_(tracer) {
   auto& reg = engine_.metrics();
   packets_sent_ = reg.counter("fabric.packets_sent");
   packets_delivered_ = reg.counter("fabric.packets_delivered");
@@ -302,7 +301,8 @@ sim::SimTime Fabric::broadcast(NicAddr src, NicAddr first, NicAddr last,
     ++packets_sent_;
     bytes_sent_ += wire_bytes;
     packet_bytes_.record(wire_bytes);
-    const RouteView route = routes_.broadcast(src, dst, top);
+    topology_->compute_broadcast_route(src, dst, top, route_scratch_);
+    const RouteView route = route_scratch_.view();
     assert(route.links.size() == route.switches.size() + 1);
     sim::SimTime head = engine_.now();
     for (std::size_t i = 0; i < route.links.size(); ++i) {

@@ -9,13 +9,13 @@
 // reaches it, which is what creates contention between packets sharing a
 // link.
 //
-// Hot-path discipline: unicast routes are computed O(1) into a fixed
-// scratch (Topology::compute_route), broadcast routes are memoized spans
-// (RouteCache) — no Route allocation after first use either way — packet
-// bodies are inline PacketPayloads, delivery callbacks capture the Packet
-// by value inside the engine's inline callback storage, and broadcast's
-// shared-link bookkeeping uses an epoch-stamped scratch vector.
-// Steady-state transit performs zero heap allocations.
+// Hot-path discipline: unicast and broadcast routes alike are computed O(1)
+// into one fixed scratch (Topology::compute_route and
+// compute_broadcast_route) — no Route is ever allocated — packet bodies are
+// inline PacketPayloads, delivery callbacks capture the Packet by value
+// inside the engine's inline callback storage, and broadcast's shared-link
+// bookkeeping uses an epoch-stamped scratch vector. Steady-state transit
+// performs zero heap allocations.
 //
 // Conservative PDES mode (enable_domains): the topology is cut into
 // locality-preserving NIC domains and the engine sharded to match, with
@@ -43,7 +43,6 @@
 #include "net/fault.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
-#include "net/route_cache.hpp"
 #include "net/switch_node.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
@@ -111,10 +110,6 @@ class Fabric {
   [[nodiscard]] const Topology& topology() const { return *topology_; }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] std::size_t attached_nics() const { return nics_.size(); }
-
-  /// Host-side broadcast-route memo statistics (hits/misses/entries); not
-  /// simulated state.
-  [[nodiscard]] const RouteCache& route_cache() const { return routes_; }
 
   // Aggregated across domains in PDES mode (each domain owns private
   // counter slots registered under its domain id as the metric node).
@@ -202,7 +197,6 @@ class Fabric {
   std::vector<SwitchNode> switches_;
   std::vector<DeliverFn> nics_;
   FaultInjector faults_;
-  RouteCache routes_;  // broadcast routes only
   // Per-broadcast shared-link scratch: head time after each link, stamped
   // with the broadcast's epoch so clearing between calls is O(0).
   std::vector<std::pair<std::uint64_t, sim::SimTime>> bcast_head_scratch_;

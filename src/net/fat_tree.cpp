@@ -170,31 +170,31 @@ Route FatTree::route(NicAddr src, NicAddr dst) const {
                     static_cast<std::size_t>(merge_level(src, dst)), h);
 }
 
-Route FatTree::route_via(NicAddr src, NicAddr dst, int top_level) const {
+std::size_t FatTree::via_top(NicAddr src, NicAddr dst, int top_level) const {
   assert(src.index() < nics_ && dst.index() < nics_);
   std::size_t top = static_cast<std::size_t>(top_level);
   if (src != dst) {
     top = std::max(top, static_cast<std::size_t>(merge_level(src, dst)));
   }
-  if (top < 1) top = 1;
-  if (top > levels_) top = levels_;
-  const std::uint64_t h =
-      mix((static_cast<std::uint64_t>(src.index()) << 32) | dst.index());
-  return route_impl(src.index(), dst.index(), top, h);
+  return std::clamp<std::size_t>(top, 1, levels_);
 }
 
+Route FatTree::route_via(NicAddr src, NicAddr dst, int top_level) const {
+  const std::uint64_t h =
+      mix((static_cast<std::uint64_t>(src.index()) << 32) | dst.index());
+  return route_impl(src.index(), dst.index(), via_top(src, dst, top_level), h);
+}
+
+// Trunk choice from src only: all copies of one broadcast share the up-path
+// and the per-subtree down trunks, so the Fabric can reserve each physical
+// link once for the whole replication.
 Route FatTree::broadcast_route(NicAddr src, NicAddr dst, int top_level) const {
-  assert(src.index() < nics_ && dst.index() < nics_);
-  std::size_t top = static_cast<std::size_t>(top_level);
-  if (src != dst) {
-    top = std::max(top, static_cast<std::size_t>(merge_level(src, dst)));
-  }
-  if (top < 1) top = 1;
-  if (top > levels_) top = levels_;
-  // Trunk choice from src only: all copies of one broadcast share the
-  // up-path and the per-subtree down trunks, so the Fabric can reserve each
-  // physical link once for the whole replication.
-  return route_impl(src.index(), dst.index(), top, mix(src.index()));
+  return route_impl(src.index(), dst.index(), via_top(src, dst, top_level), mix(src.index()));
+}
+
+void FatTree::compute_broadcast_route(NicAddr src, NicAddr dst, int top_level,
+                                      RouteScratch& out) const {
+  route_into(src.index(), dst.index(), via_top(src, dst, top_level), mix(src.index()), out);
 }
 
 }  // namespace qmb::net

@@ -37,6 +37,8 @@ class FatTree final : public Topology {
   [[nodiscard]] Route route_via(NicAddr src, NicAddr dst, int top_level) const override;
   [[nodiscard]] Route broadcast_route(NicAddr src, NicAddr dst, int top) const override;
   void compute_route(NicAddr src, NicAddr dst, RouteScratch& out) const override;
+  void compute_broadcast_route(NicAddr src, NicAddr dst, int top,
+                               RouteScratch& out) const override;
   /// Cuts at the tree level whose subtree count lands closest to `target`:
   /// each size-k^l subtree of nodes becomes one domain, so any route between
   /// two domains climbs through at least one trunk stage.
@@ -58,6 +60,9 @@ class FatTree final : public Topology {
   /// Aggregate switch at level j covering the size-k^(j+1) subtree `group`.
   [[nodiscard]] SwitchId sw(std::size_t j, std::size_t group) const;
   [[nodiscard]] static std::uint64_t mix(std::uint64_t x);
+  /// The level a route forced through `top_level` climbs to: at least the
+  /// pair's merge level, clamped to [1, levels].
+  [[nodiscard]] std::size_t via_top(NicAddr src, NicAddr dst, int top_level) const;
   /// The one route builder: fills `out` allocation-free; route_impl wraps it.
   void route_into(std::size_t src, std::size_t dst, std::size_t top,
                   std::uint64_t trunk_hash, RouteScratch& out) const;

@@ -18,16 +18,16 @@ struct Route {
   std::vector<SwitchId> switches;  // switches crossed between consecutive links
 };
 
-/// Non-owning view of a route held elsewhere (a RouteScratch or the
-/// Fabric's broadcast memo).
+/// Non-owning view of a route held elsewhere (a RouteScratch).
 struct RouteView {
   std::span<const LinkId> links;       // size == switches.size() + 1
   std::span<const SwitchId> switches;
 };
 
-/// Caller-owned scratch compute_route fills: fixed capacity, no heap, no
-/// shared state — safe from any thread. A route has 2 * levels links, so
-/// FatTree rejects trees deeper than 16 levels at construction.
+/// Caller-owned scratch compute_route and compute_broadcast_route fill:
+/// fixed capacity, no heap, no shared state — safe from any thread. A route
+/// has 2 * levels links, so FatTree rejects trees deeper than 16 levels at
+/// construction.
 struct RouteScratch {
   static constexpr std::size_t kMaxHops = 32;
   std::array<LinkId, kMaxHops> links;
@@ -94,8 +94,19 @@ class Topology {
   /// up-path trunk choice depends only on `src`, so every copy of one
   /// broadcast shares the same up-path links (the switches replicate at the
   /// top, they do not re-send from the source). Defaults to route_via.
+  /// The reference compute_broadcast_route is tested against.
   [[nodiscard]] virtual Route broadcast_route(NicAddr src, NicAddr dst, int top) const {
     return route_via(src, dst, top);
+  }
+
+  /// The Fabric's broadcast path: fills `out` without allocating,
+  /// identical hop-for-hop to broadcast_route(). Pure, like compute_route.
+  /// Defaults to compute_route, as broadcast_route defaults to the unicast
+  /// route.
+  virtual void compute_broadcast_route(NicAddr src, NicAddr dst, int top,
+                                       RouteScratch& out) const {
+    (void)top;
+    compute_route(src, dst, out);
   }
 };
 

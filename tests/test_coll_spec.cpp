@@ -26,7 +26,7 @@ namespace {
 
 // ---------- in-memory value semantics of a schedule ----------
 
-/// Mirrors the ScheduleExecutor's value rules without a cluster: sends are
+/// Mirrors GroupWindow's value rules without a cluster: sends are
 /// issued at step entry carrying the accumulator *at entry*, a step
 /// consumes its waits only once all of them arrived, and each consumed
 /// edge folds with combine_value. Returns one result per rank, or throws

@@ -4,12 +4,14 @@
 // The whole test binary's operator new/delete are replaced with counting
 // versions (every variant, including sized/aligned/nothrow, so the count is
 // exact regardless of which overloads the toolchain picks). After a warmup
-// sweep that populates the route cache, grows the event queue to its peak,
-// and touches every (src, dst) pair, an identical steady-state sweep —
-// injection, traversal, delivery, payload transport — must perform exactly
-// zero heap allocations. This is the load-bearing claim behind the route
-// cache, the inline PacketPayload, and the enlarged sim::Callback inline
-// storage: regressing any of them makes this count non-zero. Likewise a
+// sweep that grows the event queue to its peak and touches every
+// (src, dst) pair, an identical steady-state sweep — injection, traversal,
+// delivery, payload transport — must perform exactly zero heap
+// allocations. This is the load-bearing claim behind the computed routes,
+// the inline PacketPayload, and the enlarged sim::Callback inline storage:
+// regressing any of them makes this count non-zero. A hardware broadcast
+// from a source the fabric has never broadcast from allocates nothing
+// either: its routes are computed, not memoized. Likewise a
 // collective window, once each of its two slots has run an operation,
 // keeps its bookkeeping in bits and per-edge slots it already owns, and
 // the metric registry allocates per metric name, not per (name, node).
@@ -31,6 +33,7 @@
 #include "core/group_window.hpp"
 #include "core/nic_group_engine.hpp"
 #include "net/fabric.hpp"
+#include "net/fat_tree.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
@@ -167,9 +170,6 @@ TEST(HotpathAlloc, SteadyStateSweepPerformsZeroAllocations) {
   run_sweep(engine, fabric, remaining, 200);
   const std::uint64_t delivered_warm = fabric.packets_delivered();
   ASSERT_GT(delivered_warm, 0u);
-  // Unicast routes are computed into the fabric's scratch, never memoized:
-  // only hardware broadcasts fill the route cache.
-  EXPECT_EQ(fabric.route_cache().entries(), 0u);
 
   // Sanity: the counter itself works. Direct operator-new calls cannot be
   // elided the way a new-expression can.
@@ -190,8 +190,31 @@ TEST(HotpathAlloc, SteadyStateSweepPerformsZeroAllocations) {
   EXPECT_GT(delivered, static_cast<std::uint64_t>(kNics) * 200u - 1u);
   EXPECT_EQ(allocs, 0u) << "steady-state packet path allocated " << allocs
                         << " times over " << delivered << " deliveries";
-  EXPECT_EQ(fabric.route_cache().entries(), 0u)
-      << "unicast sends must not memoize routes";
+}
+
+TEST(HotpathAlloc, BroadcastFromANewSourceAllocatesNothing) {
+  // A 64-node quaternary fat tree, as a Quadrics hardware broadcast sees it.
+  constexpr int kBcastNics = 64;
+  sim::Engine engine;
+  Fabric fabric(engine, std::make_unique<FatTree>(FatTree::fitting(4, kBcastNics)),
+                FabricParams{LinkParams{300_ns, 2.0e9}, SwitchParams{300_ns}});
+  int delivered = 0;
+  for (int i = 0; i < kBcastNics; ++i) {
+    fabric.attach([&delivered](Packet&&) { ++delivered; });
+  }
+  const NicAddr first(0), last(kBcastNics - 1);
+  // One warm-up broadcast grows the event queue to a broadcast's peak.
+  fabric.broadcast(NicAddr(0), first, last, 64, PingBody{}, 0);
+  engine.run();
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  fabric.broadcast(NicAddr(37), first, last, 64, PingBody{}, 0);
+  engine.run();
+  g_counting.store(false);
+  EXPECT_EQ(delivered, 2 * kBcastNics);
+  EXPECT_EQ(g_allocs.load(), 0u) << "a 64-way broadcast from a new source allocated "
+                                 << g_allocs.load() << " times";
 }
 
 /// Allocations one rank's GroupWindow makes over ops 2..9 of ten

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qmb::run {
@@ -111,6 +113,69 @@ TEST(RunExperiment, IbDropRecoveryIsDeterministic) {
   EXPECT_GT(a.packets_dropped, 0u);
   // Loss surfaces through the RC transport: NAKs and/or RTO retransmits.
   EXPECT_GT(a.retransmissions + a.nacks, 0u);
+}
+
+/// The run's total of counter `name` over every node; 0 when no node
+/// registered it.
+std::uint64_t counter_total(const RunResult& r, std::string_view name) {
+  for (const obs::MetricValue& m : r.metrics) {
+    if (m.name == name) return m.value;
+  }
+  return 0;
+}
+
+TEST(RunExperiment, ArrivalClassificationCountersArePinned) {
+  // The NIC group engine sorts every collective arrival into accepted,
+  // duplicate, early or stale, and counts the NACKs it receives. None of
+  // these counters is in fingerprint() or the fuzz digest, so their totals
+  // are pinned here: lossy barriers (IB at n = 64, where the silence timer
+  // backs off), lossy value kinds that resend from the sent values, and
+  // duplicated packets.
+  static constexpr std::array<std::string_view, 4> kMyrinet{
+      "coll.duplicates", "coll.early_buffered", "coll.stale_dropped", "coll.nacks_received"};
+  static constexpr std::array<std::string_view, 4> kIb{
+      "ib.duplicates_dropped", "ib.early_buffered", "ib.stale_dropped", "ib.naks_received"};
+  struct Case {
+    std::string_view what;
+    ExperimentSpec spec;
+    std::array<std::uint64_t, 4> want;  // in the order of the counter names
+  };
+  const auto lossy = [](Network net, int nodes, coll::OpKind op, double drop,
+                        std::uint64_t seed) {
+    ExperimentSpec s = quick_spec(net, nodes);
+    s.op = op;
+    s.iters = 100;
+    s.warmup = 0;
+    s.drop_prob = drop;
+    s.seed = seed;
+    return s;
+  };
+  const auto duplicating = [](Network net) {
+    ExperimentSpec s = quick_spec(net, 16);
+    s.iters = 100;
+    s.warmup = 0;
+    s.faults.push_back({.action = net::FaultAction::kDuplicate, .prob = 0.05, .seed = 4});
+    return s;
+  };
+  const Case cases[] = {
+      {"myrinet barrier, 2% loss", lossy(Network::kMyrinetXP, 16, coll::OpKind::kBarrier, 0.02, 7),
+       {177, 647, 252, 995}},
+      {"ib barrier n64, 1% loss", lossy(Network::kInfiniBand, 64, coll::OpKind::kBarrier, 0.01, 3),
+       {769, 2988, 397, 6620}},
+      {"myrinet allreduce, 2% loss",
+       lossy(Network::kMyrinetXP, 16, coll::OpKind::kAllreduce, 0.02, 7), {153, 607, 218, 873}},
+      {"ib allgather, 2% loss", lossy(Network::kInfiniBand, 16, coll::OpKind::kAllgather, 0.02, 5),
+       {127, 558, 86, 1179}},
+      {"myrinet barrier, 5% duplicated", duplicating(Network::kMyrinetXP), {250, 295, 84, 0}},
+      {"ib barrier, 5% duplicated", duplicating(Network::kInfiniBand), {247, 67, 87, 0}},
+  };
+  for (const Case& c : cases) {
+    const RunResult r = run_experiment(c.spec);
+    const auto& names = c.spec.network == Network::kInfiniBand ? kIb : kMyrinet;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      EXPECT_EQ(counter_total(r, names[i]), c.want[i]) << c.what << ": " << names[i];
+    }
+  }
 }
 
 TEST(RunExperiment, ValueCollectivesRun) {

@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/group_window.hpp"
 #include "model/analytic.hpp"
 
 namespace qmb::coll {
@@ -457,100 +458,122 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(star ? 0 : info.param.radix);
     });
 
-// ---------- executor ----------
+// ---------- step machine ----------
+
+/// One rank's operation 0 on a GroupWindow, the step machine every engine
+/// runs: the sends it issues, in order, and its completions.
+struct OneOp {
+  std::vector<Edge> sent;
+  int completions = 0;
+  GroupWindow<> window;
+
+  explicit OneOp(const RankSchedule& rs)
+      : window(rs, OpKind::kBarrier, ReduceOp::kSum,
+               {.send = [this](GroupWindow<>::Slot&, const Edge& e) { sent.push_back(e); },
+                .complete = [this](GroupWindow<>::Slot&) { ++completions; }}) {}
+
+  Arrival arrive(int peer, std::uint32_t tag) { return window.on_arrival(0, peer, tag); }
+  [[nodiscard]] const GroupWindow<>::Slot& slot() { return *window.find(0); }
+  [[nodiscard]] bool has_sent(int peer, std::uint32_t tag) {
+    return slot().has_sent(window.schedule().find_edge(peer, tag));
+  }
+  /// The current step's waits that have not arrived: what a NACK round asks for.
+  [[nodiscard]] std::vector<Edge> missing() {
+    std::vector<Edge> out;
+    for (const Edge& w : window.current_waits(slot())) {
+      if (!slot().has_arrived(w.id)) out.push_back(w);
+    }
+    return out;
+  }
+};
 
 TEST(ScheduleExecutor, IssuesStepSendsOnEntry) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
-  std::vector<Edge> sent;
-  bool complete = false;
-  ScheduleExecutor ex(g.ranks[0], [&](const Edge& e) { sent.push_back(e); },
-                      [&] { complete = true; });
-  ex.start();
-  ASSERT_EQ(sent.size(), 1u);  // step 0 send only
-  EXPECT_EQ(sent[0].peer, 1);
-  EXPECT_FALSE(complete);
+  OneOp op(g.ranks[0]);
+  op.window.start();
+  ASSERT_EQ(op.sent.size(), 1u);  // step 0 send only
+  EXPECT_EQ(op.sent[0].peer, 1);
+  EXPECT_EQ(op.completions, 0);
 }
 
 TEST(ScheduleExecutor, AdvancesThroughArrivals) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
-  std::vector<Edge> sent;
-  bool complete = false;
-  ScheduleExecutor ex(g.ranks[0], [&](const Edge& e) { sent.push_back(e); },
-                      [&] { complete = true; });
-  ex.start();
-  EXPECT_TRUE(ex.on_arrival(3, 0));  // step-0 wait
-  EXPECT_EQ(sent.size(), 2u);        // step-1 send issued
-  EXPECT_TRUE(ex.on_arrival(2, 1));  // step-1 wait
-  EXPECT_TRUE(complete);
-  EXPECT_TRUE(ex.complete());
+  OneOp op(g.ranks[0]);
+  op.window.start();
+  EXPECT_EQ(op.arrive(3, 0), Arrival::kAccepted);  // step-0 wait
+  EXPECT_EQ(op.sent.size(), 2u);                   // step-1 send issued
+  EXPECT_EQ(op.arrive(2, 1), Arrival::kAccepted);  // step-1 wait
+  EXPECT_EQ(op.completions, 1);
+  EXPECT_TRUE(op.slot().complete);
 }
 
 TEST(ScheduleExecutor, BuffersEarlyArrivals) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
-  int sends = 0;
-  bool complete = false;
-  ScheduleExecutor ex(g.ranks[0], [&](const Edge&) { ++sends; }, [&] { complete = true; });
+  OneOp op(g.ranks[0]);
   // Both arrivals land before start.
-  ex.on_arrival(3, 0);
-  ex.on_arrival(2, 1);
-  EXPECT_FALSE(complete);
-  ex.start();
-  EXPECT_TRUE(complete);
-  EXPECT_EQ(sends, 2);
+  EXPECT_EQ(op.arrive(3, 0), Arrival::kEarly);
+  EXPECT_EQ(op.arrive(2, 1), Arrival::kEarly);
+  EXPECT_EQ(op.completions, 0);
+  EXPECT_EQ(op.window.start().duplicates, 0);
+  EXPECT_EQ(op.completions, 1);
+  EXPECT_EQ(op.sent.size(), 2u);
 }
 
 TEST(ScheduleExecutor, DuplicateArrivalReturnsFalse) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [] {});
-  ex.start();
-  EXPECT_TRUE(ex.on_arrival(3, 0));
-  EXPECT_FALSE(ex.on_arrival(3, 0));
+  OneOp op(g.ranks[0]);
+  op.window.start();
+  EXPECT_EQ(op.arrive(3, 0), Arrival::kAccepted);
+  EXPECT_EQ(op.arrive(3, 0), Arrival::kDuplicate);
 }
 
 TEST(ScheduleExecutor, MissingCurrentWaitsReported) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 8);
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [] {});
-  ex.start();
-  auto missing = ex.missing_current_waits();
+  OneOp op(g.ranks[0]);
+  op.window.start();
+  auto missing = op.missing();
   ASSERT_EQ(missing.size(), 1u);
   EXPECT_EQ(missing[0].peer, 7);
   EXPECT_EQ(missing[0].tag, 0u);
-  ex.on_arrival(7, 0);
-  missing = ex.missing_current_waits();
+  op.arrive(7, 0);
+  missing = op.missing();
   ASSERT_EQ(missing.size(), 1u);
   EXPECT_EQ(missing[0].peer, 6);  // now waiting on step 1
 }
 
 TEST(ScheduleExecutor, HasSentTracksIssuedSends) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 8);
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [] {});
-  ex.start();
-  EXPECT_TRUE(ex.has_sent(1, 0));
-  EXPECT_FALSE(ex.has_sent(2, 1));  // step 1 not entered yet
-  ex.on_arrival(7, 0);
-  EXPECT_TRUE(ex.has_sent(2, 1));
+  OneOp op(g.ranks[0]);
+  op.window.start();
+  EXPECT_TRUE(op.has_sent(1, 0));
+  EXPECT_FALSE(op.has_sent(2, 1));  // step 1 not entered yet
+  op.arrive(7, 0);
+  EXPECT_TRUE(op.has_sent(2, 1));
 }
 
 TEST(ScheduleExecutor, ResetAllowsReuse) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 2);
-  int completions = 0;
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [&] { ++completions; });
-  ex.start();
-  ex.on_arrival(1, 0);
-  EXPECT_EQ(completions, 1);
-  ex.reset();
-  EXPECT_FALSE(ex.started());
-  ex.start();
-  ex.on_arrival(1, 0);
-  EXPECT_EQ(completions, 2);
+  OneOp op(g.ranks[0]);
+  for (std::uint32_t seq = 0; seq < 2; ++seq) {
+    op.window.start();
+    op.window.on_arrival(seq, 1, 0);
+  }
+  EXPECT_EQ(op.completions, 2);
+  // Operation 2 rebinds operation 0's slot, which forgets its step and bits.
+  EXPECT_EQ(op.window.on_arrival(2, 1, 0), Arrival::kEarly);
+  const GroupWindow<>::Slot& reused = *op.window.find(2);
+  EXPECT_FALSE(reused.active);
+  EXPECT_EQ(reused.step, 0u);
+  EXPECT_FALSE(reused.has_sent(op.window.schedule().find_edge(1, 0)));
+  op.window.start();
+  EXPECT_EQ(op.completions, 3);
 }
 
 TEST(ScheduleExecutor, SingleRankCompletesImmediately) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 1);
-  bool complete = false;
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [&] { complete = true; });
-  ex.start();
-  EXPECT_TRUE(complete);
+  OneOp op(g.ranks[0]);
+  op.window.start();
+  EXPECT_EQ(op.completions, 1);
 }
 
 // ---------- edge numbering ----------
@@ -591,36 +614,41 @@ TEST(EdgeNumbering, RepeatedKeyGetsOneIdAndSendsOnce) {
   EXPECT_EQ(rs.edge_count(), 3u);
   EXPECT_EQ(rs.sends(0)[0].id, rs.sends(1)[0].id);
 
-  std::vector<Edge> sent;
-  ScheduleExecutor ex(rs, [&](const Edge& e) { sent.push_back(e); }, [] {});
-  ex.start();
-  EXPECT_TRUE(ex.on_arrival(2, 7));
-  ASSERT_EQ(sent.size(), 1u);  // step 1 re-enters (1, 7): already sent
-  EXPECT_TRUE(ex.has_sent(1, 7));
-  EXPECT_TRUE(ex.on_arrival(3, 7));
-  EXPECT_TRUE(ex.complete());
-  EXPECT_EQ(sent.size(), 1u);
+  OneOp op(rs);
+  op.window.start();
+  EXPECT_EQ(op.arrive(2, 7), Arrival::kAccepted);
+  ASSERT_EQ(op.sent.size(), 1u);  // step 1 re-enters (1, 7): already sent
+  EXPECT_TRUE(op.has_sent(1, 7));
+  EXPECT_EQ(op.arrive(3, 7), Arrival::kAccepted);
+  EXPECT_TRUE(op.slot().complete);
+  EXPECT_EQ(op.sent.size(), 1u);
 }
 
 TEST(EdgeNumbering, ArrivalOnNoEdgeCountsOnceAndNeverCompletesAStep) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
-  int completions = 0;
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [&] { ++completions; });
-  ex.start();
+  OneOp op(g.ranks[0]);
+  op.window.start();
   // Rank 1 never sends to rank 0 at tag 0; only the reverse edge exists.
-  EXPECT_TRUE(ex.on_arrival(1, 0));
-  EXPECT_FALSE(ex.on_arrival(1, 0));
+  EXPECT_EQ(op.arrive(1, 0), Arrival::kAccepted);
+  EXPECT_EQ(op.arrive(1, 0), Arrival::kDuplicate);
   // A tag on no step at all.
-  EXPECT_TRUE(ex.on_arrival(3, 9));
-  EXPECT_FALSE(ex.on_arrival(3, 9));
-  EXPECT_EQ(ex.current_step(), 0u);
-  EXPECT_EQ(completions, 0);
-  EXPECT_FALSE(ex.has_sent(1, 9));
-  ASSERT_EQ(ex.missing_current_waits().size(), 1u);
-  // reset() forgets them like every other arrival.
-  ex.reset();
-  EXPECT_TRUE(ex.on_arrival(1, 0));
-  EXPECT_TRUE(ex.on_arrival(3, 9));
+  EXPECT_EQ(op.arrive(3, 9), Arrival::kAccepted);
+  EXPECT_EQ(op.arrive(3, 9), Arrival::kDuplicate);
+  EXPECT_EQ(op.slot().step, 0u);
+  EXPECT_EQ(op.completions, 0);
+  EXPECT_FALSE(op.has_sent(1, 9));
+  ASSERT_EQ(op.missing().size(), 1u);
+  // A recycled slot forgets them like every other arrival: operation 2
+  // reuses operation 0's slot.
+  for (std::uint32_t seq = 0; seq < 2; ++seq) {
+    if (seq == 1) op.window.start();
+    op.window.on_arrival(seq, 3, 0);
+    op.window.on_arrival(seq, 2, 1);
+  }
+  ASSERT_EQ(op.completions, 2);
+  op.window.start();
+  EXPECT_EQ(op.window.on_arrival(2, 1, 0), Arrival::kAccepted);
+  EXPECT_EQ(op.window.on_arrival(2, 3, 9), Arrival::kAccepted);
 }
 
 TEST(EdgeNumbering, WideStarRootSpillsPastOneWord) {
@@ -628,18 +656,19 @@ TEST(EdgeNumbering, WideStarRootSpillsPastOneWord) {
   // beyond the 64 an inline bit word holds.
   const auto g = make_barrier_schedule(Algorithm::kGatherBroadcast, 64, 63);
   ASSERT_EQ(g.ranks[0].edge_count(), 126u);
-  int sends = 0;
-  bool complete = false;
-  ScheduleExecutor ex(g.ranks[0], [&](const Edge&) { ++sends; }, [&] { complete = true; });
-  ex.start();
+  OneOp op(g.ranks[0]);
+  op.window.start();
   for (int r = 63; r >= 1; --r) {
-    EXPECT_FALSE(complete);
-    EXPECT_TRUE(ex.on_arrival(r, kTagUp));
+    EXPECT_EQ(op.completions, 0);
+    EXPECT_EQ(op.arrive(r, kTagUp), Arrival::kAccepted);
+    if (r == 2) {  // (40, kTagUp) is edge 78, in the second word
+      EXPECT_EQ(op.arrive(40, kTagUp), Arrival::kDuplicate);
+    }
   }
-  EXPECT_TRUE(complete);
-  EXPECT_EQ(sends, 63);
-  EXPECT_TRUE(ex.has_sent(63, kTagDown));
-  EXPECT_FALSE(ex.on_arrival(40, kTagUp));
+  EXPECT_EQ(op.completions, 1);
+  EXPECT_EQ(op.sent.size(), 63u);
+  EXPECT_TRUE(op.has_sent(63, kTagDown));
+  EXPECT_EQ(op.arrive(40, kTagUp), Arrival::kStale);
 }
 
 // A deliberately broken schedule must be rejected by the checker.

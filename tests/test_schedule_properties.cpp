@@ -1,4 +1,4 @@
-// Randomized-order property tests of the schedule executors: a collective's
+// Randomized-order property tests of the schedule step machine: a collective's
 // result and completion must not depend on the order in which messages
 // happen to arrive (the network may interleave them arbitrarily), and the
 // payload semantics must be exactly those of an in-step fold.
@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <set>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -222,11 +221,11 @@ TEST(OrderInvariance, TwoOverlappingOperationsStayIsolated) {
   }
 }
 
-// ---------- numbered executor vs. a set-based reference ----------
+// ---------- the window's numbered step machine vs. a set-based reference ----------
 
 /// The step-advance rules as a plain (peer, tag) set machine, with no edge
-/// numbering: what ScheduleExecutor computed before sends and arrivals
-/// became bits over edge ids.
+/// numbering and no operation window: what a GroupWindow slot's bits over
+/// edge ids must reproduce.
 class SetReferenceExecutor {
  public:
   SetReferenceExecutor(const RankSchedule& schedule, std::function<void(const Edge&)> send,
@@ -243,10 +242,11 @@ class SetReferenceExecutor {
     return true;
   }
   [[nodiscard]] bool complete() const { return started_ && step_ >= schedule_->step_count(); }
+  [[nodiscard]] std::size_t step() const { return step_; }
   [[nodiscard]] bool has_sent(int peer, std::uint32_t tag) const {
     return sent_.contains({peer, tag});
   }
-  [[nodiscard]] std::vector<std::pair<int, std::uint32_t>> missing_current_waits() const {
+  [[nodiscard]] std::vector<std::pair<int, std::uint32_t>> missing_waits() const {
     std::vector<std::pair<int, std::uint32_t>> missing;
     if (!started_ || complete()) return missing;
     for (const Edge& w : schedule_->waits(step_)) {
@@ -278,15 +278,25 @@ class SetReferenceExecutor {
   bool started_ = false;
 };
 
-/// Both executors of one rank, fed the same arrivals.
+/// The one-word payload message (src, tag) carries: one bit picked by a
+/// hash of its key, so a union of folded payloads says which edges were
+/// folded.
+std::int64_t edge_bit(int src, std::uint32_t tag) {
+  const std::uint64_t h = RankSchedule::edge_key(src, tag) * 0x9E3779B97F4A7C15ULL;
+  return std::int64_t{1} << ((h >> 32) % 63);
+}
+
+/// One rank's GroupWindow (operation 0, folding like an allgather) and its
+/// reference, fed the same arrivals.
 struct RankPair {
   std::vector<std::pair<int, std::uint32_t>> sent, ref_sent;  // in issue order
-  std::vector<std::size_t> consumed, ref_consumed;            // step indices
-  std::unique_ptr<ScheduleExecutor> exec;
+  std::int64_t ref_acc = 0;  // the union of the reference's consumed waits
+  int early_repeats = 0;     // arrivals before start the reference read as repeats
+  std::unique_ptr<GroupWindow<>> window;
   std::unique_ptr<SetReferenceExecutor> ref;
 };
 
-/// Runs one operation of `g` with both executors per rank under a random
+/// Runs one operation of `g` with both machines per rank under a random
 /// schedule of rank starts, deliveries (some before the receiver started),
 /// retransmitted twins and arrivals on no schedule edge, comparing every
 /// observable after each event. Returns the first mismatch, or "".
@@ -298,38 +308,40 @@ std::string compare_with_reference(const GroupSchedule& g, sim::Rng& rng) {
   for (int r = 0; r < n; ++r) {
     RankPair& p = ranks[static_cast<std::size_t>(r)];
     const RankSchedule& rs = g.ranks[static_cast<std::size_t>(r)];
-    p.exec = std::make_unique<ScheduleExecutor>(
-        rs,
-        [&p, &wire, r](const Edge& e) {
-          p.sent.emplace_back(e.peer, e.tag);
-          wire.push_back({r, e.peer, e.tag, 0});
-        },
-        [] {});
-    p.exec->set_step_consumer([&p, &rs](std::span<const Edge> waits) {
-      // The consumed step's own waits, or a step index no rank has.
-      const std::size_t step = p.exec->current_step();
-      const std::span<const Edge> own = rs.waits(step);
-      p.consumed.push_back(waits.data() == own.data() && waits.size() == own.size()
-                               ? step
-                               : rs.step_count());
-    });
+    p.window = std::make_unique<GroupWindow<>>(
+        rs, OpKind::kAllgather, ReduceOp::kSum,
+        GroupWindow<>::Hooks{
+            .send =
+                [&p, &wire, r](GroupWindow<>::Slot&, const Edge& e) {
+                  p.sent.emplace_back(e.peer, e.tag);
+                  wire.push_back({r, e.peer, e.tag, edge_bit(r, e.tag)});
+                },
+            .complete = [](GroupWindow<>::Slot&) {},
+        });
     p.ref = std::make_unique<SetReferenceExecutor>(
         rs, [&p](const Edge& e) { p.ref_sent.emplace_back(e.peer, e.tag); },
-        [&p](std::size_t step) { p.ref_consumed.push_back(step); });
+        [&p, &rs](std::size_t step) {
+          for (const Edge& w : rs.waits(step)) p.ref_acc |= edge_bit(w.peer, w.tag);
+        });
   }
   const auto check = [&](int r) -> std::string {
     const RankPair& p = ranks[static_cast<std::size_t>(r)];
     const std::string at = "rank " + std::to_string(r) + ": ";
     if (p.sent != p.ref_sent) return at + "sends differ";
-    if (p.consumed != p.ref_consumed) return at + "step consumption differs";
-    if (p.exec->complete() != p.ref->complete()) return at + "completion differs";
+    const GroupWindow<>::Slot* slot = p.window->find(0);
+    if (slot == nullptr || !slot->active) return "";  // nothing issued or recorded yet
+    if (slot->step != p.ref->step()) return at + "steps differ";
+    if (slot->acc != p.ref_acc) return at + "step consumption differs";
+    if (slot->complete != p.ref->complete()) return at + "completion differs";
     std::vector<std::pair<int, std::uint32_t>> missing;
-    for (const Edge& e : p.exec->missing_current_waits()) missing.emplace_back(e.peer, e.tag);
-    if (missing != p.ref->missing_current_waits()) return at + "missing waits differ";
+    for (const Edge& e : p.window->current_waits(*slot)) {
+      if (!slot->has_arrived(e.id)) missing.emplace_back(e.peer, e.tag);
+    }
+    if (missing != p.ref->missing_waits()) return at + "missing waits differ";
     const RankSchedule& rs = g.ranks[static_cast<std::size_t>(r)];
     for (std::size_t s = 0; s < rs.step_count(); ++s) {
       for (const Edge& e : rs.sends(s)) {
-        if (p.exec->has_sent(e.peer, e.tag) != p.ref->has_sent(e.peer, e.tag)) {
+        if (slot->has_sent(e.id) != p.ref->has_sent(e.peer, e.tag)) {
           return at + "has_sent differs";
         }
       }
@@ -338,10 +350,33 @@ std::string compare_with_reference(const GroupSchedule& g, sim::Rng& rng) {
   };
   const auto deliver = [&](const WireMsg& m) -> std::string {
     RankPair& p = ranks[static_cast<std::size_t>(m.dst)];
-    if (p.exec->on_arrival(m.src, m.tag) != p.ref->on_arrival(m.src, m.tag)) {
-      return "rank " + std::to_string(m.dst) + ": on_arrival return differs";
+    const std::string at = "rank " + std::to_string(m.dst) + ": ";
+    const Arrival got = p.window->on_arrival(0, m.src, m.tag, edge_bit(m.src, m.tag));
+    const bool fresh = p.ref->on_arrival(m.src, m.tag);
+    switch (got) {
+      case Arrival::kAccepted:
+      case Arrival::kDuplicate:
+        if ((got == Arrival::kAccepted) != fresh) return at + "on_arrival return differs";
+        break;
+      case Arrival::kEarly:  // classified when start() replays it
+        if (!fresh) ++p.early_repeats;
+        break;
+      case Arrival::kStale:
+        if (!p.ref->complete()) return at + "stale before completion";
+        break;
     }
     return check(m.dst);
+  };
+  const auto start = [&](int r) -> std::string {
+    RankPair& p = ranks[static_cast<std::size_t>(r)];
+    const int duplicates = p.window->start(0).duplicates;
+    p.ref->start();
+    // The replay stops once the operation completes, leaving later
+    // buffered repeats uncounted.
+    if (p.ref->complete() ? duplicates > p.early_repeats : duplicates != p.early_repeats) {
+      return "rank " + std::to_string(r) + ": replayed duplicates differ";
+    }
+    return check(r);
   };
 
   std::vector<int> unstarted(static_cast<std::size_t>(n));
@@ -353,9 +388,7 @@ std::string compare_with_reference(const GroupSchedule& g, sim::Rng& rng) {
       const auto pick = rng.next_below(unstarted.size());
       const int r = unstarted[pick];
       unstarted.erase(unstarted.begin() + static_cast<std::ptrdiff_t>(pick));
-      ranks[static_cast<std::size_t>(r)].exec->start();
-      ranks[static_cast<std::size_t>(r)].ref->start();
-      err = check(r);
+      err = start(r);
     } else if (roll == 3 && !delivered.empty()) {
       err = deliver(delivered[rng.next_below(delivered.size())]);  // retransmitted twin
     } else if (roll == 4) {
@@ -373,7 +406,7 @@ std::string compare_with_reference(const GroupSchedule& g, sim::Rng& rng) {
     if (!err.empty()) return err;
   }
   for (int r = 0; r < n; ++r) {
-    if (!ranks[static_cast<std::size_t>(r)].exec->complete()) {
+    if (!ranks[static_cast<std::size_t>(r)].window->find(0)->complete) {
       return "rank " + std::to_string(r) + " did not complete";
     }
   }
