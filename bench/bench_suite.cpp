@@ -5,9 +5,11 @@
 // skew, background contention and the zoo tiers) through run::SweepRunner
 // and writes BENCH_suite.json ("qmb-bench-suite/1"): one point per
 // experiment with a stable key, latency stats, wire counters, and the
-// determinism fingerprint. CI uploads the file and tools/benchdiff
-// compares it against bench/baseline.json; a latency regression or a
-// fingerprint change shows up as a keyed delta instead of a diff of
+// determinism fingerprint. The full grid also measures Fig. 8 out to 4096
+// nodes and writes the paper's model fitted to it as "model" keys. CI
+// uploads the files and tools/benchdiff compares them against
+// bench/baseline.json and bench/baseline_full.json; a latency regression
+// or a fingerprint change shows up as a keyed delta instead of a diff of
 // printed tables.
 //
 //   bench_suite                  # full grid, writes BENCH_suite.json
@@ -19,17 +21,38 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "model/analytic.hpp"
 #include "obs/json.hpp"
+#include "run/sweep.hpp"
 
 namespace {
 
 using namespace qmb;
 using run::Impl;
 using run::Network;
+
+/// Fig. 8's scalability rows: the NIC dissemination barrier on each
+/// substrate, keyed "<row>/nic/barrier/ds/n<N>".
+constexpr const char* kFig8Rows[] = {"fig8/quadrics", "fig8/myrinet-xp", "ib-scale/ib"};
+
+/// Fig. 8's tail, N >= kTailNodes, runs kTailIters timed iterations after
+/// the usual warm-up: the simulation is deterministic and in steady state
+/// by then, and 200 iterations at 4096 nodes would dwarf the rest.
+constexpr int kTailNodes = 1024;
+constexpr int kTailIters = 5;
+
+/// Full mode's Fig. 8 axis: N = 2, 4, ..., 4096.
+std::vector<int> fig8_axis() {
+  std::vector<int> nodes;
+  for (int n = 2; n <= 4096; n *= 2) nodes.push_back(n);
+  return nodes;
+}
 
 struct SuitePoint {
   std::string key;
@@ -100,8 +123,7 @@ std::vector<SuitePoint> build_points(bool quick) {
   std::vector<SuitePoint> pts;
   const std::vector<int> small = quick ? std::vector<int>{2, 8}
                                        : std::vector<int>{2, 4, 8, 16};
-  const std::vector<int> large = quick ? std::vector<int>{2, 16, 64}
-                                       : std::vector<int>{2, 8, 32, 128, 512};
+  const std::vector<int> large = quick ? std::vector<int>{2, 16, 64} : fig8_axis();
 
   const auto ds = coll::Algorithm::kDissemination;
   const auto pe = coll::Algorithm::kPairwiseExchange;
@@ -115,7 +137,8 @@ std::vector<SuitePoint> build_points(bool quick) {
   // Fig. 7: Quadrics — chained-RDMA NIC barrier vs elan_gsync vs hgsync.
   add_barrier_grid(pts, "fig7", Network::kQuadrics,
                    {Impl::kNic, Impl::kGsync, Impl::kHgsync}, small);
-  // Fig. 8: scalability of the NIC barrier on both networks.
+  // Fig. 8: scalability of the NIC barrier on both networks (the model
+  // rows are fitted to these after the sweep; see append_model_rows).
   add_barrier_grid(pts, "fig8", Network::kMyrinetXP, {Impl::kNic}, large);
   add_barrier_grid(pts, "fig8", Network::kQuadrics, {Impl::kNic}, large);
 
@@ -133,8 +156,9 @@ std::vector<SuitePoint> build_points(bool quick) {
                    {Impl::kNic, Impl::kGsync, Impl::kHgsync}, fig67_rows);
   add_barrier_grid(pts, "fig7", Network::kQuadrics, {Impl::kNic}, fig67_rows, pe);
   // Headline table: the 16-node LANai 9.1 anchors (NIC, host, direct), and
-  // the n = 4..32 inputs of the Sec. 8.3 model fit (n8 is the fig6/fig7
-  // key, n16 the quick fig8 one).
+  // the quick grid's n = 4..32 points of the Sec. 8.3 model fit range
+  // (n8 is the fig6/fig7 key, n16 the quick fig8 one; the full grid's
+  // fig8 axis already holds them all).
   add_barrier_grid(pts, "fig5", Network::kMyrinetL9,
                    {Impl::kNic, Impl::kHost, Impl::kDirect}, {16});
   add_barrier_grid(pts, "fig8", Network::kQuadrics, {Impl::kNic}, {4, 32});
@@ -315,6 +339,43 @@ std::vector<SuitePoint> build_points(bool quick) {
   return pts;
 }
 
+/// Key of row `row`'s point at `n` nodes under `impl_slug` ("nic" or "model").
+std::string row_key(const char* row, const char* impl_slug, int n) {
+  std::string k = row;
+  k += '/';
+  k += impl_slug;
+  k += "/barrier/ds/n";
+  k += std::to_string(n);
+  return k;
+}
+
+/// Fig. 8's model rows: the paper's T_init + (ceil(log2 N) - 1) T_trig +
+/// T_adj fitted by least squares to each scalability row's n4..n64 points
+/// (multi-level fat-tree routes, yet clusters the paper could measure),
+/// with T_init half the intercept, written for every N on the axis as
+/// "<row>/model/barrier/ds/n<N>". A model point holds only its key and
+/// mean_us: the fingerprints of the fit's inputs already gate it.
+void append_model_rows(obs::JsonValue& points) {
+  const auto mean_of = [&points](const std::string& key) {
+    for (const obs::JsonValue& p : points.array) {
+      if (p.string_or("key", "") == key) return p.number_or("mean_us", 0.0);
+    }
+    throw std::logic_error("model fit input missing: " + key);
+  };
+  for (const char* row : kFig8Rows) {
+    std::vector<model::MeasuredPoint> fit;
+    for (const int n : {4, 8, 16, 32, 64}) fit.push_back({n, mean_of(row_key(row, "nic", n))});
+    const auto [intercept, slope] = model::fit_intercept_slope(fit);
+    const model::BarrierModel m = model::model_from_fit(intercept, slope, intercept / 2.0);
+    for (const int n : fig8_axis()) {
+      obs::JsonValue p = obs::JsonValue::make_object();
+      p.set("key", obs::JsonValue::of(row_key(row, "model", n)));
+      p.set("mean_us", obs::JsonValue::of(m.latency_us(n)));
+      points.array.push_back(std::move(p));
+    }
+  }
+}
+
 SuiteOptions parse(int argc, char** argv) {
   SuiteOptions o;
   for (int i = 1; i < argc; ++i) {
@@ -343,7 +404,7 @@ int main(int argc, char** argv) {
   std::vector<run::ExperimentSpec> specs;
   specs.reserve(points.size());
   for (auto& p : points) {
-    p.spec.iters = iters;
+    p.spec.iters = p.spec.nodes >= kTailNodes ? kTailIters : iters;
     specs.push_back(p.spec);
   }
 
@@ -373,6 +434,8 @@ int main(int argc, char** argv) {
     p.set("fingerprint", obs::JsonValue::of(fp));
     arr.array.push_back(std::move(p));
   }
+  if (!o.quick) append_model_rows(arr);
+  const std::size_t written = arr.array.size();
   doc.set("points", std::move(arr));
 
   const std::string text = doc.dump();
@@ -384,7 +447,7 @@ int main(int argc, char** argv) {
   std::fputs(text.c_str(), f);
   std::fputc('\n', f);
   std::fclose(f);
-  std::printf("%zu points -> %s (%s, %d timed iters, %u threads)\n", results.size(),
+  std::printf("%zu points -> %s (%s, %d timed iters, %u threads)\n", written,
               o.out.c_str(), o.quick ? "quick" : "full", iters, runner.threads());
   return 0;
 }

@@ -24,7 +24,7 @@ void run_with_drop(bool receiver_driven) {
   features.receiver_driven = receiver_driven;
   core::MyriCluster cluster(engine, myri::lanaixp_cluster(), 4, &tracer, features);
   // Lose the very first barrier message from node 0 to node 1.
-  cluster.fabric().faults().add_nth_rule(net::NicAddr(0), net::NicAddr(1), 1);
+  cluster.fabric().faults().install({.src = 0, .dst = 1, .nth = 1});
 
   auto barrier = core::make_collective(cluster, {});
   const auto result = core::run_consecutive(engine, *barrier, {.iters = 3});

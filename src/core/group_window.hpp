@@ -4,26 +4,28 @@
 // Consecutive operations overlap: a peer that completed operation k may
 // send its first message of k+1 before this rank finished k, but never k+2
 // (its completion of k+1 transitively required everyone to finish k).
-// GroupWindow keeps two operation slots, buffers early arrivals, and
-// recycles a slot only once its operation completed.
+// GroupWindow keeps two operation slots and recycles a slot only once its
+// operation completed.
 //
 // A slot is the paper's one record per operation (Sec. 6.3): the step it
 // is in and bit vectors, over the schedule's edge ids, of the edges it has
-// sent and the edges that have arrived. The window walks the schedule
-// itself. Entering a step issues its sends (a key repeated across steps
-// goes out once), a step is consumed once all its waits have arrived, and
-// the operation completes after the last step. A value kind keeps each
-// edge's payload in a per-edge value array (sized when the window is
-// built) and folds a step's payloads into the accumulator as the step is
-// consumed. A barrier carries no payload: its slots keep no value array
-// and fold nothing.
+// sent and the edges that have arrived. An arrival is recorded in its
+// operation's slot when it lands, whether or not this rank has started
+// the operation; a repeat is a duplicate either way. The window walks the
+// schedule itself. Entering a step issues its sends (a key repeated across
+// steps goes out once), a step is consumed once all its waits have
+// arrived, and the operation completes after the last step; start()
+// consumes at once every step whose waits arrived before it. A value kind
+// keeps each edge's payload in a per-edge value array (sized when the
+// window is built) and folds a step's payloads into the accumulator as
+// the step is consumed. A barrier carries no payload: its slots keep no
+// value array and fold nothing.
 //
 // The host-level executors and coll::NicGroupEngine (nic_group_engine.hpp,
 // the one group engine of every NIC scheme) instantiate it and add only
 // their hooks: how an edge is sent and what completion costs, plus, in the
-// NIC engine, the NACK timer armed before step 0 and cancelled when a slot
-// is recycled. on_arrival classifies every message and leaves the counting
-// to its caller.
+// NIC engine, the NACK timer armed before step 0. on_arrival classifies
+// every message and leaves the counting to its caller.
 #pragma once
 
 #include <algorithm>
@@ -99,7 +101,7 @@ class EdgeBits {
 enum class Arrival : std::uint8_t {
   kAccepted,   // recorded against the running operation
   kDuplicate,  // that edge had already arrived (a retransmission)
-  kEarly,      // buffered until this rank starts the operation
+  kEarly,      // recorded before this rank started the operation
   kStale,      // for an operation this rank already completed
 };
 
@@ -127,14 +129,6 @@ class GroupWindow {
     EdgeBits arrived;      // edges that have arrived for it
     std::vector<std::uint64_t> stray;  // keys of arrivals on no schedule edge
     SlotState state;
-
-    struct Early {
-      int peer;
-      std::uint32_t tag;
-      EdgeId id;  // kNoEdge when the message is on no schedule edge
-      std::int64_t value;
-    };
-    std::vector<Early> early;  // arrivals before start(), replayed by it
     /// Value kinds only: per-edge payloads, written by each edge's first
     /// arrival and folded when its step is consumed; only arrived edges are
     /// ever read.
@@ -154,13 +148,6 @@ class GroupWindow {
     std::function<void(Slot&)> complete;
     /// Optional: runs after the slot activates, before step 0's sends.
     std::function<void(Slot&)> pre_start = {};
-    /// Optional: runs before a completed slot is rebound to seq + 2.
-    std::function<void(Slot&)> recycle = {};
-  };
-
-  struct Started {
-    std::uint32_t seq;  // the operation's sequence number
-    int duplicates;     // buffered arrivals the replay found repeated
   };
 
   /// `schedule` must outlive the window. Both slots start from `state`.
@@ -180,43 +167,31 @@ class GroupWindow {
   GroupWindow& operator=(const GroupWindow&) = delete;
 
   /// Starts this rank's next operation with its contribution; `done` is
-  /// kept in the slot for the complete hook.
-  Started start(std::int64_t value = 0, DoneFn done = {}) {
-    const std::uint32_t seq = next_seq_++;
-    Slot& s = bind(seq);
+  /// kept in the slot for the complete hook. The operation's arrivals so
+  /// far are already recorded, so the one advance below consumes, in step
+  /// order, every step whose waits have all arrived.
+  void start(std::int64_t value = 0, DoneFn done = {}) {
+    Slot& s = bind(next_seq_++);
     s.done = std::move(done);
     s.acc = value;
     s.active = true;
     if (hooks_.pre_start) hooks_.pre_start(s);
-    // Nothing is recorded yet, so this consumes no step with waits; each
-    // buffered arrival lands as it is replayed.
     advance(s);
-    int duplicates = 0;
-    for (const auto& ea : s.early) {
-      if (s.complete) break;
-      if (!record(s, ea)) ++duplicates;
-    }
-    s.early.clear();
-    return {seq, duplicates};
   }
 
   /// Records a message for operation `seq` and says what became of it.
   /// Throws std::logic_error when `seq` would overtake a running operation
   /// two slots back (a peer can race one operation ahead, never two).
   Arrival on_arrival(std::uint32_t seq, int peer, std::uint32_t tag, std::int64_t value = 0) {
-    Slot& s = slots_[seq & 1];
-    if (s.in_use && s.seq == seq) {
-      if (s.complete) return Arrival::kStale;
-      const typename Slot::Early a{peer, tag, schedule_->find_edge(peer, tag), value};
-      if (!s.active) {
-        s.early.push_back(a);
-        return Arrival::kEarly;
-      }
-      return record(s, a) ? Arrival::kAccepted : Arrival::kDuplicate;
+    const Slot& bound = slots_[seq & 1];
+    if (bound.in_use && (seq < bound.seq || (seq == bound.seq && bound.complete))) {
+      return Arrival::kStale;
     }
-    if (s.in_use && seq < s.seq) return Arrival::kStale;
-    bind(seq).early.push_back({peer, tag, schedule_->find_edge(peer, tag), value});
-    return Arrival::kEarly;
+    Slot& s = bind(seq);
+    if (!record(s, peer, tag, value)) return Arrival::kDuplicate;
+    if (!s.active) return Arrival::kEarly;
+    advance(s);
+    return Arrival::kAccepted;
   }
 
   /// The slot bound to `seq`, or nullptr when none is (never bound, or
@@ -240,21 +215,21 @@ class GroupWindow {
   [[nodiscard]] const RankSchedule& schedule() const { return *schedule_; }
 
  private:
-  /// Records one arrival at a started, incomplete slot; false for a
+  /// Records one arrival at a bound, incomplete slot; false for a
   /// duplicate. The first arrival of an edge keeps its payload (a
   /// retransmitted twin never overwrites it). An arrival on no schedule
   /// edge is remembered once, so a repeat reads as a duplicate, but it
   /// satisfies no wait.
-  bool record(Slot& s, const typename Slot::Early& a) {
-    if (a.id == kNoEdge) {
-      const std::uint64_t key = RankSchedule::edge_key(a.peer, a.tag);
+  bool record(Slot& s, int peer, std::uint32_t tag, std::int64_t value) {
+    const EdgeId id = schedule_->find_edge(peer, tag);
+    if (id == kNoEdge) {
+      const std::uint64_t key = RankSchedule::edge_key(peer, tag);
       if (std::find(s.stray.begin(), s.stray.end(), key) != s.stray.end()) return false;
       s.stray.push_back(key);
       return true;
     }
-    if (!s.arrived.set(a.id)) return false;
-    if (kind_ != OpKind::kBarrier) s.values[a.id] = a.value;
-    advance(s);
+    if (!s.arrived.set(id)) return false;
+    if (kind_ != OpKind::kBarrier) s.values[id] = value;
     return true;
   }
 
@@ -285,13 +260,9 @@ class GroupWindow {
   Slot& bind(std::uint32_t seq) {
     Slot& s = slots_[seq & 1];
     if (s.in_use && s.seq == seq) return s;
-    if (s.in_use) {
-      if (!s.complete) {
-        throw std::logic_error("operation window violated: overtaken by seq+2");
-      }
-      if (hooks_.recycle) hooks_.recycle(s);
+    if (s.in_use && !s.complete) {
+      throw std::logic_error("operation window violated: overtaken by seq+2");
     }
-    s.early.clear();
     s.seq = seq;
     s.in_use = true;
     s.active = false;

@@ -8,7 +8,8 @@
 // checks, the enter charge followed by GroupWindow::start, each edge's
 // payload size and destination node, arrival lookup and classification,
 // completion, and receiver-driven recovery (Sec. 6.3): a NACK timer armed
-// before step 0 that NACKs each missing wait of the current step, and the
+// before step 0 and cancelled at completion that NACKs each missing wait of
+// the current step (arrivals before the host entered already count), and the
 // resend of a NACKed edge from the value it carried when first sent (a
 // barrier edge carries none, so its resend carries 0).
 //
@@ -161,7 +162,6 @@ class NicGroupEngine {
                 },
             .complete = [this, gp](Slot& op) { complete(*gp, op); },
             .pre_start = [this, gp](Slot& op) { pre_start(*gp, op); },
-            .recycle = [this](Slot& op) { nic_.engine().cancel(op.state.nack_timer); },
         },
         state);
   }
@@ -183,11 +183,10 @@ class NicGroupEngine {
                         std::function<void(std::int64_t)> done) {
     Group* gp = groups_.find(group);
     assert(gp != nullptr && "collective_enter on unknown group");
-    nic_.charge_enter(gp->desc, [this, gp, value, done = std::move(done)]() mutable {
-      // The accumulator starts from this rank's contribution; early
-      // arrivals replayed by the window fold on top.
-      const auto started = gp->window->start(value, std::move(done));
-      counters_.duplicates += static_cast<std::uint64_t>(started.duplicates);
+    nic_.charge_enter(gp->desc, [gp, value, done = std::move(done)]() mutable {
+      // The accumulator starts from this rank's contribution; arrivals
+      // recorded before the start fold on top as their steps are consumed.
+      gp->window->start(value, std::move(done));
     });
   }
 

@@ -49,31 +49,6 @@ std::string validate(const FaultSpec& s) {
   return {};
 }
 
-FaultInjector& FaultRuleBuilder::drop() {
-  spec_.action = FaultAction::kDrop;
-  fi_.install(spec_);
-  return fi_;
-}
-
-FaultInjector& FaultRuleBuilder::duplicate() {
-  spec_.action = FaultAction::kDuplicate;
-  fi_.install(spec_);
-  return fi_;
-}
-
-FaultInjector& FaultRuleBuilder::corrupt() {
-  spec_.action = FaultAction::kCorrupt;
-  fi_.install(spec_);
-  return fi_;
-}
-
-FaultInjector& FaultRuleBuilder::reorder(sim::SimDuration delay) {
-  spec_.action = FaultAction::kReorder;
-  spec_.delay_ps = delay.picos();
-  fi_.install(spec_);
-  return fi_;
-}
-
 void FaultInjector::install(const FaultSpec& spec) {
   if (const std::string err = validate(spec); !err.empty()) {
     throw std::invalid_argument(err);
@@ -82,37 +57,6 @@ void FaultInjector::install(const FaultSpec& spec) {
   r.spec = spec;
   if (spec.prob > 0.0) r.rng = sim::Rng(spec.seed);
   rules_.push_back(std::move(r));
-}
-
-void FaultInjector::add_nth_rule(std::optional<NicAddr> src, std::optional<NicAddr> dst,
-                                 std::uint64_t ordinal, FaultAction action) {
-  FaultSpec s;
-  s.src = src ? src->value() : -1;
-  s.dst = dst ? dst->value() : -1;
-  s.nth = ordinal;
-  s.action = action;
-  install(s);
-}
-
-void FaultInjector::add_random_rule(std::optional<NicAddr> src, std::optional<NicAddr> dst,
-                                    double p, std::uint64_t seed, FaultAction action) {
-  FaultSpec s;
-  s.src = src ? src->value() : -1;
-  s.dst = dst ? dst->value() : -1;
-  s.prob = p;
-  s.seed = seed;
-  s.action = action;
-  install(s);
-}
-
-void FaultInjector::add_blackout(std::optional<NicAddr> src, std::optional<NicAddr> dst,
-                                 sim::SimTime from, sim::SimTime until) {
-  FaultSpec s;
-  s.src = src ? src->value() : -1;
-  s.dst = dst ? dst->value() : -1;
-  s.from_ps = from.picos();
-  s.until_ps = until.picos();
-  install(s);
 }
 
 void FaultInjector::register_metrics(obs::MetricRegistry& reg) {

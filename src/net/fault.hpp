@@ -10,17 +10,17 @@
 // recover from anything injected here; Quadrics is hardware-reliable and
 // normally runs with no rules installed.
 //
-// Rules are described by FaultSpec — a plain serializable struct the
-// fuzzer's repro artifacts round-trip through JSON — and installed either
-// directly (install) or through the fluent builder:
+// A rule is a FaultSpec — a plain serializable struct that the CLI's
+// --fault grammar parses into and the fuzzer's repro artifacts round-trip
+// through JSON — installed with install(), one rule or a plan at a time:
 //
-//   faults.rule().src(2).dst(4).nth(3).drop();
-//   faults.rule().prob(0.01, seed).duplicate();
-//   faults.rule().window(from, until).drop();          // blackout
-//   faults.rule().nth(2).reorder(sim::microseconds(10));
+//   faults.install({.src = 2, .dst = 4, .nth = 3});  // drop
+//   faults.install({.action = FaultAction::kDuplicate, .prob = 0.01, .seed = 7});
+//   faults.install({.from_ps = from.picos(), .until_ps = until.picos()});  // blackout
+//   faults.install({.action = FaultAction::kReorder, .nth = 2,
+//                   .delay_ps = sim::microseconds(10).picos()});
 //
-// The historical add_nth_rule/add_random_rule/add_blackout entry points
-// remain as thin wrappers over the builder.
+// Rules match in installation order.
 #pragma once
 
 #include <cstdint>
@@ -62,57 +62,9 @@ struct FaultSpec {
 /// (bad mode combination, kDeliver action, missing reorder delay, ...).
 [[nodiscard]] std::string validate(const FaultSpec& spec);
 
-class FaultInjector;
-
-/// Fluent rule construction; obtained from FaultInjector::rule(). Filter
-/// and mode setters chain; the action call (drop/duplicate/corrupt/
-/// reorder) installs the rule and returns the injector.
-class FaultRuleBuilder {
- public:
-  FaultRuleBuilder& src(std::int32_t node) {
-    spec_.src = node;
-    return *this;
-  }
-  FaultRuleBuilder& dst(std::int32_t node) {
-    spec_.dst = node;
-    return *this;
-  }
-  /// Fire on the nth (1-based) matching packet.
-  FaultRuleBuilder& nth(std::uint64_t ordinal) {
-    spec_.nth = ordinal;
-    return *this;
-  }
-  /// Fire per-match with probability p (seeded, deterministic).
-  FaultRuleBuilder& prob(double p, std::uint64_t seed) {
-    spec_.prob = p;
-    spec_.seed = seed;
-    return *this;
-  }
-  /// Fire on every match injected within [from, until).
-  FaultRuleBuilder& window(sim::SimTime from, sim::SimTime until) {
-    spec_.from_ps = from.picos();
-    spec_.until_ps = until.picos();
-    return *this;
-  }
-
-  FaultInjector& drop();
-  FaultInjector& duplicate();
-  FaultInjector& corrupt();
-  FaultInjector& reorder(sim::SimDuration delay);
-
- private:
-  friend class FaultInjector;
-  explicit FaultRuleBuilder(FaultInjector& fi) : fi_(fi) {}
-  FaultInjector& fi_;
-  FaultSpec spec_;
-};
-
 class FaultInjector {
  public:
   FaultInjector() = default;
-
-  /// Starts a fluent rule: faults.rule().src(2).dst(4).nth(3).drop().
-  [[nodiscard]] FaultRuleBuilder rule() { return FaultRuleBuilder(*this); }
 
   /// Installs a rule from its data form. Throws std::invalid_argument with
   /// validate()'s message on a malformed spec.
@@ -123,22 +75,13 @@ class FaultInjector {
     for (const FaultSpec& s : plan) install(s);
   }
 
-  // --- legacy entry points, kept as thin wrappers over the builder ---
-
-  /// Drops/duplicates the `ordinal`-th (1-based) packet matching the filter.
-  void add_nth_rule(std::optional<NicAddr> src, std::optional<NicAddr> dst,
-                    std::uint64_t ordinal, FaultAction action = FaultAction::kDrop);
-
-  /// Drops/duplicates each matching packet with probability `p`.
-  void add_random_rule(std::optional<NicAddr> src, std::optional<NicAddr> dst,
-                       double p, std::uint64_t seed,
-                       FaultAction action = FaultAction::kDrop);
-
-  /// Drops every matching packet injected within [from, until): a link or
-  /// path blackout. Protocols must ride it out on their retransmission
-  /// machinery and resume afterwards.
-  void add_blackout(std::optional<NicAddr> src, std::optional<NicAddr> dst,
-                    sim::SimTime from, sim::SimTime until);
+  /// Applies `action` to each matching packet with probability `p`. Kept
+  /// for perfbench; everything else calls install().
+  void add_random_rule(std::optional<NicAddr> src, std::optional<NicAddr> dst, double p,
+                       std::uint64_t seed, FaultAction action = FaultAction::kDrop) {
+    install({.src = src ? src->value() : -1, .dst = dst ? dst->value() : -1, .action = action,
+             .prob = p, .seed = seed});
+  }
 
   /// Installs the clock used by time-windowed rules (the Fabric wires its
   /// engine in automatically).

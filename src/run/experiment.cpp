@@ -363,8 +363,7 @@ RunResult run_on(const Substrate& sub, const ExperimentSpec& s) {
   // build_cluster from pdes_domain_target) fixed the schedule already.
   engine.set_threads(s.engine_threads);
   if (s.drop_prob > 0) {
-    cluster->fabric().faults().add_random_rule(std::nullopt, std::nullopt, s.drop_prob,
-                                               s.seed);
+    cluster->fabric().faults().install({.prob = s.drop_prob, .seed = s.seed});
   }
   cluster->fabric().faults().install(s.faults);
   auto placement = placement_of(s);

@@ -218,7 +218,7 @@ TEST(MyriBarriers, AlgorithmsTieOnPowerOfTwo) {
 TEST(MyriBarriers, NicBarrierSurvivesRandomLoss) {
   Engine engine;
   MyriCluster cluster(engine, myri::lanaixp_cluster(), 8);
-  cluster.fabric().faults().add_random_rule(std::nullopt, std::nullopt, 0.02, 2024);
+  cluster.fabric().faults().install({.prob = 0.02, .seed = 2024});
   auto barrier = make_myri_barrier(cluster, MyriKind::kColl,
                                       coll::Algorithm::kDissemination);
   const auto result = run_consecutive(engine, *barrier, {.warmup = 0, .iters = 30});
@@ -228,7 +228,7 @@ TEST(MyriBarriers, NicBarrierSurvivesRandomLoss) {
 TEST(MyriBarriers, HostBarrierSurvivesRandomLoss) {
   Engine engine;
   MyriCluster cluster(engine, myri::lanaixp_cluster(), 4);
-  cluster.fabric().faults().add_random_rule(std::nullopt, std::nullopt, 0.02, 7);
+  cluster.fabric().faults().install({.prob = 0.02, .seed = 7});
   auto barrier = make_myri_barrier(cluster, MyriKind::kHost,
                                       coll::Algorithm::kDissemination);
   const auto result = run_consecutive(engine, *barrier, {.warmup = 0, .iters = 15});

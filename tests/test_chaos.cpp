@@ -46,14 +46,10 @@ TEST_P(BarrierChaos, SurvivesEverythingAtOnce) {
   Engine engine;
   MyriCluster cluster(engine, myri::lanaixp_cluster(), 7);
   auto& faults = cluster.fabric().faults();
-  faults.rule().prob(0.03, p.seed).drop();
-  faults.rule().prob(0.02, p.seed + 1).duplicate();
+  faults.install({.prob = 0.03, .seed = p.seed});
+  faults.install({.action = net::FaultAction::kDuplicate, .prob = 0.02, .seed = p.seed + 1});
   // A 300us blackout of one directed channel early in the run.
-  faults.rule()
-      .src(2)
-      .dst(4)
-      .window(sim::SimTime(50'000'000), sim::SimTime(350'000'000))
-      .drop();
+  faults.install({.src = 2, .dst = 4, .from_ps = 50'000'000, .until_ps = 350'000'000});
 
   sim::Rng rng(p.seed + 2);
   auto barrier = make_myri_barrier(cluster, p.kind, random_placement(7, rng));
@@ -106,8 +102,9 @@ TEST_P(CollectiveChaos, AllreduceValuesStayCorrectUnderChaos) {
   const std::uint64_t seed = GetParam();
   Engine engine;
   MyriCluster cluster(engine, myri::lanaixp_cluster(), 6);
-  cluster.fabric().faults().rule().prob(0.03, seed).drop();
-  cluster.fabric().faults().rule().prob(0.02, seed + 7).duplicate();
+  cluster.fabric().faults().install({.prob = 0.03, .seed = seed});
+  cluster.fabric().faults().install({.action = net::FaultAction::kDuplicate, .prob = 0.02,
+                                     .seed = seed + 7});
   coll::CollSpec cspec;
   cspec.op = coll::OpKind::kAllreduce;
   auto op = make_collective(cluster, cspec);

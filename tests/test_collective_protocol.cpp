@@ -142,7 +142,7 @@ TEST(CollectiveEngine, DroppedBarrierMessageRecoveredByNack) {
   Harness h(4);
   h.make_group(1, coll::Algorithm::kDissemination);
   // Drop the first collective message 0 -> 1.
-  h.fabric->faults().add_nth_rule(net::NicAddr(0), net::NicAddr(1), 1);
+  h.fabric->faults().install({.src = 0, .dst = 1, .nth = 1});
   const auto done = h.run_barrier(1);
   for (bool d : done) EXPECT_TRUE(d);
   std::uint64_t nacks_sent = 0, retrans = 0;
@@ -159,9 +159,9 @@ TEST(CollectiveEngine, DroppedBarrierMessageRecoveredByNack) {
 TEST(CollectiveEngine, MultipleDropsRecovered) {
   Harness h(8);
   h.make_group(1, coll::Algorithm::kDissemination);
-  h.fabric->faults().add_nth_rule(net::NicAddr(0), net::NicAddr(1), 1);
-  h.fabric->faults().add_nth_rule(net::NicAddr(3), net::NicAddr(5), 1);
-  h.fabric->faults().add_nth_rule(net::NicAddr(7), std::nullopt, 2);
+  h.fabric->faults().install({.src = 0, .dst = 1, .nth = 1});
+  h.fabric->faults().install({.src = 3, .dst = 5, .nth = 1});
+  h.fabric->faults().install({.src = 7, .nth = 2});
   const auto done = h.run_barrier(1);
   for (bool d : done) EXPECT_TRUE(d);
 }
@@ -169,8 +169,8 @@ TEST(CollectiveEngine, MultipleDropsRecovered) {
 TEST(CollectiveEngine, DuplicateDeliveryIgnored) {
   Harness h(4);
   h.make_group(1, coll::Algorithm::kDissemination);
-  h.fabric->faults().add_nth_rule(net::NicAddr(0), net::NicAddr(1), 1,
-                                  net::FaultAction::kDuplicate);
+  h.fabric->faults().install(
+      {.src = 0, .dst = 1, .action = net::FaultAction::kDuplicate, .nth = 1});
   const auto done = h.run_barrier(1);
   for (bool d : done) EXPECT_TRUE(d);
   std::uint64_t dups = 0;

@@ -205,8 +205,8 @@ TEST(Collectives, NicBeatsHostForEveryKind) {
 
 TEST(Collectives, AllreduceSurvivesPacketLoss) {
   Fixture f(8);
-  f.cluster.fabric().faults().add_nth_rule(net::NicAddr(0), net::NicAddr(1), 1);
-  f.cluster.fabric().faults().add_nth_rule(net::NicAddr(4), net::NicAddr(6), 1);
+  f.cluster.fabric().faults().install({.src = 0, .dst = 1, .nth = 1});
+  f.cluster.fabric().faults().install({.src = 4, .dst = 6, .nth = 1});
   auto op = make_collective(f.cluster, spec_of(coll::OpKind::kAllreduce, true));
   std::vector<std::int64_t> values;
   for (int r = 0; r < 8; ++r) values.push_back(r + 1);

@@ -19,13 +19,8 @@ struct Sent {
   std::int64_t value;
 };
 
-/// Engine-private slot state a test can watch across a recycle.
-struct Tagged {
-  std::string note;
-};
-
 struct Harness {
-  using Window = GroupWindow<Tagged>;
+  using Window = GroupWindow<>;
 
   GroupSchedule schedule;
   std::vector<Sent> sent;
@@ -49,14 +44,7 @@ struct Harness {
                   log.push_back("complete " + std::to_string(s.seq));
                 },
             .pre_start =
-                [this](Window::Slot& s) {
-                  s.state.note = "op " + std::to_string(s.seq);
-                  log.push_back("pre_start " + std::to_string(s.seq));
-                },
-            .recycle =
-                [this](Window::Slot& s) {
-                  log.push_back("recycle " + std::to_string(s.seq) + " (" + s.state.note + ")");
-                },
+                [this](Window::Slot& s) { log.push_back("pre_start " + std::to_string(s.seq)); },
         });
   }
 
@@ -70,7 +58,8 @@ struct Harness {
 TEST(OpWindow, SequentialOperationsComplete) {
   Harness h(4, 0);
   for (std::uint32_t seq = 0; seq < 5; ++seq) {
-    EXPECT_EQ(h.window->start().seq, seq);
+    EXPECT_EQ(h.window->next_seq(), seq);
+    h.window->start();
     h.finish(seq);
     ASSERT_EQ(h.completed.size(), seq + 1);
     EXPECT_EQ(h.completed.back().first, seq);
@@ -122,8 +111,8 @@ TEST(OpWindow, DuplicateArrivalHarmless) {
 
 TEST(OpWindow, DuplicateArrivalKeepsFirstValue) {
   // A retransmitted twin carrying a different value must not replace the
-  // first one, whether the pair lands while the operation runs or both are
-  // buffered before it starts.
+  // first one, whether the pair lands while the operation runs or both
+  // land before it starts.
   Harness h(4, 0, OpKind::kAllreduce);
   h.window->start(10);
   EXPECT_EQ(h.window->on_arrival(0, 3, 0, 5), Arrival::kAccepted);
@@ -133,9 +122,9 @@ TEST(OpWindow, DuplicateArrivalKeepsFirstValue) {
   EXPECT_EQ(h.completed[0].second, 22);  // 10 + 5 + 7
 
   EXPECT_EQ(h.window->on_arrival(1, 3, 0, 6), Arrival::kEarly);
-  EXPECT_EQ(h.window->on_arrival(1, 3, 0, 600), Arrival::kEarly);
-  EXPECT_EQ(h.window->start(20).duplicates, 1);
-  h.window->on_arrival(1, 2, 1, 8);
+  EXPECT_EQ(h.window->on_arrival(1, 3, 0, 600), Arrival::kDuplicate);
+  h.window->start(20);
+  EXPECT_EQ(h.window->on_arrival(1, 2, 1, 8), Arrival::kAccepted);
   ASSERT_EQ(h.completed.size(), 2u);
   EXPECT_EQ(h.completed[1].second, 34);  // 20 + 6 + 8
 }
@@ -184,11 +173,13 @@ TEST(GroupWindow, EarlyArrivalIsReportedOnceAndReplayedSilently) {
   // Before this rank starts (the arrival claims the slot), and for the
   // next operation while this one runs: both early.
   EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kEarly);
-  const auto started = h.window->start();
-  EXPECT_EQ(started.seq, 0u);
-  EXPECT_EQ(started.duplicates, 0);
+  EXPECT_TRUE(h.window->find(0)->has_arrived(h.window->schedule().find_edge(3, 0)));
+  EXPECT_EQ(h.window->next_seq(), 0u);
+  h.window->start();
+  // start() consumed the recorded step-0 wait and entered step 1.
+  EXPECT_EQ(h.window->find(0)->step, 1u);
+  EXPECT_EQ(h.sent.size(), 2u);
   EXPECT_EQ(h.window->on_arrival(1, 3, 0), Arrival::kEarly);
-  // The replayed step-0 message counts toward operation 0.
   EXPECT_EQ(h.window->on_arrival(0, 2, 1), Arrival::kAccepted);
   EXPECT_EQ(h.completed.size(), 1u);
 }
@@ -196,8 +187,24 @@ TEST(GroupWindow, EarlyArrivalIsReportedOnceAndReplayedSilently) {
 TEST(GroupWindow, ReplayCountsBufferedDuplicates) {
   Harness h(4, 0);
   EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kEarly);
-  EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kEarly);  // retransmitted twin
-  EXPECT_EQ(h.window->start().duplicates, 1);
+  // A retransmitted twin is a duplicate when it lands, started or not.
+  EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kDuplicate);
+  h.window->start();
+  EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kDuplicate);
+}
+
+TEST(GroupWindow, StartCompletesFromRecordedArrivals) {
+  // Every wait, then a twin of the first, lands before this rank starts:
+  // start() completes the operation after pre_start, and the twin that sat
+  // behind the completing arrival was counted when it landed.
+  Harness h(4, 0);
+  EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kEarly);
+  EXPECT_EQ(h.window->on_arrival(0, 2, 1), Arrival::kEarly);
+  EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kDuplicate);
+  h.window->start();
+  EXPECT_EQ(h.log, (std::vector<std::string>{"pre_start 0", "complete 0"}));
+  EXPECT_EQ(h.sent.size(), 2u);
+  EXPECT_EQ(h.window->on_arrival(0, 2, 1), Arrival::kStale);
 }
 
 TEST(GroupWindow, StaleArrivalIsReportedOnce) {
@@ -208,31 +215,10 @@ TEST(GroupWindow, StaleArrivalIsReportedOnce) {
   h.window->start();
   h.finish(1);
   h.window->start();  // seq 2 recycles operation 0's slot
-  EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kStale);  // slot now holds seq 2
-  EXPECT_EQ(h.completed.size(), 2u);
-}
-
-TEST(GroupWindow, RecycleHookRunsBeforeSeqPlusTwoReusesTheSlot) {
-  Harness h(4, 0);
-  h.window->start();  // seq 0
-  h.finish(0);
-  h.window->start();  // seq 1: the other slot, nothing recycled
-  EXPECT_EQ(h.log, (std::vector<std::string>{"pre_start 0", "complete 0", "pre_start 1"}));
-  // seq 2 rebinds operation 0's slot: the hook sees the finished
-  // operation's state before the slot is reset for seq 2.
-  h.window->start();
-  EXPECT_EQ(h.log, (std::vector<std::string>{"pre_start 0", "complete 0", "pre_start 1",
-                                             "recycle 0 (op 0)", "pre_start 2"}));
   ASSERT_NE(h.window->find(2), nullptr);
   EXPECT_EQ(h.window->find(0), nullptr);
-}
-
-TEST(GroupWindow, RecycleHookSkipsFreshSlots) {
-  Harness h(4, 0);
-  h.window->on_arrival(1, 3, 0);  // claims the empty slot 1
-  h.window->start();
-  h.window->start();
-  for (const std::string& entry : h.log) EXPECT_EQ(entry.rfind("recycle", 0), std::string::npos);
+  EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kStale);  // slot now holds seq 2
+  EXPECT_EQ(h.completed.size(), 2u);
 }
 
 }  // namespace

@@ -258,6 +258,33 @@ TEST(HotpathAlloc, SteadyStateGroupWindowPerformsZeroAllocations) {
   }
 }
 
+TEST(HotpathAlloc, ArrivalsBeforeStartAllocateNothing) {
+  // Every wait of rank 0's first operation lands before it starts, on a
+  // window that has never run. Each arrival sets its bit (and a value
+  // kind's payload) in the slot, both sized when the window was built; a
+  // list of early arrivals for start() to replay would grow at the first.
+  for (const auto kind : {coll::OpKind::kBarrier, coll::OpKind::kAllreduce}) {
+    const coll::GroupSchedule g =
+        coll::make_collective_schedule(kind, 8, 0, coll::Algorithm::kDissemination);
+    const coll::RankSchedule& rs = g.ranks[0];
+    int completions = 0;
+    coll::GroupWindow<> window(
+        rs, kind, coll::ReduceOp::kSum,
+        {.send = [](coll::GroupWindow<>::Slot&, const coll::Edge&) {},
+         .complete = [&completions](coll::GroupWindow<>::Slot&) { ++completions; }});
+    g_allocs.store(0);
+    g_counting.store(true);
+    for (std::size_t s = 0; s < rs.step_count(); ++s) {
+      for (const coll::Edge& w : rs.waits(s)) window.on_arrival(0, w.peer, w.tag, 1);
+    }
+    window.start(1);
+    g_counting.store(false);
+    EXPECT_EQ(completions, 1) << coll::to_string(kind);
+    EXPECT_EQ(g_allocs.load(), 0u) << coll::to_string(kind) << ": arrivals before the start "
+                                   << "allocated " << g_allocs.load() << " times";
+  }
+}
+
 TEST(HotpathAlloc, BarrierScheduleAllocatesOncePerRank) {
   // Each rank's schedule is one block, and the writer reuses its buffers
   // from rank to rank. Per-step edge vectors made 30 allocations per rank.

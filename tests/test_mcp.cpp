@@ -91,7 +91,7 @@ TEST(Mcp, DataDropRecoveredBySenderTimeout) {
   h.node(1).mcp().provide_receive_buffers(1);
   h.node(1).mcp().set_host_receiver([&](const RecvEvent& ev) { events.push_back(ev); });
   // Drop the first data packet 0 -> 1.
-  h.fabric->faults().add_nth_rule(net::NicAddr(0), net::NicAddr(1), 1);
+  h.fabric->faults().install({.src = 0, .dst = 1, .nth = 1});
   bool sent = false;
   h.node(0).mcp().host_send_event(1, 64, 3, [&] { sent = true; });
   h.engine.run();
@@ -107,7 +107,7 @@ TEST(Mcp, AckDropTriggersDuplicateReAck) {
   h.node(1).mcp().provide_receive_buffers(1);
   h.node(1).mcp().set_host_receiver([](const RecvEvent&) {});
   // Drop the first packet 1 -> 0: that is the ACK for our data packet.
-  h.fabric->faults().add_nth_rule(net::NicAddr(1), net::NicAddr(0), 1);
+  h.fabric->faults().install({.src = 1, .dst = 0, .nth = 1});
   bool sent = false;
   h.node(0).mcp().host_send_event(1, 64, 3, [&] { sent = true; });
   h.engine.run();
@@ -134,8 +134,8 @@ TEST(Mcp, DuplicatedPacketConsumedOnce) {
   std::vector<RecvEvent> events;
   h.node(1).mcp().provide_receive_buffers(4);
   h.node(1).mcp().set_host_receiver([&](const RecvEvent& ev) { events.push_back(ev); });
-  h.fabric->faults().add_nth_rule(net::NicAddr(0), net::NicAddr(1), 1,
-                                  net::FaultAction::kDuplicate);
+  h.fabric->faults().install(
+      {.src = 0, .dst = 1, .action = net::FaultAction::kDuplicate, .nth = 1});
   h.node(0).mcp().host_send_event(1, 64, 5, nullptr);
   h.engine.run();
   EXPECT_EQ(events.size(), 1u);
@@ -199,7 +199,7 @@ TEST(Mcp, NicSendDropRecovered) {
   Harness h(2);
   std::vector<RecvEvent> consumed;
   h.node(1).mcp().set_nic_consumer([&](const RecvEvent& ev) { consumed.push_back(ev); });
-  h.fabric->faults().add_nth_rule(net::NicAddr(0), net::NicAddr(1), 1);
+  h.fabric->faults().install({.src = 0, .dst = 1, .nth = 1});
   h.node(0).mcp().nic_send(1, 5, 0);
   h.engine.run();
   EXPECT_EQ(consumed.size(), 1u);

@@ -66,7 +66,7 @@ class LossSoak : public ::testing::TestWithParam<double> {};
 TEST_P(LossSoak, ManyMessagesAllDeliveredInOrder) {
   const double p = GetParam();
   Harness h(2);
-  h.fabric->faults().add_random_rule(std::nullopt, std::nullopt, p, 77);
+  h.fabric->faults().install({.prob = p, .seed = 77});
   std::vector<std::uint32_t> tags;
   h.node(1).mcp().provide_receive_buffers(256);
   h.node(1).mcp().set_host_receiver([&](const RecvEvent& ev) { tags.push_back(ev.tag); });
@@ -90,8 +90,7 @@ INSTANTIATE_TEST_SUITE_P(Rates, LossSoak, ::testing::Values(0.01, 0.05, 0.15, 0.
 
 TEST(McpStress, DuplicationSoak) {
   Harness h(2);
-  h.fabric->faults().add_random_rule(std::nullopt, std::nullopt, 0.2, 5,
-                                     net::FaultAction::kDuplicate);
+  h.fabric->faults().install({.action = net::FaultAction::kDuplicate, .prob = 0.2, .seed = 5});
   std::vector<std::uint32_t> tags;
   h.node(1).mcp().provide_receive_buffers(128);
   h.node(1).mcp().set_host_receiver([&](const RecvEvent& ev) { tags.push_back(ev.tag); });
@@ -108,7 +107,7 @@ TEST(McpStress, DuplicationSoak) {
 
 TEST(McpStress, BidirectionalLossSoak) {
   Harness h(2);
-  h.fabric->faults().add_random_rule(std::nullopt, std::nullopt, 0.1, 31);
+  h.fabric->faults().install({.prob = 0.1, .seed = 31});
   int got0 = 0, got1 = 0;
   h.node(0).mcp().provide_receive_buffers(64);
   h.node(1).mcp().provide_receive_buffers(64);
@@ -126,8 +125,7 @@ TEST(McpStress, BidirectionalLossSoak) {
 TEST(McpStress, BlackoutHealsAndTrafficResumes) {
   Harness h(2);
   // Everything 0 -> 1 is lost between 20us and 900us.
-  h.fabric->faults().add_blackout(net::NicAddr(0), net::NicAddr(1),
-                                  sim::SimTime(20'000'000), sim::SimTime(900'000'000));
+  h.fabric->faults().install({.src = 0, .dst = 1, .from_ps = 20'000'000, .until_ps = 900'000'000});
   std::vector<std::uint32_t> tags;
   h.node(1).mcp().provide_receive_buffers(64);
   h.node(1).mcp().set_host_receiver([&](const RecvEvent& ev) { tags.push_back(ev.tag); });
@@ -146,7 +144,7 @@ TEST(McpStress, BlackoutHealsAndTrafficResumes) {
 
 TEST(McpStress, FanOutFanInUnderLoss) {
   Harness h(5);
-  h.fabric->faults().add_random_rule(std::nullopt, std::nullopt, 0.05, 13);
+  h.fabric->faults().install({.prob = 0.05, .seed = 13});
   int received_at_0 = 0;
   std::vector<int> received(5, 0);
   for (int i = 0; i < 5; ++i) {
@@ -170,7 +168,7 @@ TEST(McpStress, FanOutFanInUnderLoss) {
 
 TEST(McpStress, SendCompletionsSurviveLoss) {
   Harness h(2);
-  h.fabric->faults().add_random_rule(std::nullopt, std::nullopt, 0.1, 99);
+  h.fabric->faults().install({.prob = 0.1, .seed = 99});
   int completions = 0;
   h.node(1).mcp().provide_receive_buffers(64);
   h.node(1).mcp().set_host_receiver([](const RecvEvent&) {});
@@ -190,7 +188,7 @@ TEST(McpStress, PerChannelSequencesAreIndependent) {
   h.node(1).mcp().set_host_receiver([&](const RecvEvent& ev) { at1.push_back(ev.tag); });
   h.node(2).mcp().set_host_receiver([&](const RecvEvent& ev) { at2.push_back(ev.tag); });
   // Drop traffic only on the 0->1 channel; 0->2 must be unaffected.
-  h.fabric->faults().add_random_rule(net::NicAddr(0), net::NicAddr(1), 0.3, 17);
+  h.fabric->faults().install({.src = 0, .dst = 1, .prob = 0.3, .seed = 17});
   for (int i = 0; i < 20; ++i) {
     h.node(0).mcp().host_send_event(1, 256, static_cast<std::uint32_t>(i), nullptr);
     h.node(0).mcp().host_send_event(2, 256, static_cast<std::uint32_t>(i), nullptr);

@@ -121,8 +121,7 @@ TEST(NetProperties, BlackoutDropsOnlyInsideWindow) {
   int delivered = 0;
   f.attach([](Packet&&) {});
   f.attach([&](Packet&&) { ++delivered; });
-  f.faults().add_blackout(NicAddr(0), NicAddr(1), SimTime(10'000'000),
-                          SimTime(20'000'000));
+  f.faults().install({.src = 0, .dst = 1, .from_ps = 10'000'000, .until_ps = 20'000'000});
   // One packet before, two inside, one after the window.
   e.schedule(5_us, [&] { f.send(make_packet(0, 1, 64)); });
   e.schedule(12_us, [&] { f.send(make_packet(0, 1, 64)); });

@@ -1,6 +1,6 @@
 // The NIC group engine's contract, checked once on each substrate's NIC
 // model (Myrinet's collective engine, the Elan3 NIC and the IB HCA): group
-// registration checks, the early-arrival buffer and the two-deep
+// registration checks, arrivals before the host enters, and the two-deep
 // operation window.
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@ namespace qmb {
 // so the type names ctest prints stay short.
 struct Myrinet {
   static constexpr const char* kEarly = "coll.early_buffered";
+  static constexpr const char* kDuplicates = "coll.duplicates";
   static constexpr const char* kOps = "coll.ops_completed";
   using Cluster = core::MyriCluster;
   using Desc = myri::GroupDesc;
@@ -42,6 +43,7 @@ struct Quadrics {
 
 struct InfiniBand {
   static constexpr const char* kEarly = "ib.early_buffered";
+  static constexpr const char* kDuplicates = "ib.duplicates_dropped";
   static constexpr const char* kOps = "ib.ops_completed";
   using Cluster = core::IbCluster;
   using Desc = coll::GroupDesc;
@@ -136,6 +138,29 @@ TYPED_TEST(NicGroupEngine, ConsecutiveBarriersRecycleTheWindow) {
   this->engine_.run();
   EXPECT_EQ(completions, 32);
   for (int r = 0; r < 4; ++r) EXPECT_EQ(this->counter(TypeParam::kOps, r), 8u) << "rank " << r;
+}
+
+// The substrates whose wire can repeat a packet; Elan3's cannot, so its
+// engine registers no duplicate counter.
+template <typename S>
+class NicGroupEngineOnLossyWire : public NicGroupEngine<S> {};
+using LossySubstrates = ::testing::Types<Myrinet, InfiniBand>;
+TYPED_TEST_SUITE(NicGroupEngineOnLossyWire, LossySubstrates);
+
+TYPED_TEST(NicGroupEngineOnLossyWire, TwinBehindTheCompletingArrivalIsCounted) {
+  this->build(2);
+  this->make_group(1);
+  // Rank 1's one wait and then its retransmitted twin land before the host
+  // enters; the first completes operation 0 as it starts.
+  auto& group = *this->groups(1).find(1);
+  this->groups(1).arrive(group, 0, 0, 0, 0);
+  this->groups(1).arrive(group, 0, 0, 0, 0);
+  bool done = false;
+  this->groups(1).collective_enter(1, 0, [&](std::int64_t) { done = true; });
+  this->engine_.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(this->counter(TypeParam::kEarly, 1), 1u);
+  EXPECT_EQ(this->counter(TypeParam::kDuplicates, 1), 1u);
 }
 
 }  // namespace

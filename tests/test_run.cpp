@@ -130,7 +130,9 @@ TEST(RunExperiment, ArrivalClassificationCountersArePinned) {
   // these counters is in fingerprint() or the fuzz digest, so their totals
   // are pinned here: lossy barriers (IB at n = 64, where the silence timer
   // backs off), lossy value kinds that resend from the sent values, and
-  // duplicated packets.
+  // duplicated packets. A twin that lands before its rank starts the
+  // operation counts as a duplicate, not as early: the window records
+  // every arrival in its slot when it lands.
   static constexpr std::array<std::string_view, 4> kMyrinet{
       "coll.duplicates", "coll.early_buffered", "coll.stale_dropped", "coll.nacks_received"};
   static constexpr std::array<std::string_view, 4> kIb{
@@ -166,8 +168,8 @@ TEST(RunExperiment, ArrivalClassificationCountersArePinned) {
        lossy(Network::kMyrinetXP, 16, coll::OpKind::kAllreduce, 0.02, 7), {153, 607, 218, 873}},
       {"ib allgather, 2% loss", lossy(Network::kInfiniBand, 16, coll::OpKind::kAllgather, 0.02, 5),
        {127, 558, 86, 1179}},
-      {"myrinet barrier, 5% duplicated", duplicating(Network::kMyrinetXP), {250, 295, 84, 0}},
-      {"ib barrier, 5% duplicated", duplicating(Network::kInfiniBand), {247, 67, 87, 0}},
+      {"myrinet barrier, 5% duplicated", duplicating(Network::kMyrinetXP), {250, 278, 84, 0}},
+      {"ib barrier, 5% duplicated", duplicating(Network::kInfiniBand), {247, 66, 87, 0}},
   };
   for (const Case& c : cases) {
     const RunResult r = run_experiment(c.spec);

@@ -510,11 +510,15 @@ TEST(ScheduleExecutor, AdvancesThroughArrivals) {
 TEST(ScheduleExecutor, BuffersEarlyArrivals) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
   OneOp op(g.ranks[0]);
-  // Both arrivals land before start.
+  // Both arrivals land before start, are recorded then, and a repeat of
+  // either reads as a duplicate at once.
   EXPECT_EQ(op.arrive(3, 0), Arrival::kEarly);
   EXPECT_EQ(op.arrive(2, 1), Arrival::kEarly);
+  EXPECT_EQ(op.arrive(2, 1), Arrival::kDuplicate);
+  EXPECT_TRUE(op.slot().has_arrived(op.window.schedule().find_edge(3, 0)));
   EXPECT_EQ(op.completions, 0);
-  EXPECT_EQ(op.window.start().duplicates, 0);
+  EXPECT_TRUE(op.sent.empty());
+  op.window.start();
   EXPECT_EQ(op.completions, 1);
   EXPECT_EQ(op.sent.size(), 2u);
 }
