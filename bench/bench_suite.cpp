@@ -43,7 +43,8 @@ constexpr const char* kFig8Rows[] = {"fig8/quadrics", "fig8/myrinet-xp", "ib-sca
 
 /// Fig. 8's tail, N >= kTailNodes, runs kTailIters timed iterations after
 /// the usual warm-up: the simulation is deterministic and in steady state
-/// by then, and 200 iterations at 4096 nodes would dwarf the rest.
+/// by then, and 200 iterations at 4096 nodes would dwarf the rest. The full
+/// document's header names both, as tail_nodes and tail_iters.
 constexpr int kTailNodes = 1024;
 constexpr int kTailIters = 5;
 
@@ -416,6 +417,10 @@ int main(int argc, char** argv) {
   doc.set("quick", obs::JsonValue::of(o.quick));
   doc.set("iters", obs::JsonValue::of(static_cast<std::int64_t>(iters)));
   doc.set("warmup", obs::JsonValue::of(static_cast<std::int64_t>(bench::kWarmupIters)));
+  if (!o.quick) {
+    doc.set("tail_nodes", obs::JsonValue::of(static_cast<std::int64_t>(kTailNodes)));
+    doc.set("tail_iters", obs::JsonValue::of(static_cast<std::int64_t>(kTailIters)));
+  }
   obs::JsonValue arr = obs::JsonValue::make_array();
   for (std::size_t i = 0; i < results.size(); ++i) {
     const run::RunResult& r = results[i];
@@ -447,7 +452,9 @@ int main(int argc, char** argv) {
   std::fputs(text.c_str(), f);
   std::fputc('\n', f);
   std::fclose(f);
-  std::printf("%zu points -> %s (%s, %d timed iters, %u threads)\n", written,
-              o.out.c_str(), o.quick ? "quick" : "full", iters, runner.threads());
+  std::printf("%zu points -> %s (%s, %d timed iters", written, o.out.c_str(),
+              o.quick ? "quick" : "full", iters);
+  if (!o.quick) std::printf(", %d at N >= %d", kTailIters, kTailNodes);
+  std::printf(", %u threads)\n", runner.threads());
   return 0;
 }

@@ -84,7 +84,7 @@ Numbers run_backend(storm::Backend backend, int nodes,
                     const std::vector<net::FaultSpec>& faults) {
   sim::Engine engine;
   core::MyriCluster cluster(engine, myri::lanaixp_cluster(), nodes);
-  cluster.fabric().faults().install(faults);
+  cluster.fabric().faults().install_plan(faults);
   storm::ResourceManager rm(cluster, backend);
   storm::JobSpec spec;
   spec.job_id = 1;
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   {
     sim::Engine engine;
     core::MyriCluster cluster(engine, myri::lanaixp_cluster(), 8);
-    cluster.fabric().faults().install(opts.faults);
+    cluster.fabric().faults().install_plan(opts.faults);
     storm::ResourceManager rm(cluster, storm::Backend::kNicOffloaded);
     storm::JobSpec spec;
     spec.job_id = 1;

@@ -12,7 +12,8 @@
 //
 // A rule is a FaultSpec — a plain serializable struct that the CLI's
 // --fault grammar parses into and the fuzzer's repro artifacts round-trip
-// through JSON — installed with install(), one rule or a plan at a time:
+// through JSON — installed one at a time with install(), or a plan at a
+// time with install_plan():
 //
 //   faults.install({.src = 2, .dst = 4, .nth = 3});  // drop
 //   faults.install({.action = FaultAction::kDuplicate, .prob = 0.01, .seed = 7});
@@ -70,8 +71,10 @@ class FaultInjector {
   /// validate()'s message on a malformed spec.
   void install(const FaultSpec& spec);
 
-  /// Installs every rule of a plan, in order (first firing rule wins).
-  void install(const std::vector<FaultSpec>& plan) {
+  /// Installs every rule of a plan, in order (first firing rule wins). Not
+  /// an install() overload: a braced one-designator spec such as
+  /// install({.nth = 1}) would be ambiguous between the two.
+  void install_plan(const std::vector<FaultSpec>& plan) {
     for (const FaultSpec& s : plan) install(s);
   }
 

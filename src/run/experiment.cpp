@@ -365,7 +365,7 @@ RunResult run_on(const Substrate& sub, const ExperimentSpec& s) {
   if (s.drop_prob > 0) {
     cluster->fabric().faults().install({.prob = s.drop_prob, .seed = s.seed});
   }
-  cluster->fabric().faults().install(s.faults);
+  cluster->fabric().faults().install_plan(s.faults);
   auto placement = placement_of(s);
 
   RunResult out;

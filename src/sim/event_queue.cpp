@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -23,6 +24,7 @@ EventId EventQueue::push(SimTime at, EventCallback&& cb, SimTime sched,
     slot_ord_.push_back(kNoEvent);
     slot_cb_.emplace_back();
     slot_key_.emplace_back();
+    slot_link_.emplace_back();
   }
   const std::uint64_t seq = next_seq_++;
   const std::uint64_t ord = seq << kSlotBits | slot;
@@ -31,19 +33,33 @@ EventId EventQueue::push(SimTime at, EventCallback&& cb, SimTime sched,
   if (keyed_) slot_key_[slot] = key;  // unkeyed slots keep their zero key
   slot_cb_[slot] = std::move(cb);
   slot_ord_[slot] = ord;
-  heap_.push_back(Entry{at, ord});
-  in_order([](auto... args) { std::push_heap(args...); });
+  if (at > base_) {
+    link(slot, at);
+  } else {
+    heap_.push_back(Entry{at, ord});
+    in_order([](auto... args) { std::push_heap(args...); });
+  }
   ++live_;
   return EventId(slot, static_cast<std::uint32_t>(seq));
+}
+
+void EventQueue::link(std::uint32_t slot, SimTime at) {
+  const auto diff = static_cast<std::uint64_t>(at.picos() ^ base_.picos());
+  const int b = std::bit_width(diff) - 1;
+  const std::uint64_t bit = std::uint64_t{1} << b;
+  slot_link_[slot] = Link{at, (bucket_mask_ & bit) != 0 ? bucket_head_[b] : kNoSlot};
+  bucket_head_[b] = slot;
+  bucket_mask_ |= bit;
+  ++bucketed_;
 }
 
 bool EventQueue::cancel(EventId id) {
   if (!id.valid() || id.slot_ >= slot_ord_.size()) return false;
   const std::uint64_t ord = slot_ord_[id.slot_];
   if (ord == kNoEvent || static_cast<std::uint32_t>(ord >> kSlotBits) != id.gen_) return false;
-  // Orphan the heap entry and invalidate outstanding ids. The slot itself
-  // stays out of the free list until the entry leaves the heap, so its key
-  // is not overwritten under a queued corpse.
+  // Orphan the entry and invalidate outstanding ids. The slot itself stays
+  // out of the free list until the entry leaves the queue, so its key and
+  // bucket link are not overwritten under a queued corpse.
   slot_ord_[id.slot_] = kNoEvent;
   slot_cb_[id.slot_] = EventCallback{};  // cancelled callbacks release captures now
   --live_;
@@ -52,39 +68,86 @@ bool EventQueue::cancel(EventId id) {
 }
 
 void EventQueue::compact_if_stale() {
-  // Sweep once dead entries exceed half the heap: mass cancellation (e.g. a
+  // Sweep once dead entries exceed half the queue: mass cancellation (e.g. a
   // NACK-timeout storm being acked) must return memory pressure to O(live)
   // rather than O(ever-scheduled). Amortized O(1) per cancel: a sweep costs
   // O(n) but at least n/2 cancels funded it.
-  if (heap_.size() < kCompactFloor || heap_.size() <= 2 * live_) return;
+  const std::size_t entries = heap_entries();
+  if (entries < kCompactFloor || entries <= 2 * live_) return;
   std::erase_if(heap_, [this](const Entry& e) {
     if (is_live(e)) return false;
     free_slots_.push_back(slot_of(e.ord));
     return true;
   });
   in_order([](auto... args) { std::make_heap(args...); });
+  for (std::uint64_t m = bucket_mask_; m != 0; m &= m - 1) {
+    const int b = std::countr_zero(m);
+    std::uint32_t* next = &bucket_head_[b];
+    while (*next != kNoSlot) {
+      const std::uint32_t slot = *next;
+      if (slot_ord_[slot] != kNoEvent) {
+        next = &slot_link_[slot].next;
+        continue;
+      }
+      *next = slot_link_[slot].next;
+      free_slots_.push_back(slot);
+      --bucketed_;
+    }
+    if (bucket_head_[b] == kNoSlot) bucket_mask_ &= ~(std::uint64_t{1} << b);
+  }
 }
 
-void EventQueue::drop_cancelled_head() {
-  // Precondition: the head is dead and live_ > 0, so a live entry stops the
-  // loop before the heap runs dry. Each corpse is popped once, so this is
-  // amortized O(log n). Callers test the head inline: it is usually live.
-  do {
+bool EventQueue::settle_head(SimTime deadline) {
+  // Each dead head is popped once, so this is amortized O(log n).
+  while (!heap_.empty()) {
+    if (is_live(heap_.front())) return true;
     in_order([](auto... args) { std::pop_heap(args...); });
     free_slots_.push_back(slot_of(heap_.back().ord));
     heap_.pop_back();
-  } while (!is_live(heap_.front()));
+  }
+  // The heap ran dry, so every live event is bucketed. The lowest non-empty
+  // bucket holds the earliest: every higher bucket's entries differ from
+  // base_ in a higher bit. Its minimum time becomes the new base; when only
+  // dead entries sit there, the heap stays empty and the next bucket is
+  // tried.
+  do {
+    const int b = std::countr_zero(bucket_mask_);
+    SimTime min_at = SimTime::max();
+    for (std::uint32_t s = bucket_head_[b]; s != kNoSlot; s = slot_link_[s].next) {
+      min_at = std::min(min_at, slot_link_[s].at);
+    }
+    if (min_at > deadline) return false;
+    // Redistribute the bucket under the new base: its entries at min_at
+    // enter the heap, the later ones move to strictly lower buckets (they
+    // share min_at's bits from b up) and the dead return to the free list.
+    base_ = min_at;
+    bucket_mask_ &= ~(std::uint64_t{1} << b);
+    for (std::uint32_t s = bucket_head_[b]; s != kNoSlot;) {
+      const Link l = slot_link_[s];
+      --bucketed_;
+      if (slot_ord_[s] == kNoEvent) {
+        free_slots_.push_back(s);
+      } else if (l.at > base_) {
+        link(s, l.at);
+      } else {
+        heap_.push_back(Entry{l.at, slot_ord_[s]});
+      }
+      s = l.next;
+    }
+  } while (heap_.empty());
+  in_order([](auto... args) { std::make_heap(args...); });
+  return true;
 }
 
 std::optional<SimTime> EventQueue::next_time() {
   if (live_ == 0) return std::nullopt;
-  if (!is_live(heap_.front())) drop_cancelled_head();
+  if (heap_.empty() || !is_live(heap_.front())) settle_head(SimTime::max());
   return heap_.front().at;
 }
 
 std::optional<EventQueue::Fired> EventQueue::pop_due(SimTime deadline) {
   if (live_ == 0) return std::nullopt;
-  if (!is_live(heap_.front())) drop_cancelled_head();
+  if ((heap_.empty() || !is_live(heap_.front())) && !settle_head(deadline)) return std::nullopt;
   if (heap_.front().at > deadline) return std::nullopt;
   in_order([](auto... args) { std::pop_heap(args...); });
   const Entry e = heap_.back();

@@ -1,9 +1,22 @@
 // Cancellable pending-event queue for the discrete-event engine.
 //
-// A binary heap keyed on (time, sequence). The sequence number breaks ties
-// in insertion order, which makes the whole simulation deterministic: two
+// A radix-bucketed queue keyed on (time, sequence): a binary heap holds the
+// entries due at or before a moving base time, and every later entry waits,
+// unsorted, in one of 64 buckets picked by the highest bit in which its fire
+// time differs from the base (a monotone radix heap: Ahuja, Mehlhorn, Orlin
+// and Tarjan, JACM 1990). A push is O(1) unless it lands at or before the
+// base; when the heap runs dry, the lowest non-empty bucket's earliest time
+// becomes the new base, its entries at that time enter the heap and the rest
+// move to strictly lower buckets, so each entry is bucketed at most once
+// per bit of its distance from the base. There is no bucket width to tune:
+// fire times are integer picoseconds and the engine never runs backwards.
+// A push at or before the base (a coordinator's injection after a peek, a
+// push after a pop_due that stopped at its deadline) goes straight into the
+// heap, so any push order is correct. The sequence number breaks ties in
+// insertion order, which makes the whole simulation deterministic: two
 // events scheduled for the same instant always fire in the order they were
-// scheduled.
+// scheduled. Equal fire times share a bucket and enter the heap together,
+// so the heap's comparator alone decides every tie.
 //
 // The (time, insertion) tie-break is a CONTRACT, not an implementation
 // detail: the parallel (PDES) engine partitions the simulation into
@@ -41,13 +54,14 @@
 // test_event_queue's TieBreakContract test pins this down.
 //
 // Cancellation is O(1) and allocation-free: every live event owns a slot
-// that records its heap entry's ord (seq and slot, packed); cancelling
-// clears the record, which orphans the heap entry (dropped when it reaches
-// the head, or swept by compaction when dead entries outnumber live ones —
-// NACK-timeout storms cancel thousands of armed retransmit timers and must
-// not leave the heap full of corpses). No hashing and no per-event
-// allocation in the common case: callbacks are small-buffer-optimized
-// (sim::Callback) and slots are recycled through a free list.
+// that records its entry's ord (seq and slot, packed); cancelling clears the
+// record, which orphans the entry (dropped when it reaches the heap's head
+// or its bucket is redistributed, or swept by compaction when dead entries
+// outnumber live ones — NACK-timeout storms cancel thousands of armed
+// retransmit timers and must not leave the queue full of corpses). No
+// hashing and no per-event allocation in the common case: callbacks are
+// small-buffer-optimized (sim::Callback), slots are recycled through a free
+// list, and a bucket chains its slots through per-slot links.
 #pragma once
 
 #include <array>
@@ -119,7 +133,8 @@ class EventQueue {
 
   /// Time of the earliest live event, or nullopt when empty. Drops the
   /// cancelled entries sitting above it, so a cancelled head costs one
-  /// amortized O(log n) pop instead of a scan of the heap.
+  /// amortized O(log n) pop instead of a scan of the heap; refills the heap
+  /// from the lowest bucket when it runs dry.
   [[nodiscard]] std::optional<SimTime> next_time();
 
   /// A popped event. The callback moves from its slot straight into Fired;
@@ -136,7 +151,8 @@ class EventQueue {
   /// Removes and returns the earliest live event if it fires at or before
   /// `deadline`, else nullopt (also when empty). One call drops the
   /// cancelled entries above the head, checks the head's time and pops it,
-  /// so an engine loop inspects the head once per event.
+  /// so an engine loop inspects the head once per event. A refill that
+  /// would move the base past `deadline` is not made.
   std::optional<Fired> pop_due(SimTime deadline);
 
   /// pop_due without a deadline. Precondition: !empty().
@@ -148,10 +164,11 @@ class EventQueue {
   /// Total events ever scheduled; useful as a cheap determinism fingerprint.
   [[nodiscard]] std::uint64_t total_scheduled() const { return next_seq_ - 1; }
 
-  /// Heap entries currently held, live plus cancelled-but-unswept. Exposed
-  /// so tests can assert the compaction invariant: past kCompactFloor
-  /// entries, dead entries never exceed the live count.
-  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
+  /// Entries currently held in the heap and the buckets, live plus
+  /// cancelled-but-unswept. Exposed so tests can assert the compaction
+  /// invariant: past kCompactFloor entries, dead entries never exceed the
+  /// live count.
+  [[nodiscard]] std::size_t heap_entries() const { return heap_.size() + bucketed_; }
 
  private:
   // Heap entries are 16-byte PODs: the fire time and ord = seq << 24 | slot.
@@ -172,15 +189,17 @@ class EventQueue {
   // slot_ord_ value of a slot with no pending event; seq starts at 1, so no
   // entry's ord is 0.
   static constexpr std::uint64_t kNoEvent = 0;
+  // Ends a bucket's chain of slots.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   [[nodiscard]] static std::uint32_t slot_of(std::uint64_t ord) {
     return static_cast<std::uint32_t>(ord & (kMaxSlots - 1));
   }
 
   // The sharded part of the ordering key, per slot. A slot is recycled only
-  // after its heap entry has left the heap (fired, dropped at the head or
-  // swept), so the key an entry compares by never changes under it, even
-  // while the entry waits in the heap as a cancelled corpse.
+  // after its entry has left the queue (fired, dropped at the head or on a
+  // redistribution, or swept), so the key an entry compares by never
+  // changes under it, even while the entry waits as a cancelled corpse.
   struct SlotKey {
     SchedPath path;
     std::uint64_t lineage = 0;
@@ -228,15 +247,36 @@ class EventQueue {
   // tiny queues on every other cancel.
   static constexpr std::size_t kCompactFloor = 64;
 
+  // A bucketed slot's fire time and the next slot in its bucket's chain.
+  struct Link {
+    SimTime at;
+    std::uint32_t next = kNoSlot;
+  };
+
   [[nodiscard]] bool is_live(const Entry& e) const { return slot_ord_[slot_of(e.ord)] == e.ord; }
-  void drop_cancelled_head();
+  // Chains `slot` into the bucket of the highest bit in which `at` differs
+  // from base_. Precondition: at > base_.
+  void link(std::uint32_t slot, SimTime at);
+  // Makes the heap's head the earliest live event: drops dead heads and,
+  // when the heap runs dry, refills it from the lowest bucket. Returns false,
+  // never moving base_ past `deadline`, when the earliest live event is
+  // bucketed past it. Precondition: live_ > 0.
+  bool settle_head(SimTime deadline);
   void compact_if_stale();
 
-  std::vector<Entry> heap_;
+  std::vector<Entry> heap_;                // the entries with at <= base_
   std::vector<std::uint64_t> slot_ord_;    // slot -> its pending entry's ord, or kNoEvent
   std::vector<EventCallback> slot_cb_;     // slot -> the pending callback
   std::vector<SlotKey> slot_key_;          // slot -> path/lineage; written once keyed_
-  std::vector<std::uint32_t> free_slots_;  // slots whose heap entry has left the heap
+  std::vector<Link> slot_link_;            // slot -> its bucket link, while bucketed
+  std::vector<std::uint32_t> free_slots_;  // slots whose entry has left the queue
+  // Bucket b chains the slots with at > base_ whose at ^ base_ has its
+  // highest set bit at b; bit b of bucket_mask_ marks it non-empty (its head
+  // is stale otherwise). base_ only rises, so base_ >= 0 and bit 63 is unused.
+  std::array<std::uint32_t, 64> bucket_head_{};
+  std::uint64_t bucket_mask_ = 0;
+  std::size_t bucketed_ = 0;  // entries in buckets, live and dead
+  SimTime base_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
   // Set by the first push with a non-zero key and never cleared. Until then

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <set>
@@ -435,6 +436,97 @@ TEST(TieBreakContract, RandomPushCancelPopMatchesSortedReference) {
       q.pop().cb();
       ASSERT_EQ(order.back(), ref.begin()->seq) << "step " << step;
       ref.erase(ref.begin());
+    }
+    ASSERT_EQ(q.size(), ref.size());
+  }
+}
+
+TEST(TieBreakContract, RadixLevelsMatchSortedReference) {
+  // Model check across the radix buckets: fire times spread over ~40 bits of
+  // picoseconds, so pushes land in every bucket and refills redistribute
+  // them level by level. Peeks alternate with pop_due deadlines that stop
+  // between the due instant and the next pending one, and pushes land
+  // between the last fired and the last peeked time, as a PDES
+  // coordinator's injections do after run_windows' next_time() peek. The
+  // queue turns keyed partway through. Every pop, peek and cancel must
+  // agree with a sorted reference set.
+  constexpr int kUnkeyedSteps = 10000;
+  EventQueue q;
+  std::mt19937_64 rng(4040);
+  std::set<Key> ref;
+  std::vector<std::pair<Key, EventId>> pending;
+  std::vector<int> order;
+  int seq = 0;
+  SimTime fired = SimTime::zero();   // the last fired time; no push goes below it
+  SimTime peeked = SimTime::zero();  // the last next_time() answer
+  auto draw = [&](std::uint64_t n) { return rng() % n; };
+  // A distance whose bit width is drawn first, so every level is reached.
+  auto distance = [&] {
+    return picoseconds(static_cast<std::int64_t>(rng() & ((std::uint64_t{1} << draw(41)) - 1)));
+  };
+  // The earliest pending time after ref's head time, or max.
+  auto next_distinct = [&] {
+    const SimTime head = ref.begin()->at;
+    for (const Key& k : ref) {
+      if (k.at != head) return k.at;
+    }
+    return SimTime::max();
+  };
+  for (int step = 0; step < 40000; ++step) {
+    const int phase = (step / 4000) % 2;  // alternately grow and drain
+    const auto op = draw(100);
+    if (op < (phase == 0 ? 45u : 25u)) {
+      Key k{fired + distance(), SchedPath{}, 0, seq++};
+      if (op < 8 && peeked > fired) {
+        k.at = fired + picoseconds(static_cast<std::int64_t>(draw(
+                           static_cast<std::uint64_t>((peeked - fired).picos()))));
+      } else if (op < 16 && !ref.empty()) {
+        k.at = std::next(ref.begin(), static_cast<std::ptrdiff_t>(draw(ref.size())))->at;
+      }
+      if (step < kUnkeyedSteps) {
+        pending.emplace_back(k, q.push(k.at, [&order, s = k.seq] { order.push_back(s); }));
+      } else {
+        k.path = SchedPath{{at_us(static_cast<std::int64_t>(draw(3))),
+                            at_us(static_cast<std::int64_t>(draw(2)))}};
+        k.lineage = draw(3);
+        pending.emplace_back(k, push_keyed(q, k, order));
+      }
+      ref.insert(k);
+    } else if (op < (phase == 0 ? 60u : 45u) && !pending.empty()) {
+      const auto victim = static_cast<std::size_t>(draw(pending.size()));
+      ASSERT_EQ(q.cancel(pending[victim].second), ref.erase(pending[victim].first) == 1);
+      ASSERT_LE(q.heap_entries(), std::max<std::size_t>(64, 2 * q.size()));
+      pending[victim] = pending.back();
+      pending.pop_back();
+    } else if (op < 70) {
+      const auto t = q.next_time();
+      ASSERT_EQ(t.has_value(), !ref.empty());
+      if (t) {
+        ASSERT_EQ(*t, ref.begin()->at);
+        peeked = *t;
+      }
+    } else {
+      SimTime deadline = fired + distance();
+      if (!ref.empty()) {
+        const SimTime head = ref.begin()->at;
+        const SimTime next = next_distinct();
+        if (op < 85 && next != SimTime::max()) {
+          deadline = head + picoseconds(static_cast<std::int64_t>(
+                                draw(static_cast<std::uint64_t>((next - head).picos()))));
+        } else if (op < 90) {
+          deadline = head - picoseconds(1);
+        }
+      }
+      const bool due = !ref.empty() && ref.begin()->at <= deadline;
+      auto f = q.pop_due(deadline);
+      ASSERT_EQ(f.has_value(), due) << "step " << step;
+      if (f) {
+        f->cb();
+        ASSERT_EQ(f->at, ref.begin()->at);
+        ASSERT_EQ(order.back(), ref.begin()->seq) << "step " << step;
+        fired = f->at;
+        ref.erase(ref.begin());
+      }
     }
     ASSERT_EQ(q.size(), ref.size());
   }

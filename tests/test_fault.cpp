@@ -113,7 +113,7 @@ TEST(FaultInjector, FirstMatchingRuleWins) {
 
 TEST(FaultInjector, ClearRemovesRules) {
   FaultInjector fi;
-  fi.install(FaultSpec{.nth = 1});
+  fi.install({.nth = 1});
   fi.clear();
   EXPECT_EQ(fi.decide(make_packet(0, 1)), FaultAction::kDeliver);
 }
@@ -172,7 +172,7 @@ TEST(FaultInjector, InstallAcceptsValidPlanInOrder) {
   FaultSpec second;
   second.nth = 1;
   second.action = FaultAction::kDuplicate;
-  fi.install(std::vector<FaultSpec>{first, second});
+  fi.install_plan(std::vector<FaultSpec>{first, second});
   EXPECT_EQ(fi.rule_count(), 2u);
   // First installed rule wins the shared first match.
   EXPECT_EQ(fi.decide(make_packet(0, 1)), FaultAction::kDrop);
@@ -269,7 +269,7 @@ TEST(FabricFault, TalliesSurfaceAsMetrics) {
            FabricParams{LinkParams{300_ns, 2.0e9}, SwitchParams{300_ns}});
   f.attach([](Packet&&) {});
   f.attach([](Packet&&) {});
-  f.faults().install(FaultSpec{.nth = 1});
+  f.faults().install({.nth = 1});
   // Fires on the 2nd send (its 1st match).
   f.faults().install({.action = FaultAction::kDuplicate, .nth = 1});
   f.send(make_packet(0, 1));

@@ -19,6 +19,7 @@
 // of schedule, no per-edge arrays for a barrier, none in a NACK round.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -392,6 +393,57 @@ TEST(HotpathAlloc, NackRoundAllocatesNothing) {
   g_counting.store(false);
   EXPECT_EQ(nic.nacks - warm, 10u);
   EXPECT_EQ(g_allocs.load(), 0u) << "10 NACK rounds allocated " << g_allocs.load() << " times";
+}
+
+/// Per-packet retransmission and NACK timers beside the packets' hops: 16
+/// chains each hop every 0.5..3.5 ns, and every hop cancels its chain's
+/// armed timer (an ACK) and arms one 1 us..1 ms out. The timers wait far
+/// from the head of the event queue, among their cancelled predecessors.
+struct TimerStorm {
+  static constexpr int kChains = 16;
+  sim::Engine& engine;
+  std::array<sim::EventId, kChains> timers{};
+  std::uint64_t state = 0;
+  int hops_left = 0;
+  int expired = 0;
+
+  std::uint64_t draw(std::uint64_t n) {
+    state = state * 6364136223846793005u + 1442695040888963407u;
+    return (state >> 33) % n;
+  }
+  void hop(int chain) {
+    if (hops_left == 0) return;
+    --hops_left;
+    auto& timer = timers[static_cast<std::size_t>(chain)];
+    engine.cancel(timer);
+    timer = engine.schedule(sim::picoseconds(static_cast<std::int64_t>(1'000'000 + draw(999'000'000))),
+                            [this] { ++expired; });
+    engine.schedule(sim::picoseconds(static_cast<std::int64_t>(500 + draw(3000))),
+                    [this, chain] { hop(chain); });
+  }
+  // Runs `hops` hops to quiescence: each chain's last timer expires.
+  void round(int hops) {
+    state = 7;
+    hops_left = hops;
+    for (int c = 0; c < kChains; ++c) engine.schedule(sim::SimDuration::zero(), [this, c] { hop(c); });
+    engine.run();
+  }
+};
+
+TEST(HotpathAlloc, FarTimersBesideNearHopsAllocateNothing) {
+  sim::Engine engine;
+  TimerStorm storm{engine};
+  for (int warm = 0; warm < 3; ++warm) storm.round(20'000);
+  const int expired_warm = storm.expired;
+  ASSERT_EQ(expired_warm, 3 * TimerStorm::kChains);
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  storm.round(20'000);
+  g_counting.store(false);
+  EXPECT_EQ(storm.expired - expired_warm, TimerStorm::kChains);
+  EXPECT_EQ(g_allocs.load(), 0u) << "20000 hops arming and cancelling far timers allocated "
+                                 << g_allocs.load() << " times";
 }
 
 TEST(HotpathAlloc, MetricRegistrationAllocatesPerNameNotPerNode) {
